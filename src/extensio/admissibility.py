@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ArgumentError,
     AssumptionError,
+    Omega0Singular,
     RealizationUnavailable,
 )
 from .linrel import (
@@ -200,18 +201,19 @@ def mul_t_limit(
     return True
 
 
-def _pair_pieces(
-    pi: OrdinaryTriplet, tau: NevanlinnaPairEval, lam: complex, tol: Tolerances
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+# Weyl matrix M, pair factors phi and psi, and the inverse of psi + M phi.
+_Pieces = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _pair_pieces(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, lam: complex, tol: Tolerances) -> _Pieces:
     """Weyl matrix, pair factors and the inverse of their combination."""
     m_mat = rel_matrix(weyl_eval(pi, lam, tol), tol)
-    phi, psi = tau.eval(lam)
-    omega0 = np.asarray(psi, dtype=complex) + m_mat @ np.asarray(phi, dtype=complex)
+    phi, psi = (np.asarray(part, dtype=complex) for part in tau.eval(lam))
     try:
-        omega = np.linalg.inv(omega0)
-    except np.linalg.LinAlgError:
-        omega = np.linalg.pinv(omega0)
-    return m_mat, np.asarray(phi, dtype=complex), np.asarray(psi, dtype=complex), omega
+        omega = np.linalg.inv(psi + m_mat @ phi)
+    except np.linalg.LinAlgError as exc:
+        raise Omega0Singular(lam, "pair combination is not invertible") from exc
+    return m_mat, phi, psi, omega
 
 
 def _weak_decay(
@@ -239,14 +241,12 @@ def admissible(
     m = pi.base.boundary_dim
     if tau.dim != m:
         raise ArgumentError("pair dimension differs from the boundary space")
+    z0 = _reference_point(z0)
     probes = probe_vectors(m, probe)
     ys = np.asarray(probe.y_grid, dtype=float)
-    x1 = []
-    x2 = []
-    for y in ys:
-        m_mat, phi, psi, omega = _pair_pieces(pi, tau, 1j * y, tol)
-        x1.append(phi @ omega)
-        x2.append(psi @ omega @ m_mat)
+    pieces = [_pair_pieces(pi, tau, 1j * y, tol) for y in ys]
+    x1 = [phi @ omega for _, phi, _, omega in pieces]
+    x2 = [psi @ omega @ m_mat for m_mat, _, psi, omega in pieces]
     adm1, slope1 = _weak_decay(x1, ys, probes, probe)
     adm2, slope2 = _weak_decay(x2, ys, probes, probe)
     a0_operator = rel_parts(kernel_of_boundary_map(pi, 0, tol), tol).mul.dim == 0
@@ -257,7 +257,7 @@ def admissible(
         verdict = adm2
     else:
         verdict = adm1 and adm2
-    qlt = langer_textorius(pi, tau, z0, probe, tol)
+    qlt = _qlt_pass(pi, pieces, z0, probe, tol)
     try:
         chi = realize_tau(tau)
         coupled = couple(pi, chi, tol)
@@ -296,10 +296,10 @@ def mt_admissibility(
     t_mat = np.asarray(t, dtype=complex).reshape(m, m)
     probes = probe_vectors(m, probe)
     ys = np.asarray(probe.y_grid, dtype=float)
+    eye = np.eye(m, dtype=complex)
     vals = []
     for y in ys:
         m_mat, phi, psi, omega = _pair_pieces(pi, tau, 1j * y, tol)
-        eye = np.eye(m, dtype=complex)
         ul = -phi @ omega
         ur = eye - phi @ omega @ m_mat
         ll = psi @ omega
@@ -308,6 +308,31 @@ def mt_admissibility(
         vals.append(float(np.linalg.norm(m_t @ probes, axis=0).max()) / y)
     slope, top = _fit_top_decades(ys, vals)
     return _tends_to_zero(slope, top, probe)
+
+
+def _reference_point(z0: complex) -> complex:
+    z0 = complex(z0)
+    if z0.imag <= 0:
+        raise ArgumentError("reference point must lie in the upper half plane")
+    return z0
+
+
+def _qlt_pass(pi: OrdinaryTriplet, pieces: list[_Pieces], z0: complex, probe: LimitProbe, tol: Tolerances) -> bool:
+    """Quadratic-form test on the pieces at the points of probe.y_grid: the
+    form built from the reference point z0 must vanish weakly for every
+    probe vector."""
+    m_ref = rel_matrix(weyl_eval(pi, z0, tol), tol)
+    probes = probe_vectors(pi.base.boundary_dim, probe)
+    ys = np.asarray(probe.y_grid, dtype=float)
+    vals = np.zeros((probes.shape[1], ys.size), dtype=float)
+    for j, (y, (m_mat, phi, _, omega)) in enumerate(zip(ys, pieces)):
+        q = m_mat - (m_mat - m_ref.conj().T) @ phi @ omega @ (m_mat - m_ref)
+        vals[:, j] = np.abs(np.sum(probes.conj() * (q @ probes), axis=0)) / y
+    for i in range(probes.shape[1]):
+        slope, top = _fit_top_decades(ys, vals[i])
+        if not _tends_to_zero(slope, top, probe):
+            return False
+    return True
 
 
 def langer_textorius(
@@ -319,23 +344,6 @@ def langer_textorius(
 ) -> bool:
     """Quadratic-form test built from one reference point in the upper
     half plane; the verdict does not depend on the reference point."""
-    z0 = complex(z0)
-    if z0.imag <= 0:
-        raise ArgumentError("reference point must lie in the upper half plane")
-    m = pi.base.boundary_dim
-    m_ref = rel_matrix(weyl_eval(pi, z0, tol), tol)
-    probes = probe_vectors(m, probe)
-    ys = np.asarray(probe.y_grid, dtype=float)
-    vals = np.zeros((probes.shape[1], ys.size), dtype=float)
-    for j, y in enumerate(ys):
-        m_mat, phi, _, omega = _pair_pieces(pi, tau, 1j * y, tol)
-        resolv = phi @ omega
-        q = m_mat - (m_mat - m_ref.conj().T) @ resolv @ (m_mat - m_ref)
-        for i in range(probes.shape[1]):
-            h = probes[:, i]
-            vals[i, j] = abs(np.vdot(h, q @ h)) / y
-    for i in range(probes.shape[1]):
-        slope, top = _fit_top_decades(ys, vals[i])
-        if not _tends_to_zero(slope, top, probe):
-            return False
-    return True
+    z0 = _reference_point(z0)
+    pieces = [_pair_pieces(pi, tau, 1j * y, tol) for y in probe.y_grid]
+    return _qlt_pass(pi, pieces, z0, probe, tol)

@@ -31,12 +31,13 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _nullspace,
+    _orthonormal_columns,
+    _rank,
     as_complex_matrix,
     eigenspace,
-    full_subspace,
     rel_adjoint,
     rel_classify,
-    rel_image,
     rel_matrix,
     rel_parts,
     rel_preimage,
@@ -44,9 +45,7 @@ from .linrel import (
     relation_from_generators,
     relation_from_matrix,
     resolvent_matrix,
-    subspace_direct_sum,
     subspace_from_columns,
-    subspace_intersect,
 )
 from .nevanlinna import NevanlinnaPairEval, nev_kernel
 
@@ -212,6 +211,14 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     return ordinary_triplet(validate_boundary_relation(gamma, tol), tol)
 
 
+def _defect_coords(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
+    """Coordinates c on Gamma's graph basis G whose input part G c is a
+    defect element (f, lam f): the kernel of G_f' - lam G_f."""
+    n = br.state_dim
+    g = br.gamma.graph.basis
+    return _nullspace(g[n : 2 * n, :] - lam * g[:n, :], tol)
+
+
 def weyl_eval(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """Family value: image of the defect elements of dom Gamma."""
     lam = complex(lam)
@@ -219,9 +226,9 @@ def weyl_eval(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolera
         raise RealAxis("family values live off the real axis")
     br = _as_boundary(obj)
     m = br.boundary_dim
-    _, nhat = eigenspace(br.t_rel, lam, tol)
-    image = rel_image(br.gamma, nhat.graph, tol)
-    return LinearRelation(m, m, image)
+    image = br.gamma.out_block @ _defect_coords(br, lam, tol)
+    # Rows of the unit columns G c: anchor the rank cutoff at scale one.
+    return LinearRelation(m, m, Subspace(2 * m, _orthonormal_columns(image, tol, 1.0)))
 
 
 def gamma_field(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
@@ -232,12 +239,8 @@ def gamma_field(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tole
     br = _as_boundary(obj)
     n = br.state_dim
     m = br.boundary_dim
-    _, nhat = eigenspace(br.t_rel, lam, tol)
-    lift = subspace_direct_sum(nhat.graph, full_subspace(2 * m))
-    meet = subspace_intersect(lift, br.gamma.graph, tol)
-    h = meet.basis[2 * n : 2 * n + m, :]
-    fvec = meet.basis[:n, :]
-    return relation_from_generators(m, n, np.vstack([h, fvec]), tol)
+    cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
+    return relation_from_generators(m, n, np.vstack([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol)
 
 
 def weyl_sample(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> WeylSample:
@@ -324,12 +327,7 @@ def mul_via_kernel(obj: BoundaryRelation | OrdinaryTriplet, p: NevanlinnaPairEva
     pair kernel at one point."""
     br = _as_boundary(obj)
     kern = nev_kernel(p, lam, lam)
-    if kern.size:
-        svals = np.linalg.svd(kern, compute_uv=False)
-        rank = int(np.sum(svals > tol.rank * svals[0] * max(kern.shape))) if svals[0] > 0 else 0
-    else:
-        rank = 0
-    dim_ker = p.dim - rank
+    dim_ker = p.dim - _rank(np.linalg.svd(kern, compute_uv=False), kern.shape, tol)
     return rel_parts(br.gamma, tol).mul.dim == dim_ker
 
 

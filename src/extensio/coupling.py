@@ -30,6 +30,7 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _nullspace,
     is_simple,
     rel_classify,
     rel_equal,
@@ -262,15 +263,7 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
     basis = scene.a_tilde.graph.basis
 
     def eval_at(lam: complex) -> LinearRelation:
-        constraint = basis[f2p, :] - complex(lam) * basis[f2, :]
-        if constraint.size:
-            _, sv, vh = np.linalg.svd(constraint)
-            cutoff = tol.rank * (sv[0] if sv.size else 0.0) * max(constraint.shape)
-            rank = int(np.sum(sv > cutoff)) if sv.size else 0
-            coeff = vh[rank:, :].conj().T
-        else:
-            coeff = np.eye(basis.shape[1], dtype=complex)
-        cols = basis @ coeff
+        cols = basis @ _nullspace(basis[f2p, :] - complex(lam) * basis[f2, :], tol)
         fhat1 = np.vstack([cols[f1, :], cols[f1p, :]])
         bounds = _boundary_values(pi, fhat1, tol)
         gens = np.vstack([bounds[:m, :], -bounds[m:, :]])
@@ -332,10 +325,7 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     coeff, *_ = np.linalg.lstsq(system, target, rcond=None)
     if np.linalg.norm(system @ coeff - target) > 1e-8 * (1 + np.linalg.norm(rhs)):
         raise NoSolution(f"no adjoint-domain solution at lambda={lam}")
-    _, sv, vh = np.linalg.svd(system)
-    cutoff = tol.rank * (sv[0] if sv.size else 0.0) * max(system.shape)
-    rank = int(np.sum(sv > cutoff))
-    null = vh[rank:, :].conj().T
+    null = _nullspace(system, tol)
     if null.size and np.linalg.norm(top @ null) > tol.angle:
         raise NonUnique(f"solution not unique at lambda={lam}")
     return top @ coeff

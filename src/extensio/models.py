@@ -27,7 +27,7 @@ from .linrel import (
 )
 from .boundary import BoundaryRelation, OrdinaryTriplet, von_neumann_triplet, weyl_eval
 from .nevanlinna import NevanlinnaPairEval, pair_from_relation
-from .coupling import CouplingScene, canonical_chi, coupling_scene
+from .coupling import CouplingScene, _boundary_values, canonical_chi, coupling_scene
 from .kreinspace import FundamentalSymmetry
 from .transforms import StandardJUnitary, standard_j_unitary
 
@@ -125,23 +125,12 @@ def realized_pair(chi: BoundaryRelation, tol: Tolerances = TOL) -> NevanlinnaPai
     return NevanlinnaPairEval(m, eval_at, chi)
 
 
-def _triplet_boundary_values(
-    pi: OrdinaryTriplet, columns: np.ndarray, tol: Tolerances
-) -> np.ndarray:
-    x = pi.gamma.in_block
-    y = pi.gamma.out_block
-    coeff, *_ = np.linalg.lstsq(x, columns, rcond=None)
-    if np.linalg.norm(x @ coeff - columns) > tol.angle * (1 + np.linalg.norm(columns)):
-        raise ArgumentError("columns are outside the domain of the triplet")
-    return y @ coeff
-
-
 def fix_infty_steering(tol: Tolerances = TOL) -> tuple[OrdinaryTriplet, NevanlinnaPairEval]:
     """Triplet for the rank-one fixture together with the constant pair
     that steers the coupling onto the multivalued extension."""
     pi = von_neumann_triplet(fix_a_relation(tol), tol=tol)
     basis = fix_infty_relation(tol).graph.basis
-    bounds = _triplet_boundary_values(pi, basis, tol)
+    bounds = _boundary_values(pi, basis, tol)
     m = pi.base.boundary_dim
     theta = relation_from_generators(m, m, bounds, tol)
     return pi, realized_constant_pair(twist_relation(theta, tol), tol)

@@ -105,12 +105,26 @@ def test_langer_textorius_reference_independence():
     scene = ex.fix_b_scene()
     pi = ex.fix_b_triplet()
     pair = ex.realized_pair(ex.induced_chi(scene, pi))
-    verdicts = {ex.langer_textorius(pi, pair, z0) for z0 in (1j, 2j, 1 + 1j)}
-    assert verdicts == {True}
+    infty_pi, infty_pair = ex.fix_infty_steering()
+    for trip, tau, expected in ((pi, pair, True), (infty_pi, infty_pair, False)):
+        for z0 in (1j, 2j, 1 + 1j):
+            verdict = ex.langer_textorius(trip, tau, z0)
+            assert verdict is expected
+            # admissible shares its grid pass with the standalone test
+            assert ex.admissible(trip, tau, z0=z0).qlt_pass == verdict
     with pytest.raises(ex.ArgumentError):
         ex.langer_textorius(pi, pair, -1j)
     with pytest.raises(ex.ArgumentError):
         ex.langer_textorius(pi, pair, 2.0)
+
+
+def test_singular_pair_combination_raises():
+    # psi + M phi vanishes identically: no inverse, and no silent fallback
+    pi = ex.fix_b_triplet()
+    zero = np.zeros((1, 1), dtype=complex)
+    pair = ex.NevanlinnaPairEval(1, lambda lam: (zero, zero))
+    with pytest.raises(ex.Omega0Singular):
+        ex.admissible(pi, pair)
 
 
 def test_exact_mul_helper():

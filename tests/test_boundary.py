@@ -131,3 +131,39 @@ def test_ordinary_triplet_requires_operator_s():
     pi = ex.fix_b_triplet()
     assert isinstance(pi, ex.OrdinaryTriplet)
     assert pi.gamma is pi.base.gamma
+
+
+def _two_step_weyl(br, lam):
+    # reference route: defect elements of T, then their image under Gamma
+    _, nhat = ex.eigenspace(br.t_rel, lam)
+    m = br.boundary_dim
+    return ex.LinearRelation(m, m, ex.rel_image(br.gamma, nhat.graph))
+
+
+def _two_step_gamma(br, lam):
+    # reference route: Gamma's graph cut down to defect elements in the input
+    _, nhat = ex.eigenspace(br.t_rel, lam)
+    n, m = br.state_dim, br.boundary_dim
+    lift = ex.subspace_direct_sum(nhat.graph, ex.full_subspace(2 * m))
+    meet = ex.subspace_intersect(lift, br.gamma.graph)
+    gens = np.vstack([meet.basis[2 * n : 2 * n + m, :], meet.basis[:n, :]])
+    return ex.relation_from_generators(m, n, gens)
+
+
+@pytest.mark.parametrize("case", ["von-neumann", "induced-chi", "canonical-mul"])
+def test_weyl_and_gamma_match_two_step_route(case):
+    if case == "von-neumann":
+        s = ex.random_symmetric_restriction(np.random.default_rng(17), 5, 2)
+        br = ex.von_neumann_triplet(s).base
+    elif case == "induced-chi":
+        br = ex.induced_chi(ex.fix_b_scene(), ex.fix_b_triplet())
+    else:
+        br = ex.canonical_chi(ex.mul_relation(ex.full_subspace(1)))
+        assert br.state_dim == 0 and ex.rel_parts(br.gamma).mul.dim == 1
+    for lam in (1j, 2j, 1 + 1j, 1e8j):
+        value = ex.weyl_eval(br, lam)
+        assert ex.rel_equal(value, _two_step_weyl(br, lam))
+        if case == "canonical-mul":
+            assert ex.rel_parts(value).mul.dim == 1
+        else:
+            assert ex.rel_equal(ex.gamma_field(br, lam), _two_step_gamma(br, lam))

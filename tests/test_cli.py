@@ -1,6 +1,10 @@
 """Command-line interface: exit codes, report modes, file handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +165,19 @@ def test_env_tolerance_gate(model_path, capsys, monkeypatch):
 def test_unknown_subcommand_is_input_error(capsys):
     assert ex.cli_run(["make-coffee"]) == 2
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_warning():
+    # the package runs as ``python -m extensio``; a RuntimeWarning from
+    # runpy (module imported before execution) would fail the run
+    src = str(Path(ex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "extensio", "selftest", "--seed", "1", "--cases", "2"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["inputs"]["seed"] == 1
