@@ -9,6 +9,7 @@ with a finite realization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,8 +118,20 @@ def _fit_top_decades(ys: Sequence[float], vals: Sequence[float]) -> tuple[float,
     return float(slope), float(vals_arr[np.argmax(ys_arr)])
 
 
-def _tends_to_zero(slope: float, top: float, probe: LimitProbe) -> bool:
-    return top < 1e-12 or (slope < -probe.slope_tol and top < 1e-4)
+def _tends_to_zero(ys: np.ndarray, vals: Sequence[float], probe: LimitProbe) -> tuple[bool, float]:
+    """Decay verdict and fitted slope of one curve on the y-grid.
+
+    A curve vanishes when its top value is at rounding level, when the
+    fit decays and ends below 1e-4, or when its last grid step decays:
+    a curve that stays flat over the low decades and falls off as 1/y
+    only near the top can end just above the 1e-4 floor.
+    """
+    slope, top = _fit_top_decades(ys, vals)
+    if top < 1e-12 or (slope < -probe.slope_tol and top < 1e-4):
+        return True, slope
+    # top is the last value, floored at 1e-300 as in the fit
+    last = math.log10(top / max(abs(float(vals[-2])), 1e-300)) / math.log10(ys[-1] / ys[-2])
+    return last < -probe.slope_tol, slope
 
 
 def exact_mul(a_tilde: LinearRelation, tol: Tolerances = TOL) -> Subspace:
@@ -224,8 +237,7 @@ def _weak_decay(
     for mat, y in zip(mats, ys):
         inner = np.abs(probes.conj().T @ mat @ probes)
         vals.append(float(inner.max()) / y)
-    slope, top = _fit_top_decades(ys, vals)
-    return _tends_to_zero(slope, top, probe), slope
+    return _tends_to_zero(ys, vals, probe)
 
 
 def admissible(
@@ -306,8 +318,7 @@ def mt_admissibility(
         lr = psi @ omega @ m_mat
         m_t = t_mat.conj().T @ ul @ t_mat + t_mat.conj().T @ ur + ll @ t_mat + lr
         vals.append(float(np.linalg.norm(m_t @ probes, axis=0).max()) / y)
-    slope, top = _fit_top_decades(ys, vals)
-    return _tends_to_zero(slope, top, probe)
+    return _tends_to_zero(ys, vals, probe)[0]
 
 
 def _reference_point(z0: complex) -> complex:
@@ -329,8 +340,7 @@ def _qlt_pass(pi: OrdinaryTriplet, pieces: list[_Pieces], z0: complex, probe: Li
         q = m_mat - (m_mat - m_ref.conj().T) @ phi @ omega @ (m_mat - m_ref)
         vals[:, j] = np.abs(np.sum(probes.conj() * (q @ probes), axis=0)) / y
     for i in range(probes.shape[1]):
-        slope, top = _fit_top_decades(ys, vals[i])
-        if not _tends_to_zero(slope, top, probe):
+        if not _tends_to_zero(ys, vals[i], probe)[0]:
             return False
     return True
 

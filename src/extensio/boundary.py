@@ -31,6 +31,7 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _graph_resolvent,
     _nullspace,
     _orthonormal_columns,
     _rank,
@@ -44,7 +45,6 @@ from .linrel import (
     rel_product,
     relation_from_generators,
     relation_from_matrix,
-    resolvent_matrix,
     subspace_from_columns,
 )
 from .nevanlinna import NevanlinnaPairEval, nev_kernel
@@ -219,6 +219,33 @@ def _defect_coords(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.nd
     return _nullspace(g[n : 2 * n, :] - lam * g[:n, :], tol)
 
 
+def _gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma field and Weyl function at lam as matrices for a triplet whose
+    first boundary map is a bijection of the defect elements onto C^m:
+    with G c their graph columns, gamma = G_f c (G_h c)^{-1} and
+    M = G_h' c (G_h c)^{-1}."""
+    if lam.imag == 0:
+        raise RealAxis("gamma fields and Weyl functions live off the real axis")
+    n = br.state_dim
+    m = br.boundary_dim
+    cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
+    try:
+        # a defect space of dimension other than m gives a non-square block
+        inv = np.linalg.inv(cols[2 * n : 2 * n + m, :])
+    except np.linalg.LinAlgError as exc:
+        raise AssumptionError("first boundary map is not a bijection of the defect space onto C^m") from exc
+    return cols[:n, :] @ inv, cols[2 * n + m :, :] @ inv
+
+
+def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
+    """Resolvent of A0 = ker Gamma_0, whose graph is the state rows of
+    G ker(G_h)."""
+    n = br.state_dim
+    g = br.gamma.graph.basis
+    a0 = g[: 2 * n, :] @ _nullspace(g[2 * n : 2 * n + br.boundary_dim, :], tol, 1.0)
+    return _graph_resolvent(a0[:n, :], a0[n:, :], lam, tol)
+
+
 def weyl_eval(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """Family value: image of the defect elements of dom Gamma."""
     lam = complex(lam)
@@ -286,16 +313,11 @@ def check_weyl_identities(trip: OrdinaryTriplet, lam: complex, mu: complex, tol:
     first boundary map."""
     lam = complex(lam)
     mu = complex(mu)
-    if lam.imag == 0 or mu.imag == 0:
-        raise RealAxis("identities are checked off the real axis")
-    n = trip.base.state_dim
-    a0 = kernel_of_boundary_map(trip, 0, tol)
-    res = resolvent_matrix(a0, lam, tol)
-    g_lam = rel_matrix(gamma_field(trip, lam, tol), tol)
-    g_mu = rel_matrix(gamma_field(trip, mu, tol), tol)
-    m_lam = rel_matrix(weyl_eval(trip, lam, tol), tol)
-    m_mu = rel_matrix(weyl_eval(trip, mu, tol), tol)
-    prop = (np.eye(n, dtype=complex) + (lam - mu) * res) @ g_mu
+    br = trip.base
+    g_lam, m_lam = _gamma_and_weyl(br, lam, tol)
+    g_mu, m_mu = _gamma_and_weyl(br, mu, tol)
+    res = _a0_resolvent(br, lam, tol)
+    prop = (np.eye(br.state_dim, dtype=complex) + (lam - mu) * res) @ g_mu
     gamma_res = float(np.linalg.norm(g_lam - prop))
     rhs = m_mu.conj().T + (lam - np.conj(mu)) * g_mu.conj().T @ prop
     weyl_res = float(np.linalg.norm(m_lam - rhs))

@@ -23,6 +23,7 @@ from .errors import (
     NoSolution,
     Omega0Singular,
     RelationSumSingular,
+    SingularAtLambda,
     TripletMismatch,
 )
 from .linrel import (
@@ -31,12 +32,11 @@ from .linrel import (
     Subspace,
     Tolerances,
     _nullspace,
+    _rank,
     is_simple,
     rel_classify,
     rel_equal,
-    rel_inverse,
     rel_matrix,
-    rel_sum,
     relation_from_generators,
     resolvent_matrix,
     subspace_coords,
@@ -47,8 +47,8 @@ from .linrel import (
 from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
-    gamma_field,
-    kernel_of_boundary_map,
+    _a0_resolvent,
+    _gamma_and_weyl,
     validate_boundary_relation,
     weyl_eval,
 )
@@ -281,19 +281,25 @@ def generalized_resolvent(scene: CouplingScene, lam: complex, tol: Tolerances = 
 
 def krein_rhs(pi: OrdinaryTriplet, tau: FamilyEval, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
     """Resolvent formula route: resolvent of the distinguished extension
-    corrected through the inverse of the family sum."""
+    corrected through the inverse of the family sum.
+
+    With [phi; psi] a graph basis of tau(lam), the inverse of M + tau is
+    phi (psi + M phi)^{-1}; every ingredient is read off Gamma's graph
+    basis as a matrix."""
     lam = complex(lam)
-    a0 = kernel_of_boundary_map(pi, 0, tol)
-    r0 = resolvent_matrix(a0, lam, tol)
-    g_lam = rel_matrix(gamma_field(pi, lam, tol), tol)
-    g_bar = rel_matrix(gamma_field(pi, np.conj(lam), tol), tol)
-    m_rel = weyl_eval(pi, lam, tol)
-    combined = rel_sum(m_rel, tau.eval(lam), tol)
-    try:
-        inv_mat = rel_matrix(rel_inverse(combined), tol)
-    except (AssumptionError, ArgumentError) as exc:
-        raise RelationSumSingular(lam, "family sum has no bounded inverse") from exc
-    return r0 - g_lam @ inv_mat @ g_bar.conj().T
+    base = _gamma_of(pi)
+    m = base.boundary_dim
+    g_lam, m_mat = _gamma_and_weyl(base, lam, tol)
+    g_bar, _ = _gamma_and_weyl(base, lam.conjugate(), tol)
+    r0 = _a0_resolvent(base, lam, tol)
+    value = tau.eval(lam)
+    if value.dim_in != m or value.dim_out != m:
+        raise DimMismatch("family value does not act in the boundary space")
+    if value.graph_dim != m:
+        raise RelationSumSingular(lam, "family sum has no bounded inverse")
+    phi = value.in_block
+    omega = _pair_inverse(value.out_block + m_mat @ phi, lam, tol, RelationSumSingular)
+    return r0 - g_lam @ phi @ omega @ g_bar.conj().T
 
 
 def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
@@ -331,6 +337,15 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     return top @ coeff
 
 
+def _pair_inverse(omega0: np.ndarray, lam: complex, tol: Tolerances, error: type[SingularAtLambda]) -> np.ndarray:
+    """Inverse of the pair combination psi + M phi; raises ``error`` when
+    its smallest singular value falls below the unit-anchored cutoff."""
+    svals = np.linalg.svd(omega0, compute_uv=False)
+    if _rank(svals, omega0.shape, tol, 1.0) < omega0.shape[0]:
+        raise error(lam, "pair combination is not invertible")
+    return np.linalg.inv(omega0)
+
+
 def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, tol: Tolerances):
     m = pi.base.boundary_dim
     m_mat = rel_matrix(weyl_eval(pi, lam, tol), tol)
@@ -339,11 +354,7 @@ def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, t
         raise Omega0Singular(lam, "parameter family value is not maximal")
     phi = tau_rel.in_block
     psi = tau_rel.out_block
-    omega0 = psi + m_mat @ phi
-    svals = np.linalg.svd(omega0, compute_uv=False) if m else np.array([1.0])
-    if m and svals.min() <= tol.rank * max(1.0, svals.max()) * m:
-        raise Omega0Singular(lam, "pair combination is not invertible")
-    omega = np.linalg.inv(omega0) if m else omega0
+    omega = _pair_inverse(psi + m_mat @ phi, lam, tol, Omega0Singular)
     return m_mat, phi, psi, omega
 
 

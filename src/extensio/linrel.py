@@ -17,7 +17,7 @@ closed, so closure operations are identities and are not provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "subspace_from_columns",
     "zero_subspace",
     "full_subspace",
-    "subspace_span",
     "subspace_complement",
     "subspace_intersect",
     "subspace_sum",
@@ -43,9 +42,7 @@ __all__ = [
     "containment_gap",
     "is_subspace",
     "largest_principal_angle",
-    "principal_angles",
     "subspace_equal",
-    "relation_from_graph",
     "relation_from_generators",
     "relation_from_matrix",
     "zero_relation",
@@ -55,8 +52,6 @@ __all__ = [
     "RelationParts",
     "rel_inverse",
     "rel_adjoint",
-    "rel_neg",
-    "rel_scale",
     "rel_shift",
     "rel_sum",
     "rel_comp_sum",
@@ -64,7 +59,6 @@ __all__ = [
     "rel_intersect",
     "rel_image",
     "rel_preimage",
-    "rel_apply",
     "rel_direct_sum",
     "rel_permute",
     "eigenspace",
@@ -195,16 +189,6 @@ def full_subspace(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
 
-def subspace_span(vectors: Sequence, ambient_dim: int, tol: Tolerances = TOL) -> Subspace:
-    """Span of a sequence of ambient vectors."""
-    if len(vectors) == 0:
-        return zero_subspace(ambient_dim)
-    cols = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-    if cols.shape[0] != ambient_dim:
-        raise ArgumentError("vector length does not match the ambient dimension")
-    return subspace_from_columns(cols, tol)
-
-
 def subspace_complement(space: Subspace, tol: Tolerances = TOL) -> Subspace:
     """Orthogonal complement within the ambient space."""
     return Subspace(space.ambient_dim, _nullspace(space.basis.conj().T, tol))
@@ -277,14 +261,6 @@ def largest_principal_angle(a: Subspace, b: Subspace) -> float:
     return max(containment_gap(a, b), containment_gap(b, a))
 
 
-def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
-    """All principal angles, ascending, between equal-or-unequal dim spaces."""
-    if a.dim == 0 or b.dim == 0:
-        return np.zeros(0)
-    cosines = np.linalg.svd(a.basis.conj().T @ b.basis, compute_uv=False)
-    return np.arccos(np.clip(cosines, -1.0, 1.0))[::-1]
-
-
 def subspace_equal(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> bool:
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
@@ -327,10 +303,6 @@ class LinearRelation:
             f"LinearRelation({self.dim_in}->{self.dim_out}, "
             f"graph_dim={self.graph.dim})"
         )
-
-
-def relation_from_graph(graph: Subspace, dim_in: int, dim_out: int) -> LinearRelation:
-    return LinearRelation(dim_in, dim_out, graph)
 
 
 def relation_from_generators(dim_in: int, dim_out: int, columns, tol: Tolerances = TOL) -> LinearRelation:
@@ -402,20 +374,6 @@ def rel_adjoint(rel: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     swapped = np.vstack([-rel.out_block, rel.in_block])
     comp = _nullspace(swapped.conj().T, tol)
     return LinearRelation(rel.dim_out, rel.dim_in, Subspace(rel.dim_in + rel.dim_out, comp))
-
-
-def rel_neg(rel: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
-    """The relation {(f, -g)}."""
-    return relation_from_generators(
-        rel.dim_in, rel.dim_out, np.vstack([rel.in_block, -rel.out_block]), tol
-    )
-
-
-def rel_scale(rel: LinearRelation, factor: complex, tol: Tolerances = TOL) -> LinearRelation:
-    """The relation {(f, factor*g)}."""
-    return relation_from_generators(
-        rel.dim_in, rel.dim_out, np.vstack([rel.in_block, factor * rel.out_block]), tol
-    )
 
 
 def rel_shift(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
@@ -499,21 +457,6 @@ def rel_image(rel: LinearRelation, space: Subspace, tol: Tolerances = TOL) -> Su
 
 def rel_preimage(rel: LinearRelation, space: Subspace, tol: Tolerances = TOL) -> Subspace:
     return rel_image(rel_inverse(rel), space, tol)
-
-
-def rel_apply(rel: LinearRelation, vec, tol: Tolerances = TOL) -> np.ndarray:
-    """Apply a single-valued relation to a vector of its domain."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    if vec.shape[0] != rel.dim_in:
-        raise ArgumentError("vector length does not match dim_in")
-    if rel_parts(rel, tol).mul.dim:
-        raise AssumptionError("relation is multivalued; images are not unique")
-    x = rel.in_block
-    coeff, *_ = np.linalg.lstsq(x, vec, rcond=None)
-    scale = 1.0 + float(np.linalg.norm(vec))
-    if np.linalg.norm(x @ coeff - vec) > 1e-8 * scale:
-        raise AssumptionError("vector is not in the domain of the relation")
-    return rel.out_block @ coeff
 
 
 def rel_direct_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
@@ -671,12 +614,24 @@ def rel_matrix(rel: LinearRelation, tol: Tolerances = TOL) -> np.ndarray:
     return rel.out_block @ np.linalg.inv(x)
 
 
+def _graph_resolvent(x: np.ndarray, y: np.ndarray, lam: complex, tol: Tolerances) -> np.ndarray:
+    """(R - lam)^{-1} = X (Y - lam X)^{-1} for a graph basis [X; Y] of R.
+
+    The columns of [X; Y] are independent, so a kernel vector c of
+    Y - lam X gives an element (X c, lam X c) of R with X c != 0.  One
+    SVD, anchored at the unit column scale, decides both obstructions.
+    """
+    shifted = y - lam * x
+    rank = _rank(np.linalg.svd(shifted, compute_uv=False), shifted.shape, tol, 1.0)
+    if rank < shifted.shape[1]:
+        raise SingularAtLambda(lam, "nontrivial kernel of R - lambda")
+    if rank < shifted.shape[0]:
+        raise SingularAtLambda(lam, "R - lambda is not surjective")
+    return x @ np.linalg.inv(shifted)
+
+
 def resolvent_matrix(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
     """Matrix of (R - lam)^{-1}; raises SingularAtLambda when obstructed."""
-    inv = rel_inverse(rel_shift(rel, lam, tol))
-    parts = rel_parts(inv, tol)
-    if parts.mul.dim:
-        raise SingularAtLambda(lam, "nontrivial kernel of R - lambda")
-    if parts.dom.dim < rel.dim_in:
-        raise SingularAtLambda(lam, "R - lambda is not surjective")
-    return rel_matrix(inv, tol)
+    if rel.dim_in != rel.dim_out:
+        raise ArgumentError("resolvent needs dim_in = dim_out")
+    return _graph_resolvent(rel.in_block, rel.out_block, complex(lam), tol)

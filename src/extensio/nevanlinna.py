@@ -27,6 +27,7 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _rank,
     as_complex_matrix,
     rel_adjoint,
     rel_classify,
@@ -307,7 +308,8 @@ def classify_family(f: FamilyEval, lam: complex, tol: Tolerances = TOL) -> Famil
     strict_everywhere_defined = False
     if everywhere_defined and operator_valued:
         imag = _imag_part(rel_matrix(value, tol))
-        rank = np.linalg.matrix_rank(imag, tol.rank * max(1.0, np.linalg.norm(imag)) * value.dim_in)
+        svals = np.linalg.svd(imag, compute_uv=False)
+        rank = _rank(svals, imag.shape, tol, max(1.0, np.linalg.norm(imag)))
         strict_everywhere_defined = rank == value.dim_in
     second = f.eval(2 * lam)
     constant = rel_equal(value, adj, tol) and rel_equal(value, second, tol)

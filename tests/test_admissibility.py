@@ -118,6 +118,75 @@ def test_langer_textorius_reference_independence():
         ex.langer_textorius(pi, pair, 2.0)
 
 
+# Operator couplings from the admissibility-catalog benchmark whose limit
+# curves decay as 1/y only over the top decades and so end just above the
+# 1e-4 top-value floor.  Each is the symmetric relation spanned by the
+# generators [g; h g] with a constant Hermitian parameter.
+# Seed 104, round 6, case 20 (C^5, defect 2): at z0 = 1 + i the
+# quadratic-form curves stay flat up to y ~ 1e4 and end at 1.06e-4.
+SEED104_GENS_RE = [
+    [0.18416828449259914, 0.9322439109127756, 0.23224067293517536],
+    [-1.1546503217059954, -0.46647407434469773, -0.6790201591974387],
+    [-0.33315992033957575, -0.8170624176228394, -1.7166018622469292],
+    [-0.3660360799125938, 0.45762252450441043, -0.627233647222496],
+    [1.664205222786614, -1.0570155716695722, 0.4222443401834203],
+    [1.4954327333209152, -0.8932104656178572, 1.1011706521525977],
+    [-0.26990939061579294, 2.069256840564968, -1.3452799035867988],
+    [-2.6781492277158616, -2.6657845466113583, -1.8172062216504552],
+    [-2.164853142774141, 0.29511559787887265, 1.0325334851796282],
+    [-0.13960542492896363, -0.3743349072970521, 2.215805899208723],
+]
+SEED104_GENS_IM = [
+    [0.8208657424209007, -0.9319369935036453, -0.019964648133377772],
+    [0.39171761844732605, -1.743654437390265, 0.22801069499162246],
+    [1.286262039379686, 0.46674773467232733, -1.603384797980926],
+    [-1.5940441445377496, -0.062398019732440434, -0.09235997557790605],
+    [1.202828810338597, -1.012001921405729, 1.5355281739760431],
+    [-0.5476397105135795, -2.5699640856717645, 3.3528540331866994],
+    [0.47858539494766045, 1.205481258032757, -2.126467253178772],
+    [1.2604862896835325, 0.9675733508272355, -1.7963462363617395],
+    [2.48776440509509, -3.7965977416878927, 0.3306007497321512],
+    [1.769001350919144, -1.728117124691119, 1.878521730893191],
+]
+SEED104_OFF = complex(0.9779714382381715, 1.3356252662651587)
+SEED104_THETA = [
+    [-0.030044709289353017, SEED104_OFF],
+    [SEED104_OFF.conjugate(), 1.2361629680013857],
+]
+# Seed 466, round 17, case 22 (C^3, defect 2): the curve of the first
+# resolvent-difference condition stays flat up to y ~ 1e4 and ends at
+# 1.18e-4.
+SEED466_GENS = [
+    [complex(1.4935423558369456, -0.964772135268961)],
+    [complex(-0.9423969953271052, 0.6746356290343521)],
+    [complex(-0.117800694409891, 0.5277466050057908)],
+    [complex(0.2587801607120388, -1.578325421017223)],
+    [complex(2.252512202951438, -2.2723958969613505)],
+    [complex(-2.1948275008394162, -2.7796537220993063)],
+]
+SEED466_OFF = complex(-0.06207770854479, -0.8279458620336317)
+SEED466_THETA = [
+    [0.819876663995624, SEED466_OFF],
+    [SEED466_OFF.conjugate(), 0.487364664873645],
+]
+LATE_DECAY_CASES = {
+    "seed104": (np.array(SEED104_GENS_RE) + 1j * np.array(SEED104_GENS_IM), SEED104_THETA),
+    "seed466": (np.array(SEED466_GENS), SEED466_THETA),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_DECAY_CASES))
+def test_late_decay_is_admissible(case):
+    gens, theta = LATE_DECAY_CASES[case]
+    n = gens.shape[0] // 2
+    pi = ex.von_neumann_triplet(ex.relation_from_generators(n, n, gens))
+    pair = ex.realized_constant_pair(ex.relation_from_matrix(theta))
+    for z0 in (1j, 2j, 1 + 1j):
+        rep = ex.admissible(pi, pair, z0=z0)
+        assert rep.exact_mul_dim == 0
+        assert rep.admissible and rep.qlt_pass
+
+
 def test_singular_pair_combination_raises():
     # psi + M phi vanishes identically: no inverse, and no silent fallback
     pi = ex.fix_b_triplet()

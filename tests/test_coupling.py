@@ -72,6 +72,57 @@ def test_krein_rhs_singular_sum():
     tau = ex.FamilyEval(1, lambda lam: ex.relation_from_matrix(np.array([[-lam]])))
     with pytest.raises(ex.RelationSumSingular):
         ex.krein_rhs(pi, tau, 1j)
+    # a family value of graph dimension 0, not m = 1
+    tau = ex.FamilyEval(1, lambda lam: ex.mul_relation(ex.zero_subspace(1)))
+    with pytest.raises(ex.RelationSumSingular):
+        ex.krein_rhs(pi, tau, 1j)
+
+
+def _reference_krein_rhs(pi, tau, lam):
+    """The formula route through subspace relations: A0 as the kernel of
+    the first boundary map, gamma fields and M + tau as relations."""
+    r0 = ex.resolvent_matrix(ex.kernel_of_boundary_map(pi, 0), lam)
+    g_lam = ex.rel_matrix(ex.gamma_field(pi, lam))
+    g_bar = ex.rel_matrix(ex.gamma_field(pi, np.conj(lam)))
+    inv = ex.rel_matrix(ex.rel_inverse(ex.rel_sum(ex.weyl_eval(pi, lam), tau.eval(lam))))
+    return r0 - g_lam @ inv @ g_bar.conj().T
+
+
+def _reference_triplet(kind):
+    if kind == "von-neumann":
+        s = ex.random_symmetric_restriction(np.random.default_rng(19), 5, 2)
+        return ex.von_neumann_triplet(s)
+    # ker of the first boundary map of this triplet is purely multivalued
+    return ex.fix_b_triplet()
+
+
+def _reference_family(kind, m):
+    if kind == "hermitian":
+        h = ex.random_hermitian(np.random.default_rng(23), m)
+        value = ex.relation_from_matrix(h)
+    else:
+        # tau = {0} x C^m makes (M + tau)^{-1} = 0
+        value = ex.mul_relation(ex.full_subspace(m))
+    return ex.FamilyEval(m, lambda lam: value)
+
+
+@pytest.mark.parametrize("family", ["hermitian", "mul"])
+@pytest.mark.parametrize("triplet", ["von-neumann", "fix-b"])
+def test_krein_rhs_matches_relation_route(triplet, family):
+    pi = _reference_triplet(triplet)
+    tau = _reference_family(family, pi.base.boundary_dim)
+    for lam in (1j, -2j, 1 + 1j, 1e6j):
+        ref = _reference_krein_rhs(pi, tau, lam)
+        # both routes are resolvents, bounded by 1/|Im lam|
+        assert np.linalg.norm(ex.krein_rhs(pi, tau, lam) - ref) < RESID / abs(lam.imag)
+
+
+def test_krein_rhs_needs_a_bijective_first_boundary_map():
+    # the first boundary map of this boundary relation vanishes identically
+    chi = ex.canonical_chi(ex.mul_relation(ex.full_subspace(1)))
+    tau = ex.FamilyEval(1, lambda lam: ex.relation_from_matrix(np.eye(1)))
+    with pytest.raises(ex.AssumptionError):
+        ex.krein_rhs(chi, tau, 1j)
 
 
 def test_straus_solve_matches_resolvent():

@@ -172,6 +172,28 @@ def test_resolvent_matrix_oracle():
         ex.resolvent_matrix(rel, 1.0)
 
 
+def test_resolvent_matrix_obstructions():
+    # eigenvalue 1 of diag(1, 2): R - 1 has a kernel
+    diag = ex.relation_from_matrix(np.diag([1.0, 2.0]).astype(complex))
+    with pytest.raises(ex.SingularAtLambda, match="nontrivial kernel"):
+        ex.resolvent_matrix(diag, 1.0)
+    # the full relation C^2 x C^2 maps every f to everything
+    with pytest.raises(ex.SingularAtLambda, match="nontrivial kernel"):
+        ex.resolvent_matrix(ex.relation_from_generators(2, 2, np.eye(4)), 1j)
+    # the operator on span{e1} only: R - lam misses e2
+    partial = ex.relation_from_generators(2, 2, np.array([[1.0], [0.0], [3.0], [0.0]]))
+    with pytest.raises(ex.SingularAtLambda, match="not surjective"):
+        ex.resolvent_matrix(partial, 1j)
+    with pytest.raises(ex.ArgumentError):
+        ex.resolvent_matrix(ex.zero_relation(2, 1), 1j)
+
+
+def test_resolvent_of_purely_multivalued_relation_is_zero():
+    rel = ex.mul_relation(ex.full_subspace(3))
+    for lam in (1j, 2.0, 1e6j):
+        assert np.array_equal(ex.resolvent_matrix(rel, lam), np.zeros((3, 3)))
+
+
 def test_permute_and_direct_sum():
     mat = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
     rel = ex.rel_permute(ex.relation_from_matrix(mat), in_perm=[1, 0])
