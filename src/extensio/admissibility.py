@@ -32,8 +32,8 @@ from .linrel import (
 from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
+    _gamma_and_weyl,
     kernel_of_boundary_map,
-    weyl_eval,
 )
 from .nevanlinna import FamilyEval, NevanlinnaPairEval
 from .coupling import couple
@@ -220,7 +220,7 @@ _Pieces = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 def _pair_pieces(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, lam: complex, tol: Tolerances) -> _Pieces:
     """Weyl matrix, pair factors and the inverse of their combination."""
-    m_mat = rel_matrix(weyl_eval(pi, lam, tol), tol)
+    m_mat = _gamma_and_weyl(pi.base, lam, tol)[1]
     phi, psi = (np.asarray(part, dtype=complex) for part in tau.eval(lam))
     try:
         omega = np.linalg.inv(psi + m_mat @ phi)
@@ -332,7 +332,7 @@ def _qlt_pass(pi: OrdinaryTriplet, pieces: list[_Pieces], z0: complex, probe: Li
     """Quadratic-form test on the pieces at the points of probe.y_grid: the
     form built from the reference point z0 must vanish weakly for every
     probe vector."""
-    m_ref = rel_matrix(weyl_eval(pi, z0, tol), tol)
+    m_ref = _gamma_and_weyl(pi.base, z0, tol)[1]
     probes = probe_vectors(pi.base.boundary_dim, probe)
     ys = np.asarray(probe.y_grid, dtype=float)
     vals = np.zeros((probes.shape[1], ys.size), dtype=float)

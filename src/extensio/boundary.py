@@ -37,6 +37,7 @@ from .linrel import (
     _rank,
     as_complex_matrix,
     eigenspace,
+    is_subrelation,
     rel_adjoint,
     rel_classify,
     rel_matrix,
@@ -156,13 +157,13 @@ def validate_boundary_relation(gamma: LinearRelation, tol: Tolerances = TOL) -> 
 
 
 def ordinary_triplet(gamma: LinearRelation | BoundaryRelation, tol: Tolerances = TOL) -> OrdinaryTriplet:
-    """Wrap a boundary relation whose graph is a surjective operator."""
+    """Wrap a boundary relation whose graph is a surjective operator.  Gamma
+    is unitary, so mul Gamma is the J-orthogonal complement of ran Gamma and
+    the rank of the output block (unit anchor, as in rel_parts) decides both."""
     base = gamma if isinstance(gamma, BoundaryRelation) else validate_boundary_relation(gamma, tol)
-    parts = rel_parts(base.gamma, tol)
-    if parts.mul.dim != 0:
-        raise AssumptionError("ordinary triplet needs a single-valued boundary relation")
-    if parts.ran.dim != base.gamma.dim_out:
-        raise AssumptionError("ordinary triplet needs a surjective boundary relation")
+    out = base.gamma.out_block
+    if _rank(np.linalg.svd(out, compute_uv=False), out.shape, tol, 1.0) != base.gamma.dim_out:
+        raise AssumptionError("ordinary triplet needs a surjective, single-valued boundary relation")
     return OrdinaryTriplet(base)
 
 
@@ -176,10 +177,10 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     """
     if s.dim_in != s.dim_out:
         raise ArgumentError("symmetric relation must act in one space")
-    if not rel_classify(s, tol).symmetric:
+    adj = rel_adjoint(s, tol)
+    if not is_subrelation(s, adj, tol):
         raise AssumptionError("von Neumann construction needs a symmetric relation")
     n = s.dim_in
-    adj = rel_adjoint(s, tol)
     plus, _ = eigenspace(adj, 1j, tol)
     minus, _ = eigenspace(adj, -1j, tol)
     if plus.dim != minus.dim:
@@ -237,13 +238,19 @@ def _gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tupl
     return cols[:n, :] @ inv, cols[2 * n + m :, :] @ inv
 
 
-def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
-    """Resolvent of A0 = ker Gamma_0, whose graph is the state rows of
-    G ker(G_h)."""
+def _kernel_columns(br: BoundaryRelation, index: int, tol: Tolerances) -> np.ndarray:
+    """State rows of G ker(G_h) (index 0) or G ker(G_h') (index 1): they
+    span the elements of dom Gamma whose boundary coordinate vanishes."""
     n = br.state_dim
     g = br.gamma.graph.basis
-    a0 = g[: 2 * n, :] @ _nullspace(g[2 * n : 2 * n + br.boundary_dim, :], tol, 1.0)
-    return _graph_resolvent(a0[:n, :], a0[n:, :], lam, tol)
+    start = 2 * n + index * br.boundary_dim
+    return g[: 2 * n, :] @ _nullspace(g[start : start + br.boundary_dim, :], tol, 1.0)
+
+
+def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
+    """Resolvent of A0 = ker Gamma_0 on the graph columns of its kernel."""
+    a0 = _kernel_columns(br, 0, tol)
+    return _graph_resolvent(a0[: br.state_dim, :], a0[br.state_dim :, :], lam, tol)
 
 
 def weyl_eval(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
@@ -288,17 +295,12 @@ def boundary_component(obj: BoundaryRelation | OrdinaryTriplet, index: int, tol:
 
 def kernel_of_boundary_map(obj: BoundaryRelation | OrdinaryTriplet, index: int, tol: Tolerances = TOL) -> LinearRelation:
     """Extension determined by a vanishing boundary coordinate."""
-    br = _as_boundary(obj)
-    n = br.state_dim
-    m = br.boundary_dim
     if index not in (0, 1):
         raise ArgumentError("boundary map index must be 0 or 1")
-    eye = np.eye(m, dtype=complex)
-    zero = np.zeros((m, m), dtype=complex)
-    basis = np.vstack([zero, eye]) if index == 0 else np.vstack([eye, zero])
-    target = Subspace(2 * m, basis)
-    pre = rel_preimage(br.gamma, target, tol)
-    return LinearRelation(n, n, pre)
+    br = _as_boundary(obj)
+    n = br.state_dim
+    # Rows of the unit columns G c: anchor the rank cutoff at scale one.
+    return LinearRelation(n, n, Subspace(2 * n, _orthonormal_columns(_kernel_columns(br, index, tol), tol, 1.0)))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .linrel import (
     is_simple,
     rel_classify,
     rel_equal,
-    rel_matrix,
     relation_from_generators,
     resolvent_matrix,
     subspace_coords,
@@ -48,6 +47,7 @@ from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
     _a0_resolvent,
+    _as_boundary,
     _gamma_and_weyl,
     validate_boundary_relation,
     weyl_eval,
@@ -101,10 +101,6 @@ class DoubleWeylResult(NamedTuple):
     weyl_fn: Callable[[complex], np.ndarray]
 
 
-def _gamma_of(obj: BoundaryRelation | OrdinaryTriplet) -> BoundaryRelation:
-    return obj.base if isinstance(obj, OrdinaryTriplet) else obj
-
-
 def _row_ranges(h1: int, h2: int) -> tuple[list[int], list[int], list[int], list[int]]:
     n = h1 + h2
     f1 = list(range(h1))
@@ -124,35 +120,33 @@ def coupling_scene(a_tilde: LinearRelation, h1_dim: int, h2_dim: int, tol: Toler
     f1, f2, f1p, f2p = _row_ranges(h1_dim, h2_dim)
     graph = a_tilde.graph
 
-    def corner(keep: list[int], kill: list[int], dim: int) -> LinearRelation:
-        if kill:
-            coord_basis = np.eye(2 * n, dtype=complex)[:, keep]
-            inside = subspace_intersect(graph, Subspace(2 * n, coord_basis), tol)
-        else:
-            inside = graph
-        return LinearRelation(dim, dim, subspace_coords(inside, keep, tol))
+    def split(keep: list[int], kill: list[int], dim: int) -> tuple[LinearRelation, LinearRelation]:
+        # G ker(G_kill) has orthonormal columns and rounding-level killed
+        # rows, so its kept rows are an orthonormal basis of the corner.
+        inside = graph.basis @ _nullspace(graph.basis[kill, :], tol, 1.0)
+        corner = LinearRelation(dim, dim, Subspace(2 * dim, inside[keep, :]))
+        return corner, LinearRelation(dim, dim, subspace_coords(graph, keep, tol))
 
-    def compress(keep: list[int], dim: int) -> LinearRelation:
-        return LinearRelation(dim, dim, subspace_coords(graph, keep, tol))
-
-    s1 = corner(f1 + f1p, f2 + f2p, h1_dim)
-    s2 = corner(f2 + f2p, f1 + f1p, h2_dim)
-    t1 = compress(f1 + f1p, h1_dim)
-    t2 = compress(f2 + f2p, h2_dim)
-    minimal = is_simple(s2, tol=tol)
-    return CouplingScene(h1_dim, h2_dim, a_tilde, s1, s2, t1, t2, minimal)
+    s1, t1 = split(f1 + f1p, f2 + f2p, h1_dim)
+    s2, t2 = split(f2 + f2p, f1 + f1p, h2_dim)
+    return CouplingScene(h1_dim, h2_dim, a_tilde, s1, s2, t1, t2, is_simple(s2, tol=tol))
 
 
-def _boundary_values(pi: OrdinaryTriplet, columns: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Boundary pairs of state graph elements under the single-valued map."""
+def _boundary_map(pi: OrdinaryTriplet, tol: Tolerances) -> Callable[[np.ndarray], np.ndarray]:
+    """Boundary pairs of state graph elements under the single-valued map;
+    Gamma's input block X has full column rank, so it is factored once and
+    each batch of elements costs two products and the residual check."""
     x = pi.gamma.in_block
-    y = pi.gamma.out_block
-    if columns.size == 0:
-        return np.zeros((y.shape[0], columns.shape[1]), dtype=complex)
-    coeff, *_ = np.linalg.lstsq(x, columns, rcond=None)
-    if np.linalg.norm(x @ coeff - columns) > tol.angle * (1 + np.linalg.norm(columns)):
-        raise TripletMismatch("elements do not lie in the domain of the triplet")
-    return y @ coeff
+    q, r = np.linalg.qr(x)
+    x_pinv = np.linalg.solve(r, q.conj().T)
+
+    def values(columns: np.ndarray) -> np.ndarray:
+        coeff = x_pinv @ columns
+        if np.linalg.norm(x @ coeff - columns) > tol.angle * (1 + np.linalg.norm(columns)):
+            raise TripletMismatch("elements do not lie in the domain of the triplet")
+        return pi.gamma.out_block @ coeff
+
+    return values
 
 
 def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
@@ -166,7 +160,7 @@ def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL
     basis = scene.a_tilde.graph.basis
     fhat1 = np.vstack([basis[f1, :], basis[f1p, :]])
     fhat2 = np.vstack([basis[f2, :], basis[f2p, :]])
-    bounds = _boundary_values(pi, fhat1, tol)
+    bounds = _boundary_map(pi, tol)(fhat1)
     gens = np.vstack([fhat2, bounds[:m, :], -bounds[m:, :]])
     chi = relation_from_generators(2 * h2, 2 * m, gens, tol)
     return validate_boundary_relation(chi, tol)
@@ -190,7 +184,7 @@ def canonical_chi(theta: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelat
 def couple(pi: BoundaryRelation | OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Selfadjoint relation on the sum space built from matching boundary
     values: the pair of the first factor equals the twisted pair of chi."""
-    base = _gamma_of(pi)
+    base = _as_boundary(pi)
     if base.boundary_dim != chi.boundary_dim:
         raise DimMismatch("boundary spaces of the factors differ")
     n1 = base.state_dim
@@ -261,11 +255,11 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
     m = pi.base.boundary_dim
     f1, f2, f1p, f2p = _row_ranges(h1, h2)
     basis = scene.a_tilde.graph.basis
+    boundary_values = _boundary_map(pi, tol)
 
     def eval_at(lam: complex) -> LinearRelation:
         cols = basis @ _nullspace(basis[f2p, :] - complex(lam) * basis[f2, :], tol)
-        fhat1 = np.vstack([cols[f1, :], cols[f1p, :]])
-        bounds = _boundary_values(pi, fhat1, tol)
+        bounds = boundary_values(np.vstack([cols[f1, :], cols[f1p, :]]))
         gens = np.vstack([bounds[:m, :], -bounds[m:, :]])
         return relation_from_generators(m, m, gens, tol)
 
@@ -287,7 +281,7 @@ def krein_rhs(pi: OrdinaryTriplet, tau: FamilyEval, lam: complex, tol: Tolerance
     phi (psi + M phi)^{-1}; every ingredient is read off Gamma's graph
     basis as a matrix."""
     lam = complex(lam)
-    base = _gamma_of(pi)
+    base = _as_boundary(pi)
     m = base.boundary_dim
     g_lam, m_mat = _gamma_and_weyl(base, lam, tol)
     g_bar, _ = _gamma_and_weyl(base, lam.conjugate(), tol)
@@ -317,7 +311,7 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     k = t_basis.shape[1]
     top = t_basis[:h1, :]
     bot = t_basis[h1:, :]
-    bounds = _boundary_values(pi, t_basis, tol)
+    bounds = _boundary_map(pi, tol)(t_basis)
     m = pi.base.boundary_dim
     twisted = np.vstack([bounds[:m, :], -bounds[m:, :]])
     proj = v_graph.projector()
@@ -348,7 +342,7 @@ def _pair_inverse(omega0: np.ndarray, lam: complex, tol: Tolerances, error: type
 
 def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, tol: Tolerances):
     m = pi.base.boundary_dim
-    m_mat = rel_matrix(weyl_eval(pi, lam, tol), tol)
+    m_mat = _gamma_and_weyl(pi.base, lam, tol)[1]
     tau_rel = weyl_eval(chi, lam, tol)
     if tau_rel.graph_dim != m:
         raise Omega0Singular(lam, "parameter family value is not maximal")
@@ -368,7 +362,7 @@ def double_weyl(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TO
     n2 = chi.state_dim
     m = base.boundary_dim
     t_basis = pi.t_rel.graph.basis
-    bounds = _boundary_values(pi, t_basis, tol)
+    bounds = _boundary_map(pi, tol)(t_basis)
     g0 = bounds[:m, :]
     g1 = bounds[m:, :]
     k1 = t_basis.shape[1]

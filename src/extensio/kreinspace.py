@@ -27,7 +27,6 @@ from .linrel import (
     rel_product,
     relation_from_matrix,
     subspace_complement,
-    subspace_from_columns,
 )
 
 __all__ = [
@@ -104,15 +103,16 @@ def krein_complement(space: Subspace, j: FundamentalSymmetry, tol: Tolerances = 
     """J-orthogonal complement: all u with [u, v] = 0 for every v in space."""
     if space.ambient_dim != j.dim:
         raise DimMismatch("space does not live in the symmetry's space")
-    return subspace_complement(subspace_from_columns(j.matrix @ space.basis, tol), tol)
+    # J is unitary: it maps the orthonormal basis to an orthonormal basis.
+    return subspace_complement(Subspace(j.dim, j.matrix @ space.basis), tol)
 
 
 def krein_adjoint(t: KreinRelation, tol: Tolerances = TOL) -> LinearRelation:
-    """Indefinite adjoint: compose J_in, the Euclidean adjoint, and J_out."""
-    j_out_rel = relation_from_matrix(t.j_out.matrix, tol)
-    j_in_rel = relation_from_matrix(t.j_in.matrix, tol)
+    """Indefinite adjoint J_in T* J_out = {(J_out h, J_in k) : (h, k) in T*};
+    J is unitary, so the row-transformed graph basis stays orthonormal."""
     star = rel_adjoint(t.rel, tol)
-    return rel_product(j_in_rel, rel_product(star, j_out_rel, tol), tol)
+    basis = np.vstack([t.j_out.matrix @ star.in_block, t.j_in.matrix @ star.out_block])
+    return LinearRelation(star.dim_in, star.dim_out, Subspace(star.graph.ambient_dim, basis))
 
 
 def is_isometric(t: KreinRelation, tol: Tolerances = TOL) -> bool:

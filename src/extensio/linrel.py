@@ -482,18 +482,19 @@ def rel_permute(rel: LinearRelation, in_perm: Sequence[int] | None = None, out_p
 
 
 def eigenspace(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> tuple[Subspace, LinearRelation]:
-    """Eigenspace N = ker(T - lam) and its graph copy {(f, lam*f) in T}."""
+    """Eigenspace N = ker(T - lam) and its graph copy {(f, lam*f) in T}.
+
+    With c orthonormal in ker(Y - lam X), G c is an orthonormal basis of the
+    graph copy and X c has full column rank, so its Q factor spans N.
+    """
     if rel.dim_in != rel.dim_out:
         raise ArgumentError("eigenspace needs dim_in = dim_out")
-    x, y = rel.in_block, rel.out_block
-    coeff = _nullspace(y - lam * x, tol)
-    vecs = x @ coeff
-    space = subspace_from_columns(vecs, tol) if coeff.size else zero_subspace(rel.dim_in)
+    coeff = _nullspace(rel.out_block - lam * rel.in_block, tol)
     # Keep the graph copy inside rel exactly; the eigen-residual stays in
     # the output rows instead of pushing the basis off the graph.
     gens = rel.graph.basis @ coeff
-    graph_rel = relation_from_generators(rel.dim_in, rel.dim_in, gens, tol)
-    return space, graph_rel
+    space = Subspace(rel.dim_in, np.linalg.qr(gens[: rel.dim_in, :])[0])
+    return space, LinearRelation(rel.dim_in, rel.dim_in, Subspace(2 * rel.dim_in, gens))
 
 
 @dataclass(frozen=True)
@@ -565,20 +566,18 @@ def is_simple(rel: LinearRelation, sample_lams: Sequence[complex] | None = None,
     summand out of every N_lambda, so the span test detects simplicity; in
     finite dimension the fixed 2n-point sample grid suffices.
     """
-    if not rel_classify(rel, tol).symmetric:
+    if rel.dim_in != rel.dim_out:
+        raise ArgumentError("simplicity needs dim_in = dim_out")
+    adj = rel_adjoint(rel, tol)
+    if not is_subrelation(rel, adj, tol):
         raise AssumptionError("simplicity is defined for symmetric relations")
     if sample_lams is None:
         sample_lams = simplicity_samples(rel.dim_in)
-    adj = rel_adjoint(rel, tol)
-    stacks = []
-    for lam in sample_lams:
-        space, _ = eigenspace(adj, lam, tol)
-        if space.dim:
-            stacks.append(space.basis)
-    if not stacks:
+    bases = [eigenspace(adj, lam, tol)[0].basis for lam in sample_lams]
+    stack = np.hstack(bases) if bases else np.zeros((rel.dim_in, 0))
+    if not stack.size:
         return rel.dim_in == 0
-    joint = subspace_from_columns(np.hstack(stacks), tol)
-    return joint.dim == rel.dim_in
+    return _rank(np.linalg.svd(stack, compute_uv=False), stack.shape, tol) == rel.dim_in
 
 
 def is_subrelation(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> bool:

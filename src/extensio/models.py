@@ -27,7 +27,7 @@ from .linrel import (
 )
 from .boundary import BoundaryRelation, OrdinaryTriplet, von_neumann_triplet, weyl_eval
 from .nevanlinna import NevanlinnaPairEval, pair_from_relation
-from .coupling import CouplingScene, _boundary_values, canonical_chi, coupling_scene
+from .coupling import CouplingScene, _boundary_map, canonical_chi, coupling_scene
 from .kreinspace import FundamentalSymmetry
 from .transforms import StandardJUnitary, standard_j_unitary
 
@@ -130,7 +130,7 @@ def fix_infty_steering(tol: Tolerances = TOL) -> tuple[OrdinaryTriplet, Nevanlin
     that steers the coupling onto the multivalued extension."""
     pi = von_neumann_triplet(fix_a_relation(tol), tol=tol)
     basis = fix_infty_relation(tol).graph.basis
-    bounds = _boundary_values(pi, basis, tol)
+    bounds = _boundary_map(pi, tol)(basis)
     m = pi.base.boundary_dim
     theta = relation_from_generators(m, m, bounds, tol)
     return pi, realized_constant_pair(twist_relation(theta, tol), tol)

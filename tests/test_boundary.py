@@ -133,6 +133,35 @@ def test_ordinary_triplet_requires_operator_s():
     assert pi.gamma is pi.base.gamma
 
 
+def test_ordinary_triplet_rejects_multivalued_boundary_relation():
+    br = ex.canonical_chi(ex.mul_relation(ex.full_subspace(1)))
+    parts = ex.rel_parts(br.gamma)
+    # multivalued and not surjective: either defect disqualifies it
+    assert parts.mul.dim == 1 and parts.ran.dim == 1 < br.gamma.dim_out
+    with pytest.raises(ex.AssumptionError):
+        ex.ordinary_triplet(br)
+    with pytest.raises(ex.AssumptionError):
+        ex.ordinary_triplet(br.gamma)
+
+
+@pytest.mark.parametrize("case", ["von-neumann", "fix-b", "induced-chi", "canonical-mul"])
+def test_kernel_of_boundary_map_matches_preimage_route(case):
+    if case == "von-neumann":
+        br = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(18), 5, 2)).base
+    elif case == "fix-b":
+        br = ex.fix_b_triplet().base
+    elif case == "induced-chi":
+        br = ex.induced_chi(ex.fix_b_scene(), ex.fix_b_triplet())
+    else:
+        br = ex.canonical_chi(ex.mul_relation(ex.full_subspace(1)))
+    n, m = br.state_dim, br.boundary_dim
+    for index in (0, 1):
+        # reference route: preimage of {0} x C^m (index 0) or C^m x {0}
+        coords = np.eye(2 * m, dtype=complex)[:, m:] if index == 0 else np.eye(2 * m, dtype=complex)[:, :m]
+        ref = ex.rel_preimage(br.gamma, ex.Subspace(2 * m, coords))
+        assert ex.rel_equal(ex.kernel_of_boundary_map(br, index), ex.LinearRelation(n, n, ref))
+
+
 def _two_step_weyl(br, lam):
     # reference route: defect elements of T, then their image under Gamma
     _, nhat = ex.eigenspace(br.t_rel, lam)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
+from extensio.linrel import _nullspace
 
 RESID = 1e-9
 
@@ -64,6 +65,23 @@ def test_krein_formula_matches_compression():
         lhs = ex.generalized_resolvent(scene, lam).compressed
         rhs = ex.krein_rhs(pi, tau, lam)
         assert np.linalg.norm(lhs - rhs) < RESID
+
+
+def test_tau_of_extension_matches_least_squares_route():
+    scene, pi = random_case(seed=11, n1=3, n2=2)
+    tau = ex.tau_of_extension(scene, pi)
+    basis = scene.a_tilde.graph.basis
+    x, y = pi.gamma.in_block, pi.gamma.out_block
+    m = pi.base.boundary_dim
+    # graph rows of C^3 + C^2: f1, f2, then f1', f2'
+    f1, f2, f1p, f2p = slice(0, 3), slice(3, 5), slice(5, 8), slice(8, 10)
+    for lam in (1j, -2j, 1 + 1j, 1e6j):
+        # reference route: least squares against Gamma's input block per value
+        cols = basis @ _nullspace(basis[f2p, :] - lam * basis[f2, :], ex.TOL)
+        coeff = np.linalg.lstsq(x, np.vstack([cols[f1, :], cols[f1p, :]]), rcond=None)[0]
+        bounds = y @ coeff
+        ref = ex.relation_from_generators(m, m, np.vstack([bounds[:m, :], -bounds[m:, :]]))
+        assert ex.rel_equal(tau.eval(lam), ref)
 
 
 def test_krein_rhs_singular_sum():

@@ -128,3 +128,58 @@ def test_krein_from_matrix():
     assert ex.is_unitary(kr)
     with pytest.raises(ex.DimMismatch):
         ex.krein_from_matrix(np.eye(3, dtype=complex))
+
+
+def _reference_krein_adjoint(t):
+    # reference route: compose the graphs of J_in, the Euclidean adjoint
+    # and J_out with two relation products
+    j_in = ex.relation_from_matrix(t.j_in.matrix)
+    j_out = ex.relation_from_matrix(t.j_out.matrix)
+    return ex.rel_product(j_in, ex.rel_product(ex.rel_adjoint(t.rel), j_out))
+
+
+def _random_split_relations():
+    rng = np.random.default_rng(5)
+    cases = []
+    for n, m in ((0, 1), (0, 2), (1, 0), (2, 0), (1, 1), (1, 2), (2, 1), (3, 2)):
+        for k in sorted({0, n + m, 2 * (n + m)}):
+            gens = rng.standard_normal((2 * n + 2 * m, k)) + 1j * rng.standard_normal((2 * n + 2 * m, k))
+            cases.append((n, m, ex.relation_from_generators(2 * n, 2 * m, gens)))
+    # multivalued: a random operator graph plus outputs paired with input 0
+    graph = np.vstack([np.eye(4), rng.standard_normal((2, 4))]).astype(complex)
+    mul = np.vstack([np.zeros((4, 1)), np.array([[1.0], [1j]])])
+    cases.append((2, 1, ex.relation_from_generators(4, 2, np.hstack([graph, mul]))))
+    return cases
+
+
+@pytest.mark.parametrize("n, m, rel", _random_split_relations())
+def test_krein_adjoint_matches_product_route(n, m, rel):
+    kr = ex.KreinRelation(rel, ex.FundamentalSymmetry(n), ex.FundamentalSymmetry(m))
+    adj = ex.krein_adjoint(kr)
+    basis = adj.graph.basis
+    assert np.linalg.norm(basis.conj().T @ basis - np.eye(adj.graph_dim)) < 1e-12
+    assert (adj.dim_in, adj.dim_out) == (2 * m, 2 * n)
+    assert ex.rel_equal(adj, _reference_krein_adjoint(kr))
+
+
+def _laws_small_transform(rng, kind, n, m):
+    # the three relation kinds of the laws-small benchmark workload
+    total = n + m
+    if kind == "selfadjoint":
+        return ex.random_selfadjoint_relation(rng, total)
+    if kind == "symmetric":
+        return ex.random_symmetric_restriction(rng, total, int(rng.integers(1, total + 1)))
+    gens = rng.standard_normal((2 * total, total)) + 1j * rng.standard_normal((2 * total, total))
+    return ex.relation_from_generators(total, total, gens)
+
+
+@pytest.mark.parametrize("kind", ["selfadjoint", "symmetric", "generic"])
+def test_unitarity_matches_product_route(kind):
+    rng = np.random.default_rng(6)
+    for n in range(1, 4):
+        for m in range(1, 4):
+            kr = ex.inverse_main_transform(_laws_small_transform(rng, kind, n, m), (n, m))
+            ref = _reference_krein_adjoint(kr)
+            inverse = ex.rel_inverse(kr.rel)
+            assert ex.is_unitary(kr) == ex.rel_equal(inverse, ref) == (kind == "selfadjoint")
+            assert ex.is_isometric(kr) == ex.is_subrelation(inverse, ref) == (kind != "generic")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extensio as ex
+from extensio.linrel import _nullspace
 
 RESID = 1e-10
 
@@ -159,6 +160,71 @@ def test_simplicity():
     # a restriction of a matrix with a reducing eigenvector is not simple
     block = ex.rel_direct_sum(s, ex.relation_from_matrix(np.array([[1.0]], dtype=complex)))
     assert not ex.is_simple(block)
+
+
+def _reference_eigenspace(rel, lam):
+    # reference route: the span of X c decided by a rank-revealing SVD
+    coeff = _nullspace(rel.out_block - lam * rel.in_block, ex.TOL)
+    return coeff, ex.subspace_from_columns(rel.in_block @ coeff)
+
+
+def _reference_is_simple(rel):
+    # reference route: stack the reference eigenspaces of the adjoint
+    adj = ex.rel_adjoint(rel)
+    bases = [_reference_eigenspace(adj, lam)[1].basis for lam in ex.simplicity_samples(rel.dim_in)]
+    return ex.subspace_from_columns(np.hstack(bases)).dim == rel.dim_in
+
+
+def _eigen_relations():
+    rng = np.random.default_rng(8)
+    rels = [ex.rel_adjoint(ex.fix_a_relation()), ex.rel_adjoint(ex.zero_relation(3, 3))]
+    rels += [ex.rel_adjoint(ex.random_symmetric_restriction(rng, n, d)) for n, d in ((4, 1), (6, 3), (16, 8))]
+    rels.append(ex.relation_from_matrix(np.diag([3.0 + 1j, 3.0 + 1j, 1e6j, 2.0])))
+    return rels
+
+
+@pytest.mark.parametrize("lam", [1j, -1j, 3 + 1j, 3 - 1j, 1e6j, 1e8j])
+def test_eigenspace_matches_span_route(lam):
+    for rel in _eigen_relations():
+        space, nhat = ex.eigenspace(rel, lam)
+        coeff, ref = _reference_eigenspace(rel, lam)
+        assert space.dim == nhat.graph_dim == coeff.shape[1]
+        for basis in (space.basis, nhat.graph.basis):
+            assert np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])) < 1e-12
+        assert ex.subspace_equal(space, ref)
+        assert ex.is_subrelation(nhat, rel)
+
+
+def _reducing_block(rng):
+    # a symmetric restriction joined with a selfadjoint summand
+    s = ex.random_symmetric_restriction(rng, 4, 1)
+    return ex.rel_direct_sum(s, ex.relation_from_matrix(np.array([[1.0]], dtype=complex)))
+
+
+def test_is_simple_matches_reference_route():
+    rng = np.random.default_rng(9)
+    simple = ex.random_symmetric_restriction(rng, 5, 2)
+    block = _reducing_block(rng)
+    assert ex.is_simple(simple) and _reference_is_simple(simple)
+    assert not ex.is_simple(block) and not _reference_is_simple(block)
+    with pytest.raises(ex.ArgumentError):
+        ex.is_simple(ex.zero_relation(2, 3))
+    with pytest.raises(ex.AssumptionError):
+        ex.is_simple(ex.relation_from_matrix(1j * np.eye(2)))
+
+
+def test_coupling_scene_with_reducing_eigenvector_is_not_minimal():
+    rng = np.random.default_rng(10)
+    h = ex.random_hermitian(rng, 5)
+    # e_5 is an eigenvector of the second corner that the first space never sees
+    h[4, :] = 0.0
+    h[:, 4] = 0.0
+    h[4, 4] = 2.0
+    scene = ex.coupling_scene(ex.relation_from_matrix(h), 2, 3)
+    assert scene.s2.graph_dim == 1
+    assert not scene.minimal and not _reference_is_simple(scene.s2)
+    generic = ex.coupling_scene(ex.relation_from_matrix(ex.random_hermitian(rng, 5)), 2, 3)
+    assert generic.minimal and _reference_is_simple(generic.s2)
 
 
 def test_resolvent_matrix_oracle():
