@@ -25,7 +25,7 @@ from .errors import (
     RealAxis,
     UnequalDefect,
 )
-from .kreinspace import FundamentalSymmetry, KreinRelation, is_unitary
+from .kreinspace import FundamentalSymmetry, KreinRelation, _pairing_form
 from .linrel import (
     TOL,
     LinearRelation,
@@ -37,7 +37,6 @@ from .linrel import (
     _rank,
     as_complex_matrix,
     eigenspace,
-    is_subrelation,
     rel_adjoint,
     rel_classify,
     rel_matrix,
@@ -133,23 +132,19 @@ def green_residual(gamma: LinearRelation) -> float:
     """
     if gamma.dim_in % 2 or gamma.dim_out % 2:
         raise ArgumentError("graph spaces must have even dimension")
-    j_in = FundamentalSymmetry(gamma.dim_in // 2).matrix
-    j_out = FundamentalSymmetry(gamma.dim_out // 2).matrix
-    u = gamma.in_block
-    v = gamma.out_block
-    defect = u.conj().T @ j_in @ u - v.conj().T @ j_out @ v
-    return float(np.linalg.norm(defect))
+    j_in, j_out = FundamentalSymmetry(gamma.dim_in // 2), FundamentalSymmetry(gamma.dim_out // 2)
+    return float(np.linalg.norm(_pairing_form(KreinRelation(gamma, j_in, j_out))))
 
 
 def validate_boundary_relation(gamma: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelation:
-    """Check the Green identity and maximality, then cache S and T."""
+    """Check the Green identity and maximality, then cache S and T.  An
+    isometric Gamma is unitary iff its graph has half the dimension of the
+    graph space: Gamma^[*] has the complementary dimension."""
     if green_residual(gamma) > tol.angle * max(1, gamma.graph_dim):
         raise NotIsometric("Green identity fails on the graph")
-    n = gamma.dim_in // 2
-    m = gamma.dim_out // 2
-    wrapped = KreinRelation(gamma, FundamentalSymmetry(n), FundamentalSymmetry(m))
-    if not is_unitary(wrapped, tol):
+    if 2 * gamma.graph_dim != gamma.dim_in + gamma.dim_out:
         raise NotMaximal("isometric relation admits a proper extension")
+    n = gamma.dim_in // 2
     parts = rel_parts(gamma, tol)
     s_rel = LinearRelation(n, n, parts.ker)
     t_rel = LinearRelation(n, n, parts.dom)
@@ -175,11 +170,9 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     isometry u (default: matched orthonormal bases), and emits the sum
     and scaled difference of the coordinates.
     """
-    if s.dim_in != s.dim_out:
-        raise ArgumentError("symmetric relation must act in one space")
-    adj = rel_adjoint(s, tol)
-    if not is_subrelation(s, adj, tol):
+    if not rel_classify(s, tol).symmetric:
         raise AssumptionError("von Neumann construction needs a symmetric relation")
+    adj = rel_adjoint(s, tol)
     n = s.dim_in
     plus, _ = eigenspace(adj, 1j, tol)
     minus, _ = eigenspace(adj, -1j, tol)

@@ -17,12 +17,9 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
-    is_subrelation,
     is_subspace,
     largest_principal_angle,
     rel_adjoint,
-    rel_equal,
-    rel_inverse,
     rel_parts,
     rel_product,
     relation_from_matrix,
@@ -115,14 +112,24 @@ def krein_adjoint(t: KreinRelation, tol: Tolerances = TOL) -> LinearRelation:
     return LinearRelation(star.dim_in, star.dim_out, Subspace(star.graph.ambient_dim, basis))
 
 
+def _pairing_form(t: KreinRelation) -> np.ndarray:
+    """X* J_in X - Y* J_out Y on the graph basis [X; Y] of T.  T^[*] is the
+    orthogonal complement of [J_out Y; -J_in X], so its spectral norm is the
+    sine of the containment gap of T^{-1} in T^[*]."""
+    x, y = t.rel.in_block, t.rel.out_block
+    return x.conj().T @ t.j_in.matrix @ x - y.conj().T @ t.j_out.matrix @ y
+
+
 def is_isometric(t: KreinRelation, tol: Tolerances = TOL) -> bool:
     """Inverse graph contained in the indefinite adjoint."""
-    return is_subrelation(rel_inverse(t.rel), krein_adjoint(t, tol), tol)
+    form = _pairing_form(t)
+    return not form.size or bool(np.abs(np.linalg.eigvalsh(form)).max() <= np.sin(tol.angle))
 
 
 def is_unitary(t: KreinRelation, tol: Tolerances = TOL) -> bool:
-    """Inverse graph equals the indefinite adjoint."""
-    return rel_equal(rel_inverse(t.rel), krein_adjoint(t, tol), tol)
+    """Inverse graph equals the indefinite adjoint, whose dimension is
+    dim_in + dim_out - graph_dim."""
+    return 2 * t.rel.graph_dim == t.rel.dim_in + t.rel.dim_out and is_isometric(t, tol)
 
 
 def main_transform(gamma: KreinRelation) -> LinearRelation:

@@ -66,7 +66,6 @@ __all__ = [
     "RelationFlags",
     "operator_part",
     "is_simple",
-    "simplicity_samples",
     "is_subrelation",
     "rel_equal",
     "rel_matrix",
@@ -264,7 +263,8 @@ def largest_principal_angle(a: Subspace, b: Subspace) -> float:
 def subspace_equal(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> bool:
     if a.ambient_dim != b.ambient_dim or a.dim != b.dim:
         return False
-    return largest_principal_angle(a, b) <= tol.angle
+    # for equal dimensions the gap from a to b equals the one back
+    return containment_gap(a, b) <= tol.angle
 
 
 class RelationParts(NamedTuple):
@@ -507,29 +507,22 @@ class RelationFlags:
 
 
 def rel_classify(rel: LinearRelation, tol: Tolerances = TOL) -> RelationFlags:
-    """Symmetry/selfadjointness/dissipativity flags for a square relation.
-
-    Symmetry is containment in the adjoint; dissipativity is positive
-    semidefiniteness of the imaginary Gram form on a graph basis.
-    """
+    """Flags of a square relation from the imaginary Gram form (X*Y - Y*X)/2i
+    on its graph basis [X; Y].  The adjoint graph is the complement of
+    [-Y; X], of dimension 2n - graph_dim, and the sine of the containment
+    gap of rel in it is ||X*Y - Y*X||_2, twice the largest |eigenvalue|."""
     if rel.dim_in != rel.dim_out:
         raise ArgumentError("classification needs dim_in = dim_out")
-    adj = rel_adjoint(rel, tol)
-    symmetric = is_subrelation(rel, adj, tol)
-    selfadjoint = symmetric and rel.graph_dim == adj.graph_dim
     gram = rel.in_block.conj().T @ rel.out_block
     imag_form = (gram - gram.conj().T) / 2j
-    if imag_form.size:
-        eigs = np.linalg.eigvalsh(imag_form)
-        dissipative = bool(eigs.min() >= -tol.psd)
-        accumulative = bool(eigs.max() <= tol.psd)
-    else:
-        dissipative = accumulative = True
+    eigs = np.linalg.eigvalsh(imag_form) if imag_form.size else np.zeros(1)
+    symmetric = bool(2 * np.abs(eigs).max() <= np.sin(tol.angle))
+    dissipative = bool(eigs.min() >= -tol.psd)
     return RelationFlags(
         symmetric=symmetric,
-        selfadjoint=selfadjoint,
+        selfadjoint=symmetric and rel.graph_dim == rel.dim_in,
         dissipative=dissipative,
-        accumulative=accumulative,
+        accumulative=bool(eigs.max() <= tol.psd),
         maximal_dissipative=dissipative and rel.graph_dim == rel.dim_in,
     )
 
@@ -551,33 +544,41 @@ def operator_part(rel: LinearRelation, tol: Tolerances = TOL) -> tuple[LinearRel
     return relation_from_generators(rel.dim_in, rel.dim_out, gens, tol), mul
 
 
-def simplicity_samples(ambient_dim: int) -> list[complex]:
-    """The fixed nonreal sample grid {k +/- i : k = 0..ambient-1}."""
-    pts: list[complex] = []
-    for k in range(ambient_dim):
-        pts.extend([k + 1j, k - 1j])
-    return pts
-
-
-def is_simple(rel: LinearRelation, sample_lams: Sequence[complex] | None = None, tol: Tolerances = TOL) -> bool:
-    """True when the defect eigenvectors of the adjoint span the whole space.
-
-    A symmetric relation with a selfadjoint orthogonal summand leaves that
-    summand out of every N_lambda, so the span test detects simplicity; in
-    finite dimension the fixed 2n-point sample grid suffices.
-    """
-    if rel.dim_in != rel.dim_out:
-        raise ArgumentError("simplicity needs dim_in = dim_out")
-    adj = rel_adjoint(rel, tol)
-    if not is_subrelation(rel, adj, tol):
+def is_simple(rel: LinearRelation, tol: Tolerances = TOL) -> bool:
+    """True when the symmetric relation S has no selfadjoint part: in
+    finite dimension, mul S = {0} and no (v, t v) in S with v != 0.  With
+    X = U diag(s) V* on the graph basis [X; Y], Z = V diag(1/s) holds graph
+    coordinates of U, and C = U* Y Z is S compressed to dom S.  Each
+    eigenvalue t of C is tested by a unit-anchored rank of Y - t X on the
+    coordinates of its cluster.  Eigenvectors of C are accurate to
+    eps ||C|| / gap, so eigenvalues closer than eps / tol.rank / s_min
+    share a cluster, which keeps that error below the rank cutoff."""
+    if not rel_classify(rel, tol).symmetric:
         raise AssumptionError("simplicity is defined for symmetric relations")
-    if sample_lams is None:
-        sample_lams = simplicity_samples(rel.dim_in)
-    bases = [eigenspace(adj, lam, tol)[0].basis for lam in sample_lams]
-    stack = np.hstack(bases) if bases else np.zeros((rel.dim_in, 0))
-    if not stack.size:
-        return rel.dim_in == 0
-    return _rank(np.linalg.svd(stack, compute_uv=False), stack.shape, tol) == rel.dim_in
+    x, y = rel.in_block, rel.out_block
+    n, k = x.shape
+    if k == 0:
+        return True
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    if _rank(s, x.shape, tol, 1.0) < k:
+        return False
+    coords = vh.conj().T / s
+    comp = u.conj().T @ (y @ coords)
+    # the anti-Hermitian part of comp is the symmetry defect of S
+    eigs, vecs = np.linalg.eigh((comp + comp.conj().T) / 2)
+    coords = coords @ vecs
+    coords /= np.linalg.norm(coords, axis=0)
+    # ||C|| <= ||S|| < 1 / s[-1] = sqrt(1 + ||S||^2)
+    gap = np.finfo(float).eps / tol.rank / s[-1]
+    cuts = [0, *(i for i in range(1, k) if eigs[i] - eigs[i - 1] > gap), k]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        q = coords[:, lo:hi] if hi - lo == 1 else np.linalg.qr(coords[:, lo:hi])[0]
+        for t in eigs[lo:hi]:
+            resid = y @ q - t * (x @ q)
+            sing = np.linalg.norm(resid, axis=0) if hi - lo == 1 else np.linalg.svd(resid, compute_uv=False)
+            if _rank(sing, (n, k), tol, 1.0) < hi - lo:
+                return False
+    return True
 
 
 def is_subrelation(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> bool:

@@ -312,7 +312,7 @@ def classify_family(f: FamilyEval, lam: complex, tol: Tolerances = TOL) -> Famil
         rank = _rank(svals, imag.shape, tol, max(1.0, np.linalg.norm(imag)))
         strict_everywhere_defined = rank == value.dim_in
     second = f.eval(2 * lam)
-    constant = rel_equal(value, adj, tol) and rel_equal(value, second, tol)
+    constant = rel_classify(value, tol).selfadjoint and rel_equal(value, second, tol)
     return FamilyFlags(
         operator_valued=operator_valued,
         strict=strict,

@@ -44,7 +44,6 @@ __all__ = [
     "json_to_relation",
     "triplet_to_json",
     "json_to_triplet",
-    "scene_to_json",
     "pair_from_spec",
     "parse_model_text",
     "parse_model_file",
@@ -58,14 +57,24 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _complex_entries(data: list) -> np.ndarray:
+    """[re, im] pairs as a complex vector in one numpy parse; viewing the
+    contiguous (N, 2) float64 array as complex keeps every entry bit-exact."""
+    try:
+        pairs = np.array(data) if data else np.zeros((0, 2))
+        if pairs.dtype.kind == "O" and all(isinstance(p, (int, float)) for p in pairs.flat):
+            pairs = pairs.astype(float)  # integers beyond int64, which json keeps exact
+    except (ValueError, OverflowError) as exc:
+        raise ArgumentError("complex scalars must be [re, im] pairs of finite numbers") from exc
+    if pairs.shape != (len(data), 2) or pairs.dtype.kind not in "biuf" or not np.isfinite(pairs).all():
+        raise ArgumentError("complex scalars must be [re, im] pairs of finite numbers")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
+
+
 def json_to_complex(item: Any) -> complex:
-    if (
-        not isinstance(item, (list, tuple))
-        or len(item) != 2
-        or not all(isinstance(p, (int, float)) for p in item)
-    ):
+    if not isinstance(item, (list, tuple)):
         raise ArgumentError(f"complex scalar must be [re, im], got {item!r}")
-    return complex(item[0], item[1])
+    return complex(_complex_entries([item])[0])
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
@@ -88,8 +97,7 @@ def json_to_matrix(obj: Any) -> np.ndarray:
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ArgumentError("matrix data length does not match rows*cols")
-    flat = [json_to_complex(item) for item in data]
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    return _complex_entries(data).reshape(rows, cols)
 
 
 def relation_to_json(rel: LinearRelation) -> dict:
@@ -140,14 +148,6 @@ def json_to_triplet(obj: Any, tol: Tolerances = TOL) -> BoundaryRelation:
     s_rel = LinearRelation(n, n, parts.ker)
     t_rel = LinearRelation(n, n, parts.dom)
     return BoundaryRelation(gamma, s_rel, t_rel)
-
-
-def scene_to_json(scene: CouplingScene) -> dict:
-    return {
-        "h1_dim": scene.h1_dim,
-        "h2_dim": scene.h2_dim,
-        "a_tilde": relation_to_json(scene.a_tilde),
-    }
 
 
 def pair_from_spec(

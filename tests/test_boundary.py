@@ -27,6 +27,15 @@ def test_validate_rejects_scaled_graph():
         ex.validate_boundary_relation(scaled)
 
 
+def test_validate_rejects_isometric_graph_that_is_not_maximal():
+    gamma = ex.von_neumann_triplet(ex.fix_a_relation()).gamma
+    # a proper subrelation of a unitary relation is isometric, not unitary
+    part = ex.LinearRelation(gamma.dim_in, gamma.dim_out, ex.Subspace(gamma.graph.ambient_dim, gamma.graph.basis[:, 1:]))
+    assert ex.green_residual(part) < 1e-12
+    with pytest.raises(ex.NotMaximal):
+        ex.validate_boundary_relation(part)
+
+
 def test_von_neumann_triplet_properties():
     rng = np.random.default_rng(11)
     for n, defect in ((3, 1), (4, 2), (6, 3)):

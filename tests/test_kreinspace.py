@@ -183,3 +183,39 @@ def test_unitarity_matches_product_route(kind):
             inverse = ex.rel_inverse(kr.rel)
             assert ex.is_unitary(kr) == ex.rel_equal(inverse, ref) == (kind == "selfadjoint")
             assert ex.is_isometric(kr) == ex.is_subrelation(inverse, ref) == (kind != "generic")
+
+
+def _pairing_sine(kr):
+    # reference route: the gap of the inverse graph in the indefinite adjoint
+    return np.sin(ex.containment_gap(ex.rel_inverse(kr.rel).graph, ex.krein_adjoint(kr).graph))
+
+
+@pytest.mark.parametrize("ratio, inside", [(0.7, True), (1.5, False)])
+def test_unitarity_at_the_angle_cutoff(ratio, inside):
+    # a unitary graph pushed to either side of the tol.angle cutoff
+    rng = np.random.default_rng(7)
+    for n in range(1, 4):
+        for m in range(1, 4):
+            kr = ex.inverse_main_transform(ex.random_selfadjoint_relation(rng, n + m), (n, m))
+            basis = kr.rel.graph.basis
+            push = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+
+            def moved(eps):
+                rel = ex.LinearRelation(2 * n, 2 * m, ex.subspace_from_columns(basis + eps * push))
+                return ex.KreinRelation(rel, kr.j_in, kr.j_out)
+
+            slope = _pairing_sine(moved(1e-6)) / 1e-6
+            pushed = moved(ratio * np.sin(ex.TOL.angle) / slope)
+            assert abs(_pairing_sine(pushed) / np.sin(ex.TOL.angle) - ratio) < 0.1 * ratio
+            ref = ex.krein_adjoint(pushed)
+            inverse = ex.rel_inverse(pushed.rel)
+            assert ex.is_isometric(pushed) == ex.is_subrelation(inverse, ref) == inside
+            assert ex.is_unitary(pushed) == ex.rel_equal(inverse, ref) == inside
+            # one graph dimension fewer: never unitary
+            cut = ex.KreinRelation(
+                ex.LinearRelation(2 * n, 2 * m, ex.Subspace(2 * (n + m), pushed.rel.graph.basis[:, 1:])),
+                kr.j_in,
+                kr.j_out,
+            )
+            assert ex.is_isometric(cut) == ex.is_subrelation(ex.rel_inverse(cut.rel), ex.krein_adjoint(cut))
+            assert not ex.is_unitary(cut) and not ex.rel_equal(ex.rel_inverse(cut.rel), ex.krein_adjoint(cut))

@@ -146,6 +146,50 @@ def test_classify_flags():
     assert acc.accumulative and not acc.dissipative
 
 
+def _reference_flags(rel):
+    # reference route: containment in the adjoint relation
+    adj = ex.rel_adjoint(rel)
+    symmetric = ex.is_subrelation(rel, adj)
+    return symmetric, symmetric and rel.graph_dim == adj.graph_dim
+
+
+def _perturbed(rel, sine_of, ratio, rng):
+    # push the graph basis along a random direction until the reference
+    # sine sine_of(rel) is ratio times the tol.angle cutoff (linear regime)
+    basis = rel.graph.basis
+    push = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+
+    def moved(eps):
+        return ex.LinearRelation(rel.dim_in, rel.dim_out, ex.subspace_from_columns(basis + eps * push))
+
+    slope = sine_of(moved(1e-6)) / 1e-6
+    out = moved(ratio * np.sin(ex.TOL.angle) / slope)
+    assert abs(sine_of(out) / np.sin(ex.TOL.angle) - ratio) < 0.1 * ratio
+    return out
+
+
+def _symmetry_sine(rel):
+    return np.sin(ex.containment_gap(rel.graph, ex.rel_adjoint(rel).graph))
+
+
+def test_classify_matches_adjoint_route():
+    rng = np.random.default_rng(13)
+    for n in range(1, 6):
+        rels = [random_rel(rng, n, n, k) for k in range(2 * n + 1)]
+        rels += [ex.random_selfadjoint_relation(rng, n), ex.mul_relation(ex.full_subspace(n))]
+        rels += [ex.random_symmetric_restriction(rng, n, d) for d in range(1, n + 1)]
+        for rel in rels:
+            flags = ex.rel_classify(rel)
+            assert (flags.symmetric, flags.selfadjoint) == _reference_flags(rel)
+        for base in (ex.random_selfadjoint_relation(rng, n), ex.random_symmetric_restriction(rng, n + 1, 1)):
+            for ratio, inside in ((0.7, True), (1.5, False)):
+                rel = _perturbed(base, _symmetry_sine, ratio, rng)
+                flags = ex.rel_classify(rel)
+                assert (flags.symmetric, flags.selfadjoint) == _reference_flags(rel)
+                assert flags.symmetric == inside
+                assert flags.selfadjoint == (inside and base.graph_dim == base.dim_in)
+
+
 def test_operator_part_splits_mul():
     gens = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], dtype=complex)
     rel = ex.relation_from_generators(2, 2, gens)
@@ -168,10 +212,13 @@ def _reference_eigenspace(rel, lam):
     return coeff, ex.subspace_from_columns(rel.in_block @ coeff)
 
 
-def _reference_is_simple(rel):
-    # reference route: stack the reference eigenspaces of the adjoint
+def _reference_is_simple(rel, points=None):
+    # reference route: stack the reference eigenspaces of the adjoint over
+    # the 2n-point grid {k +/- i}, or a denser one
     adj = ex.rel_adjoint(rel)
-    bases = [_reference_eigenspace(adj, lam)[1].basis for lam in ex.simplicity_samples(rel.dim_in)]
+    if points is None:
+        points = [k + sign * 1j for k in range(rel.dim_in) for sign in (1, -1)]
+    bases = [_reference_eigenspace(adj, lam)[1].basis for lam in points]
     return ex.subspace_from_columns(np.hstack(bases)).dim == rel.dim_in
 
 
@@ -225,6 +272,80 @@ def test_coupling_scene_with_reducing_eigenvector_is_not_minimal():
     assert not scene.minimal and not _reference_is_simple(scene.s2)
     generic = ex.coupling_scene(ex.relation_from_matrix(ex.random_hermitian(rng, 5)), 2, 3)
     assert generic.minimal and _reference_is_simple(generic.s2)
+
+
+# A denser grid than the 2n points k +/- i: at n >= 16 and defect 1 the
+# 2n-point stack is too ill-conditioned for the rank rule.
+DENSE_GRID = [complex(x, y) for x in np.linspace(-8, 8, 30) for y in (0.5, -0.5, 2, -2)]
+
+
+def _with_selfadjoint_block(rng, s, m):
+    return ex.rel_direct_sum(s, ex.relation_from_matrix(ex.random_hermitian(rng, m)))
+
+
+def test_is_simple_matches_dense_grid_reference():
+    rng = np.random.default_rng(11)
+    for n in (3, 8, 16, 24):
+        for defect in (1, 2):
+            s = ex.random_symmetric_restriction(rng, n, defect)
+            block = _with_selfadjoint_block(rng, s, int(rng.integers(1, 3)))
+            multi = ex.rel_direct_sum(s, ex.mul_relation(ex.full_subspace(1)))
+            assert ex.is_simple(s) and _reference_is_simple(s, DENSE_GRID)
+            for rel in (block, multi):
+                assert not ex.is_simple(rel) and not _reference_is_simple(rel, DENSE_GRID)
+    for seed in range(3):
+        block = _reducing_block(np.random.default_rng(seed))
+        assert not ex.is_simple(block) and not _reference_is_simple(block, DENSE_GRID)
+
+
+@pytest.mark.parametrize("n", [16, 24])
+def test_defect_one_restrictions_are_simple(n):
+    # the 2n-point stack reported most of these not simple
+    for seed in range(60):
+        assert ex.is_simple(ex.random_symmetric_restriction(np.random.default_rng(seed), n, 1))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e4, 1e8])
+def test_is_simple_on_scaled_restrictions(scale):
+    # the decision must not depend on the size of S: a restriction of a
+    # scaled Hermitian matrix, and its sum with a scaled 1x1 block
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        n, defect = int(rng.integers(4, 13)), int(rng.integers(1, 3))
+        q = np.linalg.qr(rng.standard_normal((n, n - defect)) + 1j * rng.standard_normal((n, n - defect)))[0]
+        s = ex.relation_from_generators(n, n, np.vstack([q, scale * ex.random_hermitian(rng, n) @ q]))
+        assert ex.is_simple(s)
+        assert not ex.is_simple(ex.rel_direct_sum(s, ex.relation_from_matrix(np.array([[0.7 * scale]]))))
+
+
+def _haar(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _clustered_restriction(rng, delta, reducing):
+    # S maps Q u to Q C u + P B u: C is Hermitian with a cluster of three
+    # eigenvalues delta apart, and B (defect 3) sees every eigenvector of
+    # C, or misses the middle one of the cluster, which then spans a
+    # reducing eigenspace of S.
+    k, d = 8, 3
+    t = np.concatenate([[0.5, 0.5 + delta, 0.5 + 2 * delta], rng.uniform(-3, 3, k - 3)])
+    v = _haar(rng, k)
+    b = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    if reducing:
+        b -= np.outer(b @ v[:, 1], v[:, 1].conj())
+    u = _haar(rng, k + d)
+    q, p = u[:, :k], u[:, k:]
+    gens = np.vstack([q, q @ (v * t) @ v.conj().T + p @ b])
+    return ex.relation_from_generators(k + d, k + d, gens)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10])
+def test_is_simple_on_clustered_spectra(delta):
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        assert ex.is_simple(_clustered_restriction(rng, delta, reducing=False))
+        assert not ex.is_simple(_clustered_restriction(rng, delta, reducing=True))
 
 
 def test_resolvent_matrix_oracle():

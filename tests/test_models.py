@@ -263,3 +263,49 @@ def test_parse_error_paths():
         ex.parse_model_text(json.dumps({"matrices": {"m": {"rows": 1}}}))
     with pytest.raises(ex.ArgumentError):
         ex.json_to_relation({"dim_in": 1, "dim_out": 1, "generators": [[1.0]]})
+
+
+@pytest.mark.parametrize(
+    "data_text",
+    [
+        pytest.param('[["1.5", 0.0]]', id="string"),
+        pytest.param("[[null, 1.0]]", id="null"),
+        pytest.param("[[1.0], [1.0, 2.0]]", id="ragged"),
+        pytest.param("[[1.0, [2.0]]]", id="nested"),
+        pytest.param("[[1.0, 2.0, 3.0]]", id="triple"),
+        pytest.param("[1.0]", id="bare-number"),
+        pytest.param('[{"re": 1.0, "im": 0.0}]', id="object"),
+        # json.loads accepts NaN and Infinity
+        pytest.param("[[NaN, 1.0]]", id="nan"),
+        pytest.param("[[1.0, -Infinity]]", id="infinity"),
+        pytest.param("[[1" + "9" * 400 + ", 0]]", id="huge-integer"),
+    ],
+)
+def test_json_to_matrix_rejects_malformed_data(data_text):
+    data = json.loads(data_text)
+    with pytest.raises(ex.ArgumentError):
+        ex.json_to_matrix({"rows": 1, "cols": len(data), "data": data})
+    # the same rejection reaches model files and pair specs
+    matrix = {"rows": 1, "cols": len(data), "data": data}
+    with pytest.raises(ex.ArgumentError):
+        ex.parse_model_text(json.dumps({"matrices": {"m": matrix}}))
+    spec = {"kind": "herglotz", "const": matrix, "linear": ex.matrix_to_json(np.zeros((1, 1)))}
+    with pytest.raises(ex.ArgumentError):
+        ex.pair_from_spec(spec, {})
+    spec = {"kind": "scalar-rational", "numerator": data, "denominator": [[1.0, 0.0]]}
+    with pytest.raises(ex.ArgumentError):
+        ex.pair_from_spec(spec, {})
+
+
+def test_json_to_matrix_parse_is_bit_exact():
+    rng = np.random.default_rng(22)
+    for shape in ((3, 4), (0, 2), (2, 0), (1, 1)):
+        mat = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) + 1j * rng.standard_normal(shape)
+        data = json.loads(json.dumps(ex.matrix_to_json(mat)))
+        back = ex.json_to_matrix(data)
+        entrywise = np.array([complex(re, im) for re, im in data["data"]], dtype=complex).reshape(shape)
+        assert np.array_equal(back.view(float), entrywise.view(float))
+        assert np.array_equal(back, mat)
+    # integers, also beyond int64, parse as the nearest float
+    data = {"rows": 1, "cols": 2, "data": [[3, -1], [2**70, 10**30]]}
+    assert np.array_equal(ex.json_to_matrix(data), np.array([[3 - 1j, 2.0**70 + 1e30j]]))
