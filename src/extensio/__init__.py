@@ -1,227 +1,20 @@
 """Finite-dimensional linear relations, boundary triplets, Weyl
 families, couplings and resolvent formulas, with exact subspace
-arithmetic as the oracle for every limit criterion."""
+arithmetic as the oracle for every limit criterion.
 
-from .errors import (
-    ArgumentError,
-    AssumptionError,
-    BGNotHermitian,
-    ConjugateCoincidence,
-    DimMismatch,
-    ExtensioError,
-    GSingular,
-    HypothesisFailed,
-    KernelNontrivial,
-    KNotExtending,
-    NearPole,
-    NonUnique,
-    NoSolution,
-    NotB123,
-    NotIsometric,
-    NotIsometryU,
-    NotMaximal,
-    NotUnitary,
-    Omega0Singular,
-    PoleHit,
-    RealAxis,
-    RealizationUnavailable,
-    RelationSumSingular,
-    SingularAtLambda,
-    TripletMismatch,
-    UnequalDefect,
-)
-from .linrel import (
-    LinearRelation,
-    RelationFlags,
-    RelationParts,
-    Subspace,
-    TOL,
-    Tolerances,
-    as_complex_matrix,
-    containment_gap,
-    eigenspace,
-    full_subspace,
-    identity_relation,
-    is_simple,
-    is_subrelation,
-    is_subspace,
-    largest_principal_angle,
-    mul_relation,
-    operator_part,
-    rel_adjoint,
-    rel_classify,
-    rel_comp_sum,
-    rel_direct_sum,
-    rel_equal,
-    rel_image,
-    rel_intersect,
-    rel_inverse,
-    rel_matrix,
-    rel_parts,
-    rel_permute,
-    rel_preimage,
-    rel_product,
-    rel_shift,
-    rel_sum,
-    relation_from_generators,
-    relation_from_matrix,
-    resolvent_matrix,
-    subspace_complement,
-    subspace_coords,
-    subspace_direct_sum,
-    subspace_equal,
-    subspace_from_columns,
-    subspace_intersect,
-    subspace_permute,
-    subspace_sum,
-    zero_relation,
-    zero_subspace,
-)
-from .kreinspace import (
-    DomainIdentityReport,
-    FundamentalSymmetry,
-    KreinRelation,
-    ProductReport,
-    inverse_main_transform,
-    is_isometric,
-    is_unitary,
-    krein_adjoint,
-    krein_complement,
-    krein_from_matrix,
-    krein_pairing,
-    main_transform,
-    product_unitarity_check,
-    unitary_domain_identities,
-)
-from .nevanlinna import (
-    DEFAULT_SAMPLES,
-    FamilyEval,
-    FamilyFlags,
-    HerglotzModel,
-    NevanlinnaPairEval,
-    check_family,
-    check_pair,
-    classify_family,
-    decompose_family,
-    family_eval_from_pair,
-    family_from_pair,
-    herglotz_eval,
-    is_nevanlinna_pair,
-    nev_kernel,
-    pair_at,
-    pair_from_herglotz,
-    pair_from_matrix_function,
-    pair_from_relation,
-    pair_right_multiply,
-)
-from .boundary import (
-    B123Report,
-    BoundaryRelation,
-    DefectReport,
-    OrdinaryTriplet,
-    WeylIdentityReport,
-    WeylSample,
-    boundary_component,
-    check_B123,
-    check_weyl_identities,
-    defect_report,
-    gamma_field,
-    green_residual,
-    intermediate_extension,
-    kernel_of_boundary_map,
-    mul_via_kernel,
-    ordinary_triplet,
-    reduce_multivalued,
-    validate_boundary_relation,
-    von_neumann_triplet,
-    weyl_eval,
-    weyl_sample,
-)
-from .transforms import (
-    SpaceSplit,
-    StandardJUnitary,
-    TransformResult,
-    affine_transform,
-    block_compress,
-    boundary_direct_sum,
-    compose_boundary,
-    recover_transform,
-    schur_complement,
-    shmulyan,
-    shmulyan_family,
-    standard_j_unitary,
-    sum_weyl,
-    t_transform,
-    transpose_boundary,
-)
-from .coupling import (
-    CouplingScene,
-    DoubleWeylResult,
-    GeneralizedResolventSample,
-    canonical_chi,
-    couple,
-    coupling_scene,
-    double_weyl,
-    generalized_resolvent,
-    induced_chi,
-    intermediate_h1,
-    intermediate_h2,
-    krein_rhs,
-    straus_solve,
-    tau_of_extension,
-)
-from .admissibility import (
-    DEFAULT_PROBE,
-    AdmissibilityReport,
-    LimitProbe,
-    admissible,
-    exact_mul,
-    langer_textorius,
-    mt_admissibility,
-    mul_a0_limit,
-    mul_t_limit,
-    probe_vectors,
-    realize_tau,
-)
-from .models import (
-    SLModel,
-    fix_a_relation,
-    fix_b_relation,
-    fix_b_scene,
-    fix_b_triplet,
-    fix_infty_relation,
-    fix_infty_steering,
-    halfline_m,
-    periodic_spectrum,
-    random_hermitian,
-    random_relation,
-    random_scene,
-    random_selfadjoint_relation,
-    random_standard_j_unitary,
-    random_symmetric_restriction,
-    realized_constant_pair,
-    realized_pair,
-    scene_triplet,
-    sl_pair_eval,
-    sl_weyl,
-    twist_relation,
-)
-from .serialize import (
-    ModelFile,
-    complex_to_json,
-    json_to_complex,
-    json_to_matrix,
-    json_to_relation,
-    json_to_triplet,
-    matrix_to_json,
-    model_to_json,
-    model_to_text,
-    pair_from_spec,
-    parse_model_file,
-    parse_model_text,
-    relation_to_json,
-    triplet_to_json,
-)
+Each module's ``__all__`` is its public surface; the package re-exports
+those names flat."""
+
+from .errors import *
+from .linrel import *
+from .kreinspace import *
+from .nevanlinna import *
+from .boundary import *
+from .transforms import *
+from .coupling import *
+from .admissibility import *
+from .models import *
+from .serialize import *
 from .cli import cli_run
 
 __version__ = "0.1.0"

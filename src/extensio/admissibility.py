@@ -146,8 +146,20 @@ def realize_tau(tau: NevanlinnaPairEval) -> BoundaryRelation:
     return tau.realization
 
 
-def _family_matrix(family: FamilyEval, lam: complex, tol: Tolerances) -> np.ndarray:
-    return rel_matrix(family.eval(lam), tol)
+def _grid_matrices(family: FamilyEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The y-grid and the family's matrix at each iy on it."""
+    ys = np.asarray(probe.y_grid, dtype=float)
+    return ys, [rel_matrix(family.eval(1j * y), tol) for y in ys]
+
+
+def _sublinear(probes: np.ndarray, ys: np.ndarray, mats: list[np.ndarray]) -> bool:
+    """No probe's form (mat h, h)/y tends to a positive constant."""
+    for h in probes.T:
+        vals = [abs(np.vdot(h, mat @ h)) / y for mat, y in zip(mats, ys)]
+        slope, top = _fit_top_decades(ys, vals)
+        if slope > -0.25 and top > 1e-6:
+            return False
+    return True
 
 
 def mul_a0_limit(family: FamilyEval, probe: LimitProbe = DEFAULT_PROBE, tol: Tolerances = TOL) -> bool:
@@ -162,18 +174,7 @@ def mul_a0_limit(family: FamilyEval, probe: LimitProbe = DEFAULT_PROBE, tol: Tol
     probes = probe_vectors(family.dim, probe)
     if probes.size == 0:
         return True
-    ys = np.asarray(probe.y_grid, dtype=float)
-    vals = np.zeros((probes.shape[1], ys.size), dtype=float)
-    for j, y in enumerate(ys):
-        mat = _family_matrix(family, 1j * y, tol)
-        for i in range(probes.shape[1]):
-            h = probes[:, i]
-            vals[i, j] = abs(np.vdot(h, mat @ h)) / y
-    for i in range(probes.shape[1]):
-        slope, top = _fit_top_decades(ys, vals[i])
-        if slope > -0.25 and top > 1e-6:
-            return False
-    return True
+    return _sublinear(probes, *_grid_matrices(family, probe, tol))
 
 
 def mul_t_limit(
@@ -184,13 +185,15 @@ def mul_t_limit(
 ) -> bool:
     """True when y times the dissipative part of the quadratic form
     diverges for every probe orthogonal to h0, so the domain relation
-    of the boundary map has no multivalued part off h0."""
-    if not mul_a0_limit(family, probe, tol):
-        raise AssumptionError("sublinear growth of the family is required first")
+    of the boundary map has no multivalued part off h0.  Raises
+    AssumptionError unless the family passes the mul_a0_limit test."""
     m = family.dim
     probes = probe_vectors(m, probe)
     if probes.size == 0:
         return True
+    ys, mats = _grid_matrices(family, probe, tol)
+    if not _sublinear(probes, ys, mats):
+        raise AssumptionError("sublinear growth of the family is required first")
     if h0 is not None:
         if h0.ambient_dim != m:
             raise ArgumentError("h0 does not live in the boundary space")
@@ -201,13 +204,8 @@ def mul_t_limit(
         probes = probes[:, keep] / norms[keep]
         if probes.size == 0:
             return True
-    ys = np.asarray(probe.y_grid, dtype=float)
-    for i in range(probes.shape[1]):
-        h = probes[:, i]
-        vals = []
-        for y in ys:
-            mat = _family_matrix(family, 1j * y, tol)
-            vals.append(y * abs(np.imag(np.vdot(h, mat @ h))))
+    for h in probes.T:
+        vals = [y * abs(np.imag(np.vdot(h, mat @ h))) for mat, y in zip(mats, ys)]
         slope, _ = _fit_top_decades(ys, vals)
         if slope <= probe.slope_tol:
             return False

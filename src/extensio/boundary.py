@@ -52,7 +52,6 @@ from .nevanlinna import NevanlinnaPairEval, nev_kernel
 __all__ = [
     "BoundaryRelation",
     "OrdinaryTriplet",
-    "WeylSample",
     "DefectReport",
     "WeylIdentityReport",
     "B123Report",
@@ -62,7 +61,6 @@ __all__ = [
     "von_neumann_triplet",
     "weyl_eval",
     "gamma_field",
-    "weyl_sample",
     "boundary_component",
     "kernel_of_boundary_map",
     "check_weyl_identities",
@@ -109,15 +107,6 @@ class OrdinaryTriplet:
     @property
     def t_rel(self) -> LinearRelation:
         return self.base.t_rel
-
-
-@dataclass(frozen=True)
-class WeylSample:
-    """One evaluation point with its family value and gamma field."""
-
-    lam: complex
-    family_value: LinearRelation
-    gamma_field: LinearRelation
 
 
 def _as_boundary(obj: BoundaryRelation | OrdinaryTriplet) -> BoundaryRelation:
@@ -268,10 +257,6 @@ def gamma_field(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tole
     m = br.boundary_dim
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
     return relation_from_generators(m, n, np.vstack([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol)
-
-
-def weyl_sample(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> WeylSample:
-    return WeylSample(complex(lam), weyl_eval(obj, lam, tol), gamma_field(obj, lam, tol))
 
 
 def boundary_component(obj: BoundaryRelation | OrdinaryTriplet, index: int, tol: Tolerances = TOL) -> LinearRelation:

@@ -52,7 +52,6 @@ __all__ = [
     "RelationParts",
     "rel_inverse",
     "rel_adjoint",
-    "rel_shift",
     "rel_sum",
     "rel_comp_sum",
     "rel_product",
@@ -376,14 +375,6 @@ def rel_adjoint(rel: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     return LinearRelation(rel.dim_out, rel.dim_in, Subspace(rel.dim_in + rel.dim_out, comp))
 
 
-def rel_shift(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
-    """The relation R - lam = {(f, g - lam*f)}."""
-    if rel.dim_in != rel.dim_out:
-        raise ArgumentError("shift needs dim_in = dim_out")
-    gens = np.vstack([rel.in_block, rel.out_block - lam * rel.in_block])
-    return relation_from_generators(rel.dim_in, rel.dim_out, gens, tol)
-
-
 def rel_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Operator-like sum {(f, g+h) : (f,g) in a, (f,h) in b}.
 
@@ -609,7 +600,7 @@ def rel_matrix(rel: LinearRelation, tol: Tolerances = TOL) -> np.ndarray:
     s = np.linalg.svd(x, compute_uv=False)
     # Block of a unit basis: anchor the cutoff at scale one so a
     # rounding-level input block reads as singular.
-    if s[-1] <= tol.rank * max(s[0], 1.0) * max(x.shape):
+    if _rank(s, x.shape, tol, 1.0) < rel.dim_in:
         raise AssumptionError("relation is not single-valued and everywhere defined")
     return rel.out_block @ np.linalg.inv(x)
 

@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq, minimize_scalar
-from scipy.stats import unitary_group
 
 from .errors import ArgumentError, NearPole
 from .linrel import (
@@ -163,6 +160,8 @@ def random_selfadjoint_relation(
 ) -> LinearRelation:
     """Cayley image of a Haar unitary; multivalued with positive
     probability."""
+    from scipy.stats import unitary_group
+
     u = unitary_group.rvs(n, random_state=rng)
     eye = np.eye(n, dtype=complex)
     gens = np.vstack([u - eye, 1j * (u + eye)])
@@ -202,6 +201,8 @@ def random_scene(
 def random_standard_j_unitary(
     rng: np.random.Generator, m: int, scale: float = 0.7
 ) -> StandardJUnitary:
+    from scipy.linalg import expm
+
     j = FundamentalSymmetry(m).matrix
     s = scale * random_hermitian(rng, 2 * m)
     return standard_j_unitary(expm(1j * (j @ s)))
@@ -343,6 +344,8 @@ def periodic_spectrum(
     even-order zeros through the imaginary part near magnitude minima,
     then refined by bisection.
     """
+    from scipy.optimize import brentq, minimize_scalar
+
     lo, hi = float(search_window[0]), float(search_window[1])
     if not lo < hi:
         raise ArgumentError("search window must be nonempty")

@@ -169,7 +169,7 @@ def check_pair(
         sign = 1j if lam.imag > 0 else -1j
         probe = psi + sign * phi
         svals = np.linalg.svd(probe, compute_uv=False)
-        if probe.size and (svals.size == 0 or svals.min() <= tol.rank * max(1.0, svals.max()) * p.dim):
+        if _rank(svals, probe.shape, tol, 1.0) < p.dim:
             raise HypothesisFailed("invertibility", f"psi + sign*i*phi singular at {lam}")
 
 

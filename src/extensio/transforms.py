@@ -31,6 +31,7 @@ from .linrel import (
     TOL,
     LinearRelation,
     Tolerances,
+    _rank,
     as_complex_matrix,
     rel_direct_sum,
     rel_image,
@@ -45,6 +46,7 @@ from .linrel import (
 from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
+    _as_boundary,
     check_B123,
     validate_boundary_relation,
     weyl_eval,
@@ -138,10 +140,6 @@ class TransformResult(NamedTuple):
     weyl_fn: Callable[[complex], np.ndarray]
 
 
-def _base(obj: BoundaryRelation | OrdinaryTriplet) -> BoundaryRelation:
-    return obj.base if isinstance(obj, OrdinaryTriplet) else obj
-
-
 def _to_relation(w, tol: Tolerances) -> LinearRelation:
     if isinstance(w, LinearRelation):
         return w
@@ -183,7 +181,7 @@ def shmulyan_family(w, f: FamilyEval, tol: Tolerances = TOL) -> FamilyEval:
 def compose_boundary(w, obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
     """Boundary relation for the same symmetric kernel with transformed
     boundary values; the Weyl family moves by the graph-image transform."""
-    br = _base(obj)
+    br = _as_boundary(obj)
     w_rel = _to_relation(w, tol)
     composite = rel_product(w_rel, br.gamma, tol)
     result = validate_boundary_relation(composite, tol)
@@ -195,7 +193,7 @@ def compose_boundary(w, obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances
 def transpose_boundary(obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
     """Compose with the fundamental symmetry; the Weyl family becomes the
     negative inverse."""
-    br = _base(obj)
+    br = _as_boundary(obj)
     return compose_boundary(FundamentalSymmetry(br.boundary_dim).matrix, br, tol)
 
 
@@ -203,8 +201,8 @@ def recover_transform(first: BoundaryRelation | OrdinaryTriplet, second: Boundar
     """The standard factor connecting two boundary relations of one S,
     recovered as the relation composition of the second with the inverse
     of the first."""
-    a = _base(first)
-    b = _base(second)
+    a = _as_boundary(first)
+    b = _as_boundary(second)
     if a.gamma.dim_in != b.gamma.dim_in or a.gamma.dim_out != b.gamma.dim_out:
         raise DimMismatch("boundary relations are not comparable")
     composite = rel_product(b.gamma, rel_inverse(a.gamma), tol)
@@ -214,12 +212,11 @@ def recover_transform(first: BoundaryRelation | OrdinaryTriplet, second: Boundar
 def affine_transform(obj: BoundaryRelation | OrdinaryTriplet, b, g, tol: Tolerances = TOL) -> BoundaryRelation:
     """Lower-triangular standard transform: boundary values map to
     (G^{-1} h, B h + G^H h'); the Weyl family moves to BG + G^H M G."""
-    br = _base(obj)
+    br = _as_boundary(obj)
     m = br.boundary_dim
     b = as_complex_matrix(b, m, m)
     g = as_complex_matrix(g, m, m)
-    svals = np.linalg.svd(g, compute_uv=False) if m else np.array([1.0])
-    if m and svals.min() <= tol.rank * max(1.0, svals.max()) * m:
+    if _rank(np.linalg.svd(g, compute_uv=False), g.shape, tol, 1.0) < m:
         raise GSingular("scaling block must be invertible")
     bg = b @ g
     if np.linalg.norm(bg - bg.conj().T) > tol.angle * (1 + np.linalg.norm(bg)):
@@ -234,7 +231,7 @@ def block_compress(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, w
     """Restrict boundary data to one block of the split: inputs must lie
     in the block, outputs are projected onto it.  The Weyl family is the
     matching diagonal block."""
-    br = _base(obj)
+    br = _as_boundary(obj)
     m = br.boundary_dim
     if split.total != m:
         raise DimMismatch("split does not match the boundary dimension")
@@ -263,7 +260,7 @@ def schur_complement(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit,
     """Constrain the second boundary output block to zero: inputs are
     projected onto the first block and the Weyl family becomes the Schur
     complement of the second diagonal block."""
-    br = _base(obj)
+    br = _as_boundary(obj)
     m = br.boundary_dim
     if split.total != m:
         raise DimMismatch("split does not match the boundary dimension")
@@ -293,8 +290,7 @@ def schur_complement(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit,
         m21 = e2.conj().T @ full @ e1
         m22 = e2.conj().T @ full @ e2
         if d2:
-            svals = np.linalg.svd(m22, compute_uv=False)
-            if svals.min() <= tol.rank * max(1.0, svals.max()) * d2:
+            if _rank(np.linalg.svd(m22, compute_uv=False), m22.shape, tol, 1.0) < d2:
                 raise SingularAtLambda(lam, "second diagonal block not invertible")
             return m11 - m12 @ np.linalg.inv(m22) @ m21
         return m11
@@ -305,11 +301,9 @@ def schur_complement(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit,
             schur = weyl_fn(lam)
         except SingularAtLambda:
             continue
-        s_full = np.linalg.svd(full, compute_uv=False)
-        s_schur = np.linalg.svd(schur, compute_uv=False) if d1 else np.array([1.0])
-        if s_full.min() <= tol.rank * max(1.0, s_full.max()) * m:
+        if _rank(np.linalg.svd(full, compute_uv=False), full.shape, tol, 1.0) < m:
             continue
-        if d1 and s_schur.min() <= tol.rank * max(1.0, s_schur.max()) * d1:
+        if _rank(np.linalg.svd(schur, compute_uv=False), schur.shape, tol, 1.0) < d1:
             continue
         lhs = np.linalg.inv(full)[:d1, :d1]
         rhs = np.linalg.inv(schur) if d1 else schur
@@ -323,7 +317,7 @@ def t_transform(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, t, t
     to h = (t h2, h2) and the outputs pair h2 with the matching
     combination of the second components.  The Weyl family becomes
     t^H M11 t + t^H M12 + M21 t + M22."""
-    br = _base(obj)
+    br = _as_boundary(obj)
     m = br.boundary_dim
     if split.total != m:
         raise DimMismatch("split does not match the boundary dimension")
@@ -358,8 +352,8 @@ def t_transform(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, t, t
 
 def boundary_direct_sum(first: BoundaryRelation | OrdinaryTriplet, second: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
     """Orthogonal sum acting between the merged graph spaces."""
-    a = _base(first)
-    b = _base(second)
+    a = _as_boundary(first)
+    b = _as_boundary(second)
     n1, n2 = a.state_dim, b.state_dim
     m1, m2 = a.boundary_dim, b.boundary_dim
     merged = rel_direct_sum(a.gamma, b.gamma)
@@ -380,8 +374,8 @@ def sum_weyl(first: BoundaryRelation | OrdinaryTriplet, second: BoundaryRelation
     """Boundary relation on the orthogonal sum whose Weyl family is the
     sum of the two Weyl families; realized as the identity coupling of
     the direct sum."""
-    a = _base(first)
-    b = _base(second)
+    a = _as_boundary(first)
+    b = _as_boundary(second)
     if a.boundary_dim != b.boundary_dim:
         raise DimMismatch("summands need equal boundary dimensions")
     m = a.boundary_dim

@@ -48,6 +48,22 @@ def test_mul_t_limit_behaviors():
         ex.mul_t_limit(lam_family(lambda lam: [[1j]]), h0=ex.full_subspace(2))
 
 
+def test_limit_tests_evaluate_the_family_once_per_grid_point():
+    calls = []
+
+    def counted(lam):
+        calls.append(lam)
+        return ex.relation_from_matrix(np.array([[1j, 0.0], [0.0, 2j]]))
+
+    family = ex.FamilyEval(2, counted)
+    grid = ex.DEFAULT_PROBE.y_grid
+    assert ex.mul_a0_limit(family)
+    assert calls == [1j * y for y in grid]
+    calls.clear()
+    assert ex.mul_t_limit(family, h0=ex.subspace_from_columns(np.array([[1.0], [0.0]])))
+    assert calls == [1j * y for y in grid]
+
+
 def test_fix_b_report_admissible():
     scene = ex.fix_b_scene()
     pi = ex.fix_b_triplet()

@@ -69,8 +69,8 @@ def test_gamma_field_reproduces_weyl():
     gam = ex.rel_matrix(ex.gamma_field(pi, lam))
     # first boundary value of the field section is the identity
     m = ex.rel_matrix(ex.weyl_eval(pi, lam))
-    sample = ex.weyl_sample(pi, lam)
-    assert np.linalg.norm(ex.rel_matrix(sample.family_value) - m) < RESID
+    section = np.vstack([gam, lam * gam, np.eye(2), m])
+    assert ex.is_subspace(ex.subspace_from_columns(section), pi.base.gamma.graph)
     assert gam.shape == (4, 2)
 
 

@@ -101,8 +101,32 @@ def test_inverse_and_shift():
     rel = ex.relation_from_matrix(mat)
     inv = ex.rel_inverse(rel)
     assert np.linalg.norm(ex.rel_matrix(inv) - np.linalg.inv(mat)) < RESID
-    shifted = ex.rel_shift(rel, 1.0)
-    assert np.linalg.norm(ex.rel_matrix(shifted) - (mat - np.eye(2))) < RESID
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_invertibility_cutoff_is_unit_anchored(factor):
+    # rel_matrix and check_pair call an n x n block singular when its
+    # smallest singular value s is at most tol.rank * max(1, smax) * n
+    n = 3
+    s = factor * ex.TOL.rank * n
+    singular = factor < 1
+    # the graph of t*I has the input block I / sqrt(1 + t^2)
+    t = np.sqrt(1.0 / s**2 - 1.0)
+    rel = ex.relation_from_matrix(t * np.eye(n))
+    assert np.allclose(np.linalg.svd(rel.in_block, compute_uv=False), s, rtol=1e-6, atol=0)
+    if singular:
+        with pytest.raises(ex.AssumptionError):
+            ex.rel_matrix(rel)
+    else:
+        assert np.linalg.norm(ex.rel_matrix(rel) - t * np.eye(n)) < 1e-6 * t
+    # psi +/- i phi = +/- i s I for the pair (s I, 0)
+    pair = ex.NevanlinnaPairEval(n, lambda lam: (s * np.eye(n), np.zeros((n, n))))
+    if singular:
+        with pytest.raises(ex.HypothesisFailed) as info:
+            ex.check_pair(pair)
+        assert info.value.which == "invertibility"
+    else:
+        ex.check_pair(pair)
 
 
 def test_mul_and_zero_relations():
