@@ -9,9 +9,7 @@ with a finite realization.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,10 +31,11 @@ from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
     _gamma_and_weyl,
-    kernel_of_boundary_map,
+    _kernel_single_valued,
 )
 from .nevanlinna import FamilyEval, NevanlinnaPairEval
-from .coupling import couple
+from .coupling import _double_weyl_blocks, couple
+from .transforms import _t_combination
 
 __all__ = [
     "LimitProbe",
@@ -53,6 +52,21 @@ __all__ = [
 ]
 
 DEFAULT_GRID = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
+
+# Slopes are fitted over the grid points within _TOP_DECADES decades of
+# the top one (with a _DECADE_MARGIN for the rounding of y_grid), on
+# curves floored at _LOG_FLOOR before taking logs.
+_TOP_DECADES = 4
+_DECADE_MARGIN = 0.999
+_LOG_FLOOR = 1e-300
+# A curve vanishes outright when its top value is below _ROUNDING_FLOOR;
+# a decaying fit must also end below _DECAY_FLOOR.
+_ROUNDING_FLOOR = 1e-12
+_DECAY_FLOOR = 1e-4
+# A form (X h, h)/y tends to a positive constant when its fit is flatter
+# than _SUBLINEAR_SLOPE and its top value exceeds _SUBLINEAR_TOP.
+_SUBLINEAR_SLOPE = -0.25
+_SUBLINEAR_TOP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -107,31 +121,38 @@ def probe_vectors(dim: int, probe: LimitProbe = DEFAULT_PROBE) -> np.ndarray:
     return np.hstack([np.eye(dim, dtype=complex), extra])
 
 
-def _fit_top_decades(ys: Sequence[float], vals: Sequence[float]) -> tuple[float, float]:
-    """Log-log slope over the top four grid decades and the top value."""
-    ys_arr = np.asarray(ys, dtype=float)
-    vals_arr = np.maximum(np.abs(np.asarray(vals, dtype=float)), 1e-300)
-    keep = ys_arr >= ys_arr.max() / 1e4 * 0.999
-    if int(keep.sum()) < 2:
-        keep = np.ones(ys_arr.shape, dtype=bool)
-    slope = np.polyfit(np.log10(ys_arr[keep]), np.log10(vals_arr[keep]), 1)[0]
-    return float(slope), float(vals_arr[np.argmax(ys_arr)])
+def _fit(ys: np.ndarray, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares log-log slope over the top four grid decades, and the
+    top value, of every row of curves (all points when fewer than two lie
+    in those decades)."""
+    vals = np.maximum(np.abs(curves), _LOG_FLOOR)
+    keep = ys >= ys[-1] / 10.0**_TOP_DECADES * _DECADE_MARGIN
+    if np.count_nonzero(keep) < 2:
+        keep = np.ones(ys.shape, dtype=bool)
+    dx = np.log10(ys[keep])
+    dx -= dx.mean()
+    return np.log10(vals[:, keep]) @ dx / (dx @ dx), vals[:, -1]
 
 
-def _tends_to_zero(ys: np.ndarray, vals: Sequence[float], probe: LimitProbe) -> tuple[bool, float]:
-    """Decay verdict and fitted slope of one curve on the y-grid.
+def _vanishes(ys: np.ndarray, curves: np.ndarray, probe: LimitProbe) -> tuple[np.ndarray, np.ndarray]:
+    """Decay verdicts and fitted slopes of the rows of curves on the y-grid.
 
     A curve vanishes when its top value is at rounding level, when the
-    fit decays and ends below 1e-4, or when its last grid step decays:
-    a curve that stays flat over the low decades and falls off as 1/y
-    only near the top can end just above the 1e-4 floor.
+    fit decays and ends below the decay floor, or when its last grid step
+    decays: a curve that stays flat over the low decades and falls off as
+    1/y only near the top can end just above the floor.
     """
-    slope, top = _fit_top_decades(ys, vals)
-    if top < 1e-12 or (slope < -probe.slope_tol and top < 1e-4):
-        return True, slope
-    # top is the last value, floored at 1e-300 as in the fit
-    last = math.log10(top / max(abs(float(vals[-2])), 1e-300)) / math.log10(ys[-1] / ys[-2])
-    return last < -probe.slope_tol, slope
+    slopes, tops = _fit(ys, curves)
+    logs = np.log10(np.maximum(np.abs(curves[:, -2:]), _LOG_FLOOR))
+    last = (logs[:, 1] - logs[:, 0]) / np.log10(ys[-1] / ys[-2])
+    fit_decays = (slopes < -probe.slope_tol) & (tops < _DECAY_FLOOR)
+    return (tops < _ROUNDING_FLOOR) | fit_decays | (last < -probe.slope_tol), slopes
+
+
+def _forms(probes: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """h*Xh for each probe column h (rows) and each matrix X of the stack
+    (columns)."""
+    return np.einsum("ai,jab,bi->ij", probes.conj(), mats, probes)
 
 
 def exact_mul(a_tilde: LinearRelation, tol: Tolerances = TOL) -> Subspace:
@@ -146,20 +167,16 @@ def realize_tau(tau: NevanlinnaPairEval) -> BoundaryRelation:
     return tau.realization
 
 
-def _grid_matrices(family: FamilyEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The y-grid and the family's matrix at each iy on it."""
+def _grid_matrices(family: FamilyEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The y-grid and the family's matrices at the points iy, stacked."""
     ys = np.asarray(probe.y_grid, dtype=float)
-    return ys, [rel_matrix(family.eval(1j * y), tol) for y in ys]
+    return ys, np.stack([rel_matrix(family.eval(1j * y), tol) for y in ys])
 
 
-def _sublinear(probes: np.ndarray, ys: np.ndarray, mats: list[np.ndarray]) -> bool:
+def _sublinear(probes: np.ndarray, ys: np.ndarray, mats: np.ndarray) -> bool:
     """No probe's form (mat h, h)/y tends to a positive constant."""
-    for h in probes.T:
-        vals = [abs(np.vdot(h, mat @ h)) / y for mat, y in zip(mats, ys)]
-        slope, top = _fit_top_decades(ys, vals)
-        if slope > -0.25 and top > 1e-6:
-            return False
-    return True
+    slopes, tops = _fit(ys, np.abs(_forms(probes, mats)) / ys)
+    return not np.any((slopes > _SUBLINEAR_SLOPE) & (tops > _SUBLINEAR_TOP))
 
 
 def mul_a0_limit(family: FamilyEval, probe: LimitProbe = DEFAULT_PROBE, tol: Tolerances = TOL) -> bool:
@@ -204,38 +221,29 @@ def mul_t_limit(
         probes = probes[:, keep] / norms[keep]
         if probes.size == 0:
             return True
-    for h in probes.T:
-        vals = [y * abs(np.imag(np.vdot(h, mat @ h))) for mat, y in zip(mats, ys)]
-        slope, _ = _fit_top_decades(ys, vals)
-        if slope <= probe.slope_tol:
-            return False
-    return True
+    slopes, _ = _fit(ys, ys * np.abs(np.imag(_forms(probes, mats))))
+    return bool(np.all(slopes > probe.slope_tol))
 
 
-# Weyl matrix M, pair factors phi and psi, and the inverse of psi + M phi.
-_Pieces = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-def _pair_pieces(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, lam: complex, tol: Tolerances) -> _Pieces:
-    """Weyl matrix, pair factors and the inverse of their combination."""
-    m_mat = _gamma_and_weyl(pi.base, lam, tol)[1]
-    phi, psi = (np.asarray(part, dtype=complex) for part in tau.eval(lam))
+def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """The y-grid, then M(iy), phi, psi and omega = (psi + M phi)^{-1} at its
+    points stacked (k, m, m), in the argument order of _double_weyl_blocks.
+    The triplet and the pair are evaluated once per grid point; raises
+    Omega0Singular at the first point where psi + M phi is singular."""
+    ys = np.asarray(probe.y_grid, dtype=float)
+    m_mat = np.stack([_gamma_and_weyl(pi.base, 1j * y, tol)[1] for y in ys])
+    phi, psi = (np.asarray(np.stack(part), dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
+    combo = psi + m_mat @ phi
     try:
-        omega = np.linalg.inv(psi + m_mat @ phi)
-    except np.linalg.LinAlgError as exc:
-        raise Omega0Singular(lam, "pair combination is not invertible") from exc
-    return m_mat, phi, psi, omega
-
-
-def _weak_decay(
-    mats: list[np.ndarray], ys: np.ndarray, probes: np.ndarray, probe: LimitProbe
-) -> tuple[bool, float]:
-    """Decide the weak vanishing of mats[j]/ys[j] over probe pairs."""
-    vals = []
-    for mat, y in zip(mats, ys):
-        inner = np.abs(probes.conj().T @ mat @ probes)
-        vals.append(float(inner.max()) / y)
-    return _tends_to_zero(ys, vals, probe)
+        omega = np.linalg.inv(combo)
+    except np.linalg.LinAlgError:
+        for y, mat in zip(ys, combo):
+            try:
+                np.linalg.inv(mat)
+            except np.linalg.LinAlgError as exc:
+                raise Omega0Singular(1j * y, "pair combination is not invertible") from exc
+        raise
+    return ys, m_mat, phi, psi, omega
 
 
 def admissible(
@@ -253,21 +261,19 @@ def admissible(
         raise ArgumentError("pair dimension differs from the boundary space")
     z0 = _reference_point(z0)
     probes = probe_vectors(m, probe)
-    ys = np.asarray(probe.y_grid, dtype=float)
-    pieces = [_pair_pieces(pi, tau, 1j * y, tol) for y in ys]
-    x1 = [phi @ omega for _, phi, _, omega in pieces]
-    x2 = [psi @ omega @ m_mat for m_mat, _, psi, omega in pieces]
-    adm1, slope1 = _weak_decay(x1, ys, probes, probe)
-    adm2, slope2 = _weak_decay(x2, ys, probes, probe)
-    a0_operator = rel_parts(kernel_of_boundary_map(pi, 0, tol), tol).mul.dim == 0
-    a1_operator = rel_parts(kernel_of_boundary_map(pi, 1, tol), tol).mul.dim == 0
-    if a0_operator:
+    sw = _sweep(pi, tau, probe, tol)
+    ys, m_mat, phi, psi, omega = sw
+    # the two conditions: phi omega and psi omega M vanish weakly
+    pairs = probes.conj().T @ np.stack([phi @ omega, psi @ omega @ m_mat]) @ probes
+    adm_curves = np.abs(pairs).max(axis=(2, 3)) / ys
+    passes, slopes = _vanishes(ys, np.vstack([adm_curves, _qlt_curves(pi, sw, z0, probes, tol)]), probe)
+    adm1, adm2 = bool(passes[0]), bool(passes[1])
+    if _kernel_single_valued(pi.base, 0, tol):
         verdict = adm1
-    elif a1_operator:
+    elif _kernel_single_valued(pi.base, 1, tol):
         verdict = adm2
     else:
         verdict = adm1 and adm2
-    qlt = _qlt_pass(pi, pieces, z0, probe, tol)
     try:
         chi = realize_tau(tau)
         coupled = couple(pi, chi, tol)
@@ -280,11 +286,11 @@ def admissible(
         exact_mul_dim=exact_dim,
         adm1_pass=adm1,
         adm2_pass=adm2,
-        qlt_pass=qlt,
+        qlt_pass=bool(np.all(passes[2:])),
         agreement=agreement,
         admissible=verdict,
-        adm1_slope=slope1,
-        adm2_slope=slope2,
+        adm1_slope=float(slopes[0]),
+        adm2_slope=float(slopes[1]),
     )
 
 
@@ -305,18 +311,10 @@ def mt_admissibility(
     m = pi.base.boundary_dim
     t_mat = np.asarray(t, dtype=complex).reshape(m, m)
     probes = probe_vectors(m, probe)
-    ys = np.asarray(probe.y_grid, dtype=float)
-    eye = np.eye(m, dtype=complex)
-    vals = []
-    for y in ys:
-        m_mat, phi, psi, omega = _pair_pieces(pi, tau, 1j * y, tol)
-        ul = -phi @ omega
-        ur = eye - phi @ omega @ m_mat
-        ll = psi @ omega
-        lr = psi @ omega @ m_mat
-        m_t = t_mat.conj().T @ ul @ t_mat + t_mat.conj().T @ ur + ll @ t_mat + lr
-        vals.append(float(np.linalg.norm(m_t @ probes, axis=0).max()) / y)
-    return _tends_to_zero(ys, vals, probe)[0]
+    ys, *pieces = _sweep(pi, tau, probe, tol)
+    m_t = _t_combination(_double_weyl_blocks(*pieces), t_mat)
+    curve = np.linalg.norm(m_t @ probes, axis=1).max(axis=1) / ys
+    return bool(_vanishes(ys, curve[None, :], probe)[0][0])
 
 
 def _reference_point(z0: complex) -> complex:
@@ -326,21 +324,13 @@ def _reference_point(z0: complex) -> complex:
     return z0
 
 
-def _qlt_pass(pi: OrdinaryTriplet, pieces: list[_Pieces], z0: complex, probe: LimitProbe, tol: Tolerances) -> bool:
-    """Quadratic-form test on the pieces at the points of probe.y_grid: the
-    form built from the reference point z0 must vanish weakly for every
-    probe vector."""
+def _qlt_curves(pi: OrdinaryTriplet, sw: tuple[np.ndarray, ...], z0: complex, probes: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Curves of the quadratic-form test, one row per probe: the form
+    built from the reference point z0 must vanish weakly for each."""
+    ys, m_mat, phi, _, omega = sw
     m_ref = _gamma_and_weyl(pi.base, z0, tol)[1]
-    probes = probe_vectors(pi.base.boundary_dim, probe)
-    ys = np.asarray(probe.y_grid, dtype=float)
-    vals = np.zeros((probes.shape[1], ys.size), dtype=float)
-    for j, (y, (m_mat, phi, _, omega)) in enumerate(zip(ys, pieces)):
-        q = m_mat - (m_mat - m_ref.conj().T) @ phi @ omega @ (m_mat - m_ref)
-        vals[:, j] = np.abs(np.sum(probes.conj() * (q @ probes), axis=0)) / y
-    for i in range(probes.shape[1]):
-        if not _tends_to_zero(ys, vals[i], probe)[0]:
-            return False
-    return True
+    q = m_mat - (m_mat - m_ref.conj().T) @ phi @ omega @ (m_mat - m_ref)
+    return np.abs(_forms(probes, q)) / ys
 
 
 def langer_textorius(
@@ -353,5 +343,6 @@ def langer_textorius(
     """Quadratic-form test built from one reference point in the upper
     half plane; the verdict does not depend on the reference point."""
     z0 = _reference_point(z0)
-    pieces = [_pair_pieces(pi, tau, 1j * y, tol) for y in probe.y_grid]
-    return _qlt_pass(pi, pieces, z0, probe, tol)
+    probes = probe_vectors(pi.base.boundary_dim, probe)
+    sw = _sweep(pi, tau, probe, tol)
+    return bool(np.all(_vanishes(sw[0], _qlt_curves(pi, sw, z0, probes, tol), probe)[0]))

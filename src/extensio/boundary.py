@@ -229,6 +229,17 @@ def _kernel_columns(br: BoundaryRelation, index: int, tol: Tolerances) -> np.nda
     return g[: 2 * n, :] @ _nullspace(g[start : start + br.boundary_dim, :], tol, 1.0)
 
 
+def _kernel_single_valued(br: BoundaryRelation, index: int, tol: Tolerances) -> bool:
+    """mul A = {0} for A = ker Gamma_index: the span of the kernel columns
+    [X; Y] holds some (0, Y c) with Y c != 0 exactly when its rank exceeds
+    the rank of X (both cutoffs anchored at one, as for unit columns)."""
+    cols = _kernel_columns(br, index, tol)
+    x = cols[: br.state_dim, :]
+    return _rank(np.linalg.svd(cols, compute_uv=False), cols.shape, tol, 1.0) == _rank(
+        np.linalg.svd(x, compute_uv=False), x.shape, tol, 1.0
+    )
+
+
 def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
     """Resolvent of A0 = ker Gamma_0 on the graph columns of its kernel."""
     a0 = _kernel_columns(br, 0, tol)

@@ -340,6 +340,15 @@ def _pair_inverse(omega0: np.ndarray, lam: complex, tol: Tolerances, error: type
     return np.linalg.inv(omega0)
 
 
+def _double_weyl_blocks(m_mat: np.ndarray, phi: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """The block family [[-phi omega, I - phi omega M], [psi omega, psi omega M]]
+    of the coupling, at one point or for a stack of points."""
+    upper = phi @ omega
+    lower = psi @ omega
+    eye = np.eye(m_mat.shape[-1], dtype=complex)
+    return np.block([[-upper, eye - upper @ m_mat], [lower, lower @ m_mat]])
+
+
 def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, tol: Tolerances):
     m = pi.base.boundary_dim
     m_mat = _gamma_and_weyl(pi.base, lam, tol)[1]
@@ -400,11 +409,7 @@ def double_weyl(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TO
     boundary = validate_boundary_relation(gamma, tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:
-        m_mat, phi, psi, omega = _coupling_pieces(pi, chi, lam, tol)
-        eye = np.eye(m, dtype=complex)
-        upper = np.hstack([-phi @ omega, eye - phi @ omega @ m_mat])
-        lower = np.hstack([psi @ omega, psi @ omega @ m_mat])
-        return np.vstack([upper, lower])
+        return _double_weyl_blocks(*_coupling_pieces(pi, chi, lam, tol))
 
     return DoubleWeylResult(boundary, weyl_fn)
 
@@ -415,12 +420,7 @@ def intermediate_h1(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances 
     m = pi.base.boundary_dim
     dw = double_weyl(pi, chi, tol)
     res = block_compress(dw.boundary, SpaceSplit(m, m), 1, tol)
-
-    def weyl_fn(lam: complex) -> np.ndarray:
-        _, phi, _, omega = _coupling_pieces(pi, chi, lam, tol)
-        return -phi @ omega
-
-    return TransformResult(res.kernel_rel, res.boundary, weyl_fn)
+    return TransformResult(res.kernel_rel, res.boundary, lambda lam: dw.weyl_fn(lam)[:m, :m])
 
 
 def intermediate_h2(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:
@@ -429,9 +429,4 @@ def intermediate_h2(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances 
     m = pi.base.boundary_dim
     dw = double_weyl(pi, chi, tol)
     res = block_compress(dw.boundary, SpaceSplit(m, m), 2, tol)
-
-    def weyl_fn(lam: complex) -> np.ndarray:
-        m_mat, _, psi, omega = _coupling_pieces(pi, chi, lam, tol)
-        return psi @ omega @ m_mat
-
-    return TransformResult(res.kernel_rel, res.boundary, weyl_fn)
+    return TransformResult(res.kernel_rel, res.boundary, lambda lam: dw.weyl_fn(lam)[m:, m:])

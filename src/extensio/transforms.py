@@ -158,6 +158,14 @@ def _weyl_matrix(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndar
     return rel_matrix(weyl_eval(br, lam, tol), tol)
 
 
+def _t_combination(full: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t^H M11 t + t^H M12 + M21 t + M22 for the blocks of full split after
+    t.shape[0] rows and columns; full may be a stack of matrices."""
+    d1 = t.shape[0]
+    t_h = t.conj().T
+    return t_h @ full[..., :d1, :d1] @ t + t_h @ full[..., :d1, d1:] + full[..., d1:, :d1] @ t + full[..., d1:, d1:]
+
+
 def shmulyan(w: LinearRelation, theta: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Image of the graph of theta under the block relation w."""
     if theta.dim_in != theta.dim_out:
@@ -339,15 +347,7 @@ def t_transform(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, t, t
     r_rel = relation_from_generators(2 * m, 2 * d2, np.hstack([cols_h, cols_hp]), tol)
     result = validate_boundary_relation(rel_product(r_rel, br.gamma, tol), tol)
 
-    def weyl_fn(lam: complex) -> np.ndarray:
-        full = _weyl_matrix(br, lam, tol)
-        m11 = e1.conj().T @ full @ e1
-        m12 = e1.conj().T @ full @ e2
-        m21 = e2.conj().T @ full @ e1
-        m22 = e2.conj().T @ full @ e2
-        return t.conj().T @ m11 @ t + t.conj().T @ m12 + m21 @ t + m22
-
-    return TransformResult(result.s_rel, result, weyl_fn)
+    return TransformResult(result.s_rel, result, lambda lam: _t_combination(_weyl_matrix(br, lam, tol), t))
 
 
 def boundary_direct_sum(first: BoundaryRelation | OrdinaryTriplet, second: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:

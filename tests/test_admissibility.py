@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
+from extensio.admissibility import _fit
 
 
 def lam_family(fn, dim=1):
@@ -48,6 +49,32 @@ def test_mul_t_limit_behaviors():
         ex.mul_t_limit(lam_family(lambda lam: [[1j]]), h0=ex.full_subspace(2))
 
 
+def _polyfit_reference(ys, vals):
+    # top four decades (all points when fewer than two lie there), by polyfit
+    vals = np.maximum(np.abs(vals), 1e-300)
+    keep = ys >= ys.max() / 1e4 * 0.999
+    if keep.sum() < 2:
+        keep[:] = True
+    return np.polyfit(np.log10(ys[keep]), np.log10(vals[keep]), 1)[0], vals[-1]
+
+
+@pytest.mark.parametrize(
+    "grid", [ex.DEFAULT_PROBE.y_grid, (1.0, 3.0, 1e2, 4e3, 1e5, 2e6), (1.0, 1e5, 1e10, 1e15)]
+)
+def test_fit_matches_polyfit(grid):
+    ys = np.asarray(ex.LimitProbe(y_grid=grid).y_grid, dtype=float)
+    rng = np.random.default_rng(31)
+    powers = rng.uniform(-3, 2, size=(20, 1))
+    curves = ys**powers * np.exp(rng.standard_normal((20, ys.size)))
+    curves[0] = 0.0  # floored at 1e-300 before the logs
+    curves[1, -1] = -1e-3  # the fit reads absolute values
+    slopes, tops = _fit(ys, curves)
+    for row, slope, top in zip(curves, slopes, tops):
+        ref_slope, ref_top = _polyfit_reference(ys, row)
+        assert abs(slope - ref_slope) <= 1e-12
+        assert top == ref_top
+
+
 def test_limit_tests_evaluate_the_family_once_per_grid_point():
     calls = []
 
@@ -62,6 +89,24 @@ def test_limit_tests_evaluate_the_family_once_per_grid_point():
     calls.clear()
     assert ex.mul_t_limit(family, h0=ex.subspace_from_columns(np.array([[1.0], [0.0]])))
     assert calls == [1j * y for y in grid]
+
+    pair_calls = []
+    eye = np.eye(1, dtype=complex)
+
+    def counted_pair(lam):
+        pair_calls.append(lam)
+        return eye, np.array([[-1.0 / lam]])
+
+    pi = ex.fix_b_triplet()
+    pair = ex.NevanlinnaPairEval(1, counted_pair)
+    for run in (
+        lambda: ex.admissible(pi, pair).admissible,
+        lambda: ex.mt_admissibility(pi, pair, np.zeros((1, 1))),
+        lambda: ex.langer_textorius(pi, pair, 1j),
+    ):
+        pair_calls.clear()
+        assert run()
+        assert pair_calls == [1j * y for y in grid]
 
 
 def test_fix_b_report_admissible():
@@ -210,6 +255,17 @@ def test_singular_pair_combination_raises():
     pair = ex.NevanlinnaPairEval(1, lambda lam: (zero, zero))
     with pytest.raises(ex.Omega0Singular):
         ex.admissible(pi, pair)
+    # singular at one grid point only: the error names that point
+    eye = np.eye(1, dtype=complex)
+    late = ex.NevanlinnaPairEval(1, lambda lam: (zero, (lam - 1e4j) * eye))
+    for run in (
+        lambda: ex.admissible(pi, late),
+        lambda: ex.mt_admissibility(pi, late, zero),
+        lambda: ex.langer_textorius(pi, late, 1j),
+    ):
+        with pytest.raises(ex.Omega0Singular) as exc:
+            run()
+        assert exc.value.lam == 1e4j
 
 
 def test_exact_mul_helper():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
+from extensio.boundary import _kernel_single_valued
 
 RESID = 1e-9
 
@@ -169,6 +170,42 @@ def test_kernel_of_boundary_map_matches_preimage_route(case):
         coords = np.eye(2 * m, dtype=complex)[:, m:] if index == 0 else np.eye(2 * m, dtype=complex)[:, :m]
         ref = ex.rel_preimage(br.gamma, ex.Subspace(2 * m, coords))
         assert ex.rel_equal(ex.kernel_of_boundary_map(br, index), ex.LinearRelation(n, n, ref))
+
+
+def _random_von_neumann(rng, multivalued):
+    # a random restriction, optionally with a mul direction orthogonal to its domain
+    n = int(rng.integers(2, 6))
+    s = ex.random_symmetric_restriction(rng, n, int(rng.integers(1, n + 1)))
+    if multivalued:
+        v = ex.random_hermitian(rng, n)[:, :1]
+        v = v - s.in_block @ np.linalg.lstsq(s.in_block, v, rcond=None)[0]
+        extra = np.vstack([np.zeros((n, 1)), v])
+        s = ex.relation_from_generators(n, n, np.hstack([s.graph.basis, extra]))
+    return ex.von_neumann_triplet(s).base
+
+
+@pytest.mark.parametrize("case", ["fix-b", "fix-infty", "von-neumann"])
+def test_kernel_single_valued_matches_relation_route(case):
+    # mul A_k = {0} from two ranks of the kernel columns, against the parts
+    # of the relation that kernel_of_boundary_map builds
+    rng = np.random.default_rng(23)
+    if case == "fix-b":
+        bases = [ex.fix_b_triplet().base]
+    elif case == "fix-infty":
+        bases = [ex.fix_infty_steering()[0].base]
+    else:
+        bases = [_random_von_neumann(rng, i % 2 == 1) for i in range(40)]
+    decisions = []
+    for br in bases:
+        for index in (0, 1):
+            fast = _kernel_single_valued(br, index, ex.TOL)
+            assert fast == (ex.rel_parts(ex.kernel_of_boundary_map(br, index)).mul.dim == 0)
+            decisions.append(fast)
+    if case == "fix-b":
+        # A0 = {0} x C is multivalued, A1 = C x {0} is not
+        assert decisions == [False, True]
+    elif case == "von-neumann":
+        assert any(decisions) and not all(decisions)
 
 
 def _two_step_weyl(br, lam):
