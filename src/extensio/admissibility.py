@@ -265,7 +265,7 @@ def admissible(
     ys, m_mat, phi, psi, omega = sw
     # the two conditions: phi omega and psi omega M vanish weakly
     pairs = probes.conj().T @ np.stack([phi @ omega, psi @ omega @ m_mat]) @ probes
-    adm_curves = np.abs(pairs).max(axis=(2, 3)) / ys
+    adm_curves = np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys
     passes, slopes = _vanishes(ys, np.vstack([adm_curves, _qlt_curves(pi, sw, z0, probes, tol)]), probe)
     adm1, adm2 = bool(passes[0]), bool(passes[1])
     if _kernel_single_valued(pi.base, 0, tol):
@@ -313,7 +313,7 @@ def mt_admissibility(
     probes = probe_vectors(m, probe)
     ys, *pieces = _sweep(pi, tau, probe, tol)
     m_t = _t_combination(_double_weyl_blocks(*pieces), t_mat)
-    curve = np.linalg.norm(m_t @ probes, axis=1).max(axis=1) / ys
+    curve = np.linalg.norm(m_t @ probes, axis=1).max(axis=1, initial=0.0) / ys
     return bool(_vanishes(ys, curve[None, :], probe)[0][0])
 
 

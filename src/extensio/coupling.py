@@ -31,17 +31,16 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _meet,
     _nullspace,
     _rank,
+    _unit_span,
     is_simple,
     rel_classify,
     rel_equal,
     relation_from_generators,
     resolvent_matrix,
     subspace_coords,
-    subspace_from_columns,
-    subspace_intersect,
-    subspace_permute,
 )
 from .boundary import (
     BoundaryRelation,
@@ -183,64 +182,23 @@ def canonical_chi(theta: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelat
 
 def couple(pi: BoundaryRelation | OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Selfadjoint relation on the sum space built from matching boundary
-    values: the pair of the first factor equals the twisted pair of chi."""
+    values: the pair of the first factor equals the twisted pair of chi.
+
+    The boundary rows of Gamma's graph basis meet the twisted boundary
+    rows (h, -h') of chi's in G1 u = G2 v, and the coupling is spanned by
+    the state rows of [G1 u; G2 v], reordered from (f1, f1', f2, f2') to
+    ((f1, f2), (f1', f2')).
+    """
     base = _as_boundary(pi)
     if base.boundary_dim != chi.boundary_dim:
         raise DimMismatch("boundary spaces of the factors differ")
-    n1 = base.state_dim
-    n2 = chi.state_dim
-    m = base.boundary_dim
-    total = 2 * n1 + 2 * n2 + 2 * m
+    n1, n2, m = base.state_dim, chi.state_dim, base.boundary_dim
     g1 = base.gamma.graph.basis
-    lift1 = np.hstack(
-        [
-            np.vstack(
-                [
-                    g1[: 2 * n1, :],
-                    np.zeros((2 * n2, g1.shape[1])),
-                    g1[2 * n1 :, :],
-                ]
-            ),
-            np.vstack(
-                [
-                    np.zeros((2 * n1, 2 * n2)),
-                    np.eye(2 * n2, dtype=complex),
-                    np.zeros((2 * m, 2 * n2)),
-                ]
-            ),
-        ]
-    )
     g2 = chi.gamma.graph.basis
     twisted = np.vstack([g2[2 * n2 : 2 * n2 + m, :], -g2[2 * n2 + m :, :]])
-    lift2 = np.hstack(
-        [
-            np.vstack(
-                [np.zeros((2 * n1, g2.shape[1])), g2[: 2 * n2, :], twisted]
-            ),
-            np.vstack(
-                [
-                    np.eye(2 * n1, dtype=complex),
-                    np.zeros((2 * n2 + 2 * m, 2 * n1)),
-                ]
-            ),
-        ]
-    )
-    meet = subspace_intersect(
-        subspace_from_columns(lift1, tol), subspace_from_columns(lift2, tol), tol
-    )
-    if meet.ambient_dim != total:
-        raise AssumptionError("internal shape error in coupling")
-    pair_rows = list(range(2 * n1 + 2 * n2))
-    projected = subspace_coords(meet, pair_rows, tol)
-    # Reorder (f1, f1', f2, f2') into ((f1, f2), (f1', f2')).
-    perm = (
-        list(range(n1))
-        + list(range(2 * n1, 2 * n1 + n2))
-        + list(range(n1, 2 * n1))
-        + list(range(2 * n1 + n2, 2 * n1 + 2 * n2))
-    )
-    shuffled = subspace_permute(projected, perm)
-    result = LinearRelation(n1 + n2, n1 + n2, shuffled)
+    u, v = _meet(g1[2 * n1 :, :], twisted, tol)
+    gens = np.vstack([g1[:n1, :] @ u, g2[:n2, :] @ v, g1[n1 : 2 * n1, :] @ u, g2[n2 : 2 * n2, :] @ v])
+    result = LinearRelation(n1 + n2, n1 + n2, _unit_span(gens, tol))
     if not rel_classify(result, tol).selfadjoint:
         raise AssumptionError("coupling did not produce a selfadjoint relation")
     return result

@@ -131,13 +131,36 @@ def _orthonormal_columns(mat: np.ndarray, tol: Tolerances, scale: float | None =
     return np.ascontiguousarray(u[:, : _rank(s, mat.shape, tol, scale)])
 
 
+def _range_and_kernel(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of ran(mat) and ker(mat) as columns, from one SVD."""
+    if mat.shape[0] == 0 or mat.shape[1] == 0:
+        return np.zeros((mat.shape[0], 0), dtype=complex), np.eye(mat.shape[1], dtype=complex)
+    u, s, vh = np.linalg.svd(mat)
+    r = _rank(s, mat.shape, tol, scale)
+    return np.ascontiguousarray(u[:, :r]), np.ascontiguousarray(vh[r:, :].conj().T)
+
+
 def _nullspace(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of ker(mat) as columns."""
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(mat)
-    r = _rank(s, mat.shape, tol, scale)
-    return np.ascontiguousarray(vh[r:, :].conj().T)
+    return _range_and_kernel(mat, tol, scale)[1]
+
+
+def _meet(left: np.ndarray, right: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (u; v), orthonormal as one stack, spanning the pairs
+    with left u = right v: one unit-anchored nullspace of [left, -right].
+
+    The inputs are blocks of unit bases, so a uniformly tiny block is
+    rounding noise and meets everything, never a small subspace.
+    """
+    coeff = _nullspace(np.hstack([left, -right]), tol, 1.0)
+    return coeff[: left.shape[1]], coeff[left.shape[1] :]
+
+
+def _unit_span(gens: np.ndarray, tol: Tolerances) -> Subspace:
+    """Span of generators whose norm is at most about one, the image of
+    orthonormal coefficients under blocks of unit bases.  The cutoff is
+    anchored at unit scale, so projected rounding noise spans nothing."""
+    return Subspace(gens.shape[0], _orthonormal_columns(gens, tol, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,13 +216,13 @@ def subspace_complement(space: Subspace, tol: Tolerances = TOL) -> Subspace:
 
 
 def subspace_intersect(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> Subspace:
-    """Intersection via the nullspace of the stacked basis matrix."""
+    """Intersection: the span of A u over the meet A u = B v of the bases."""
     if a.ambient_dim != b.ambient_dim:
         raise ArgumentError("ambient dimensions differ")
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient_dim)
-    coeff = _nullspace(np.hstack([a.basis, -b.basis]), tol)
-    return subspace_from_columns(a.basis @ coeff[: a.dim], tol)
+    u, _ = _meet(a.basis, b.basis, tol)
+    return _unit_span(a.basis @ u, tol)
 
 
 def subspace_sum(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> Subspace:
@@ -338,23 +361,21 @@ def mul_relation(mul_space: Subspace) -> LinearRelation:
 def rel_parts(rel: LinearRelation, tol: Tolerances = TOL) -> RelationParts:
     """Domain, range, kernel and multivalued part of a relation.
 
-    dom and ran are coordinate projections of the graph; ker collects the
-    inputs paired with output 0 and mul the outputs paired with input 0.
+    One SVD of each block of the graph basis [X; Y] gives dom = ran X with
+    ker X, and ran = ran Y with ker Y; the ranks are anchored at unit scale.
+    The columns of [X; Y] are orthonormal, so X is an isometry on ker Y and
+    Y one on ker X: ker is the Q factor of X ker(Y) and mul that of
+    Y ker(X), with no further rank decision.
     """
-    if not rel.graph_dim:
-        return RelationParts(
-            zero_subspace(rel.dim_in),
-            zero_subspace(rel.dim_out),
-            zero_subspace(rel.dim_in),
-            zero_subspace(rel.dim_out),
-        )
-    # Blocks of a unit basis: anchor all rank decisions at scale one.
     x, y = rel.in_block, rel.out_block
-    dom = Subspace(rel.dim_in, _orthonormal_columns(x, tol, 1.0))
-    ran = Subspace(rel.dim_out, _orthonormal_columns(y, tol, 1.0))
-    ker = Subspace(rel.dim_in, _orthonormal_columns(x @ _nullspace(y, tol, 1.0), tol, 1.0))
-    mul = Subspace(rel.dim_out, _orthonormal_columns(y @ _nullspace(x, tol, 1.0), tol, 1.0))
-    return RelationParts(dom, ran, ker, mul)
+    dom, ker_x = _range_and_kernel(x, tol, 1.0)
+    ran, ker_y = _range_and_kernel(y, tol, 1.0)
+    return RelationParts(
+        Subspace(rel.dim_in, dom),
+        Subspace(rel.dim_out, ran),
+        Subspace(rel.dim_in, np.linalg.qr(x @ ker_y)[0]),
+        Subspace(rel.dim_out, np.linalg.qr(y @ ker_x)[0]),
+    )
 
 
 def rel_inverse(rel: LinearRelation) -> LinearRelation:
@@ -378,30 +399,14 @@ def rel_adjoint(rel: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
 def rel_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Operator-like sum {(f, g+h) : (f,g) in a, (f,h) in b}.
 
-    Realized on the triple space C^(n+m+m): intersect a x C^m with the lift
-    of b that leaves the middle block free, then add the two output blocks.
+    The coefficients of a common input meet in X_a u = X_b v, and the sum
+    is spanned by [X_a u; Y_a u + Y_b v].
     """
     if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
         raise ArgumentError("dimension mismatch in rel_sum")
-    n, m = a.dim_in, a.dim_out
-    eye_m = np.eye(m, dtype=complex)
-    lift_a = np.hstack(
-        [
-            np.vstack([a.in_block, a.out_block, np.zeros((m, a.graph_dim))]),
-            np.vstack([np.zeros((n + m, m)), eye_m]),
-        ]
-    )
-    lift_b = np.hstack(
-        [
-            np.vstack([b.in_block, np.zeros((m, b.graph_dim)), b.out_block]),
-            np.vstack([np.zeros((n, m)), eye_m, np.zeros((m, m))]),
-        ]
-    )
-    meet = subspace_intersect(
-        subspace_from_columns(lift_a, tol), subspace_from_columns(lift_b, tol), tol
-    )
-    collapse = meet.basis[:n, :], meet.basis[n : n + m, :] + meet.basis[n + m :, :]
-    return relation_from_generators(n, m, np.vstack(collapse), tol)
+    u, v = _meet(a.in_block, b.in_block, tol)
+    gens = np.vstack([a.in_block @ u, a.out_block @ u + b.out_block @ v])
+    return LinearRelation(a.dim_in, a.dim_out, _unit_span(gens, tol))
 
 
 def rel_comp_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -414,21 +419,16 @@ def rel_comp_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) ->
 def rel_product(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Composition a o b = {(f,k) : exists g with (f,g) in b, (g,k) in a}.
 
-    Intersection-then-projection on the triple space C^(p+q+r) where b maps
-    C^p -> C^q and a maps C^q -> C^r.
+    The middle components meet in Y_b u = X_a v, and the product is
+    spanned by [X_b u; Y_a v].  Its generators have norm at most one, so
+    an element whose generator falls below the unit-anchored cutoff, such
+    as rounding left over from g in mul b and ker a, counts as zero.
     """
     if b.dim_out != a.dim_in:
         raise ArgumentError("inner dimensions differ in rel_product")
-    p, q, r = b.dim_in, b.dim_out, a.dim_out
-    lift_b = np.vstack([b.in_block, b.out_block, np.zeros((r, b.graph_dim))])
-    free_r = np.vstack([np.zeros((p + q, r)), np.eye(r, dtype=complex)])
-    span_b = subspace_from_columns(np.hstack([lift_b, free_r]), tol)
-    lift_a = np.vstack([np.zeros((p, a.graph_dim)), a.in_block, a.out_block])
-    free_p = np.vstack([np.eye(p, dtype=complex), np.zeros((q + r, p))])
-    span_a = subspace_from_columns(np.hstack([lift_a, free_p]), tol)
-    meet = subspace_intersect(span_b, span_a, tol)
-    gens = np.vstack([meet.basis[:p, :], meet.basis[p + q :, :]])
-    return relation_from_generators(p, r, gens, tol)
+    u, v = _meet(b.out_block, a.in_block, tol)
+    gens = np.vstack([b.in_block @ u, a.out_block @ v])
+    return LinearRelation(b.dim_in, a.dim_out, _unit_span(gens, tol))
 
 
 def rel_intersect(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -438,12 +438,12 @@ def rel_intersect(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -
 
 
 def rel_image(rel: LinearRelation, space: Subspace, tol: Tolerances = TOL) -> Subspace:
-    """Image {g : (f,g) in rel for some f in space}."""
+    """Image {g : (f,g) in rel for some f in space}: the span of Y u over
+    the meet X u = B v of the input block with the basis of space."""
     if space.ambient_dim != rel.dim_in:
         raise ArgumentError("space must live in the input space")
-    lifted = subspace_direct_sum(space, full_subspace(rel.dim_out))
-    meet = subspace_intersect(rel.graph, lifted, tol)
-    return subspace_coords(meet, range(rel.dim_in, rel.dim_in + rel.dim_out), tol)
+    u, _ = _meet(rel.in_block, space.basis, tol)
+    return _unit_span(rel.out_block @ u, tol)
 
 
 def rel_preimage(rel: LinearRelation, space: Subspace, tol: Tolerances = TOL) -> Subspace:

@@ -156,6 +156,20 @@ def test_pure_mul_parameter_inadmissible():
     assert rep.agreement is True
 
 
+def test_trivial_boundary_space_is_admissible():
+    # S = diag(1, 2) is selfadjoint: the boundary space is {0}, the limit
+    # curves reduce over no probes, and every test passes on zero curves
+    pi = ex.von_neumann_triplet(ex.relation_from_matrix(np.diag([1.0, 2.0])))
+    assert pi.base.boundary_dim == 0
+    pair = ex.realized_constant_pair(ex.relation_from_matrix(np.zeros((0, 0))))
+    rep = ex.admissible(pi, pair)
+    assert rep.adm1_pass and rep.adm2_pass and rep.qlt_pass and rep.admissible
+    assert rep.exact_mul_dim == 0 and rep.agreement is True
+    assert rep.adm1_slope == 0.0 and rep.adm2_slope == 0.0
+    assert ex.mt_admissibility(pi, pair, np.zeros((0, 0)))
+    assert ex.langer_textorius(pi, pair, 1j)
+
+
 def test_mt_admissibility_zero_condition():
     pi = ex.fix_b_triplet()
     pair = ex.pair_from_matrix_function(1, lambda lam: np.array([[-1.0 / lam]]))

@@ -6,12 +6,21 @@ workload names come from BENCHMARK.json.
 
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def _pr_number(path):
+    return int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1))
+
+
+RECORDS = sorted(ROOT.glob("BENCH_*.json"), key=_pr_number)
+NEWEST = json.loads(RECORDS[-1].read_text())
 SIDES = ("parent", "change")
 
 
@@ -36,7 +45,7 @@ def test_record_schema(path):
     workloads, end_to_end, per_layer = _benchmark_names()
     doc = json.loads(path.read_text())
     assert doc["schema"] == "extensio-bench-pr/1"
-    assert doc["pr"] == int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1))
+    assert doc["pr"] == _pr_number(path)
     for key in ("title", "parent_commit", "host", "command"):
         assert isinstance(doc[key], str) and doc[key]
     assert doc["commit"] is None or isinstance(doc["commit"], str)
@@ -72,3 +81,28 @@ def test_record_schema(path):
         for side in SIDES:
             assert set(pair[side]) <= end_to_end
             assert all(_number(v) for v in pair[side].values())
+
+
+def test_only_the_newest_record_lacks_its_commit():
+    for path in RECORDS[:-1]:
+        assert json.loads(path.read_text())["commit"], f"{path.name} has no commit"
+
+
+SVD_ROWS = [row for row in NEWEST["traced"] if row["metric"] == "linalg.svd_per_op"]
+
+
+@pytest.mark.parametrize("row", SVD_ROWS, ids=[f"{r['workload']}-{r['seed']}" for r in SVD_ROWS])
+def test_newest_traced_svd_counts_match_the_tree(row):
+    """SVD counts per op are deterministic, so the newest record's traced
+    rows must reproduce on the tree they were recorded with."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", row["workload"], "--seed", str(row["seed"]),
+         "--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]["linalg.svd_per_op"]["value"]
+    assert abs(value - row["change"]) <= 1e-4 * abs(row["change"])
