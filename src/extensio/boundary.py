@@ -29,12 +29,12 @@ from .kreinspace import FundamentalSymmetry, KreinRelation, _pairing_form
 from .linrel import (
     TOL,
     LinearRelation,
-    Subspace,
     Tolerances,
     _graph_resolvent,
     _nullspace,
     _orthonormal_columns,
     _rank,
+    _span,
     as_complex_matrix,
     eigenspace,
     rel_adjoint,
@@ -43,9 +43,7 @@ from .linrel import (
     rel_parts,
     rel_preimage,
     rel_product,
-    relation_from_generators,
     relation_from_matrix,
-    subspace_from_columns,
 )
 from .nevanlinna import NevanlinnaPairEval, nev_kernel
 
@@ -190,7 +188,7 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     out0 = alpha + beta
     out1 = 1j * (alpha - beta)
     columns = np.vstack([f, fp, out0, out1])
-    gamma = relation_from_generators(2 * n, 2 * d, columns, tol)
+    gamma = LinearRelation(2 * n, 2 * d, _span(columns, tol))
     return ordinary_triplet(validate_boundary_relation(gamma, tol), tol)
 
 
@@ -255,7 +253,7 @@ def weyl_eval(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolera
     m = br.boundary_dim
     image = br.gamma.out_block @ _defect_coords(br, lam, tol)
     # Rows of the unit columns G c: anchor the rank cutoff at scale one.
-    return LinearRelation(m, m, Subspace(2 * m, _orthonormal_columns(image, tol, 1.0)))
+    return LinearRelation(m, m, _span(image, tol, 1.0))
 
 
 def gamma_field(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
@@ -267,7 +265,7 @@ def gamma_field(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tole
     n = br.state_dim
     m = br.boundary_dim
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
-    return relation_from_generators(m, n, np.vstack([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol)
+    return LinearRelation(m, n, _span(np.vstack([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol))
 
 
 def boundary_component(obj: BoundaryRelation | OrdinaryTriplet, index: int, tol: Tolerances = TOL) -> LinearRelation:
@@ -289,7 +287,7 @@ def kernel_of_boundary_map(obj: BoundaryRelation | OrdinaryTriplet, index: int, 
     br = _as_boundary(obj)
     n = br.state_dim
     # Rows of the unit columns G c: anchor the rank cutoff at scale one.
-    return LinearRelation(n, n, Subspace(2 * n, _orthonormal_columns(_kernel_columns(br, index, tol), tol, 1.0)))
+    return LinearRelation(n, n, _span(_kernel_columns(br, index, tol), tol, 1.0))
 
 
 @dataclass(frozen=True)
@@ -375,8 +373,7 @@ def check_B123(obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -
     m = br.boundary_dim
     b1 = green_residual(br.gamma) <= tol.angle * max(1, br.gamma.graph_dim)
     ran = rel_parts(br.gamma, tol).ran
-    first = subspace_from_columns(ran.basis[:m, :], tol)
-    b2 = first.dim == m
+    b2 = _orthonormal_columns(ran.basis[:m, :], tol).shape[1] == m
     a0 = kernel_of_boundary_map(br, 0, tol)
     b3 = rel_classify(a0, tol).selfadjoint
     return B123Report(b1, b2, b3)
@@ -399,16 +396,15 @@ def reduce_multivalued(obj: BoundaryRelation | OrdinaryTriplet, k=None, tol: Tol
     n = br.state_dim
     m = br.boundary_dim
     mul = rel_parts(br.gamma, tol).mul
-    h0_first = subspace_from_columns(mul.basis[:m, :], tol) if mul.dim else Subspace(m, np.zeros((m, 0), dtype=complex))
-    if h0_first.dim != mul.dim:
+    b0 = _orthonormal_columns(mul.basis[:m, :], tol)
+    if b0.shape[1] != mul.dim:
         raise NotB123("multivalued part is not an operator graph")
     p_part = mul.basis[:m, :]
     q_part = mul.basis[m:, :]
     if k is None:
         if mul.dim:
-            coeff = np.linalg.lstsq(p_part, h0_first.basis, rcond=None)[0]
+            coeff = np.linalg.lstsq(p_part, b0, rcond=None)[0]
             k0_cols = q_part @ coeff
-            b0 = h0_first.basis
             k = k0_cols @ b0.conj().T + (b0 @ k0_cols.conj().T) @ (np.eye(m) - b0 @ b0.conj().T)
         else:
             k = np.zeros((m, m), dtype=complex)
@@ -417,8 +413,8 @@ def reduce_multivalued(obj: BoundaryRelation | OrdinaryTriplet, k=None, tol: Tol
         raise KNotExtending("parameter matrix must be Hermitian")
     if mul.dim and np.linalg.norm(k @ p_part - q_part) > tol.angle * (1 + np.linalg.norm(k)):
         raise KNotExtending("parameter matrix must extend the multivalued-part operator")
-    comp = np.eye(m, dtype=complex) - h0_first.basis @ h0_first.basis.conj().T
-    b1_basis = subspace_from_columns(comp, tol).basis
+    comp = np.eye(m, dtype=complex) - b0 @ b0.conj().T
+    b1_basis = _orthonormal_columns(comp, tol)
     m1 = b1_basis.shape[1]
     gens = br.gamma.graph.basis
     f_rows = gens[: 2 * n, :]
@@ -426,7 +422,7 @@ def reduce_multivalued(obj: BoundaryRelation | OrdinaryTriplet, k=None, tol: Tol
     hp = gens[2 * n + m :, :]
     new_out0 = b1_basis.conj().T @ h
     new_out1 = b1_basis.conj().T @ (hp - k @ h)
-    reduced = relation_from_generators(2 * n, 2 * m1, np.vstack([f_rows, new_out0, new_out1]), tol)
+    reduced = LinearRelation(2 * n, 2 * m1, _span(np.vstack([f_rows, new_out0, new_out1]), tol))
     result = validate_boundary_relation(reduced, tol)
     for lam in (1j, 2j):
         m_full = rel_matrix(weyl_eval(br, lam, tol), tol)

@@ -34,11 +34,10 @@ from .linrel import (
     _meet,
     _nullspace,
     _rank,
-    _unit_span,
+    _span,
     is_simple,
     rel_classify,
     rel_equal,
-    relation_from_generators,
     resolvent_matrix,
     subspace_coords,
 )
@@ -123,7 +122,7 @@ def coupling_scene(a_tilde: LinearRelation, h1_dim: int, h2_dim: int, tol: Toler
         # G ker(G_kill) has orthonormal columns and rounding-level killed
         # rows, so its kept rows are an orthonormal basis of the corner.
         inside = graph.basis @ _nullspace(graph.basis[kill, :], tol, 1.0)
-        corner = LinearRelation(dim, dim, Subspace(2 * dim, inside[keep, :]))
+        corner = LinearRelation(dim, dim, Subspace._trusted(2 * dim, inside[keep, :]))
         return corner, LinearRelation(dim, dim, subspace_coords(graph, keep, tol))
 
     s1, t1 = split(f1 + f1p, f2 + f2p, h1_dim)
@@ -161,7 +160,7 @@ def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL
     fhat2 = np.vstack([basis[f2, :], basis[f2p, :]])
     bounds = _boundary_map(pi, tol)(fhat1)
     gens = np.vstack([fhat2, bounds[:m, :], -bounds[m:, :]])
-    chi = relation_from_generators(2 * h2, 2 * m, gens, tol)
+    chi = LinearRelation(2 * h2, 2 * m, _span(gens, tol))
     return validate_boundary_relation(chi, tol)
 
 
@@ -176,7 +175,7 @@ def canonical_chi(theta: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelat
     gens = np.vstack(
         [np.zeros((0, theta.graph_dim)), theta.in_block, -theta.out_block]
     )
-    chi = relation_from_generators(0, 2 * m, gens, tol)
+    chi = LinearRelation(0, 2 * m, _span(gens, tol))
     return validate_boundary_relation(chi, tol)
 
 
@@ -198,7 +197,7 @@ def couple(pi: BoundaryRelation | OrdinaryTriplet, chi: BoundaryRelation, tol: T
     twisted = np.vstack([g2[2 * n2 : 2 * n2 + m, :], -g2[2 * n2 + m :, :]])
     u, v = _meet(g1[2 * n1 :, :], twisted, tol)
     gens = np.vstack([g1[:n1, :] @ u, g2[:n2, :] @ v, g1[n1 : 2 * n1, :] @ u, g2[n2 : 2 * n2, :] @ v])
-    result = LinearRelation(n1 + n2, n1 + n2, _unit_span(gens, tol))
+    result = LinearRelation(n1 + n2, n1 + n2, _span(gens, tol, 1.0))
     if not rel_classify(result, tol).selfadjoint:
         raise AssumptionError("coupling did not produce a selfadjoint relation")
     return result
@@ -219,7 +218,7 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
         cols = basis @ _nullspace(basis[f2p, :] - complex(lam) * basis[f2, :], tol)
         bounds = boundary_values(np.vstack([cols[f1, :], cols[f1p, :]]))
         gens = np.vstack([bounds[:m, :], -bounds[m:, :]])
-        return relation_from_generators(m, m, gens, tol)
+        return LinearRelation(m, m, _span(gens, tol))
 
     return FamilyEval(m, eval_at)
 
@@ -361,9 +360,7 @@ def double_weyl(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TO
             hp,
         ]
     )
-    gamma = relation_from_generators(
-        2 * (n1 + n2), 4 * m, np.hstack([cols_first, cols_second]), tol
-    )
+    gamma = LinearRelation(2 * (n1 + n2), 4 * m, _span(np.hstack([cols_first, cols_second]), tol))
     boundary = validate_boundary_relation(gamma, tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:

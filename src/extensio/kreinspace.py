@@ -101,7 +101,7 @@ def krein_complement(space: Subspace, j: FundamentalSymmetry, tol: Tolerances = 
     if space.ambient_dim != j.dim:
         raise DimMismatch("space does not live in the symmetry's space")
     # J is unitary: it maps the orthonormal basis to an orthonormal basis.
-    return subspace_complement(Subspace(j.dim, j.matrix @ space.basis), tol)
+    return subspace_complement(Subspace._trusted(j.dim, j.matrix @ space.basis), tol)
 
 
 def krein_adjoint(t: KreinRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -109,7 +109,7 @@ def krein_adjoint(t: KreinRelation, tol: Tolerances = TOL) -> LinearRelation:
     J is unitary, so the row-transformed graph basis stays orthonormal."""
     star = rel_adjoint(t.rel, tol)
     basis = np.vstack([t.j_out.matrix @ star.in_block, t.j_in.matrix @ star.out_block])
-    return LinearRelation(star.dim_in, star.dim_out, Subspace(star.graph.ambient_dim, basis))
+    return LinearRelation(star.dim_in, star.dim_out, Subspace._trusted(star.graph.ambient_dim, basis))
 
 
 def _pairing_form(t: KreinRelation) -> np.ndarray:
@@ -143,7 +143,7 @@ def main_transform(gamma: KreinRelation) -> LinearRelation:
     hp = basis[2 * n + m :, :]
     # Row shuffle with a sign flip keeps the basis orthonormal exactly.
     shuffled = np.vstack([f, h, fp, -hp])
-    return LinearRelation(n + m, n + m, Subspace(2 * (n + m), shuffled))
+    return LinearRelation(n + m, n + m, Subspace._trusted(2 * (n + m), shuffled))
 
 
 def inverse_main_transform(atilde: LinearRelation, split: tuple[int, int]) -> KreinRelation:
@@ -157,7 +157,7 @@ def inverse_main_transform(atilde: LinearRelation, split: tuple[int, int]) -> Kr
     fp = basis[n + m : 2 * n + m, :]
     neg_hp = basis[2 * n + m :, :]
     graph = np.vstack([f, fp, h, -neg_hp])
-    rel = LinearRelation(2 * n, 2 * m, Subspace(2 * n + 2 * m, graph))
+    rel = LinearRelation(2 * n, 2 * m, Subspace._trusted(2 * n + 2 * m, graph))
     return KreinRelation(rel, FundamentalSymmetry(n), FundamentalSymmetry(m))
 
 

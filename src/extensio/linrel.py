@@ -90,6 +90,10 @@ class Tolerances:
 
 TOL = Tolerances()
 
+# Frobenius distance of a basis Gram matrix from the identity, per column,
+# up to which the public Subspace constructor accepts the basis.
+_GRAM_TOL = 1e-7
+
 
 def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
     """Validate and return a dense complex matrix.
@@ -156,16 +160,24 @@ def _meet(left: np.ndarray, right: np.ndarray, tol: Tolerances) -> tuple[np.ndar
     return coeff[: left.shape[1]], coeff[left.shape[1] :]
 
 
-def _unit_span(gens: np.ndarray, tol: Tolerances) -> Subspace:
-    """Span of generators whose norm is at most about one, the image of
-    orthonormal coefficients under blocks of unit bases.  The cutoff is
-    anchored at unit scale, so projected rounding noise spans nothing."""
-    return Subspace(gens.shape[0], _orthonormal_columns(gens, tol, 1.0))
+def _span(gens: np.ndarray, tol: Tolerances, scale: float | None = None) -> Subspace:
+    """Span of generators the library built or has already validated.
+
+    ``scale=1.0`` is for generators of norm at most about one, the image of
+    orthonormal coefficients under blocks of unit bases: the cutoff is then
+    anchored at unit scale, so projected rounding noise spans nothing.
+    """
+    return Subspace._trusted(gens.shape[0], _orthonormal_columns(gens, tol, scale))
 
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A subspace of ``C^ambient_dim`` held as an orthonormal column basis."""
+    """A subspace of ``C^ambient_dim`` held as an orthonormal column basis.
+
+    The constructor is where bases enter from outside: it requires a finite
+    complex matrix with ``ambient_dim`` rows and at most as many orthonormal
+    columns.  Bases the library computes itself enter through ``_trusted``.
+    """
 
     ambient_dim: int
     basis: np.ndarray
@@ -178,8 +190,18 @@ class Subspace:
             raise ArgumentError("basis has more columns than the ambient dimension")
         if k:
             gram = basis.conj().T @ basis
-            if np.linalg.norm(gram - np.eye(k)) > 1e-7 * max(1, k):
+            if np.linalg.norm(gram - np.eye(k)) > _GRAM_TOL * max(1, k):
                 raise ArgumentError("basis columns are not orthonormal")
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> Subspace:
+        """Subspace on a complex orthonormal basis with ``ambient_dim`` rows,
+        unchecked: an SVD or QR factor, or such a basis with its rows
+        selected, permuted, sign-flipped or multiplied by a unitary."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        object.__setattr__(space, "basis", basis)
+        return space
 
     @property
     def dim(self) -> int:
@@ -198,21 +220,20 @@ def subspace_from_columns(mat, tol: Tolerances = TOL) -> Subspace:
 
     A zero (or empty) matrix yields the zero subspace.
     """
-    mat = as_complex_matrix(mat)
-    return Subspace(mat.shape[0], _orthonormal_columns(mat, tol))
+    return _span(as_complex_matrix(mat), tol)
 
 
 def zero_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
+    return Subspace._trusted(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
 
 
 def full_subspace(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
+    return Subspace._trusted(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
 
 def subspace_complement(space: Subspace, tol: Tolerances = TOL) -> Subspace:
     """Orthogonal complement within the ambient space."""
-    return Subspace(space.ambient_dim, _nullspace(space.basis.conj().T, tol))
+    return Subspace._trusted(space.ambient_dim, _nullspace(space.basis.conj().T, tol))
 
 
 def subspace_intersect(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> Subspace:
@@ -222,20 +243,20 @@ def subspace_intersect(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> Subsp
     if a.dim == 0 or b.dim == 0:
         return zero_subspace(a.ambient_dim)
     u, _ = _meet(a.basis, b.basis, tol)
-    return _unit_span(a.basis @ u, tol)
+    return _span(a.basis @ u, tol, 1.0)
 
 
 def subspace_sum(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ArgumentError("ambient dimensions differ")
-    return subspace_from_columns(np.hstack([a.basis, b.basis]), tol)
+    return _span(np.hstack([a.basis, b.basis]), tol)
 
 
 def subspace_direct_sum(a: Subspace, b: Subspace) -> Subspace:
     """Block direct sum inside ``C^(ambient_a + ambient_b)``."""
     top = np.hstack([a.basis, np.zeros((a.ambient_dim, b.dim))])
     bot = np.hstack([np.zeros((b.ambient_dim, a.dim)), b.basis])
-    return Subspace(a.ambient_dim + b.ambient_dim, np.vstack([top, bot]))
+    return Subspace._trusted(a.ambient_dim + b.ambient_dim, np.vstack([top, bot]))
 
 
 def subspace_coords(space: Subspace, rows: Sequence[int], tol: Tolerances = TOL) -> Subspace:
@@ -247,7 +268,7 @@ def subspace_coords(space: Subspace, rows: Sequence[int], tol: Tolerances = TOL)
     rows = list(rows)
     if not space.dim:
         return zero_subspace(len(rows))
-    return Subspace(len(rows), _orthonormal_columns(space.basis[rows, :], tol, 1.0))
+    return _span(space.basis[rows, :], tol, 1.0)
 
 
 def subspace_permute(space: Subspace, perm: Sequence[int]) -> Subspace:
@@ -255,7 +276,7 @@ def subspace_permute(space: Subspace, perm: Sequence[int]) -> Subspace:
     perm = list(perm)
     if sorted(perm) != list(range(space.ambient_dim)):
         raise ArgumentError("not a permutation of the ambient coordinates")
-    return Subspace(space.ambient_dim, space.basis[perm, :])
+    return Subspace._trusted(space.ambient_dim, space.basis[perm, :])
 
 
 def containment_gap(inner: Subspace, outer: Subspace) -> float:
@@ -330,21 +351,20 @@ class LinearRelation:
 def relation_from_generators(dim_in: int, dim_out: int, columns, tol: Tolerances = TOL) -> LinearRelation:
     """Relation spanned by generator columns in ``C^(dim_in + dim_out)``."""
     cols = as_complex_matrix(columns, rows=dim_in + dim_out)
-    return LinearRelation(dim_in, dim_out, subspace_from_columns(cols, tol))
+    return LinearRelation(dim_in, dim_out, _span(cols, tol))
 
 
 def relation_from_matrix(mat, tol: Tolerances = TOL) -> LinearRelation:
     """Graph of a matrix as a (single-valued, everywhere defined) relation."""
     mat = as_complex_matrix(mat)
     m, n = mat.shape
-    gens = np.vstack([np.eye(n, dtype=complex), mat])
-    return relation_from_generators(n, m, gens, tol)
+    return LinearRelation(n, m, _span(np.vstack([np.eye(n, dtype=complex), mat]), tol))
 
 
 def zero_relation(dim_in: int, dim_out: int) -> LinearRelation:
     """The zero operator: every input maps to 0."""
     gens = np.vstack([np.eye(dim_in, dtype=complex), np.zeros((dim_out, dim_in))])
-    return relation_from_generators(dim_in, dim_out, gens)
+    return LinearRelation(dim_in, dim_out, _span(gens, TOL))
 
 
 def identity_relation(dim: int) -> LinearRelation:
@@ -355,7 +375,7 @@ def mul_relation(mul_space: Subspace) -> LinearRelation:
     """The purely multivalued relation {0} x mul_space."""
     d = mul_space.ambient_dim
     gens = np.vstack([np.zeros((d, mul_space.dim)), mul_space.basis])
-    return LinearRelation(d, d, Subspace(2 * d, gens))
+    return LinearRelation(d, d, Subspace._trusted(2 * d, gens))
 
 
 def rel_parts(rel: LinearRelation, tol: Tolerances = TOL) -> RelationParts:
@@ -371,17 +391,17 @@ def rel_parts(rel: LinearRelation, tol: Tolerances = TOL) -> RelationParts:
     dom, ker_x = _range_and_kernel(x, tol, 1.0)
     ran, ker_y = _range_and_kernel(y, tol, 1.0)
     return RelationParts(
-        Subspace(rel.dim_in, dom),
-        Subspace(rel.dim_out, ran),
-        Subspace(rel.dim_in, np.linalg.qr(x @ ker_y)[0]),
-        Subspace(rel.dim_out, np.linalg.qr(y @ ker_x)[0]),
+        Subspace._trusted(rel.dim_in, dom),
+        Subspace._trusted(rel.dim_out, ran),
+        Subspace._trusted(rel.dim_in, np.linalg.qr(x @ ker_y)[0]),
+        Subspace._trusted(rel.dim_out, np.linalg.qr(y @ ker_x)[0]),
     )
 
 
 def rel_inverse(rel: LinearRelation) -> LinearRelation:
     """Swap input and output blocks; a row permutation of the graph basis."""
     basis = np.vstack([rel.out_block, rel.in_block])
-    return LinearRelation(rel.dim_out, rel.dim_in, Subspace(rel.dim_in + rel.dim_out, basis))
+    return LinearRelation(rel.dim_out, rel.dim_in, Subspace._trusted(rel.dim_in + rel.dim_out, basis))
 
 
 def rel_adjoint(rel: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -393,7 +413,7 @@ def rel_adjoint(rel: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     """
     swapped = np.vstack([-rel.out_block, rel.in_block])
     comp = _nullspace(swapped.conj().T, tol)
-    return LinearRelation(rel.dim_out, rel.dim_in, Subspace(rel.dim_in + rel.dim_out, comp))
+    return LinearRelation(rel.dim_out, rel.dim_in, Subspace._trusted(rel.dim_in + rel.dim_out, comp))
 
 
 def rel_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -406,7 +426,7 @@ def rel_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> Line
         raise ArgumentError("dimension mismatch in rel_sum")
     u, v = _meet(a.in_block, b.in_block, tol)
     gens = np.vstack([a.in_block @ u, a.out_block @ u + b.out_block @ v])
-    return LinearRelation(a.dim_in, a.dim_out, _unit_span(gens, tol))
+    return LinearRelation(a.dim_in, a.dim_out, _span(gens, tol, 1.0))
 
 
 def rel_comp_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -428,7 +448,7 @@ def rel_product(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> 
         raise ArgumentError("inner dimensions differ in rel_product")
     u, v = _meet(b.out_block, a.in_block, tol)
     gens = np.vstack([b.in_block @ u, a.out_block @ v])
-    return LinearRelation(b.dim_in, a.dim_out, _unit_span(gens, tol))
+    return LinearRelation(b.dim_in, a.dim_out, _span(gens, tol, 1.0))
 
 
 def rel_intersect(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -443,7 +463,7 @@ def rel_image(rel: LinearRelation, space: Subspace, tol: Tolerances = TOL) -> Su
     if space.ambient_dim != rel.dim_in:
         raise ArgumentError("space must live in the input space")
     u, _ = _meet(rel.in_block, space.basis, tol)
-    return _unit_span(rel.out_block @ u, tol)
+    return _span(rel.out_block @ u, tol, 1.0)
 
 
 def rel_preimage(rel: LinearRelation, space: Subspace, tol: Tolerances = TOL) -> Subspace:
@@ -462,7 +482,7 @@ def rel_direct_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
             np.hstack([np.zeros((mb, ka)), b.out_block]),
         ]
     )
-    return LinearRelation(na + nb, ma + mb, Subspace(na + nb + ma + mb, gens))
+    return LinearRelation(na + nb, ma + mb, Subspace._trusted(na + nb + ma + mb, gens))
 
 
 def rel_permute(rel: LinearRelation, in_perm: Sequence[int] | None = None, out_perm: Sequence[int] | None = None) -> LinearRelation:
@@ -484,8 +504,8 @@ def eigenspace(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> tupl
     # Keep the graph copy inside rel exactly; the eigen-residual stays in
     # the output rows instead of pushing the basis off the graph.
     gens = rel.graph.basis @ coeff
-    space = Subspace(rel.dim_in, np.linalg.qr(gens[: rel.dim_in, :])[0])
-    return space, LinearRelation(rel.dim_in, rel.dim_in, Subspace(2 * rel.dim_in, gens))
+    space = Subspace._trusted(rel.dim_in, np.linalg.qr(gens[: rel.dim_in, :])[0])
+    return space, LinearRelation(rel.dim_in, rel.dim_in, Subspace._trusted(2 * rel.dim_in, gens))
 
 
 @dataclass(frozen=True)
@@ -532,7 +552,7 @@ def operator_part(rel: LinearRelation, tol: Tolerances = TOL) -> tuple[LinearRel
         return rel, mul
     coeff = _nullspace(mul.basis.conj().T @ rel.out_block, tol)
     gens = np.vstack([rel.in_block @ coeff, rel.out_block @ coeff])
-    return relation_from_generators(rel.dim_in, rel.dim_out, gens, tol), mul
+    return LinearRelation(rel.dim_in, rel.dim_out, _span(gens, tol)), mul
 
 
 def is_simple(rel: LinearRelation, tol: Tolerances = TOL) -> bool:

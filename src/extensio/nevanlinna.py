@@ -28,13 +28,13 @@ from .linrel import (
     Subspace,
     Tolerances,
     _rank,
+    _span,
     as_complex_matrix,
     rel_adjoint,
     rel_classify,
     rel_equal,
     rel_intersect,
     rel_parts,
-    relation_from_generators,
     operator_part,
     rel_comp_sum,
     rel_matrix,
@@ -188,7 +188,7 @@ def is_nevanlinna_pair(
 def family_from_pair(p: NevanlinnaPairEval, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """The relation {(phi(lam) h, psi(lam) h) : h in C^dim}."""
     phi, psi = pair_at(p, lam)
-    return relation_from_generators(p.dim, p.dim, np.vstack([phi, psi]), tol)
+    return LinearRelation(p.dim, p.dim, _span(np.vstack([phi, psi]), tol))
 
 
 def family_eval_from_pair(p: NevanlinnaPairEval, tol: Tolerances = TOL) -> FamilyEval:

@@ -52,6 +52,12 @@ __all__ = [
 ]
 
 
+# Frobenius distance of a stored generator Gram matrix from the identity, per
+# column, up to which json_to_relation keeps the generators verbatim as the
+# basis; tighter than the Subspace check, so a kept basis passes it.
+_VERBATIM_GRAM_TOL = 1e-9
+
+
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
@@ -120,7 +126,7 @@ def json_to_relation(obj: Any, tol: Tolerances = TOL) -> LinearRelation:
     k = gens.shape[1]
     if k and k <= gens.shape[0]:
         gram = gens.conj().T @ gens
-        if np.linalg.norm(gram - np.eye(k)) <= 1e-9 * max(1, k):
+        if np.linalg.norm(gram - np.eye(k)) <= _VERBATIM_GRAM_TOL * max(1, k):
             # Stored basis is already canonical; keep it verbatim so the
             # emitted decimal text survives a parse round trip unchanged.
             return LinearRelation(dim_in, dim_out, Subspace(gens.shape[0], gens))

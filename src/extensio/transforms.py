@@ -32,6 +32,7 @@ from .linrel import (
     LinearRelation,
     Tolerances,
     _rank,
+    _span,
     as_complex_matrix,
     rel_direct_sum,
     rel_image,
@@ -39,7 +40,6 @@ from .linrel import (
     rel_matrix,
     rel_permute,
     rel_product,
-    relation_from_generators,
     relation_from_matrix,
     subspace_equal,
 )
@@ -143,9 +143,7 @@ class TransformResult(NamedTuple):
 def _to_relation(w, tol: Tolerances) -> LinearRelation:
     if isinstance(w, LinearRelation):
         return w
-    if isinstance(w, StandardJUnitary):
-        return relation_from_matrix(w.matrix, tol)
-    return relation_from_matrix(as_complex_matrix(w), tol)
+    return relation_from_matrix(w.matrix if isinstance(w, StandardJUnitary) else w, tol)
 
 
 def _embed(m: int, start: int, d: int) -> np.ndarray:
@@ -254,7 +252,7 @@ def block_compress(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, w
     cols_hp = np.vstack(
         [np.zeros((m, m)), np.eye(m, dtype=complex), np.zeros((d, m)), emb.conj().T]
     )
-    p_rel = relation_from_generators(2 * m, 2 * d, np.hstack([cols_h, cols_hp]), tol)
+    p_rel = LinearRelation(2 * m, 2 * d, _span(np.hstack([cols_h, cols_hp]), tol))
     result = validate_boundary_relation(rel_product(p_rel, br.gamma, tol), tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:
@@ -288,7 +286,7 @@ def schur_complement(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit,
     cols_hp = np.vstack(
         [np.zeros((m, d1)), e1, np.zeros((d1, d1)), np.eye(d1, dtype=complex)]
     )
-    q_rel = relation_from_generators(2 * m, 2 * d1, np.hstack([cols_h, cols_hp]), tol)
+    q_rel = LinearRelation(2 * m, 2 * d1, _span(np.hstack([cols_h, cols_hp]), tol))
     result = validate_boundary_relation(rel_product(q_rel, br.gamma, tol), tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:
@@ -344,7 +342,7 @@ def t_transform(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, t, t
             t.conj().T @ e1.conj().T + e2.conj().T,
         ]
     )
-    r_rel = relation_from_generators(2 * m, 2 * d2, np.hstack([cols_h, cols_hp]), tol)
+    r_rel = LinearRelation(2 * m, 2 * d2, _span(np.hstack([cols_h, cols_hp]), tol))
     result = validate_boundary_relation(rel_product(r_rel, br.gamma, tol), tol)
 
     return TransformResult(result.s_rel, result, lambda lam: _t_combination(_weyl_matrix(br, lam, tol), t))
