@@ -42,8 +42,6 @@ from .linrel import (
     rel_matrix,
     rel_parts,
     rel_preimage,
-    rel_product,
-    relation_from_matrix,
 )
 from .nevanlinna import NevanlinnaPairEval, nev_kernel
 
@@ -59,7 +57,6 @@ __all__ = [
     "von_neumann_triplet",
     "weyl_eval",
     "gamma_field",
-    "boundary_component",
     "kernel_of_boundary_map",
     "check_weyl_identities",
     "defect_report",
@@ -68,6 +65,10 @@ __all__ = [
     "check_B123",
     "reduce_multivalued",
 ]
+
+# Relative residual up to which reduce_multivalued accepts the block split
+# M = K + B1 M1 B1* between two Weyl functions it computed itself.
+_WEYL_SPLIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -268,18 +269,6 @@ def gamma_field(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tole
     return LinearRelation(m, n, _span(np.vstack([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol))
 
 
-def boundary_component(obj: BoundaryRelation | OrdinaryTriplet, index: int, tol: Tolerances = TOL) -> LinearRelation:
-    """The composition of Gamma with one output coordinate projection."""
-    br = _as_boundary(obj)
-    m = br.boundary_dim
-    if index not in (0, 1):
-        raise ArgumentError("boundary component index must be 0 or 1")
-    eye = np.eye(m, dtype=complex)
-    zero = np.zeros((m, m), dtype=complex)
-    proj = np.hstack([eye, zero]) if index == 0 else np.hstack([zero, eye])
-    return rel_product(relation_from_matrix(proj, tol), br.gamma, tol)
-
-
 def kernel_of_boundary_map(obj: BoundaryRelation | OrdinaryTriplet, index: int, tol: Tolerances = TOL) -> LinearRelation:
     """Extension determined by a vanishing boundary coordinate."""
     if index not in (0, 1):
@@ -428,6 +417,6 @@ def reduce_multivalued(obj: BoundaryRelation | OrdinaryTriplet, k=None, tol: Tol
         m_full = rel_matrix(weyl_eval(br, lam, tol), tol)
         m_small = rel_matrix(weyl_eval(result, lam, tol), tol)
         assembled = k + b1_basis @ m_small @ b1_basis.conj().T
-        if np.linalg.norm(m_full - assembled) > 1e-9 * (1 + np.linalg.norm(m_full)):
+        if np.linalg.norm(m_full - assembled) > _WEYL_SPLIT_TOL * (1 + np.linalg.norm(m_full)):
             raise HypothesisFailed("weyl_block_identity", f"block split fails at {lam}")
     return result

@@ -40,11 +40,14 @@ from .serialize import matrix_to_json, parse_model_file, relation_to_json
 
 PASS, FAIL, BAD_INPUT = 0, 1, 2
 
+# The verdict gate when neither --tol nor EXTENSIO_TOL sets one.
+_DEFAULT_TOL_GATE = 1e-8
+
 
 def _default_tol() -> float:
     env = os.environ.get("EXTENSIO_TOL")
     if env is None:
-        return 1e-8
+        return _DEFAULT_TOL_GATE
     try:
         return float(env)
     except ValueError:

@@ -70,6 +70,10 @@ __all__ = [
     "intermediate_h2",
 ]
 
+# Least-squares residual, relative to the data, above which straus_solve
+# finds no solution of the boundary value problem.
+_STRAUS_RESIDUAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class CouplingScene:
@@ -280,7 +284,7 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
             raise NoSolution("empty parameter space cannot match the data")
         return np.zeros(h1, dtype=complex)
     coeff, *_ = np.linalg.lstsq(system, target, rcond=None)
-    if np.linalg.norm(system @ coeff - target) > 1e-8 * (1 + np.linalg.norm(rhs)):
+    if np.linalg.norm(system @ coeff - target) > _STRAUS_RESIDUAL_TOL * (1 + np.linalg.norm(rhs)):
         raise NoSolution(f"no adjoint-domain solution at lambda={lam}")
     null = _nullspace(system, tol)
     if null.size and np.linalg.norm(top @ null) > tol.angle:

@@ -17,12 +17,9 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
-    is_subspace,
     largest_principal_angle,
     rel_adjoint,
     rel_parts,
-    rel_product,
-    relation_from_matrix,
     subspace_complement,
 )
 
@@ -30,17 +27,13 @@ __all__ = [
     "FundamentalSymmetry",
     "KreinRelation",
     "DomainIdentityReport",
-    "ProductReport",
-    "krein_pairing",
     "krein_complement",
-    "krein_from_matrix",
     "krein_adjoint",
     "is_isometric",
     "is_unitary",
     "main_transform",
     "inverse_main_transform",
     "unitary_domain_identities",
-    "product_unitarity_check",
 ]
 
 
@@ -77,23 +70,6 @@ class KreinRelation:
     def __post_init__(self) -> None:
         if self.rel.dim_in != self.j_in.dim or self.rel.dim_out != self.j_out.dim:
             raise DimMismatch("relation dimensions do not match the symmetries")
-
-
-def krein_from_matrix(mat, tol: Tolerances = TOL) -> KreinRelation:
-    """Wrap the graph of a 2n x 2m matrix with the standard symmetries."""
-    rel = relation_from_matrix(mat, tol)
-    if rel.dim_in % 2 or rel.dim_out % 2:
-        raise DimMismatch("matrix sides must be even")
-    return KreinRelation(rel, FundamentalSymmetry(rel.dim_in // 2), FundamentalSymmetry(rel.dim_out // 2))
-
-
-def krein_pairing(j: FundamentalSymmetry, u, v) -> complex:
-    """Indefinite pairing [u, v] = (J u, v), linear in u."""
-    uu = np.asarray(u, dtype=complex).reshape(-1)
-    vv = np.asarray(v, dtype=complex).reshape(-1)
-    if uu.size != j.dim or vv.size != j.dim:
-        raise DimMismatch("vectors do not live in the symmetry's space")
-    return complex(np.vdot(vv, j.matrix @ uu))
 
 
 def krein_complement(space: Subspace, j: FundamentalSymmetry, tol: Tolerances = TOL) -> Subspace:
@@ -177,39 +153,3 @@ def unitary_domain_identities(t: KreinRelation, tol: Tolerances = TOL) -> Domain
     ker_angle = largest_principal_angle(parts.ker, krein_complement(parts.dom, t.j_in, tol))
     mul_angle = largest_principal_angle(parts.mul, krein_complement(parts.ran, t.j_out, tol))
     return DomainIdentityReport(ker_angle, mul_angle)
-
-
-@dataclass(frozen=True)
-class ProductReport:
-    """Outcome of composing two indefinite relations, left after right."""
-
-    isometric: bool
-    unitary: bool
-    hypotheses: tuple[str, ...]
-
-
-def _standard_operator(rel: LinearRelation, tol: Tolerances) -> bool:
-    parts = rel_parts(rel, tol)
-    return parts.dom.dim == rel.dim_in and parts.mul.dim == 0
-
-
-def product_unitarity_check(left: KreinRelation, right: KreinRelation, tol: Tolerances = TOL) -> ProductReport:
-    """Compose left after right; report isometry, unitarity, and which
-    sufficient hypotheses held.  Closedness conditions are vacuous in
-    finite dimension, so composing two unitaries always yields a unitary.
-    """
-    if right.j_out.half_dim != left.j_in.half_dim:
-        raise DimMismatch("inner spaces of the factors differ")
-    product = KreinRelation(rel_product(left.rel, right.rel, tol), right.j_in, left.j_out)
-    left_parts = rel_parts(left.rel, tol)
-    right_parts = rel_parts(right.rel, tol)
-    held: list[str] = []
-    if is_subspace(right_parts.ran, left_parts.dom, tol):
-        held.append("ran_right_inside_dom_left")
-    if is_subspace(left_parts.dom, right_parts.ran, tol):
-        held.append("dom_left_inside_ran_right")
-    if _standard_operator(left.rel, tol):
-        held.append("left_standard_operator")
-    if _standard_operator(right.rel, tol):
-        held.append("right_standard_operator")
-    return ProductReport(is_isometric(product, tol), is_unitary(product, tol), tuple(held))

@@ -144,6 +144,12 @@ def _range_and_kernel(mat: np.ndarray, tol: Tolerances, scale: float | None = No
     return np.ascontiguousarray(u[:, :r]), np.ascontiguousarray(vh[r:, :].conj().T)
 
 
+def _q_factor(cols: np.ndarray) -> np.ndarray:
+    """Q factor of independent columns.  An empty block is its own Q
+    factor, and LAPACK charges as much for its QR as for a real one."""
+    return np.linalg.qr(cols)[0] if cols.shape[1] else cols
+
+
 def _nullspace(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of ker(mat) as columns."""
     return _range_and_kernel(mat, tol, scale)[1]
@@ -291,7 +297,9 @@ def containment_gap(inner: Subspace, outer: Subspace) -> float:
     if inner.dim == 0:
         return 0.0
     resid = inner.basis - outer.basis @ (outer.basis.conj().T @ inner.basis)
-    sine = min(1.0, float(np.linalg.norm(resid, 2)))
+    # The largest singular value; norm(resid, 2) computes the same SVD
+    # with more overhead.
+    sine = min(1.0, float(np.linalg.svd(resid, compute_uv=False)[0]))
     return float(np.arcsin(sine))
 
 
@@ -393,8 +401,8 @@ def rel_parts(rel: LinearRelation, tol: Tolerances = TOL) -> RelationParts:
     return RelationParts(
         Subspace._trusted(rel.dim_in, dom),
         Subspace._trusted(rel.dim_out, ran),
-        Subspace._trusted(rel.dim_in, np.linalg.qr(x @ ker_y)[0]),
-        Subspace._trusted(rel.dim_out, np.linalg.qr(y @ ker_x)[0]),
+        Subspace._trusted(rel.dim_in, _q_factor(x @ ker_y)),
+        Subspace._trusted(rel.dim_out, _q_factor(y @ ker_x)),
     )
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "scene_triplet",
     "sl_weyl",
     "sl_pair_eval",
-    "halfline_m",
     "periodic_spectrum",
 ]
 
@@ -291,15 +290,6 @@ def sl_pair_eval(model: SLModel) -> NevanlinnaPairEval:
     """Entire pair representing the interval boundary-value family
     without poles; the quotient reproduces sl_weyl off the poles."""
     return NevanlinnaPairEval(2, _sl_pair_fn(model))
-
-
-def halfline_m(lam: complex) -> complex:
-    """Titchmarsh coefficient of the free half line: i times the upper
-    square root."""
-    lam = complex(lam)
-    if lam.imag == 0 and lam.real >= 0:
-        raise ArgumentError("evaluation on the essential spectrum is rejected")
-    return 1j * _sqrt_upper(lam)
 
 
 # ---------------------------------------------------------------------------

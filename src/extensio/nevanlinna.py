@@ -49,19 +49,25 @@ __all__ = [
     "DEFAULT_SAMPLES",
     "pair_at",
     "check_pair",
-    "is_nevanlinna_pair",
     "check_family",
     "family_from_pair",
     "family_eval_from_pair",
     "pair_from_matrix_function",
     "pair_from_relation",
     "pair_from_herglotz",
-    "pair_right_multiply",
     "nev_kernel",
     "herglotz_eval",
     "classify_family",
     "decompose_family",
 ]
+
+# Relative distance from Hermitian up to which a coefficient counts as
+# Hermitian, and the most negative eigenvalue a semidefinite one may have.
+_HERMITIAN_TOL = 1e-10
+_PSD_FLOOR = 1e-9
+# Points closer than this, relative to their size, coincide: equal mass
+# points, lam on a mass point, lam at conj(mu) in the kernel.
+_COINCIDENCE_TOL = 1e-12
 
 DEFAULT_SAMPLES: tuple[complex, ...] = (1j, 2j, -1j, 1 + 1j, 1 - 1j)
 
@@ -102,12 +108,12 @@ class HerglotzModel:
         m = a.shape[0]
         if a.shape != (m, m) or b.shape != (m, m):
             raise ArgumentError("coefficient matrices must be square and equal sized")
-        if np.linalg.norm(a - a.conj().T) > 1e-10 * (1 + np.linalg.norm(a)):
+        if np.linalg.norm(a - a.conj().T) > _HERMITIAN_TOL * (1 + np.linalg.norm(a)):
             raise ArgumentError("constant coefficient must be Hermitian")
         _require_psd(b, "linear coefficient")
         points = [float(t) for t, _ in self.masses]
         for i, t in enumerate(points):
-            if any(abs(t - s) < 1e-12 * (1 + abs(t)) for s in points[:i]):
+            if any(abs(t - s) < _COINCIDENCE_TOL * (1 + abs(t)) for s in points[:i]):
                 raise ArgumentError("mass points must be distinct")
         for _, sigma in self.masses:
             sig = as_complex_matrix(sigma)
@@ -120,11 +126,11 @@ class HerglotzModel:
         return as_complex_matrix(self.coeff_const).shape[0]
 
 
-def _require_psd(mat: np.ndarray, label: str, floor: float = 1e-9) -> None:
+def _require_psd(mat: np.ndarray, label: str) -> None:
     herm = (mat + mat.conj().T) / 2
-    if np.linalg.norm(mat - herm) > 1e-10 * (1 + np.linalg.norm(mat)):
+    if np.linalg.norm(mat - herm) > _HERMITIAN_TOL * (1 + np.linalg.norm(mat)):
         raise ArgumentError(f"{label} must be Hermitian")
-    if herm.size and np.linalg.eigvalsh(herm).min() < -floor:
+    if herm.size and np.linalg.eigvalsh(herm).min() < -_PSD_FLOOR:
         raise ArgumentError(f"{label} must be positive semidefinite")
 
 
@@ -171,18 +177,6 @@ def check_pair(
         svals = np.linalg.svd(probe, compute_uv=False)
         if _rank(svals, probe.shape, tol, 1.0) < p.dim:
             raise HypothesisFailed("invertibility", f"psi + sign*i*phi singular at {lam}")
-
-
-def is_nevanlinna_pair(
-    p: NevanlinnaPairEval,
-    lams: Sequence[complex] | None = None,
-    tol: Tolerances = TOL,
-) -> bool:
-    try:
-        check_pair(p, lams, tol)
-    except HypothesisFailed:
-        return False
-    return True
 
 
 def family_from_pair(p: NevanlinnaPairEval, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
@@ -241,22 +235,11 @@ def pair_from_herglotz(model: HerglotzModel) -> NevanlinnaPairEval:
     return NevanlinnaPairEval(model.dim, lambda lam: (eye, herglotz_eval(model, lam)))
 
 
-def pair_right_multiply(p: NevanlinnaPairEval, chi: Callable[[complex], np.ndarray]) -> NevanlinnaPairEval:
-    """Equivalent pair (phi chi, psi chi); chi(lam) must stay invertible."""
-
-    def evaluate(lam: complex) -> tuple[np.ndarray, np.ndarray]:
-        phi, psi = p.eval(lam)
-        factor = as_complex_matrix(chi(lam), p.dim, p.dim)
-        return phi @ factor, psi @ factor
-
-    return NevanlinnaPairEval(p.dim, evaluate)
-
-
 def nev_kernel(p: NevanlinnaPairEval, lam: complex, mu: complex) -> np.ndarray:
     """(phi(mu)^H psi(lam) - psi(mu)^H phi(lam)) / (lam - conj(mu))."""
     lam = complex(lam)
     mu = complex(mu)
-    if abs(lam - np.conj(mu)) < 1e-12 * (1 + abs(lam)):
+    if abs(lam - np.conj(mu)) < _COINCIDENCE_TOL * (1 + abs(lam)):
         raise ConjugateCoincidence("kernel denominator vanishes")
     phi_l, psi_l = pair_at(p, lam)
     phi_m, psi_m = pair_at(p, mu)
@@ -267,7 +250,7 @@ def herglotz_eval(model: HerglotzModel, lam: complex) -> np.ndarray:
     """Constant plus linear term plus regularized point-mass sum."""
     lam = complex(lam)
     for t, _ in model.masses:
-        if abs(lam - t) < 1e-12 * (1 + abs(t)):
+        if abs(lam - t) < _COINCIDENCE_TOL * (1 + abs(t)):
             raise PoleHit(f"evaluation at mass point {t}")
     if lam.imag == 0:
         raise RealAxis("Herglotz models are evaluated off the real axis")

@@ -36,8 +36,6 @@ from .models import SLModel, realized_constant_pair, sl_pair_eval
 
 __all__ = [
     "ModelFile",
-    "complex_to_json",
-    "json_to_complex",
     "matrix_to_json",
     "json_to_matrix",
     "relation_to_json",
@@ -47,8 +45,6 @@ __all__ = [
     "pair_from_spec",
     "parse_model_text",
     "parse_model_file",
-    "model_to_json",
-    "model_to_text",
 ]
 
 
@@ -58,7 +54,7 @@ __all__ = [
 _VERBATIM_GRAM_TOL = 1e-9
 
 
-def complex_to_json(z: complex) -> list[float]:
+def _complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [float(z.real), float(z.imag)]
 
@@ -77,7 +73,7 @@ def _complex_entries(data: list) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=float).view(complex).reshape(-1)
 
 
-def json_to_complex(item: Any) -> complex:
+def _json_to_complex(item: Any) -> complex:
     if not isinstance(item, (list, tuple)):
         raise ArgumentError(f"complex scalar must be [re, im], got {item!r}")
     return complex(_complex_entries([item])[0])
@@ -90,7 +86,7 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     return {
         "rows": arr.shape[0],
         "cols": arr.shape[1],
-        "data": [complex_to_json(z) for z in arr.reshape(-1)],
+        "data": [_complex_to_json(z) for z in arr.reshape(-1)],
     }
 
 
@@ -196,8 +192,8 @@ def pair_from_spec(
         den = spec.get("denominator")
         if not isinstance(num, list) or not isinstance(den, list) or not den:
             raise ArgumentError("scalar-rational pair needs coefficient lists")
-        p = [json_to_complex(c) for c in num]
-        q = [json_to_complex(c) for c in den]
+        p = [_json_to_complex(c) for c in num]
+        q = [_json_to_complex(c) for c in den]
 
         def eval_at(lam: complex) -> tuple[np.ndarray, np.ndarray]:
             lam = complex(lam)
@@ -218,8 +214,6 @@ class ModelFile:
     triplets: dict[str, BoundaryRelation] = field(default_factory=dict)
     pairs: dict[str, NevanlinnaPairEval] = field(default_factory=dict)
     scenes: dict[str, CouplingScene] = field(default_factory=dict)
-    pair_specs: dict[str, dict] = field(default_factory=dict)
-    scene_specs: dict[str, Any] = field(default_factory=dict)
 
 
 def _named_section(doc: dict, key: str) -> dict:
@@ -245,7 +239,6 @@ def parse_model_text(text: str, tol: Tolerances = TOL) -> ModelFile:
         mf.triplets[name] = json_to_triplet(obj, tol)
     for name, obj in _named_section(doc, "pairs").items():
         mf.pairs[name] = pair_from_spec(obj, mf.relations, tol)
-        mf.pair_specs[name] = obj
     for name, obj in _named_section(doc, "scenes").items():
         if not isinstance(obj, dict) or not {"h1_dim", "h2_dim", "a_tilde"} <= set(obj):
             raise ArgumentError("scene object needs h1_dim, h2_dim and a_tilde")
@@ -260,7 +253,6 @@ def parse_model_text(text: str, tol: Tolerances = TOL) -> ModelFile:
         if not isinstance(h1, int) or not isinstance(h2, int):
             raise ArgumentError("scene dimensions must be integers")
         mf.scenes[name] = coupling_scene(a_tilde, h1, h2, tol)
-        mf.scene_specs[name] = obj
     return mf
 
 
@@ -271,22 +263,3 @@ def parse_model_file(path: str, tol: Tolerances = TOL) -> ModelFile:
     except OSError as exc:
         raise ArgumentError(f"cannot read model file: {exc}") from exc
     return parse_model_text(text, tol)
-
-
-def model_to_json(mf: ModelFile) -> dict:
-    doc: dict[str, Any] = {}
-    if mf.matrices:
-        doc["matrices"] = {k: matrix_to_json(v) for k, v in mf.matrices.items()}
-    if mf.relations:
-        doc["relations"] = {k: relation_to_json(v) for k, v in mf.relations.items()}
-    if mf.triplets:
-        doc["triplets"] = {k: triplet_to_json(v) for k, v in mf.triplets.items()}
-    if mf.pair_specs:
-        doc["pairs"] = dict(mf.pair_specs)
-    if mf.scene_specs:
-        doc["scenes"] = dict(mf.scene_specs)
-    return doc
-
-
-def model_to_text(mf: ModelFile) -> str:
-    return json.dumps(model_to_json(mf), indent=2, sort_keys=True)

@@ -71,6 +71,13 @@ __all__ = [
     "sum_weyl",
 ]
 
+# Residual of W* J W = J and W J W* = J, relative to 1 + ||W||^2, up to
+# which StandardJUnitary accepts its blocks.
+_J_UNITARY_TOL = 1e-8
+# Relative residual up to which schur_complement accepts the identity
+# between the inverse of M and the inverse of its Schur complement.
+_INVERSE_BLOCK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class StandardJUnitary:
@@ -90,8 +97,8 @@ class StandardJUnitary:
         j = FundamentalSymmetry(m).matrix
         scale = 1 + np.linalg.norm(w) ** 2
         if (
-            np.linalg.norm(w.conj().T @ j @ w - j) > 1e-8 * scale
-            or np.linalg.norm(w @ j @ w.conj().T - j) > 1e-8 * scale
+            np.linalg.norm(w.conj().T @ j @ w - j) > _J_UNITARY_TOL * scale
+            or np.linalg.norm(w @ j @ w.conj().T - j) > _J_UNITARY_TOL * scale
         ):
             raise NotUnitary("blocks do not assemble to a standard J-unitary operator")
 
@@ -313,7 +320,7 @@ def schur_complement(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit,
             continue
         lhs = np.linalg.inv(full)[:d1, :d1]
         rhs = np.linalg.inv(schur) if d1 else schur
-        if np.linalg.norm(lhs - rhs) > 1e-8 * (1 + np.linalg.norm(rhs)):
+        if np.linalg.norm(lhs - rhs) > _INVERSE_BLOCK_TOL * (1 + np.linalg.norm(rhs)):
             raise HypothesisFailed("inverse_block_identity", f"fails at {lam}")
     return TransformResult(result.s_rel, result, weyl_fn)
 

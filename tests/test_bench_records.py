@@ -88,6 +88,13 @@ def test_only_the_newest_record_lacks_its_commit():
         assert json.loads(path.read_text())["commit"], f"{path.name} has no commit"
 
 
+def test_newest_record_counts_the_src_lines_of_the_tree():
+    """Net src/ line count is tracked next to the bench numbers: the newest
+    record's change side is the tree's count (newlines, as ``wc -l``)."""
+    lines = sum(path.read_bytes().count(b"\n") for path in (ROOT / "src").rglob("*.py"))
+    assert NEWEST["src_lines"]["change"] == lines
+
+
 SVD_ROWS = [row for row in NEWEST["traced"] if row["metric"] == "linalg.svd_per_op"]
 
 

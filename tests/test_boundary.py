@@ -114,14 +114,6 @@ def test_intermediate_extension_sandwich():
     assert ex.is_subrelation(ext, ex.rel_adjoint(pi.base.s_rel))
 
 
-def test_boundary_component_shapes():
-    pi = ex.fix_b_triplet()
-    comp0 = ex.boundary_component(pi, 0)
-    assert comp0.dim_in == 2 and comp0.dim_out == 1
-    with pytest.raises(ex.ArgumentError):
-        ex.boundary_component(pi, 2)
-
-
 def test_check_b123_identity_triplet():
     rep = ex.check_B123(ex.fix_b_triplet())
     assert rep.b1 and rep.b2 and rep.b3

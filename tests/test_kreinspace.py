@@ -19,20 +19,6 @@ def test_fundamental_symmetry_matrix():
         ex.FundamentalSymmetry(-1)
 
 
-def test_krein_pairing_oracle():
-    j = ex.FundamentalSymmetry(1)
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    direct = v.conj() @ (j.matrix @ u)
-    assert abs(ex.krein_pairing(j, u, v) - direct) < RESID
-    # the pairing of a graph element of a symmetric relation with itself
-    # is imaginary-free
-    s = ex.fix_a_relation()
-    g = s.graph.basis[:, 0]
-    assert abs(ex.krein_pairing(ex.FundamentalSymmetry(2), g, g)) < RESID
-
-
 def test_krein_complement_dims():
     j = ex.FundamentalSymmetry(2)
     space = ex.subspace_from_columns(np.eye(4, dtype=complex)[:, :1])
@@ -113,21 +99,6 @@ def test_unitary_domain_identities():
     )
     with pytest.raises(ex.NotUnitary):
         ex.unitary_domain_identities(nonuni)
-
-
-def test_product_unitarity():
-    rng = np.random.default_rng(4)
-    a = ex.inverse_main_transform(ex.random_selfadjoint_relation(rng, 2), (1, 1))
-    b = ex.inverse_main_transform(ex.random_selfadjoint_relation(rng, 2), (1, 1))
-    report = ex.product_unitarity_check(a, b)
-    assert report.isometric and report.unitary
-
-
-def test_krein_from_matrix():
-    kr = ex.krein_from_matrix(np.eye(2, dtype=complex))
-    assert ex.is_unitary(kr)
-    with pytest.raises(ex.DimMismatch):
-        ex.krein_from_matrix(np.eye(3, dtype=complex))
 
 
 def _reference_krein_adjoint(t):

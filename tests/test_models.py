@@ -130,7 +130,7 @@ def test_sl_weyl_stable_branch():
 def test_sl_pair_matches_weyl():
     model = ex.SLModel(1.0)
     pair = ex.sl_pair_eval(model)
-    assert ex.is_nevanlinna_pair(pair)
+    ex.check_pair(pair)
     for lam in (2j, -1.0, 1 + 1j, 1e8j):
         phi, psi = pair.eval(lam)
         quotient = psi @ np.linalg.inv(phi)
@@ -139,16 +139,6 @@ def test_sl_pair_matches_weyl():
     phi, psi = pair.eval(np.pi**2)
     assert np.linalg.norm(phi) < 1e-12
     assert np.all(np.isfinite(psi.view(float)))
-
-
-def test_halfline_m_values():
-    assert abs(ex.halfline_m(-1.0) + 1.0) < 1e-12
-    assert abs(ex.halfline_m(2j) - (-1 + 1j)) < 1e-12
-    assert ex.halfline_m(1j).imag > 0
-    with pytest.raises(ex.ArgumentError):
-        ex.halfline_m(4.0)
-    with pytest.raises(ex.ArgumentError):
-        ex.halfline_m(0.0)
 
 
 def test_periodic_spectrum_values():
@@ -200,20 +190,18 @@ def test_triplet_round_trip():
 
 def test_model_text_round_trip_bit_exact():
     rng = np.random.default_rng(21)
-    mf = ex.ModelFile(
-        matrices={"m": rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))},
-        relations={"r": ex.random_relation(rng, 2, 2)},
-        triplets={"t": ex.fix_b_triplet().base},
-        pairs={},
-        scenes={},
-        pair_specs={"sl": {"kind": "sl-interval", "length": 1.0}},
-        scene_specs={},
-    )
-    text = ex.model_to_text(mf)
-    back = ex.parse_model_text(text)
-    assert ex.model_to_text(back) == text
-    assert np.array_equal(back.matrices["m"], mf.matrices["m"])
-    assert ex.rel_equal(back.relations["r"], mf.relations["r"])
+    doc = {
+        "matrices": {"m": ex.matrix_to_json(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))},
+        "relations": {"r": ex.relation_to_json(ex.random_relation(rng, 2, 2))},
+        "triplets": {"t": ex.triplet_to_json(ex.fix_b_triplet().base)},
+        "pairs": {"sl": {"kind": "sl-interval", "length": 1.0}},
+    }
+    back = ex.parse_model_text(json.dumps(doc))
+    # stored decimals come back bit-exact, and orthonormal generators verbatim
+    assert ex.matrix_to_json(back.matrices["m"]) == doc["matrices"]["m"]
+    assert ex.relation_to_json(back.relations["r"]) == doc["relations"]["r"]
+    assert ex.triplet_to_json(back.triplets["t"]) == doc["triplets"]["t"]
+    assert back.pairs["sl"].dim == 2
 
 
 def test_pair_spec_kinds():

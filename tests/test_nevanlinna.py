@@ -41,7 +41,6 @@ def test_herglotz_guards():
 def test_pair_from_herglotz_is_valid():
     pair = ex.pair_from_herglotz(herglotz_fixture())
     ex.check_pair(pair)
-    assert ex.is_nevanlinna_pair(pair)
     kernel = ex.nev_kernel(pair, 2j, 2j)
     assert np.linalg.eigvalsh((kernel + kernel.conj().T) / 2).min() > -1e-9
 
@@ -51,14 +50,9 @@ def test_invalid_pair_detected():
     bad = ex.NevanlinnaPairEval(
         1, lambda lam: (np.eye(1, dtype=complex), np.array([[-lam]], dtype=complex))
     )
-    assert not ex.is_nevanlinna_pair(bad)
-
-
-def test_pair_right_multiply_keeps_family():
-    pair = ex.pair_from_herglotz(herglotz_fixture())
-    moved = ex.pair_right_multiply(pair, lambda lam: (2.0 + 0j) * np.eye(2, dtype=complex))
-    for lam in (1j, 1 + 1j):
-        assert ex.rel_equal(ex.family_from_pair(pair, lam), ex.family_from_pair(moved, lam))
+    with pytest.raises(ex.HypothesisFailed) as err:
+        ex.check_pair(bad)
+    assert err.value.which == "dissipativity"
 
 
 def test_family_checks():
@@ -126,4 +120,6 @@ def test_pair_from_matrix_function():
     pair = ex.pair_from_matrix_function(1, lambda lam: np.array([[lam]]))
     phi, psi = ex.pair_at(pair, 2j)
     assert phi[0, 0] == 1.0 and psi[0, 0] == 2j
-    assert ex.is_nevanlinna_pair(pair)
+    ex.check_pair(pair)
+    # its family value at 2i is the graph of 2i
+    assert ex.rel_equal(ex.family_from_pair(pair, 2j), ex.relation_from_matrix([[2j]]))

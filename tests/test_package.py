@@ -1,6 +1,9 @@
-"""The package namespace is the union of the module ``__all__``s."""
+"""The package namespace is the union of the module ``__all__``s, and
+every public name has a caller or a row in the README's Paper map."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -11,6 +14,7 @@ import extensio as ex
 from extensio import (
     admissibility,
     boundary,
+    cli,
     coupling,
     errors,
     kreinspace,
@@ -33,6 +37,9 @@ MODULES = (
     models,
     serialize,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def exported(module):
@@ -73,3 +80,65 @@ def test_module_exports_are_disjoint_and_resolve_to_their_module():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set().union(*map(exported, MODULES)) | {"cli_run"}
+
+
+def _references(path, strings=False):
+    """Names a file's code refers to: identifiers, attributes and imported
+    names; with ``strings``, also the dotted parts of string constants,
+    which is how the bench names the functions it traces."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.update(node.value.split("."))
+    return refs
+
+
+def _paper_map():
+    """{name: cited tests} from the rows of the README's Paper map."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Paper map\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        row = re.match(r"\| `(\w+)` \|", line)
+        if row:
+            rows[row.group(1)] = re.findall(r"`(test_\w+\.py)::(test_\w+)`", line.rsplit("|", 2)[1])
+    return rows
+
+
+def _uncalled_public_names():
+    """Public names that no other module of the package, no CLI command and
+    no bench file refers to."""
+    src = ROOT / "src" / "extensio"
+    refs = {p.stem: _references(p) for p in src.glob("*.py") if p.name != "__init__.py"}
+    bench = set().union(*(_references(p, strings=True) for p in (ROOT / "bench").glob("*.py")))
+    uncalled = set()
+    for module in MODULES + (cli,):
+        stem = module.__name__.rpartition(".")[2]
+        names = {"cli_run"} if module is cli else exported(module)
+        for name in names:
+            if name not in bench and not any(name in r for s, r in refs.items() if s != stem):
+                uncalled.add(name)
+    return uncalled
+
+
+def test_every_public_name_has_a_caller_or_a_paper_map_row():
+    rows = _paper_map()
+    public = set().union(*map(exported, MODULES)) | {"cli_run"}
+    missing = sorted(_uncalled_public_names() - set(rows))
+    assert not missing, f"public names with no caller and no Paper map row: {missing}"
+    stale = sorted(set(rows) - public)
+    assert not stale, f"Paper map rows for names that are not public: {stale}"
+    defined = {}
+    for path in (ROOT / "tests").glob("test_*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined[path.name] = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, tests in rows.items():
+        assert tests, f"{name}: the row cites no test"
+        for file, test in tests:
+            assert test in defined.get(file, ()), f"{name}: {file}::{test} does not exist"

@@ -1,7 +1,8 @@
 """Validation where data enters: public constructors and serialize.
 
 Bases the library computes itself skip these checks; the session guard in
-conftest.py verifies them instead.
+conftest.py verifies them instead.  Each typed hypothesis error is raised
+here by one input that reaches its raise site.
 """
 
 import numpy as np
@@ -69,3 +70,34 @@ def test_extreme_magnitudes_give_finite_orthonormal_bases(scale):
         for r in (rel, square):
             dom, ran, ker, mul = ex.rel_parts(r)
             assert dom.dim + mul.dim == ran.dim + ker.dim == n
+
+
+def _lagrangian_square():
+    # L x L with L = {(0, h')} the J-neutral line of C^2: a unitary relation
+    # whose kernel is L, so composing a triplet with it enlarges the kernel
+    # from S to A1 and leaves no first boundary value.
+    return ex.relation_from_generators(2, 2, [[0, 0], [1, 0], [0, 0], [0, 1]])
+
+
+TYPED_ERRORS = {
+    "NotIsometric": (ex.NotIsometric, lambda: ex.validate_boundary_relation(ex.relation_from_matrix(2 * np.eye(2)))),
+    "NotIsometryU": (ex.NotIsometryU, lambda: ex.von_neumann_triplet(ex.fix_a_relation(), u=2 * np.eye(2))),
+    "KernelNontrivial": (ex.KernelNontrivial, lambda: ex.compose_boundary(_lagrangian_square(), ex.fix_b_triplet())),
+    "NotB123": (
+        ex.NotB123,
+        lambda: ex.reduce_multivalued(
+            ex.validate_boundary_relation(ex.rel_product(_lagrangian_square(), ex.fix_b_triplet().gamma))
+        ),
+    ),
+    "KNotExtending": (ex.KNotExtending, lambda: ex.reduce_multivalued(ex.fix_b_triplet(), k=[[1j]])),
+    # the flip coupling at its eigenvalue 1: (A - 1) x = (h, 0) has no
+    # solution for h = 1, and the eigenvector (1, 1) solves it for h = 0
+    "NoSolution": (ex.NoSolution, lambda: ex.straus_solve(ex.fix_b_scene(), ex.fix_b_triplet(), [1.0], 1.0)),
+    "NonUnique": (ex.NonUnique, lambda: ex.straus_solve(ex.fix_b_scene(), ex.fix_b_triplet(), [0.0], 1.0)),
+}
+
+
+@pytest.mark.parametrize("error, call", TYPED_ERRORS.values(), ids=TYPED_ERRORS.keys())
+def test_typed_errors_reach_their_raise_sites(error, call):
+    with pytest.raises(error):
+        call()
