@@ -31,6 +31,7 @@ from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
     _gamma_and_weyl,
+    _gamma_and_weyl_grid,
     _kernel_single_valued,
 )
 from .nevanlinna import FamilyEval, NevanlinnaPairEval
@@ -228,10 +229,12 @@ def mul_t_limit(
 def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """The y-grid, then M(iy), phi, psi and omega = (psi + M phi)^{-1} at its
     points stacked (k, m, m), in the argument order of _double_weyl_blocks.
-    The triplet and the pair are evaluated once per grid point; raises
-    Omega0Singular at the first point where psi + M phi is singular."""
+    M is propagated over the whole grid in one pass from the triplet's
+    cached spectral data, and the pair is evaluated once per grid point;
+    raises Omega0Singular at the first point where psi + M phi is
+    singular."""
     ys = np.asarray(probe.y_grid, dtype=float)
-    m_mat = np.stack([_gamma_and_weyl(pi.base, 1j * y, tol)[1] for y in ys])
+    m_mat = _gamma_and_weyl_grid(pi.base, 1j * ys, tol)[1]
     phi, psi = (np.asarray(np.stack(part), dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
     combo = psi + m_mat @ phi
     try:

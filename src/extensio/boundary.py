@@ -10,6 +10,8 @@ and the image of the defect elements is the Weyl family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .errors import (
     NotIsometryU,
     NotMaximal,
     RealAxis,
+    SingularAtLambda,
     UnequalDefect,
 )
 from .kreinspace import FundamentalSymmetry, KreinRelation, _pairing_form
@@ -30,8 +33,8 @@ from .linrel import (
     TOL,
     LinearRelation,
     Tolerances,
-    _graph_resolvent,
     _nullspace,
+    _operator_spectrum,
     _orthonormal_columns,
     _rank,
     _span,
@@ -70,6 +73,10 @@ __all__ = [
 # M = K + B1 M1 B1* between two Weyl functions it computed itself.
 _WEYL_SPLIT_TOL = 1e-9
 
+# The point at which a triplet's gamma field is taken by the nullspace
+# route; every other point is reached from it by propagation.
+_MU = 1j
+
 
 @dataclass(frozen=True)
 class BoundaryRelation:
@@ -86,6 +93,12 @@ class BoundaryRelation:
     @property
     def boundary_dim(self) -> int:
         return self.gamma.dim_out // 2
+
+    @cached_property
+    def _derived(self) -> dict[Tolerances, _TripletCache]:
+        """The lambda-independent data of this relation, one entry per
+        tolerance context, each filled on first use (``_triplet_cache``)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -201,11 +214,11 @@ def _defect_coords(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.nd
     return _nullspace(g[n : 2 * n, :] - lam * g[:n, :], tol)
 
 
-def _gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _nullspace_gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Gamma field and Weyl function at lam as matrices for a triplet whose
     first boundary map is a bijection of the defect elements onto C^m:
     with G c their graph columns, gamma = G_f c (G_h c)^{-1} and
-    M = G_h' c (G_h c)^{-1}."""
+    M = G_h' c (G_h c)^{-1}.  One nullspace per point."""
     if lam.imag == 0:
         raise RealAxis("gamma fields and Weyl functions live off the real axis")
     n = br.state_dim
@@ -228,21 +241,137 @@ def _kernel_columns(br: BoundaryRelation, index: int, tol: Tolerances) -> np.nda
     return g[: 2 * n, :] @ _nullspace(g[start : start + br.boundary_dim, :], tol, 1.0)
 
 
+class _Propagation(NamedTuple):
+    """gamma(mu) = mul_part + vecs @ coeffs, split over mul A0 and the
+    eigenvectors of A0 (eigenvalues eigs, shifted = eigs - mu), and the
+    rows of Gamma_1 acting on the components f and f' of dom Gamma."""
+
+    eigs: np.ndarray
+    shifted: np.ndarray
+    vecs: np.ndarray
+    coeffs: np.ndarray
+    mul_part: np.ndarray
+    gamma1_f: np.ndarray
+    gamma1_fp: np.ndarray
+
+
+class _TripletCache:
+    """The lambda-independent data of an ordinary triplet under one
+    tolerance context, each part built on first use: the spectral data of
+    A0 = ker Gamma_0 (``linrel._operator_spectrum`` on its kernel columns),
+    Gamma's input block X with its left inverse X^+ = R^{-1} Q* (an element
+    (f, f') of dom Gamma has the boundary pair out_block X^+ (f; f')),
+    gamma(mu) at ``_MU`` by the nullspace route split over the spectral
+    data (which raises AssumptionError unless Gamma_0 maps the defect
+    elements onto C^m), and whether ker Gamma_0 and ker Gamma_1 are
+    single-valued."""
+
+    def __init__(self, br: BoundaryRelation, tol: Tolerances):
+        self.br = br
+        self.tol = tol
+
+    @cached_property
+    def spectrum(self):
+        n = self.br.state_dim
+        cols = _kernel_columns(self.br, 0, self.tol)
+        return _operator_spectrum(cols[:n], cols[n:], self.tol)
+
+    @cached_property
+    def boundary_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        x = self.br.gamma.in_block
+        q, r = np.linalg.qr(x)
+        return x, np.linalg.solve(r, q.conj().T)
+
+    @cached_property
+    def propagation(self) -> _Propagation:
+        br = self.br
+        n, m = br.state_dim, br.boundary_dim
+        # first, so a triplet it does not apply to builds nothing else
+        gamma_mu = _nullspace_gamma_and_weyl(br, _MU, self.tol)[0]
+        spec = self.spectrum
+        gamma1 = br.gamma.out_block[m:, :] @ self.boundary_factor[1]
+        return _Propagation(
+            spec.eigs,
+            spec.eigs - _MU,
+            spec.vecs,
+            spec.vecs.conj().T @ gamma_mu,
+            spec.mul @ (spec.mul.conj().T @ gamma_mu),
+            gamma1[:, :n],
+            gamma1[:, n:],
+        )
+
+    @cached_property
+    def single_valued(self) -> tuple[bool, bool]:
+        """mul A = {0} for A = ker Gamma_0 and ker Gamma_1: the kernel
+        columns [X; Y] span some (0, Y c) with Y c != 0 exactly when their
+        rank exceeds the rank of X (both cutoffs anchored at one, as for
+        unit columns)."""
+        n = self.br.state_dim
+
+        def rank(mat: np.ndarray) -> int:
+            return _rank(np.linalg.svd(mat, compute_uv=False), mat.shape, self.tol, 1.0)
+
+        a0, a1 = (_kernel_columns(self.br, index, self.tol) for index in (0, 1))
+        return rank(a0) == rank(a0[:n]), rank(a1) == rank(a1[:n])
+
+
+def _triplet_cache(br: BoundaryRelation, tol: Tolerances) -> _TripletCache:
+    cache = br._derived.get(tol)
+    if cache is None:
+        cache = br._derived[tol] = _TripletCache(br, tol)
+    return cache
+
+
+def _off_spectrum(eigs: np.ndarray, lams: np.ndarray, n: int, tol: Tolerances) -> np.ndarray:
+    """t - lam for each lam (rows) and eigenvalue t of A0 (columns).  The
+    |t - lam| of a row are the singular values of A0 - lam compressed to
+    dom A0; SingularAtLambda is raised where the smallest one falls under
+    the unit-anchored cutoff of ``_rank``, row by row."""
+    diffs = eigs - lams[:, None]
+    if eigs.size:
+        dist = np.abs(diffs)
+        singular = dist.min(axis=1) <= (tol.rank * n) * np.maximum(dist.max(axis=1), 1.0)
+        if singular.any():
+            raise SingularAtLambda(complex(lams[singular.argmax()]), "lambda is an eigenvalue of A0")
+    return diffs
+
+
+def _gamma_and_weyl_grid(br: BoundaryRelation, lams, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma field and Weyl function of an ordinary triplet at each point of
+    lams, stacked (k, n, m) and (k, m, m), from its cached data:
+    gamma(lam) = Q Q* gamma(mu) + E diag((t - mu)/(t - lam)) E* gamma(mu)
+    and M(lam) = Gamma_1 (gamma(lam), lam gamma(lam)).  The mul term is
+    built from Q, so it is exactly zero when mul A0 = {0}; the forms
+    (I - E E*) gamma(mu) and gamma(mu) + (lam - mu)(A0 - lam)^{-1} gamma(mu)
+    leave a rounding-level residue that lam scales up in M."""
+    lams = np.asarray(lams, dtype=complex)
+    if (lams.imag == 0).any():
+        raise RealAxis("gamma fields and Weyl functions live off the real axis")
+    prop = _triplet_cache(br, tol).propagation
+    ratios = prop.shifted / _off_spectrum(prop.eigs, lams, br.state_dim, tol)
+    gam = prop.mul_part + prop.vecs @ (ratios[:, :, None] * prop.coeffs)
+    weyl = prop.gamma1_f @ gam + lams[:, None, None] * (prop.gamma1_fp @ gam)
+    return gam, weyl
+
+
+def _gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma field and Weyl function at one point (``_gamma_and_weyl_grid``)."""
+    gam, weyl = _gamma_and_weyl_grid(br, [lam], tol)
+    return gam[0], weyl[0]
+
+
 def _kernel_single_valued(br: BoundaryRelation, index: int, tol: Tolerances) -> bool:
-    """mul A = {0} for A = ker Gamma_index: the span of the kernel columns
-    [X; Y] holds some (0, Y c) with Y c != 0 exactly when its rank exceeds
-    the rank of X (both cutoffs anchored at one, as for unit columns)."""
-    cols = _kernel_columns(br, index, tol)
-    x = cols[: br.state_dim, :]
-    return _rank(np.linalg.svd(cols, compute_uv=False), cols.shape, tol, 1.0) == _rank(
-        np.linalg.svd(x, compute_uv=False), x.shape, tol, 1.0
-    )
+    """mul A = {0} for A = ker Gamma_index, decided once per triplet and
+    tolerance context (``_TripletCache.single_valued``)."""
+    return _triplet_cache(br, tol).single_valued[index]
 
 
 def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
-    """Resolvent of A0 = ker Gamma_0 on the graph columns of its kernel."""
-    a0 = _kernel_columns(br, 0, tol)
-    return _graph_resolvent(a0[: br.state_dim, :], a0[br.state_dim :, :], lam, tol)
+    """Resolvent of A0 = ker Gamma_0 from its cached spectral data:
+    E diag(1/(t - lam)) E*, zero on mul A0."""
+    spec = _triplet_cache(br, tol).spectrum
+    diffs = _off_spectrum(spec.eigs, np.array([lam], dtype=complex), br.state_dim, tol)[0]
+    return (spec.vecs / diffs) @ spec.vecs.conj().T
 
 
 def weyl_eval(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
@@ -288,12 +417,14 @@ class WeylIdentityReport:
 def check_weyl_identities(trip: OrdinaryTriplet, lam: complex, mu: complex, tol: Tolerances = TOL) -> WeylIdentityReport:
     """Residuals of the gamma-field propagation identity and the two-point
     family difference identity, both through the resolvent of ker of the
-    first boundary map."""
+    first boundary map.  Two routes meet: gamma and M at lam and at mu come
+    from one nullspace at each point, and the propagated right-hand sides
+    from the spectral decomposition of A0."""
     lam = complex(lam)
     mu = complex(mu)
     br = trip.base
-    g_lam, m_lam = _gamma_and_weyl(br, lam, tol)
-    g_mu, m_mu = _gamma_and_weyl(br, mu, tol)
+    g_lam, m_lam = _nullspace_gamma_and_weyl(br, lam, tol)
+    g_mu, m_mu = _nullspace_gamma_and_weyl(br, mu, tol)
     res = _a0_resolvent(br, lam, tol)
     prop = (np.eye(br.state_dim, dtype=complex) + (lam - mu) * res) @ g_mu
     gamma_res = float(np.linalg.norm(g_lam - prop))

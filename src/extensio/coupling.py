@@ -47,6 +47,8 @@ from .boundary import (
     _a0_resolvent,
     _as_boundary,
     _gamma_and_weyl,
+    _triplet_cache,
+    ordinary_triplet,
     validate_boundary_relation,
     weyl_eval,
 )
@@ -136,11 +138,10 @@ def coupling_scene(a_tilde: LinearRelation, h1_dim: int, h2_dim: int, tol: Toler
 
 def _boundary_map(pi: OrdinaryTriplet, tol: Tolerances) -> Callable[[np.ndarray], np.ndarray]:
     """Boundary pairs of state graph elements under the single-valued map;
-    Gamma's input block X has full column rank, so it is factored once and
-    each batch of elements costs two products and the residual check."""
-    x = pi.gamma.in_block
-    q, r = np.linalg.qr(x)
-    x_pinv = np.linalg.solve(r, q.conj().T)
+    Gamma's input block X has full column rank, so it is factored once per
+    triplet (``boundary._TripletCache``) and each batch of elements costs
+    two products and the residual check."""
+    x, x_pinv = _triplet_cache(pi.base, tol).boundary_factor
 
     def values(columns: np.ndarray) -> np.ndarray:
         coeff = x_pinv @ columns
@@ -240,9 +241,10 @@ def krein_rhs(pi: OrdinaryTriplet, tau: FamilyEval, lam: complex, tol: Tolerance
 
     With [phi; psi] a graph basis of tau(lam), the inverse of M + tau is
     phi (psi + M phi)^{-1}; every ingredient is read off Gamma's graph
-    basis as a matrix."""
+    basis as a matrix: A0's resolvent, gamma and M come from the triplet's
+    one spectral decomposition of A0, with no SVD per point."""
     lam = complex(lam)
-    base = _as_boundary(pi)
+    base = (pi if isinstance(pi, OrdinaryTriplet) else ordinary_triplet(pi, tol)).base
     m = base.boundary_dim
     g_lam, m_mat = _gamma_and_weyl(base, lam, tol)
     g_bar, _ = _gamma_and_weyl(base, lam.conjugate(), tol)

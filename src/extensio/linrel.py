@@ -563,32 +563,66 @@ def operator_part(rel: LinearRelation, tol: Tolerances = TOL) -> tuple[LinearRel
     return LinearRelation(rel.dim_in, rel.dim_out, _span(gens, tol)), mul
 
 
+class _Spectrum(NamedTuple):
+    """Operator part of a relation with graph columns [X; Y], compressed to
+    dom = ran X: eigenvalues ``eigs`` (ascending), orthonormal eigenvectors
+    ``vecs`` spanning dom, graph coordinates ``coords`` with X coords =
+    vecs, and ``mul``, an orthonormal basis of dom^perp.  ``smin`` is the
+    smallest kept singular value of X."""
+
+    eigs: np.ndarray
+    vecs: np.ndarray
+    coords: np.ndarray
+    mul: np.ndarray
+    smin: float
+
+
+def _operator_spectrum(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> _Spectrum:
+    """Eigen-decomposition of the compression of [X; Y] to dom.
+
+    With X = U diag(s) V* (unit-anchored rank r), Z = V diag(1/s) holds
+    graph coordinates of U, and C = U* Y Z is the relation compressed to
+    dom; C = W diag(t) W* (its Hermitian part), vecs = U W, coords = Z W.
+    For a selfadjoint relation the generators span C^n, so U is square and
+    its trailing columns span dom^perp = mul; the resolvent of the relation
+    is vecs diag(1/(t - lam)) vecs*, zero on mul.
+    """
+    n, k = x.shape
+    if n == 0 or k == 0:
+        empty = np.zeros((n, 0), dtype=complex)
+        return _Spectrum(np.zeros(0), empty, np.zeros((k, 0), dtype=complex), np.eye(n, dtype=complex), 0.0)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    r = _rank(s, x.shape, tol, 1.0)
+    coords = vh[:r].conj().T / s[:r]
+    comp = u[:, :r].conj().T @ (y @ coords)
+    # the anti-Hermitian part of comp is the symmetry defect of the relation
+    eigs, w = np.linalg.eigh((comp + comp.conj().T) / 2)
+    smin = float(s[r - 1]) if r else 0.0
+    return _Spectrum(eigs, u[:, :r] @ w, coords @ w, np.ascontiguousarray(u[:, r:]), smin)
+
+
 def is_simple(rel: LinearRelation, tol: Tolerances = TOL) -> bool:
     """True when the symmetric relation S has no selfadjoint part: in
-    finite dimension, mul S = {0} and no (v, t v) in S with v != 0.  With
-    X = U diag(s) V* on the graph basis [X; Y], Z = V diag(1/s) holds graph
-    coordinates of U, and C = U* Y Z is S compressed to dom S.  Each
-    eigenvalue t of C is tested by a unit-anchored rank of Y - t X on the
-    coordinates of its cluster.  Eigenvectors of C are accurate to
-    eps ||C|| / gap, so eigenvalues closer than eps / tol.rank / s_min
-    share a cluster, which keeps that error below the rank cutoff."""
+    finite dimension, mul S = {0} and no (v, t v) in S with v != 0.  The
+    compression C of S to dom S (``_operator_spectrum``) needs X of full
+    column rank; each eigenvalue t of C is tested by a unit-anchored rank
+    of Y - t X on the graph coordinates of its cluster.  Eigenvectors of C
+    are accurate to eps ||C|| / gap, so eigenvalues closer than
+    eps / tol.rank / s_min share a cluster, which keeps that error below
+    the rank cutoff."""
     if not rel_classify(rel, tol).symmetric:
         raise AssumptionError("simplicity is defined for symmetric relations")
     x, y = rel.in_block, rel.out_block
     n, k = x.shape
     if k == 0:
         return True
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
-    if _rank(s, x.shape, tol, 1.0) < k:
+    spec = _operator_spectrum(x, y, tol)
+    if spec.eigs.size < k:
         return False
-    coords = vh.conj().T / s
-    comp = u.conj().T @ (y @ coords)
-    # the anti-Hermitian part of comp is the symmetry defect of S
-    eigs, vecs = np.linalg.eigh((comp + comp.conj().T) / 2)
-    coords = coords @ vecs
-    coords /= np.linalg.norm(coords, axis=0)
-    # ||C|| <= ||S|| < 1 / s[-1] = sqrt(1 + ||S||^2)
-    gap = np.finfo(float).eps / tol.rank / s[-1]
+    eigs = spec.eigs
+    coords = spec.coords / np.linalg.norm(spec.coords, axis=0)
+    # ||C|| <= ||S|| < 1 / s_min = sqrt(1 + ||S||^2)
+    gap = np.finfo(float).eps / tol.rank / spec.smin
     cuts = [0, *(i for i in range(1, k) if eigs[i] - eigs[i - 1] > gap), k]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         q = coords[:, lo:hi] if hi - lo == 1 else np.linalg.qr(coords[:, lo:hi])[0]
@@ -633,24 +667,22 @@ def rel_matrix(rel: LinearRelation, tol: Tolerances = TOL) -> np.ndarray:
     return rel.out_block @ np.linalg.inv(x)
 
 
-def _graph_resolvent(x: np.ndarray, y: np.ndarray, lam: complex, tol: Tolerances) -> np.ndarray:
-    """(R - lam)^{-1} = X (Y - lam X)^{-1} for a graph basis [X; Y] of R.
+def resolvent_matrix(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
+    """Matrix of (R - lam)^{-1} = X (Y - lam X)^{-1} for a graph basis
+    [X; Y] of R; raises SingularAtLambda when obstructed.
 
     The columns of [X; Y] are independent, so a kernel vector c of
     Y - lam X gives an element (X c, lam X c) of R with X c != 0.  One
     SVD, anchored at the unit column scale, decides both obstructions.
     """
-    shifted = y - lam * x
+    if rel.dim_in != rel.dim_out:
+        raise ArgumentError("resolvent needs dim_in = dim_out")
+    lam = complex(lam)
+    x = rel.in_block
+    shifted = rel.out_block - lam * x
     rank = _rank(np.linalg.svd(shifted, compute_uv=False), shifted.shape, tol, 1.0)
     if rank < shifted.shape[1]:
         raise SingularAtLambda(lam, "nontrivial kernel of R - lambda")
     if rank < shifted.shape[0]:
         raise SingularAtLambda(lam, "R - lambda is not surjective")
     return x @ np.linalg.inv(shifted)
-
-
-def resolvent_matrix(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
-    """Matrix of (R - lam)^{-1}; raises SingularAtLambda when obstructed."""
-    if rel.dim_in != rel.dim_out:
-        raise ArgumentError("resolvent needs dim_in = dim_out")
-    return _graph_resolvent(rel.in_block, rel.out_block, complex(lam), tol)

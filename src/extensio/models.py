@@ -321,6 +321,15 @@ def _interface_det(model: SLModel, variant: str) -> Callable[[complex], complex]
     raise ArgumentError(f"unknown coupling variant {variant!r}")
 
 
+# periodic_spectrum evaluates the determinant at height _SCAN_HEIGHT above
+# the axis, on a grid of step min(_SCAN_STEP, window / _SCAN_POINTS), and
+# refines each bracketed zero to _ROOT_XTOL.
+_SCAN_HEIGHT = 1e-8
+_SCAN_STEP = 0.02
+_SCAN_POINTS = 400
+_ROOT_XTOL = 1e-10
+
+
 def periodic_spectrum(
     model: SLModel,
     search_window: tuple[float, float],
@@ -339,13 +348,12 @@ def periodic_spectrum(
     lo, hi = float(search_window[0]), float(search_window[1])
     if not lo < hi:
         raise ArgumentError("search window must be nonempty")
-    eps = 1e-8
     det_fn = _interface_det(model, variant)
 
     def det_at(x: float) -> complex:
-        return det_fn(x + 1j * eps)
+        return det_fn(x + 1j * _SCAN_HEIGHT)
 
-    step = min(0.02, (hi - lo) / 400)
+    step = min(_SCAN_STEP, (hi - lo) / _SCAN_POINTS)
     xs = np.arange(lo, hi + step, step)
     vals = np.array([det_at(x) for x in xs])
     mags = np.abs(vals)
@@ -358,7 +366,7 @@ def periodic_spectrum(
             roots.append(float(xs[i]))
         elif re[i] * re[i + 1] < 0:
             roots.append(
-                float(brentq(lambda x: det_at(x).real, xs[i], xs[i + 1], xtol=1e-10))
+                float(brentq(lambda x: det_at(x).real, xs[i], xs[i + 1], xtol=_ROOT_XTOL))
             )
 
     for i in range(1, len(xs) - 1):
@@ -366,7 +374,7 @@ def periodic_spectrum(
             a, b = float(xs[i - 1]), float(xs[i + 1])
             ia, ib = det_at(a).imag, det_at(b).imag
             if ia * ib < 0:
-                roots.append(float(brentq(lambda x: det_at(x).imag, a, b, xtol=1e-10)))
+                roots.append(float(brentq(lambda x: det_at(x).imag, a, b, xtol=_ROOT_XTOL)))
             else:
                 res = minimize_scalar(
                     lambda x: abs(det_at(x)),

@@ -95,15 +95,20 @@ def test_newest_record_counts_the_src_lines_of_the_tree():
     assert NEWEST["src_lines"]["change"] == lines
 
 
-SVD_ROWS = [row for row in NEWEST["traced"] if row["metric"] == "linalg.svd_per_op"]
+COUNT_ROWS = [
+    row for row in NEWEST["traced"] if row["metric"] == "linalg.svd_per_op" or row["metric"].endswith(".svd_per_call")
+]
+COUNT_RUNS = sorted({(row["workload"], row["seed"]) for row in COUNT_ROWS})
 
 
-@pytest.mark.parametrize("row", SVD_ROWS, ids=[f"{r['workload']}-{r['seed']}" for r in SVD_ROWS])
-def test_newest_traced_svd_counts_match_the_tree(row):
-    """SVD counts per op are deterministic, so the newest record's traced
-    rows must reproduce on the tree they were recorded with."""
+@pytest.mark.parametrize("workload,seed", COUNT_RUNS, ids=[f"{w}-{s}" for w, s in COUNT_RUNS])
+def test_newest_traced_svd_counts_match_the_tree(workload, seed):
+    """SVD counts per op and per call are deterministic, so the newest
+    record's traced count rows must reproduce on the tree they were
+    recorded with; one traced run checks every row of its workload and
+    seed."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", row["workload"], "--seed", str(row["seed"]),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "0.5", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
@@ -111,5 +116,8 @@ def test_newest_traced_svd_counts_match_the_tree(row):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    value = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]["linalg.svd_per_op"]["value"]
-    assert abs(value - row["change"]) <= 1e-4 * abs(row["change"])
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])["metrics"]
+    for row in COUNT_ROWS:
+        if (row["workload"], row["seed"]) == (workload, seed):
+            value = metrics[row["metric"]]["value"]
+            assert abs(value - row["change"]) <= 1e-4 * abs(row["change"]), row["metric"]

@@ -82,6 +82,13 @@ def test_weyl_identities_and_defects():
     rep = ex.check_weyl_identities(pi, 1 + 2j, 2j)
     assert rep.gamma_residual < RESID
     assert rep.weyl_residual < 1e-8
+    # A0 of fix_b is {0} x C, purely multivalued; at 1e8 i the right-hand
+    # side (lam - conj(mu)) gamma(mu)* gamma(lam) carries rounding of eps |lam|
+    for trip in (pi, ex.fix_b_triplet()):
+        for lam in (1 + 2j, 1e8j):
+            rep = ex.check_weyl_identities(trip, lam, 2j)
+            assert rep.gamma_residual < RESID
+            assert rep.weyl_residual < 1e-8 + 1e-14 * abs(lam + 2j)
     dr = ex.defect_report(pi)
     assert dr.n_plus == dr.n_minus == 2
     assert dr.identity_holds

@@ -1,0 +1,114 @@
+"""Gamma fields, Weyl functions and the resolvent of A0 = ker Gamma_0 from
+one spectral decomposition of A0 per triplet, against the per-point
+nullspace route and a 60-digit evaluation of the nullspace formula."""
+
+import mpmath
+import numpy as np
+import pytest
+
+import extensio as ex
+from extensio import boundary
+from extensio.admissibility import DEFAULT_GRID
+from extensio.boundary import _a0_resolvent, _gamma_and_weyl, _nullspace_gamma_and_weyl, _triplet_cache
+
+AGREE = 1e-12
+REFERENCE = 1e-13
+POINTS = [1j * y for y in DEFAULT_GRID] + [1j, -1j, 1 + 1j, 1 - 1j] + [x + 1e-6j for x in (-2.5, -0.3, 0.7, 3.1)]
+
+
+def _rel(new, ref):
+    return np.linalg.norm(new - ref) / np.linalg.norm(ref)
+
+
+def _triplets(case):
+    if case == "fix-b":
+        return [ex.fix_b_triplet()]
+    if case == "fix-infty":
+        return [ex.fix_infty_steering()[0]]
+    rng = np.random.default_rng(31)
+    shapes = ((2, 1), (3, 2), (5, 1), (8, 3), (13, 2), (24, 1), (24, 5))
+    return [ex.von_neumann_triplet(ex.random_symmetric_restriction(rng, n, d)) for n, d in shapes]
+
+
+@pytest.mark.parametrize("case", ["fix-b", "fix-infty", "random"])
+def test_spectral_route_matches_nullspace_route(case):
+    for pi in _triplets(case):
+        br = pi.base
+        a0 = ex.kernel_of_boundary_map(pi, 0)
+        for lam in POINTS:
+            g_new, m_new = _gamma_and_weyl(br, lam, ex.TOL)
+            g_old, m_old = _nullspace_gamma_and_weyl(br, lam, ex.TOL)
+            assert _rel(m_new, m_old) <= AGREE, lam
+            # the nullspace route reads gamma off unit graph columns, so its
+            # own rounding sits at unit scale, however small gamma is
+            assert np.linalg.norm(g_new - g_old) <= AGREE * max(np.linalg.norm(g_old), 1.0), lam
+            r_new = _a0_resolvent(br, lam, ex.TOL)
+            r_old = ex.resolvent_matrix(a0, lam)
+            assert np.linalg.norm(r_new - r_old) <= AGREE * max(np.linalg.norm(r_old), 1.0), lam
+
+
+def test_spectral_route_off_the_spectrum_only():
+    pi = _triplets("random")[1]
+    br = pi.base
+    eigs = _triplet_cache(br, ex.TOL).spectrum.eigs
+    with pytest.raises(ex.SingularAtLambda):
+        _a0_resolvent(br, eigs[0], ex.TOL)
+    with pytest.raises(ex.RealAxis):
+        _gamma_and_weyl(br, 0.5, ex.TOL)
+    # a real point off the spectrum of A0 has a resolvent
+    real = (eigs[0] + eigs[1]) / 2
+    ref = ex.resolvent_matrix(ex.kernel_of_boundary_map(pi, 0), real)
+    assert np.linalg.norm(_a0_resolvent(br, real, ex.TOL) - ref) <= AGREE * np.linalg.norm(ref)
+
+
+def _mp_nullspace_route(br, lam):
+    """gamma = G_f c (G_h c)^{-1} and M = G_h' c (G_h c)^{-1} to 60 digits,
+    with c spanning ker(G_f' - lam G_f), on the double-precision graph
+    basis G of the triplet."""
+    n, m = br.state_dim, br.boundary_dim
+    with mpmath.workdps(60):
+        g = mpmath.matrix(br.gamma.graph.basis.tolist())
+        shifted = g[n : 2 * n, :] - mpmath.mpc(lam.real, lam.imag) * g[:n, :]
+        q, _ = mpmath.qr(shifted.H, mode="full")
+        cols = g * q[:, n:]
+        inv = mpmath.inverse(cols[2 * n : 2 * n + m, :])
+        gam, weyl = cols[:n, :] * inv, cols[2 * n + m :, :] * inv
+        return (np.array(mat.tolist(), dtype=complex) for mat in (gam, weyl))
+
+
+def test_spectral_route_matches_extended_precision_reference():
+    rng = np.random.default_rng(37)
+    for n, d in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
+        br = ex.von_neumann_triplet(ex.random_symmetric_restriction(rng, n, d)).base
+        for lam in (1j, 1 + 1j, 1e4j, 1e8j, 2 + 1e-7j):
+            g_ref, m_ref = _mp_nullspace_route(br, lam)
+            g_new, m_new = _gamma_and_weyl(br, lam, ex.TOL)
+            assert _rel(g_new, g_ref) <= REFERENCE, (n, d, lam)
+            assert _rel(m_new, m_ref) <= REFERENCE, (n, d, lam)
+
+
+def test_one_spectral_decomposition_per_triplet(monkeypatch):
+    builds = []
+    decompose = boundary._operator_spectrum
+    monkeypatch.setattr(boundary, "_operator_spectrum", lambda *args: builds.append(1) or decompose(*args))
+    pi, pair = ex.fix_infty_steering()
+    for z0 in (1j, 2j, 1 + 1j):
+        ex.admissible(pi, pair, z0=z0)
+    ex.mt_admissibility(pi, pair, np.zeros((1, 1)))
+    assert len(builds) == 1
+    # the cache belongs to the object: a fresh triplet with the same
+    # content builds its own
+    ex.admissible(*ex.fix_infty_steering())
+    assert len(builds) == 2
+
+
+def test_weyl_identity_check_reads_both_points_by_nullspace(monkeypatch):
+    # check_weyl_identities tests the propagation against gamma and M taken
+    # by one nullspace at each point, never against the cache it checks
+    pi = _triplets("random")[0]
+    ex.check_weyl_identities(pi, 1 + 2j, 2j)
+    points = []
+    defect_coords = boundary._defect_coords
+    monkeypatch.setattr(boundary, "_defect_coords", lambda br, lam, tol: points.append(lam) or defect_coords(br, lam, tol))
+    ex.check_weyl_identities(pi, 1 + 2j, 2j)
+    assert points == [1 + 2j, 2j]
