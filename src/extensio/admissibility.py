@@ -9,6 +9,7 @@ with a finite realization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ class LimitProbe:
     seed: int = 1729
 
     def __post_init__(self) -> None:
+        # a tuple keeps the probe hashable, as probe_vectors' cache needs
+        object.__setattr__(self, "y_grid", tuple(self.y_grid))
         if len(self.y_grid) < 4:
             raise ArgumentError("limit grid needs at least four points")
         diffs = np.diff(np.asarray(self.y_grid, dtype=float))
@@ -109,17 +112,21 @@ class AdmissibilityReport:
     adm2_slope: float
 
 
+@functools.lru_cache
 def probe_vectors(dim: int, probe: LimitProbe = DEFAULT_PROBE) -> np.ndarray:
-    """Standard basis columns padded with seeded random unit vectors."""
+    """Standard basis columns padded with seeded random unit vectors; built
+    once per (dim, probe) and returned read-only."""
     if dim == 0:
-        return np.zeros((0, 0), dtype=complex)
-    rng = np.random.default_rng(probe.seed)
-    extra = rng.standard_normal((dim, probe.extra_probes)) + 1j * rng.standard_normal(
-        (dim, probe.extra_probes)
-    )
-    norms = np.linalg.norm(extra, axis=0)
-    extra = extra / np.where(norms == 0, 1.0, norms)
-    return np.hstack([np.eye(dim, dtype=complex), extra])
+        cols = np.zeros((0, 0), dtype=complex)
+    else:
+        rng = np.random.default_rng(probe.seed)
+        extra = rng.standard_normal((dim, probe.extra_probes)) + 1j * rng.standard_normal(
+            (dim, probe.extra_probes)
+        )
+        norms = np.linalg.norm(extra, axis=0)
+        cols = np.hstack([np.eye(dim, dtype=complex), extra / np.where(norms == 0, 1.0, norms)])
+    cols.flags.writeable = False
+    return cols
 
 
 def _fit(ys: np.ndarray, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +241,7 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
     raises Omega0Singular at the first point where psi + M phi is
     singular."""
     ys = np.asarray(probe.y_grid, dtype=float)
-    m_mat = _gamma_and_weyl_grid(pi.base, 1j * ys, tol)[1]
+    m_mat = _gamma_and_weyl_grid(pi, 1j * ys, tol)[1]
     phi, psi = (np.asarray(np.stack(part), dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
     combo = psi + m_mat @ phi
     try:
@@ -259,7 +266,7 @@ def admissible(
     """Full report: the two resolvent-difference limit conditions, the
     quadratic-form test, and the exact multivalued part of the coupling
     when the pair carries a realization."""
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     if tau.dim != m:
         raise ArgumentError("pair dimension differs from the boundary space")
     z0 = _reference_point(z0)
@@ -271,9 +278,9 @@ def admissible(
     adm_curves = np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys
     passes, slopes = _vanishes(ys, np.vstack([adm_curves, _qlt_curves(pi, sw, z0, probes, tol)]), probe)
     adm1, adm2 = bool(passes[0]), bool(passes[1])
-    if _kernel_single_valued(pi.base, 0, tol):
+    if _kernel_single_valued(pi, 0, tol):
         verdict = adm1
-    elif _kernel_single_valued(pi.base, 1, tol):
+    elif _kernel_single_valued(pi, 1, tol):
         verdict = adm2
     else:
         verdict = adm1 and adm2
@@ -311,7 +318,7 @@ def mt_admissibility(
     adjoint of t defines an operator extension, which callers can check
     exactly through the intermediate extension of the triplet.
     """
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     t_mat = np.asarray(t, dtype=complex).reshape(m, m)
     probes = probe_vectors(m, probe)
     ys, *pieces = _sweep(pi, tau, probe, tol)
@@ -331,7 +338,7 @@ def _qlt_curves(pi: OrdinaryTriplet, sw: tuple[np.ndarray, ...], z0: complex, pr
     """Curves of the quadratic-form test, one row per probe: the form
     built from the reference point z0 must vanish weakly for each."""
     ys, m_mat, phi, _, omega = sw
-    m_ref = _gamma_and_weyl(pi.base, z0, tol)[1]
+    m_ref = _gamma_and_weyl(pi, z0, tol)[1]
     q = m_mat - (m_mat - m_ref.conj().T) @ phi @ omega @ (m_mat - m_ref)
     return np.abs(_forms(probes, q)) / ys
 
@@ -346,6 +353,6 @@ def langer_textorius(
     """Quadratic-form test built from one reference point in the upper
     half plane; the verdict does not depend on the reference point."""
     z0 = _reference_point(z0)
-    probes = probe_vectors(pi.base.boundary_dim, probe)
+    probes = probe_vectors(pi.boundary_dim, probe)
     sw = _sweep(pi, tau, probe, tol)
     return bool(np.all(_vanishes(sw[0], _qlt_curves(pi, sw, z0, probes, tol), probe)[0]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,12 +26,14 @@ from .errors import (
     NotMaximal,
     RealAxis,
     SingularAtLambda,
+    TripletMismatch,
     UnequalDefect,
 )
 from .kreinspace import FundamentalSymmetry, KreinRelation, _pairing_form
 from .linrel import (
     TOL,
     LinearRelation,
+    RelationParts,
     Tolerances,
     _nullspace,
     _operator_spectrum,
@@ -80,11 +82,11 @@ _MU = 1j
 
 @dataclass(frozen=True)
 class BoundaryRelation:
-    """A validated unitary relation with its kernel and domain cached."""
+    """A validated unitary relation Gamma and the tolerances it was
+    validated under; its kernel S and domain T are read on first use."""
 
     gamma: LinearRelation
-    s_rel: LinearRelation
-    t_rel: LinearRelation
+    tol: Tolerances = TOL
 
     @property
     def state_dim(self) -> int:
@@ -95,6 +97,18 @@ class BoundaryRelation:
         return self.gamma.dim_out // 2
 
     @cached_property
+    def _parts(self) -> RelationParts:
+        return rel_parts(self.gamma, self.tol)
+
+    @cached_property
+    def s_rel(self) -> LinearRelation:
+        return LinearRelation(self.state_dim, self.state_dim, self._parts.ker)
+
+    @cached_property
+    def t_rel(self) -> LinearRelation:
+        return LinearRelation(self.state_dim, self.state_dim, self._parts.dom)
+
+    @cached_property
     def _derived(self) -> dict[Tolerances, _TripletCache]:
         """The lambda-independent data of this relation, one entry per
         tolerance context, each filled on first use (``_triplet_cache``)."""
@@ -102,27 +116,14 @@ class BoundaryRelation:
 
 
 @dataclass(frozen=True)
-class OrdinaryTriplet:
+class OrdinaryTriplet(BoundaryRelation):
     """Boundary relation that is surjective and single-valued; its two
     output coordinates act as the classical boundary maps."""
 
-    base: BoundaryRelation
-
     @property
-    def gamma(self) -> LinearRelation:
-        return self.base.gamma
-
-    @property
-    def s_rel(self) -> LinearRelation:
-        return self.base.s_rel
-
-    @property
-    def t_rel(self) -> LinearRelation:
-        return self.base.t_rel
-
-
-def _as_boundary(obj: BoundaryRelation | OrdinaryTriplet) -> BoundaryRelation:
-    return obj.base if isinstance(obj, OrdinaryTriplet) else obj
+    def base(self) -> OrdinaryTriplet:
+        """The triplet itself, for callers that still read ``pi.base``."""
+        return self
 
 
 def green_residual(gamma: LinearRelation) -> float:
@@ -138,29 +139,26 @@ def green_residual(gamma: LinearRelation) -> float:
 
 
 def validate_boundary_relation(gamma: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelation:
-    """Check the Green identity and maximality, then cache S and T.  An
-    isometric Gamma is unitary iff its graph has half the dimension of the
-    graph space: Gamma^[*] has the complementary dimension."""
+    """Check the Green identity and maximality.  An isometric Gamma is
+    unitary iff its graph has half the dimension of the graph space:
+    Gamma^[*] has the complementary dimension."""
     if green_residual(gamma) > tol.angle * max(1, gamma.graph_dim):
         raise NotIsometric("Green identity fails on the graph")
     if 2 * gamma.graph_dim != gamma.dim_in + gamma.dim_out:
         raise NotMaximal("isometric relation admits a proper extension")
-    n = gamma.dim_in // 2
-    parts = rel_parts(gamma, tol)
-    s_rel = LinearRelation(n, n, parts.ker)
-    t_rel = LinearRelation(n, n, parts.dom)
-    return BoundaryRelation(gamma, s_rel, t_rel)
+    return BoundaryRelation(gamma, tol)
 
 
 def ordinary_triplet(gamma: LinearRelation | BoundaryRelation, tol: Tolerances = TOL) -> OrdinaryTriplet:
-    """Wrap a boundary relation whose graph is a surjective operator.  Gamma
-    is unitary, so mul Gamma is the J-orthogonal complement of ran Gamma and
-    the rank of the output block (unit anchor, as in rel_parts) decides both."""
-    base = gamma if isinstance(gamma, BoundaryRelation) else validate_boundary_relation(gamma, tol)
-    out = base.gamma.out_block
-    if _rank(np.linalg.svd(out, compute_uv=False), out.shape, tol, 1.0) != base.gamma.dim_out:
+    """The boundary relation as a triplet, when its graph is a surjective
+    operator.  Gamma is unitary, so mul Gamma is the J-orthogonal
+    complement of ran Gamma and the rank of the output block (unit anchor,
+    as in rel_parts) decides both."""
+    br = gamma if isinstance(gamma, BoundaryRelation) else validate_boundary_relation(gamma, tol)
+    out = br.gamma.out_block
+    if _rank(np.linalg.svd(out, compute_uv=False), out.shape, tol, 1.0) != br.gamma.dim_out:
         raise AssumptionError("ordinary triplet needs a surjective, single-valued boundary relation")
-    return OrdinaryTriplet(base)
+    return OrdinaryTriplet(br.gamma, br.tol)
 
 
 def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> OrdinaryTriplet:
@@ -203,7 +201,7 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     out1 = 1j * (alpha - beta)
     columns = np.vstack([f, fp, out0, out1])
     gamma = LinearRelation(2 * n, 2 * d, _span(columns, tol))
-    return ordinary_triplet(validate_boundary_relation(gamma, tol), tol)
+    return ordinary_triplet(gamma, tol)
 
 
 def _defect_coords(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
@@ -302,17 +300,17 @@ class _TripletCache:
 
     @cached_property
     def single_valued(self) -> tuple[bool, bool]:
-        """mul A = {0} for A = ker Gamma_0 and ker Gamma_1: the kernel
-        columns [X; Y] span some (0, Y c) with Y c != 0 exactly when their
-        rank exceeds the rank of X (both cutoffs anchored at one, as for
-        unit columns)."""
-        n = self.br.state_dim
-
-        def rank(mat: np.ndarray) -> int:
-            return _rank(np.linalg.svd(mat, compute_uv=False), mat.shape, self.tol, 1.0)
-
-        a0, a1 = (_kernel_columns(self.br, index, self.tol) for index in (0, 1))
-        return rank(a0) == rank(a0[:n]), rank(a1) == rank(a1[:n])
+        """mul A = {0} for A = ker Gamma_0 and ker Gamma_1.  The kernel
+        columns [X; Y] are the state rows of orthonormal columns G c of
+        Gamma's graph, and [X; Y] c = 0 would leave the nonzero boundary
+        rows of G c in mul Gamma; so for a single-valued Gamma they have
+        full column rank, and mul A = {0} exactly when X does.  For A0
+        that is the rank ``spectrum`` already took; for A1 it is one
+        unit-anchored rank."""
+        spec = self.spectrum
+        a1 = _kernel_columns(self.br, 1, self.tol)[: self.br.state_dim]
+        a1_rank = _rank(np.linalg.svd(a1, compute_uv=False), a1.shape, self.tol, 1.0)
+        return spec.eigs.size == spec.coords.shape[0], a1_rank == a1.shape[1]
 
 
 def _triplet_cache(br: BoundaryRelation, tol: Tolerances) -> _TripletCache:
@@ -320,6 +318,22 @@ def _triplet_cache(br: BoundaryRelation, tol: Tolerances) -> _TripletCache:
     if cache is None:
         cache = br._derived[tol] = _TripletCache(br, tol)
     return cache
+
+
+def _boundary_map(pi: OrdinaryTriplet, tol: Tolerances) -> Callable[[np.ndarray], np.ndarray]:
+    """Boundary pairs of state graph elements under the single-valued map;
+    Gamma's input block X has full column rank, so it is factored once per
+    triplet (``_TripletCache.boundary_factor``) and each batch of elements
+    costs two products and the residual check."""
+    x, x_pinv = _triplet_cache(pi, tol).boundary_factor
+
+    def values(columns: np.ndarray) -> np.ndarray:
+        coeff = x_pinv @ columns
+        if np.linalg.norm(x @ coeff - columns) > tol.angle * (1 + np.linalg.norm(columns)):
+            raise TripletMismatch("elements do not lie in the domain of the triplet")
+        return pi.gamma.out_block @ coeff
+
+    return values
 
 
 def _off_spectrum(eigs: np.ndarray, lams: np.ndarray, n: int, tol: Tolerances) -> np.ndarray:
@@ -374,35 +388,32 @@ def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.nda
     return (spec.vecs / diffs) @ spec.vecs.conj().T
 
 
-def weyl_eval(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
+def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """Family value: image of the defect elements of dom Gamma."""
     lam = complex(lam)
     if lam.imag == 0:
         raise RealAxis("family values live off the real axis")
-    br = _as_boundary(obj)
     m = br.boundary_dim
     image = br.gamma.out_block @ _defect_coords(br, lam, tol)
     # Rows of the unit columns G c: anchor the rank cutoff at scale one.
     return LinearRelation(m, m, _span(image, tol, 1.0))
 
 
-def gamma_field(obj: BoundaryRelation | OrdinaryTriplet, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
+def gamma_field(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """Relation sending a first boundary coordinate to its defect vector."""
     lam = complex(lam)
     if lam.imag == 0:
         raise RealAxis("the gamma field lives off the real axis")
-    br = _as_boundary(obj)
     n = br.state_dim
     m = br.boundary_dim
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
     return LinearRelation(m, n, _span(np.vstack([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol))
 
 
-def kernel_of_boundary_map(obj: BoundaryRelation | OrdinaryTriplet, index: int, tol: Tolerances = TOL) -> LinearRelation:
+def kernel_of_boundary_map(br: BoundaryRelation, index: int, tol: Tolerances = TOL) -> LinearRelation:
     """Extension determined by a vanishing boundary coordinate."""
     if index not in (0, 1):
         raise ArgumentError("boundary map index must be 0 or 1")
-    br = _as_boundary(obj)
     n = br.state_dim
     # Rows of the unit columns G c: anchor the rank cutoff at scale one.
     return LinearRelation(n, n, _span(_kernel_columns(br, index, tol), tol, 1.0))
@@ -422,11 +433,10 @@ def check_weyl_identities(trip: OrdinaryTriplet, lam: complex, mu: complex, tol:
     from the spectral decomposition of A0."""
     lam = complex(lam)
     mu = complex(mu)
-    br = trip.base
-    g_lam, m_lam = _nullspace_gamma_and_weyl(br, lam, tol)
-    g_mu, m_mu = _nullspace_gamma_and_weyl(br, mu, tol)
-    res = _a0_resolvent(br, lam, tol)
-    prop = (np.eye(br.state_dim, dtype=complex) + (lam - mu) * res) @ g_mu
+    g_lam, m_lam = _nullspace_gamma_and_weyl(trip, lam, tol)
+    g_mu, m_mu = _nullspace_gamma_and_weyl(trip, mu, tol)
+    res = _a0_resolvent(trip, lam, tol)
+    prop = (np.eye(trip.state_dim, dtype=complex) + (lam - mu) * res) @ g_mu
     gamma_res = float(np.linalg.norm(g_lam - prop))
     rhs = m_mu.conj().T + (lam - np.conj(mu)) * g_mu.conj().T @ prop
     weyl_res = float(np.linalg.norm(m_lam - rhs))
@@ -441,10 +451,9 @@ class DefectReport:
     identity_holds: bool
 
 
-def defect_report(obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> DefectReport:
+def defect_report(br: BoundaryRelation, tol: Tolerances = TOL) -> DefectReport:
     """Defect numbers of S and the codimension they leave in the boundary
     space, which equals the multivalued part of Gamma."""
-    br = _as_boundary(obj)
     m = br.boundary_dim
     n_plus = eigenspace(br.t_rel, 1j, tol)[0].dim
     n_minus = eigenspace(br.t_rel, -1j, tol)[0].dim
@@ -453,19 +462,17 @@ def defect_report(obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL
     return DefectReport(n_plus, n_minus, mul_dim, identity)
 
 
-def mul_via_kernel(obj: BoundaryRelation | OrdinaryTriplet, p: NevanlinnaPairEval, lam: complex, tol: Tolerances = TOL) -> bool:
+def mul_via_kernel(br: BoundaryRelation, p: NevanlinnaPairEval, lam: complex, tol: Tolerances = TOL) -> bool:
     """Agreement between dim mul Gamma and the kernel dimension of the
     pair kernel at one point."""
-    br = _as_boundary(obj)
     kern = nev_kernel(p, lam, lam)
     dim_ker = p.dim - _rank(np.linalg.svd(kern, compute_uv=False), kern.shape, tol)
     return rel_parts(br.gamma, tol).mul.dim == dim_ker
 
 
-def intermediate_extension(obj: BoundaryRelation | OrdinaryTriplet, theta: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
+def intermediate_extension(br: BoundaryRelation, theta: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Extension of S: elements of dom Gamma whose boundary pair lies in
     theta.  Symmetry type of the result follows that of theta."""
-    br = _as_boundary(obj)
     n = br.state_dim
     m = br.boundary_dim
     if theta.dim_in != m or theta.dim_out != m:
@@ -488,8 +495,7 @@ class B123Report:
         return self.b1 and self.b2 and self.b3
 
 
-def check_B123(obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> B123Report:
-    br = _as_boundary(obj)
+def check_B123(br: BoundaryRelation, tol: Tolerances = TOL) -> B123Report:
     m = br.boundary_dim
     b1 = green_residual(br.gamma) <= tol.angle * max(1, br.gamma.graph_dim)
     ran = rel_parts(br.gamma, tol).ran
@@ -499,7 +505,7 @@ def check_B123(obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -
     return B123Report(b1, b2, b3)
 
 
-def reduce_multivalued(obj: BoundaryRelation | OrdinaryTriplet, k=None, tol: Tolerances = TOL) -> BoundaryRelation:
+def reduce_multivalued(br: BoundaryRelation, k=None, tol: Tolerances = TOL) -> BoundaryRelation:
     """Strip the multivalued part of Gamma by passing to the orthogonal
     complement of its first components.
 
@@ -509,7 +515,6 @@ def reduce_multivalued(obj: BoundaryRelation | OrdinaryTriplet, k=None, tol: Tol
     the embedded family value of the reduction; this is verified at two
     sample points.
     """
-    br = _as_boundary(obj)
     report = check_B123(br, tol)
     if not report.all_hold:
         raise NotB123("reduction needs the Green identity, surjectivity, and a selfadjoint kernel")

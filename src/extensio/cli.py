@@ -249,7 +249,7 @@ def _admissibility(args, tol_gate: float, mode: str) -> int:
     if z0.imag <= 0:
         raise ArgumentError("z0 must lie in the upper half plane")
     try:
-        pi = ordinary_triplet(validate_boundary_relation(mf.triplets[args.triplet].gamma))
+        pi = ordinary_triplet(mf.triplets[args.triplet].gamma)
     except AssumptionError as exc:
         raise ArgumentError(f"stored object is not an ordinary triplet: {exc}")
     rep = admissible(pi, mf.pairs[args.pair], DEFAULT_PROBE, z0=z0)

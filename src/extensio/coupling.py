@@ -45,9 +45,8 @@ from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
     _a0_resolvent,
-    _as_boundary,
+    _boundary_map,
     _gamma_and_weyl,
-    _triplet_cache,
     ordinary_triplet,
     validate_boundary_relation,
     weyl_eval,
@@ -136,29 +135,13 @@ def coupling_scene(a_tilde: LinearRelation, h1_dim: int, h2_dim: int, tol: Toler
     return CouplingScene(h1_dim, h2_dim, a_tilde, s1, s2, t1, t2, is_simple(s2, tol=tol))
 
 
-def _boundary_map(pi: OrdinaryTriplet, tol: Tolerances) -> Callable[[np.ndarray], np.ndarray]:
-    """Boundary pairs of state graph elements under the single-valued map;
-    Gamma's input block X has full column rank, so it is factored once per
-    triplet (``boundary._TripletCache``) and each batch of elements costs
-    two products and the residual check."""
-    x, x_pinv = _triplet_cache(pi.base, tol).boundary_factor
-
-    def values(columns: np.ndarray) -> np.ndarray:
-        coeff = x_pinv @ columns
-        if np.linalg.norm(x @ coeff - columns) > tol.angle * (1 + np.linalg.norm(columns)):
-            raise TripletMismatch("elements do not lie in the domain of the triplet")
-        return pi.gamma.out_block @ coeff
-
-    return values
-
-
 def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
     """Boundary relation for the second restriction carrying the twisted
     boundary values of the first components of the coupling."""
     if not rel_equal(pi.s_rel, scene.s1, tol):
         raise TripletMismatch("triplet kernel differs from the first restriction")
     h1, h2 = scene.h1_dim, scene.h2_dim
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     f1, f2, f1p, f2p = _row_ranges(h1, h2)
     basis = scene.a_tilde.graph.basis
     fhat1 = np.vstack([basis[f1, :], basis[f1p, :]])
@@ -184,7 +167,7 @@ def canonical_chi(theta: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelat
     return validate_boundary_relation(chi, tol)
 
 
-def couple(pi: BoundaryRelation | OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> LinearRelation:
+def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Selfadjoint relation on the sum space built from matching boundary
     values: the pair of the first factor equals the twisted pair of chi.
 
@@ -193,11 +176,10 @@ def couple(pi: BoundaryRelation | OrdinaryTriplet, chi: BoundaryRelation, tol: T
     the state rows of [G1 u; G2 v], reordered from (f1, f1', f2, f2') to
     ((f1, f2), (f1', f2')).
     """
-    base = _as_boundary(pi)
-    if base.boundary_dim != chi.boundary_dim:
+    if pi.boundary_dim != chi.boundary_dim:
         raise DimMismatch("boundary spaces of the factors differ")
-    n1, n2, m = base.state_dim, chi.state_dim, base.boundary_dim
-    g1 = base.gamma.graph.basis
+    n1, n2, m = pi.state_dim, chi.state_dim, pi.boundary_dim
+    g1 = pi.gamma.graph.basis
     g2 = chi.gamma.graph.basis
     twisted = np.vstack([g2[2 * n2 : 2 * n2 + m, :], -g2[2 * n2 + m :, :]])
     u, v = _meet(g1[2 * n1 :, :], twisted, tol)
@@ -214,7 +196,7 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
     if not rel_equal(pi.s_rel, scene.s1, tol):
         raise TripletMismatch("triplet kernel differs from the first restriction")
     h1, h2 = scene.h1_dim, scene.h2_dim
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     f1, f2, f1p, f2p = _row_ranges(h1, h2)
     basis = scene.a_tilde.graph.basis
     boundary_values = _boundary_map(pi, tol)
@@ -235,20 +217,23 @@ def generalized_resolvent(scene: CouplingScene, lam: complex, tol: Tolerances = 
     return GeneralizedResolventSample(lam, full[: scene.h1_dim, : scene.h1_dim])
 
 
-def krein_rhs(pi: OrdinaryTriplet, tau: FamilyEval, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
+def krein_rhs(pi: BoundaryRelation, tau: FamilyEval, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
     """Resolvent formula route: resolvent of the distinguished extension
     corrected through the inverse of the family sum.
 
     With [phi; psi] a graph basis of tau(lam), the inverse of M + tau is
     phi (psi + M phi)^{-1}; every ingredient is read off Gamma's graph
     basis as a matrix: A0's resolvent, gamma and M come from the triplet's
-    one spectral decomposition of A0, with no SVD per point."""
+    one spectral decomposition of A0, with no SVD per point.  A bare
+    boundary relation must pass ``ordinary_triplet``; its own cache serves
+    every call."""
     lam = complex(lam)
-    base = (pi if isinstance(pi, OrdinaryTriplet) else ordinary_triplet(pi, tol)).base
-    m = base.boundary_dim
-    g_lam, m_mat = _gamma_and_weyl(base, lam, tol)
-    g_bar, _ = _gamma_and_weyl(base, lam.conjugate(), tol)
-    r0 = _a0_resolvent(base, lam, tol)
+    if not isinstance(pi, OrdinaryTriplet):
+        ordinary_triplet(pi, tol)
+    m = pi.boundary_dim
+    g_lam, m_mat = _gamma_and_weyl(pi, lam, tol)
+    g_bar, _ = _gamma_and_weyl(pi, lam.conjugate(), tol)
+    r0 = _a0_resolvent(pi, lam, tol)
     value = tau.eval(lam)
     if value.dim_in != m or value.dim_out != m:
         raise DimMismatch("family value does not act in the boundary space")
@@ -275,7 +260,7 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     top = t_basis[:h1, :]
     bot = t_basis[h1:, :]
     bounds = _boundary_map(pi, tol)(t_basis)
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     twisted = np.vstack([bounds[:m, :], -bounds[m:, :]])
     proj = v_graph.projector()
     outside = (np.eye(2 * m, dtype=complex) - proj) @ twisted
@@ -313,8 +298,8 @@ def _double_weyl_blocks(m_mat: np.ndarray, phi: np.ndarray, psi: np.ndarray, ome
 
 
 def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, tol: Tolerances):
-    m = pi.base.boundary_dim
-    m_mat = _gamma_and_weyl(pi.base, lam, tol)[1]
+    m = pi.boundary_dim
+    m_mat = _gamma_and_weyl(pi, lam, tol)[1]
     tau_rel = weyl_eval(chi, lam, tol)
     if tau_rel.graph_dim != m:
         raise Omega0Singular(lam, "parameter family value is not maximal")
@@ -327,12 +312,11 @@ def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, t
 def double_weyl(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> DoubleWeylResult:
     """Boundary relation for the direct sum of the adjoint domains whose
     Weyl family is the two-by-two block resolvent family of the coupling."""
-    base = pi.base
-    if base.boundary_dim != chi.boundary_dim:
+    if pi.boundary_dim != chi.boundary_dim:
         raise DimMismatch("boundary spaces of the factors differ")
-    n1 = base.state_dim
+    n1 = pi.state_dim
     n2 = chi.state_dim
-    m = base.boundary_dim
+    m = pi.boundary_dim
     t_basis = pi.t_rel.graph.basis
     bounds = _boundary_map(pi, tol)(t_basis)
     g0 = bounds[:m, :]
@@ -378,7 +362,7 @@ def double_weyl(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TO
 def intermediate_h1(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:
     """First intermediate extension: compression of the double relation to
     the leading boundary block."""
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     dw = double_weyl(pi, chi, tol)
     res = block_compress(dw.boundary, SpaceSplit(m, m), 1, tol)
     return TransformResult(res.kernel_rel, res.boundary, lambda lam: dw.weyl_fn(lam)[:m, :m])
@@ -387,7 +371,7 @@ def intermediate_h1(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances 
 def intermediate_h2(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:
     """Second intermediate extension: compression of the double relation
     to the trailing boundary block."""
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     dw = double_weyl(pi, chi, tol)
     res = block_compress(dw.boundary, SpaceSplit(m, m), 2, tol)
     return TransformResult(res.kernel_rel, res.boundary, lambda lam: dw.weyl_fn(lam)[m:, m:])

@@ -18,13 +18,14 @@ from .linrel import (
     TOL,
     LinearRelation,
     Tolerances,
+    identity_relation,
     relation_from_generators,
     relation_from_matrix,
     subspace_from_columns,
 )
-from .boundary import BoundaryRelation, OrdinaryTriplet, von_neumann_triplet, weyl_eval
+from .boundary import BoundaryRelation, OrdinaryTriplet, _boundary_map, ordinary_triplet, von_neumann_triplet, weyl_eval
 from .nevanlinna import NevanlinnaPairEval, pair_from_relation
-from .coupling import CouplingScene, _boundary_map, canonical_chi, coupling_scene
+from .coupling import CouplingScene, canonical_chi, coupling_scene
 from .kreinspace import FundamentalSymmetry
 from .transforms import StandardJUnitary, standard_j_unitary
 
@@ -75,10 +76,7 @@ def fix_b_scene(tol: Tolerances = TOL) -> CouplingScene:
 def fix_b_triplet(tol: Tolerances = TOL) -> OrdinaryTriplet:
     """Triplet over the trivial restriction in C^1 whose Weyl function is
     the identity coordinate."""
-    from .boundary import ordinary_triplet, validate_boundary_relation
-    from .linrel import identity_relation
-
-    return ordinary_triplet(validate_boundary_relation(identity_relation(2), tol), tol)
+    return ordinary_triplet(identity_relation(2), tol)
 
 
 def fix_infty_relation(tol: Tolerances = TOL) -> LinearRelation:
@@ -127,7 +125,7 @@ def fix_infty_steering(tol: Tolerances = TOL) -> tuple[OrdinaryTriplet, Nevanlin
     pi = von_neumann_triplet(fix_a_relation(tol), tol=tol)
     basis = fix_infty_relation(tol).graph.basis
     bounds = _boundary_map(pi, tol)(basis)
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     theta = relation_from_generators(m, m, bounds, tol)
     return pi, realized_constant_pair(twist_relation(theta, tol), tol)
 

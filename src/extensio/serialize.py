@@ -21,7 +21,6 @@ from .linrel import (
     Subspace,
     Tolerances,
     rel_classify,
-    rel_parts,
     relation_from_generators,
 )
 from .boundary import BoundaryRelation
@@ -146,10 +145,7 @@ def json_to_triplet(obj: Any, tol: Tolerances = TOL) -> BoundaryRelation:
     n, m = obj["state_dim"], obj["boundary_dim"]
     if gamma.dim_in != 2 * n or gamma.dim_out != 2 * m:
         raise ArgumentError("gamma dimensions do not match the declared spaces")
-    parts = rel_parts(gamma, tol)
-    s_rel = LinearRelation(n, n, parts.ker)
-    t_rel = LinearRelation(n, n, parts.dom)
-    return BoundaryRelation(gamma, s_rel, t_rel)
+    return BoundaryRelation(gamma, tol)
 
 
 def pair_from_spec(

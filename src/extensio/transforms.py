@@ -45,8 +45,6 @@ from .linrel import (
 )
 from .boundary import (
     BoundaryRelation,
-    OrdinaryTriplet,
-    _as_boundary,
     check_B123,
     validate_boundary_relation,
     weyl_eval,
@@ -163,6 +161,17 @@ def _weyl_matrix(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndar
     return rel_matrix(weyl_eval(br, lam, tol), tol)
 
 
+def _block_transform(br: BoundaryRelation, e: np.ndarray, tol: Tolerances) -> BoundaryRelation:
+    """Gamma composed with the block relation {((E k, h'), (k, E* h'))}
+    for an m x d matrix E: inputs are constrained to ran E and the outputs
+    pair k with E* h'."""
+    m, d = e.shape
+    cols_k = np.vstack([e, np.zeros((m, d)), np.eye(d, dtype=complex), np.zeros((d, d))])
+    cols_hp = np.vstack([np.zeros((m, m)), np.eye(m, dtype=complex), np.zeros((d, m)), e.conj().T])
+    block = LinearRelation(2 * m, 2 * d, _span(np.hstack([cols_k, cols_hp]), tol))
+    return validate_boundary_relation(rel_product(block, br.gamma, tol), tol)
+
+
 def _t_combination(full: np.ndarray, t: np.ndarray) -> np.ndarray:
     """t^H M11 t + t^H M12 + M21 t + M22 for the blocks of full split after
     t.shape[0] rows and columns; full may be a stack of matrices."""
@@ -191,10 +200,9 @@ def shmulyan_family(w, f: FamilyEval, tol: Tolerances = TOL) -> FamilyEval:
     return FamilyEval(k, lambda lam: shmulyan(w_rel, f.eval(lam), tol))
 
 
-def compose_boundary(w, obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
+def compose_boundary(w, br: BoundaryRelation, tol: Tolerances = TOL) -> BoundaryRelation:
     """Boundary relation for the same symmetric kernel with transformed
     boundary values; the Weyl family moves by the graph-image transform."""
-    br = _as_boundary(obj)
     w_rel = _to_relation(w, tol)
     composite = rel_product(w_rel, br.gamma, tol)
     result = validate_boundary_relation(composite, tol)
@@ -203,29 +211,25 @@ def compose_boundary(w, obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances
     return result
 
 
-def transpose_boundary(obj: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
+def transpose_boundary(br: BoundaryRelation, tol: Tolerances = TOL) -> BoundaryRelation:
     """Compose with the fundamental symmetry; the Weyl family becomes the
     negative inverse."""
-    br = _as_boundary(obj)
     return compose_boundary(FundamentalSymmetry(br.boundary_dim).matrix, br, tol)
 
 
-def recover_transform(first: BoundaryRelation | OrdinaryTriplet, second: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> StandardJUnitary:
+def recover_transform(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances = TOL) -> StandardJUnitary:
     """The standard factor connecting two boundary relations of one S,
     recovered as the relation composition of the second with the inverse
     of the first."""
-    a = _as_boundary(first)
-    b = _as_boundary(second)
     if a.gamma.dim_in != b.gamma.dim_in or a.gamma.dim_out != b.gamma.dim_out:
         raise DimMismatch("boundary relations are not comparable")
     composite = rel_product(b.gamma, rel_inverse(a.gamma), tol)
     return standard_j_unitary(rel_matrix(composite, tol))
 
 
-def affine_transform(obj: BoundaryRelation | OrdinaryTriplet, b, g, tol: Tolerances = TOL) -> BoundaryRelation:
+def affine_transform(br: BoundaryRelation, b, g, tol: Tolerances = TOL) -> BoundaryRelation:
     """Lower-triangular standard transform: boundary values map to
     (G^{-1} h, B h + G^H h'); the Weyl family moves to BG + G^H M G."""
-    br = _as_boundary(obj)
     m = br.boundary_dim
     b = as_complex_matrix(b, m, m)
     g = as_complex_matrix(g, m, m)
@@ -240,11 +244,10 @@ def affine_transform(obj: BoundaryRelation | OrdinaryTriplet, b, g, tol: Toleran
     return compose_boundary(w, br, tol)
 
 
-def block_compress(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, which: int, tol: Tolerances = TOL) -> TransformResult:
+def block_compress(br: BoundaryRelation, split: SpaceSplit, which: int, tol: Tolerances = TOL) -> TransformResult:
     """Restrict boundary data to one block of the split: inputs must lie
     in the block, outputs are projected onto it.  The Weyl family is the
     matching diagonal block."""
-    br = _as_boundary(obj)
     m = br.boundary_dim
     if split.total != m:
         raise DimMismatch("split does not match the boundary dimension")
@@ -253,14 +256,7 @@ def block_compress(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, w
     start = 0 if which == 1 else split.dim1
     d = split.dim1 if which == 1 else split.dim2
     emb = _embed(m, start, d)
-    cols_h = np.vstack(
-        [emb, np.zeros((m, d)), np.eye(d, dtype=complex), np.zeros((d, d))]
-    )
-    cols_hp = np.vstack(
-        [np.zeros((m, m)), np.eye(m, dtype=complex), np.zeros((d, m)), emb.conj().T]
-    )
-    p_rel = LinearRelation(2 * m, 2 * d, _span(np.hstack([cols_h, cols_hp]), tol))
-    result = validate_boundary_relation(rel_product(p_rel, br.gamma, tol), tol)
+    result = _block_transform(br, emb, tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:
         full = _weyl_matrix(br, lam, tol)
@@ -269,11 +265,10 @@ def block_compress(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, w
     return TransformResult(result.s_rel, result, weyl_fn)
 
 
-def schur_complement(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, tol: Tolerances = TOL) -> TransformResult:
+def schur_complement(br: BoundaryRelation, split: SpaceSplit, tol: Tolerances = TOL) -> TransformResult:
     """Constrain the second boundary output block to zero: inputs are
     projected onto the first block and the Weyl family becomes the Schur
     complement of the second diagonal block."""
-    br = _as_boundary(obj)
     m = br.boundary_dim
     if split.total != m:
         raise DimMismatch("split does not match the boundary dimension")
@@ -325,40 +320,22 @@ def schur_complement(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit,
     return TransformResult(result.s_rel, result, weyl_fn)
 
 
-def t_transform(obj: BoundaryRelation | OrdinaryTriplet, split: SpaceSplit, t, tol: Tolerances = TOL) -> TransformResult:
+def t_transform(br: BoundaryRelation, split: SpaceSplit, t, tol: Tolerances = TOL) -> TransformResult:
     """Couple the two blocks through the matrix t: inputs are constrained
     to h = (t h2, h2) and the outputs pair h2 with the matching
     combination of the second components.  The Weyl family becomes
     t^H M11 t + t^H M12 + M21 t + M22."""
-    br = _as_boundary(obj)
     m = br.boundary_dim
     if split.total != m:
         raise DimMismatch("split does not match the boundary dimension")
     d1, d2 = split.dim1, split.dim2
     t = as_complex_matrix(t, d1, d2)
-    e1 = _embed(m, 0, d1)
-    e2 = _embed(m, d1, d2)
-    cols_h = np.vstack(
-        [e1 @ t + e2, np.zeros((m, d2)), np.eye(d2, dtype=complex), np.zeros((d2, d2))]
-    )
-    cols_hp = np.vstack(
-        [
-            np.zeros((m, m)),
-            np.eye(m, dtype=complex),
-            np.zeros((d2, m)),
-            t.conj().T @ e1.conj().T + e2.conj().T,
-        ]
-    )
-    r_rel = LinearRelation(2 * m, 2 * d2, _span(np.hstack([cols_h, cols_hp]), tol))
-    result = validate_boundary_relation(rel_product(r_rel, br.gamma, tol), tol)
-
+    result = _block_transform(br, _embed(m, 0, d1) @ t + _embed(m, d1, d2), tol)
     return TransformResult(result.s_rel, result, lambda lam: _t_combination(_weyl_matrix(br, lam, tol), t))
 
 
-def boundary_direct_sum(first: BoundaryRelation | OrdinaryTriplet, second: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
+def boundary_direct_sum(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances = TOL) -> BoundaryRelation:
     """Orthogonal sum acting between the merged graph spaces."""
-    a = _as_boundary(first)
-    b = _as_boundary(second)
     n1, n2 = a.state_dim, b.state_dim
     m1, m2 = a.boundary_dim, b.boundary_dim
     merged = rel_direct_sum(a.gamma, b.gamma)
@@ -375,12 +352,10 @@ def boundary_direct_sum(first: BoundaryRelation | OrdinaryTriplet, second: Bound
     return validate_boundary_relation(shuffled, tol)
 
 
-def sum_weyl(first: BoundaryRelation | OrdinaryTriplet, second: BoundaryRelation | OrdinaryTriplet, tol: Tolerances = TOL) -> TransformResult:
+def sum_weyl(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:
     """Boundary relation on the orthogonal sum whose Weyl family is the
     sum of the two Weyl families; realized as the identity coupling of
     the direct sum."""
-    a = _as_boundary(first)
-    b = _as_boundary(second)
     if a.boundary_dim != b.boundary_dim:
         raise DimMismatch("summands need equal boundary dimensions")
     m = a.boundary_dim

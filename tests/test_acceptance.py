@@ -91,8 +91,8 @@ def test_criterion_3_constructed_triplets():
         defect = int(rng.integers(1, n + 1))
         s = ex.random_symmetric_restriction(rng, n, defect)
         pi = ex.von_neumann_triplet(s)
-        ex.validate_boundary_relation(pi.base.gamma)
-        worst = max(worst, ex.green_residual(pi.base.gamma))
+        ex.validate_boundary_relation(pi.gamma)
+        worst = max(worst, ex.green_residual(pi.gamma))
         for lam in SAMPLES:
             m_val = ex.rel_matrix(ex.weyl_eval(pi, lam))
             m_conj = ex.rel_matrix(ex.weyl_eval(pi, np.conj(lam)))
@@ -202,7 +202,7 @@ def test_criterion_7_admissibility_oracle_agreement():
     disagreements = 0
     inadmissible_seen = 0
     for pi, pair in admissibility_catalog():
-        m = pi.base.boundary_dim
+        m = pi.boundary_dim
         exact_operator = ex.exact_mul(ex.couple(pi, pair.realization)).dim == 0
         if not exact_operator:
             inadmissible_seen += 1

@@ -22,6 +22,15 @@ def test_limit_probe_validation():
     assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0)
     again = ex.probe_vectors(3, probe)
     assert np.array_equal(vecs, again)
+    # built once per (dim, probe) and shared read-only
+    assert again is vecs
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 2.0
+    # the values are those of the seeded generator
+    rng = np.random.default_rng(5)
+    extra = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    assert np.array_equal(vecs, np.hstack([np.eye(3), extra / np.linalg.norm(extra, axis=0)]))
+    assert ex.probe_vectors(0, probe).shape == (0, 0)
 
 
 def test_mul_a0_limit_discriminates_growth():
@@ -156,11 +165,19 @@ def test_pure_mul_parameter_inadmissible():
     assert rep.agreement is True
 
 
+def test_realize_tau_accepts_a_triplet_realization():
+    # an ordinary triplet is a boundary relation, so it realizes its pair
+    pi = ex.fix_b_triplet()
+    assert ex.realize_tau(ex.realized_pair(pi)) is pi
+    with pytest.raises(ex.RealizationUnavailable):
+        ex.realize_tau(ex.sl_pair_eval(ex.SLModel(1.0)))
+
+
 def test_trivial_boundary_space_is_admissible():
     # S = diag(1, 2) is selfadjoint: the boundary space is {0}, the limit
     # curves reduce over no probes, and every test passes on zero curves
     pi = ex.von_neumann_triplet(ex.relation_from_matrix(np.diag([1.0, 2.0])))
-    assert pi.base.boundary_dim == 0
+    assert pi.boundary_dim == 0
     pair = ex.realized_constant_pair(ex.relation_from_matrix(np.zeros((0, 0))))
     rep = ex.admissible(pi, pair)
     assert rep.adm1_pass and rep.adm2_pass and rep.qlt_pass and rep.admissible

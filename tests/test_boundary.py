@@ -1,18 +1,22 @@
 """Boundary relations, triplets and Weyl families."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import extensio as ex
-from extensio.boundary import _kernel_single_valued
+from extensio import boundary, linrel
+from extensio.boundary import _kernel_columns, _kernel_single_valued
+from extensio.linrel import _rank
 
 RESID = 1e-9
 
 
 def test_identity_triplet_values():
     pi = ex.fix_b_triplet()
-    assert pi.base.state_dim == 1 and pi.base.boundary_dim == 1
-    assert ex.green_residual(pi.base.gamma) < 1e-12
+    assert pi.state_dim == 1 and pi.boundary_dim == 1
+    assert ex.green_residual(pi.gamma) < 1e-12
     for lam in (1j, 2j, 1 + 1j, -1j):
         m = ex.rel_matrix(ex.weyl_eval(pi, lam))
         assert abs(m[0, 0] - lam) < RESID
@@ -42,8 +46,8 @@ def test_von_neumann_triplet_properties():
     for n, defect in ((3, 1), (4, 2), (6, 3)):
         s = ex.random_symmetric_restriction(rng, n, defect)
         pi = ex.von_neumann_triplet(s)
-        assert pi.base.boundary_dim == defect
-        assert ex.green_residual(pi.base.gamma) < RESID
+        assert pi.boundary_dim == defect
+        assert ex.green_residual(pi.gamma) < RESID
         m_i = ex.rel_matrix(ex.weyl_eval(pi, 1j))
         assert np.linalg.norm(m_i - 1j * np.eye(defect)) < RESID
         m = ex.rel_matrix(ex.weyl_eval(pi, 1 + 2j))
@@ -71,7 +75,7 @@ def test_gamma_field_reproduces_weyl():
     # first boundary value of the field section is the identity
     m = ex.rel_matrix(ex.weyl_eval(pi, lam))
     section = np.vstack([gam, lam * gam, np.eye(2), m])
-    assert ex.is_subspace(ex.subspace_from_columns(section), pi.base.gamma.graph)
+    assert ex.is_subspace(ex.subspace_from_columns(section), pi.gamma.graph)
     assert gam.shape == (4, 2)
 
 
@@ -117,8 +121,8 @@ def test_intermediate_extension_sandwich():
     theta = ex.random_selfadjoint_relation(rng, 2)
     ext = ex.intermediate_extension(pi, theta)
     assert ex.rel_classify(ext).selfadjoint
-    assert ex.is_subrelation(pi.base.s_rel, ext)
-    assert ex.is_subrelation(ext, ex.rel_adjoint(pi.base.s_rel))
+    assert ex.is_subrelation(pi.s_rel, ext)
+    assert ex.is_subrelation(ext, ex.rel_adjoint(pi.s_rel))
 
 
 def test_check_b123_identity_triplet():
@@ -139,7 +143,64 @@ def test_reduce_multivalued():
 def test_ordinary_triplet_requires_operator_s():
     pi = ex.fix_b_triplet()
     assert isinstance(pi, ex.OrdinaryTriplet)
-    assert pi.gamma is pi.base.gamma
+    assert pi.base is pi
+
+
+TRIPLET_CONSTRUCTORS = {
+    "ordinary-relation": lambda: ex.ordinary_triplet(ex.identity_relation(2)),
+    "ordinary-boundary": lambda: ex.ordinary_triplet(ex.validate_boundary_relation(ex.identity_relation(2))),
+    "von-neumann": lambda: ex.von_neumann_triplet(ex.fix_a_relation()),
+    "scene": lambda: ex.scene_triplet(ex.random_scene(3, 2, 2)),
+    "fix-b": ex.fix_b_triplet,
+    "fix-infty": lambda: ex.fix_infty_steering()[0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIPLET_CONSTRUCTORS))
+def test_every_triplet_is_a_boundary_relation(case):
+    pi = TRIPLET_CONSTRUCTORS[case]()
+    assert isinstance(pi, ex.OrdinaryTriplet) and isinstance(pi, ex.BoundaryRelation)
+    assert [f.name for f in dataclasses.fields(pi)] == ["gamma", "tol"]
+    assert [f.name for f in dataclasses.fields(ex.BoundaryRelation)] == ["gamma", "tol"]
+
+
+def test_kernel_and_domain_are_read_on_first_use(monkeypatch):
+    gamma = ex.von_neumann_triplet(ex.fix_a_relation()).gamma
+    text = ex.triplet_to_json(ex.BoundaryRelation(gamma))
+    calls = []
+    parts = linrel.rel_parts
+
+    def counted(rel, tol=ex.TOL):
+        calls.append(tol)
+        return parts(rel, tol)
+
+    monkeypatch.setattr(linrel, "rel_parts", counted)
+    monkeypatch.setattr(boundary, "rel_parts", counted)
+    br = ex.validate_boundary_relation(gamma)
+    pi = ex.ordinary_triplet(br)
+    loaded = ex.json_to_triplet(text)
+    assert calls == []
+    s_rel, t_rel = pi.s_rel, pi.t_rel
+    assert pi.s_rel is s_rel and pi.t_rel is t_rel and len(calls) == 1
+    assert loaded.t_rel.graph_dim == t_rel.graph_dim and len(calls) == 2
+    assert ex.rel_equal(s_rel, ex.fix_a_relation())
+    assert ex.rel_equal(t_rel, ex.rel_adjoint(ex.fix_a_relation()))
+
+
+def test_lazy_kernel_and_domain_follow_the_tolerances():
+    # large boundary values leave singular values near 1e-4 in Gamma's
+    # input block, which a loose rank cutoff drops
+    pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(3), 4, 2))
+    gamma = ex.affine_transform(pi, np.zeros((2, 2)), 1e-4 * np.eye(2)).gamma
+    loose = ex.Tolerances(rank=1e-3)
+    br = ex.validate_boundary_relation(gamma, loose)
+    assert br.tol == loose
+    parts = ex.rel_parts(gamma, loose)
+    assert parts.dom.dim != ex.rel_parts(gamma).dom.dim
+    assert ex.subspace_equal(br.s_rel.graph, parts.ker) and br.s_rel.graph_dim == parts.ker.dim
+    assert ex.subspace_equal(br.t_rel.graph, parts.dom) and br.t_rel.graph_dim == parts.dom.dim
+    loaded = ex.json_to_triplet(ex.triplet_to_json(br), loose)
+    assert loaded.tol == loose and loaded.t_rel.graph_dim == parts.dom.dim
 
 
 def test_ordinary_triplet_rejects_multivalued_boundary_relation():
@@ -156,9 +217,9 @@ def test_ordinary_triplet_rejects_multivalued_boundary_relation():
 @pytest.mark.parametrize("case", ["von-neumann", "fix-b", "induced-chi", "canonical-mul"])
 def test_kernel_of_boundary_map_matches_preimage_route(case):
     if case == "von-neumann":
-        br = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(18), 5, 2)).base
+        br = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(18), 5, 2))
     elif case == "fix-b":
-        br = ex.fix_b_triplet().base
+        br = ex.fix_b_triplet()
     elif case == "induced-chi":
         br = ex.induced_chi(ex.fix_b_scene(), ex.fix_b_triplet())
     else:
@@ -171,6 +232,17 @@ def test_kernel_of_boundary_map_matches_preimage_route(case):
         assert ex.rel_equal(ex.kernel_of_boundary_map(br, index), ex.LinearRelation(n, n, ref))
 
 
+def _two_rank_rule(br, index):
+    # the former decision: mul A = {0} iff the kernel columns [X; Y] and
+    # their state rows X have the same unit-anchored rank
+    cols = _kernel_columns(br, index, ex.TOL)
+
+    def rank(mat):
+        return _rank(np.linalg.svd(mat, compute_uv=False), mat.shape, ex.TOL, 1.0)
+
+    return rank(cols) == rank(cols[: br.state_dim])
+
+
 def _random_von_neumann(rng, multivalued):
     # a random restriction, optionally with a mul direction orthogonal to its domain
     n = int(rng.integers(2, 6))
@@ -180,18 +252,19 @@ def _random_von_neumann(rng, multivalued):
         v = v - s.in_block @ np.linalg.lstsq(s.in_block, v, rcond=None)[0]
         extra = np.vstack([np.zeros((n, 1)), v])
         s = ex.relation_from_generators(n, n, np.hstack([s.graph.basis, extra]))
-    return ex.von_neumann_triplet(s).base
+    return ex.von_neumann_triplet(s)
 
 
 @pytest.mark.parametrize("case", ["fix-b", "fix-infty", "von-neumann"])
 def test_kernel_single_valued_matches_relation_route(case):
-    # mul A_k = {0} from two ranks of the kernel columns, against the parts
-    # of the relation that kernel_of_boundary_map builds
+    # mul A_k = {0} from the rank of the state rows of the kernel columns,
+    # against the parts of the relation that kernel_of_boundary_map builds
+    # and against the former two-rank rule
     rng = np.random.default_rng(23)
     if case == "fix-b":
-        bases = [ex.fix_b_triplet().base]
+        bases = [ex.fix_b_triplet()]
     elif case == "fix-infty":
-        bases = [ex.fix_infty_steering()[0].base]
+        bases = [ex.fix_infty_steering()[0]]
     else:
         bases = [_random_von_neumann(rng, i % 2 == 1) for i in range(40)]
     decisions = []
@@ -199,6 +272,7 @@ def test_kernel_single_valued_matches_relation_route(case):
         for index in (0, 1):
             fast = _kernel_single_valued(br, index, ex.TOL)
             assert fast == (ex.rel_parts(ex.kernel_of_boundary_map(br, index)).mul.dim == 0)
+            assert fast == _two_rank_rule(br, index)
             decisions.append(fast)
     if case == "fix-b":
         # A0 = {0} x C is multivalued, A1 = C x {0} is not
@@ -228,7 +302,7 @@ def _two_step_gamma(br, lam):
 def test_weyl_and_gamma_match_two_step_route(case):
     if case == "von-neumann":
         s = ex.random_symmetric_restriction(np.random.default_rng(17), 5, 2)
-        br = ex.von_neumann_triplet(s).base
+        br = ex.von_neumann_triplet(s)
     elif case == "induced-chi":
         br = ex.induced_chi(ex.fix_b_scene(), ex.fix_b_triplet())
     else:

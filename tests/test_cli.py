@@ -20,7 +20,7 @@ def model_path(tmp_path):
     doc = {
         "relations": {"fixb": ex.relation_to_json(ex.fix_b_relation())},
         "triplets": {
-            "ident": ex.triplet_to_json(pi.base),
+            "ident": ex.triplet_to_json(pi),
             "chi": ex.triplet_to_json(chi),
         },
         "pairs": {

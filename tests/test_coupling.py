@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
+from extensio import boundary
 from extensio.linrel import _nullspace
 
 RESID = 1e-9
@@ -72,7 +73,7 @@ def test_tau_of_extension_matches_least_squares_route():
     tau = ex.tau_of_extension(scene, pi)
     basis = scene.a_tilde.graph.basis
     x, y = pi.gamma.in_block, pi.gamma.out_block
-    m = pi.base.boundary_dim
+    m = pi.boundary_dim
     # graph rows of C^3 + C^2: f1, f2, then f1', f2'
     f1, f2, f1p, f2p = slice(0, 3), slice(3, 5), slice(5, 8), slice(8, 10)
     for lam in (1j, -2j, 1 + 1j, 1e6j):
@@ -128,7 +129,7 @@ def _reference_family(kind, m):
 @pytest.mark.parametrize("triplet", ["von-neumann", "fix-b"])
 def test_krein_rhs_matches_relation_route(triplet, family):
     pi = _reference_triplet(triplet)
-    tau = _reference_family(family, pi.base.boundary_dim)
+    tau = _reference_family(family, pi.boundary_dim)
     for lam in (1j, -2j, 1 + 1j, 1e6j):
         ref = _reference_krein_rhs(pi, tau, lam)
         # both routes are resolvents, bounded by 1/|Im lam|
@@ -215,3 +216,21 @@ def test_fix_infty_coupling_is_multivalued():
     coupled = ex.couple(pi, pair.realization)
     assert ex.rel_parts(coupled).mul.dim == 1
     assert ex.rel_classify(coupled).selfadjoint
+
+
+def test_krein_rhs_on_a_bare_boundary_relation_keeps_its_cache(monkeypatch):
+    scene = ex.random_scene(3, 2, 2)
+    pi = ex.scene_triplet(scene)
+    tau = ex.tau_of_extension(scene, pi)
+    bare = ex.validate_boundary_relation(pi.gamma)
+    assert not isinstance(bare, ex.OrdinaryTriplet)
+    builds = []
+    decompose = boundary._operator_spectrum
+    monkeypatch.setattr(boundary, "_operator_spectrum", lambda *args: builds.append(1) or decompose(*args))
+    for lam in (1j, 2j, 1 + 1j):
+        lhs = ex.generalized_resolvent(scene, lam).compressed
+        assert np.linalg.norm(ex.krein_rhs(bare, tau, lam) - lhs) <= RESID * (1 + np.linalg.norm(lhs))
+    assert len(builds) == 1
+    # a bare relation that is not an ordinary triplet is refused
+    with pytest.raises(ex.AssumptionError):
+        ex.krein_rhs(ex.canonical_chi(ex.mul_relation(ex.full_subspace(1))), tau, 1j)

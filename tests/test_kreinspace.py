@@ -29,7 +29,7 @@ def test_krein_complement_dims():
 def test_boundary_graph_is_unitary():
     pi = ex.fix_b_triplet()
     kr = ex.KreinRelation(
-        pi.base.gamma, ex.FundamentalSymmetry(1), ex.FundamentalSymmetry(1)
+        pi.gamma, ex.FundamentalSymmetry(1), ex.FundamentalSymmetry(1)
     )
     assert ex.is_isometric(kr)
     assert ex.is_unitary(kr)
@@ -89,7 +89,7 @@ def test_main_transform_round_trip():
 def test_unitary_domain_identities():
     pi = ex.fix_b_triplet()
     kr = ex.KreinRelation(
-        pi.base.gamma, ex.FundamentalSymmetry(1), ex.FundamentalSymmetry(1)
+        pi.gamma, ex.FundamentalSymmetry(1), ex.FundamentalSymmetry(1)
     )
     report = ex.unitary_domain_identities(kr)
     assert report.ker_angle < 1e-8

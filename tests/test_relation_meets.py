@@ -77,9 +77,8 @@ def _ref_parts(rel, tol=ex.TOL):
 
 
 def _ref_couple(pi, chi):
-    base = pi.base if isinstance(pi, ex.OrdinaryTriplet) else pi
-    n1, n2, m = base.state_dim, chi.state_dim, base.boundary_dim
-    g1, g2 = base.gamma.graph.basis, chi.gamma.graph.basis
+    n1, n2, m = pi.state_dim, chi.state_dim, pi.boundary_dim
+    g1, g2 = pi.gamma.graph.basis, chi.gamma.graph.basis
     lift1 = np.hstack(
         [
             np.vstack([g1[: 2 * n1], np.zeros((2 * n2, g1.shape[1])), g1[2 * n1 :]]),

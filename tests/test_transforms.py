@@ -147,3 +147,17 @@ def test_split_validation():
         ex.block_compress(pi, ex.SpaceSplit(1, 1), 1)
     with pytest.raises(ex.ArgumentError):
         ex.block_compress(pi, ex.SpaceSplit(1, 2), 3)
+
+
+def test_t_transform_at_zero_is_the_second_block_compression():
+    # with t = 0 the coupled block relation is the embedding of the second
+    # block, so both transforms compose Gamma with the same relation
+    br, _ = triplet_fixture(seed=41, n=4, defect=2)
+    split = ex.SpaceSplit(1, 1)
+    via_t = ex.t_transform(br, split, np.zeros((1, 1)))
+    via_block = ex.block_compress(br, split, 2)
+    assert ex.rel_equal(via_t.boundary.gamma, via_block.boundary.gamma)
+    assert ex.rel_equal(via_t.kernel_rel, via_block.kernel_rel)
+    for lam in (1j, 1 + 1j):
+        assert np.array_equal(via_t.weyl_fn(lam), via_block.weyl_fn(lam))
+        assert ex.rel_equal(ex.weyl_eval(via_t.boundary, lam), ex.weyl_eval(via_block.boundary, lam))
