@@ -34,6 +34,7 @@ from .boundary import (
     _gamma_and_weyl,
     _gamma_and_weyl_grid,
     _kernel_single_valued,
+    _triplet_cache,
 )
 from .nevanlinna import FamilyEval, NevanlinnaPairEval
 from .coupling import _double_weyl_blocks, couple
@@ -233,27 +234,66 @@ def mul_t_limit(
     return bool(np.all(slopes > probe.slope_tol))
 
 
+class _PairSlot:
+    """What the limit tests derive from one parameter pair tau on one
+    triplet: the sweep of the last grid (``_sweep``) and the dimension of
+    the exact multivalued part of the coupling, None when tau carries no
+    realization.  The slot holds tau, so the identity test on it cannot
+    meet a recycled id; a computation that raises stores nothing."""
+
+    def __init__(self, pi: OrdinaryTriplet, tau: NevanlinnaPairEval, tol: Tolerances):
+        self.pi = pi
+        self.tau = tau
+        self.tol = tol
+        self.grid: tuple[float, ...] | None = None
+        self.sweep: tuple[np.ndarray, ...] = ()
+
+    @functools.cached_property
+    def exact_dim(self) -> int | None:
+        try:
+            chi = realize_tau(self.tau)
+        except RealizationUnavailable:
+            return None
+        return exact_mul(couple(self.pi, chi, self.tol), self.tol).dim
+
+
+def _pair_slot(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, tol: Tolerances) -> _PairSlot:
+    """The triplet's one pair slot (``_TripletCache.pair``), emptied when it
+    held another pair.  Pairs are matched by identity, not ==: a
+    NevanlinnaPairEval compares without its realization."""
+    cache = _triplet_cache(pi, tol)
+    if cache.pair is None or cache.pair.tau is not tau:
+        cache.pair = _PairSlot(pi, tau, tol)
+    return cache.pair
+
+
 def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, ...]:
     """The y-grid, then M(iy), phi, psi and omega = (psi + M phi)^{-1} at its
-    points stacked (k, m, m), in the argument order of _double_weyl_blocks.
-    M is propagated over the whole grid in one pass from the triplet's
-    cached spectral data, and the pair is evaluated once per grid point;
-    raises Omega0Singular at the first point where psi + M phi is
-    singular."""
-    ys = np.asarray(probe.y_grid, dtype=float)
-    m_mat = _gamma_and_weyl_grid(pi, 1j * ys, tol)[1]
-    phi, psi = (np.asarray(np.stack(part), dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
-    combo = psi + m_mat @ phi
-    try:
-        omega = np.linalg.inv(combo)
-    except np.linalg.LinAlgError:
-        for y, mat in zip(ys, combo):
-            try:
-                np.linalg.inv(mat)
-            except np.linalg.LinAlgError as exc:
-                raise Omega0Singular(1j * y, "pair combination is not invertible") from exc
-        raise
-    return ys, m_mat, phi, psi, omega
+    points stacked (k, m, m), in the argument order of _double_weyl_blocks,
+    all read-only.  M is propagated over the whole grid in one pass from
+    the triplet's cached spectral data, and the pair is evaluated once per
+    grid point; the result is kept in the pair slot for the probe's grid,
+    the only part of the probe it reads.  Raises Omega0Singular at the
+    first point where psi + M phi is singular, on every call."""
+    slot = _pair_slot(pi, tau, tol)
+    if slot.grid != probe.y_grid:
+        ys = np.asarray(probe.y_grid, dtype=float)
+        m_mat = _gamma_and_weyl_grid(pi, 1j * ys, tol)[1]
+        phi, psi = (np.asarray(np.stack(part), dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
+        combo = psi + m_mat @ phi
+        try:
+            omega = np.linalg.inv(combo)
+        except np.linalg.LinAlgError:
+            for y, mat in zip(ys, combo):
+                try:
+                    np.linalg.inv(mat)
+                except np.linalg.LinAlgError as exc:
+                    raise Omega0Singular(1j * y, "pair combination is not invertible") from exc
+            raise
+        for arr in (ys, m_mat, phi, psi, omega):
+            arr.flags.writeable = False
+        slot.grid, slot.sweep = probe.y_grid, (ys, m_mat, phi, psi, omega)
+    return slot.sweep
 
 
 def admissible(
@@ -284,20 +324,13 @@ def admissible(
         verdict = adm2
     else:
         verdict = adm1 and adm2
-    try:
-        chi = realize_tau(tau)
-        coupled = couple(pi, chi, tol)
-        exact_dim: int | None = exact_mul(coupled, tol).dim
-        agreement: bool | None = (exact_dim == 0) == verdict
-    except RealizationUnavailable:
-        exact_dim = None
-        agreement = None
+    exact_dim = _pair_slot(pi, tau, tol).exact_dim
     return AdmissibilityReport(
         exact_mul_dim=exact_dim,
         adm1_pass=adm1,
         adm2_pass=adm2,
         qlt_pass=bool(np.all(passes[2:])),
-        agreement=agreement,
+        agreement=None if exact_dim is None else (exact_dim == 0) == verdict,
         admissible=verdict,
         adm1_slope=float(slopes[0]),
         adm2_slope=float(slopes[1]),

@@ -262,11 +262,13 @@ class _TripletCache:
     gamma(mu) at ``_MU`` by the nullspace route split over the spectral
     data (which raises AssumptionError unless Gamma_0 maps the defect
     elements onto C^m), and whether ker Gamma_0 and ker Gamma_1 are
-    single-valued."""
+    single-valued.  ``pair`` is one slot that the limit tests of
+    ``admissibility`` fill for the parameter pair they last saw."""
 
     def __init__(self, br: BoundaryRelation, tol: Tolerances):
         self.br = br
         self.tol = tol
+        self.pair = None
 
     @cached_property
     def spectrum(self):

@@ -37,7 +37,6 @@ from .linrel import (
     _span,
     is_simple,
     rel_classify,
-    rel_equal,
     resolvent_matrix,
     subspace_coords,
 )
@@ -135,18 +134,33 @@ def coupling_scene(a_tilde: LinearRelation, h1_dim: int, h2_dim: int, tol: Toler
     return CouplingScene(h1_dim, h2_dim, a_tilde, s1, s2, t1, t2, is_simple(s2, tol=tol))
 
 
+def _scene_boundary_map(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances) -> Callable[[np.ndarray], np.ndarray]:
+    """The triplet's boundary map (``boundary._boundary_map``), once its
+    kernel S is checked to be the scene's first restriction S1: S1 must
+    have the dimension n - m of S and lie in ker Gamma, so Gamma sends its
+    orthonormal basis into dom Gamma with boundary values that vanish.
+    Raises TripletMismatch otherwise; no SVD is taken."""
+    n, m = pi.state_dim, pi.boundary_dim
+    if scene.s1.dim_in != n or scene.s1.graph_dim != n - m:
+        raise TripletMismatch("triplet kernel differs from the first restriction")
+    boundary_values = _boundary_map(pi, tol)
+    basis = scene.s1.graph.basis
+    if np.linalg.norm(boundary_values(basis)) > tol.angle * (1 + np.linalg.norm(basis)):
+        raise TripletMismatch("triplet kernel differs from the first restriction")
+    return boundary_values
+
+
 def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
     """Boundary relation for the second restriction carrying the twisted
     boundary values of the first components of the coupling."""
-    if not rel_equal(pi.s_rel, scene.s1, tol):
-        raise TripletMismatch("triplet kernel differs from the first restriction")
+    boundary_values = _scene_boundary_map(scene, pi, tol)
     h1, h2 = scene.h1_dim, scene.h2_dim
     m = pi.boundary_dim
     f1, f2, f1p, f2p = _row_ranges(h1, h2)
     basis = scene.a_tilde.graph.basis
     fhat1 = np.vstack([basis[f1, :], basis[f1p, :]])
     fhat2 = np.vstack([basis[f2, :], basis[f2p, :]])
-    bounds = _boundary_map(pi, tol)(fhat1)
+    bounds = boundary_values(fhat1)
     gens = np.vstack([fhat2, bounds[:m, :], -bounds[m:, :]])
     chi = LinearRelation(2 * h2, 2 * m, _span(gens, tol))
     return validate_boundary_relation(chi, tol)
@@ -193,13 +207,11 @@ def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -
 def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL) -> FamilyEval:
     """Parameter family of the coupling: twisted boundary values of the
     elements whose second component solves the eigenvalue equation."""
-    if not rel_equal(pi.s_rel, scene.s1, tol):
-        raise TripletMismatch("triplet kernel differs from the first restriction")
+    boundary_values = _scene_boundary_map(scene, pi, tol)
     h1, h2 = scene.h1_dim, scene.h2_dim
     m = pi.boundary_dim
     f1, f2, f1p, f2p = _row_ranges(h1, h2)
     basis = scene.a_tilde.graph.basis
-    boundary_values = _boundary_map(pi, tol)
 
     def eval_at(lam: complex) -> LinearRelation:
         cols = basis @ _nullspace(basis[f2p, :] - complex(lam) * basis[f2, :], tol)
@@ -365,7 +377,7 @@ def intermediate_h1(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances 
     m = pi.boundary_dim
     dw = double_weyl(pi, chi, tol)
     res = block_compress(dw.boundary, SpaceSplit(m, m), 1, tol)
-    return TransformResult(res.kernel_rel, res.boundary, lambda lam: dw.weyl_fn(lam)[:m, :m])
+    return TransformResult(res.boundary, lambda lam: dw.weyl_fn(lam)[:m, :m])
 
 
 def intermediate_h2(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:
@@ -374,4 +386,4 @@ def intermediate_h2(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances 
     m = pi.boundary_dim
     dw = double_weyl(pi, chi, tol)
     res = block_compress(dw.boundary, SpaceSplit(m, m), 2, tol)
-    return TransformResult(res.kernel_rel, res.boundary, lambda lam: dw.weyl_fn(lam)[m:, m:])
+    return TransformResult(res.boundary, lambda lam: dw.weyl_fn(lam)[m:, m:])

@@ -12,7 +12,7 @@ independent evaluation routes so tests can compare the two.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -136,13 +136,17 @@ class SpaceSplit:
         return self.dim1 + self.dim2
 
 
-class TransformResult(NamedTuple):
-    """Symmetric kernel, transformed boundary relation, and the matrix
-    route for its Weyl family."""
+@dataclass(frozen=True)
+class TransformResult:
+    """Transformed boundary relation and the matrix route for its Weyl
+    family; its symmetric kernel is read on first use."""
 
-    kernel_rel: LinearRelation
     boundary: BoundaryRelation
     weyl_fn: Callable[[complex], np.ndarray]
+
+    @property
+    def kernel_rel(self) -> LinearRelation:
+        return self.boundary.s_rel
 
 
 def _to_relation(w, tol: Tolerances) -> LinearRelation:
@@ -262,7 +266,7 @@ def block_compress(br: BoundaryRelation, split: SpaceSplit, which: int, tol: Tol
         full = _weyl_matrix(br, lam, tol)
         return emb.conj().T @ full @ emb
 
-    return TransformResult(result.s_rel, result, weyl_fn)
+    return TransformResult(result, weyl_fn)
 
 
 def schur_complement(br: BoundaryRelation, split: SpaceSplit, tol: Tolerances = TOL) -> TransformResult:
@@ -317,7 +321,7 @@ def schur_complement(br: BoundaryRelation, split: SpaceSplit, tol: Tolerances = 
         rhs = np.linalg.inv(schur) if d1 else schur
         if np.linalg.norm(lhs - rhs) > _INVERSE_BLOCK_TOL * (1 + np.linalg.norm(rhs)):
             raise HypothesisFailed("inverse_block_identity", f"fails at {lam}")
-    return TransformResult(result.s_rel, result, weyl_fn)
+    return TransformResult(result, weyl_fn)
 
 
 def t_transform(br: BoundaryRelation, split: SpaceSplit, t, tol: Tolerances = TOL) -> TransformResult:
@@ -331,7 +335,7 @@ def t_transform(br: BoundaryRelation, split: SpaceSplit, t, tol: Tolerances = TO
     d1, d2 = split.dim1, split.dim2
     t = as_complex_matrix(t, d1, d2)
     result = _block_transform(br, _embed(m, 0, d1) @ t + _embed(m, d1, d2), tol)
-    return TransformResult(result.s_rel, result, lambda lam: _t_combination(_weyl_matrix(br, lam, tol), t))
+    return TransformResult(result, lambda lam: _t_combination(_weyl_matrix(br, lam, tol), t))
 
 
 def boundary_direct_sum(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances = TOL) -> BoundaryRelation:
@@ -360,9 +364,9 @@ def sum_weyl(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances = TOL) ->
         raise DimMismatch("summands need equal boundary dimensions")
     m = a.boundary_dim
     merged = boundary_direct_sum(a, b, tol)
-    kernel, boundary, _ = t_transform(merged, SpaceSplit(m, m), np.eye(m, dtype=complex), tol)
+    boundary = t_transform(merged, SpaceSplit(m, m), np.eye(m, dtype=complex), tol).boundary
 
     def weyl_fn(lam: complex) -> np.ndarray:
         return _weyl_matrix(a, lam, tol) + _weyl_matrix(b, lam, tol)
 
-    return TransformResult(kernel, boundary, weyl_fn)
+    return TransformResult(boundary, weyl_fn)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
+from extensio import admissibility
 from extensio.admissibility import _fit
 
 
@@ -106,16 +107,84 @@ def test_limit_tests_evaluate_the_family_once_per_grid_point():
         pair_calls.append(lam)
         return eye, np.array([[-1.0 / lam]])
 
+    # the three limit tests on one (triplet, pair) share one grid pass
     pi = ex.fix_b_triplet()
     pair = ex.NevanlinnaPairEval(1, counted_pair)
-    for run in (
-        lambda: ex.admissible(pi, pair).admissible,
-        lambda: ex.mt_admissibility(pi, pair, np.zeros((1, 1))),
-        lambda: ex.langer_textorius(pi, pair, 1j),
-    ):
-        pair_calls.clear()
-        assert run()
-        assert pair_calls == [1j * y for y in grid]
+    assert ex.admissible(pi, pair).admissible
+    assert ex.admissible(pi, pair, z0=1 + 1j).admissible
+    assert ex.mt_admissibility(pi, pair, np.zeros((1, 1)))
+    assert ex.langer_textorius(pi, pair, 2j)
+    assert pair_calls == [1j * y for y in grid]
+    # a new grid is evaluated again; a probe on the same grid reuses it
+    pair_calls.clear()
+    short = ex.LimitProbe(y_grid=grid[:-1])
+    assert ex.langer_textorius(pi, pair, 1j, probe=short)
+    assert pair_calls == [1j * y for y in short.y_grid]
+    pair_calls.clear()
+    assert ex.langer_textorius(pi, pair, 1j, probe=ex.LimitProbe(y_grid=grid[:-1], slope_tol=0.4))
+    assert pair_calls == []
+    # pairs are matched by identity: an equal pair wrapping the same
+    # function is evaluated again
+    assert ex.NevanlinnaPairEval(1, counted_pair) == pair
+    assert ex.langer_textorius(pi, ex.NevanlinnaPairEval(1, counted_pair), 1j, probe=short)
+    assert pair_calls == [1j * y for y in short.y_grid]
+
+
+def test_coupling_is_built_once_per_pair(monkeypatch):
+    calls = []
+
+    def counted_couple(*args):
+        calls.append(args)
+        return ex.couple(*args)
+
+    monkeypatch.setattr(admissibility, "couple", counted_couple)
+    scene = ex.fix_b_scene()
+    pi = ex.fix_b_triplet()
+    pair = ex.realized_pair(ex.induced_chi(scene, pi))
+    reports = [ex.admissible(pi, pair, z0=z0) for z0 in (1j, 2j, 1 + 1j)]
+    assert len(calls) == 1
+    assert all(rep.exact_mul_dim == 0 and rep.agreement for rep in reports)
+
+    # a coupling that fails is not stored: every call builds and raises
+    def failing_couple(*args):
+        calls.append(args)
+        raise ex.AssumptionError("coupling did not produce a selfadjoint relation")
+
+    monkeypatch.setattr(admissibility, "couple", failing_couple)
+    calls.clear()
+    pair = ex.realized_pair(ex.induced_chi(scene, pi))
+    for _ in range(2):
+        with pytest.raises(ex.AssumptionError):
+            ex.admissible(pi, pair)
+    assert len(calls) == 2
+
+
+def test_alternating_pairs_match_a_fresh_triplet():
+    # one slot per triplet: switching pairs refills it, and no report
+    # depends on the pair seen before
+    scene = ex.fix_b_scene()
+    pi = ex.fix_b_triplet()
+    pairs = [
+        ex.realized_pair(ex.induced_chi(scene, pi)),
+        ex.realized_constant_pair(ex.mul_relation(ex.full_subspace(1))),
+    ]
+    fresh = [ex.admissible(ex.fix_b_triplet(), pair, z0=2j) for pair in pairs]
+    assert fresh[0].admissible and not fresh[1].admissible
+    for pair, expected in [*zip(pairs, fresh)] * 2:
+        assert ex.admissible(pi, pair, z0=2j) == expected
+        assert ex.mt_admissibility(pi, pair, np.zeros((1, 1))) == ex.mt_admissibility(
+            ex.fix_b_triplet(), pair, np.zeros((1, 1))
+        )
+
+
+def test_sweep_arrays_are_read_only():
+    pi = ex.fix_b_triplet()
+    pair = ex.pair_from_matrix_function(1, lambda lam: np.array([[-1.0 / lam]]))
+    sweep = admissibility._sweep(pi, pair, ex.DEFAULT_PROBE, ex.TOL)
+    assert len(sweep) == 5
+    for arr in sweep:
+        with pytest.raises(ValueError):
+            arr[...] = 0
 
 
 def test_fix_b_report_admissible():
@@ -284,8 +353,10 @@ def test_singular_pair_combination_raises():
     pi = ex.fix_b_triplet()
     zero = np.zeros((1, 1), dtype=complex)
     pair = ex.NevanlinnaPairEval(1, lambda lam: (zero, zero))
-    with pytest.raises(ex.Omega0Singular):
-        ex.admissible(pi, pair)
+    # nothing is stored for a call that raises: every call raises again
+    for _ in range(2):
+        with pytest.raises(ex.Omega0Singular):
+            ex.admissible(pi, pair)
     # singular at one grid point only: the error names that point
     eye = np.eye(1, dtype=complex)
     late = ex.NevanlinnaPairEval(1, lambda lam: (zero, (lam - 1e4j) * eye))
@@ -293,7 +364,7 @@ def test_singular_pair_combination_raises():
         lambda: ex.admissible(pi, late),
         lambda: ex.mt_admissibility(pi, late, zero),
         lambda: ex.langer_textorius(pi, late, 1j),
-    ):
+    ) * 2:
         with pytest.raises(ex.Omega0Singular) as exc:
             run()
         assert exc.value.lam == 1e4j

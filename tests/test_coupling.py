@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
-from extensio import boundary
+from extensio import boundary, coupling
 from extensio.linrel import _nullspace
 
 RESID = 1e-9
@@ -234,3 +234,40 @@ def test_krein_rhs_on_a_bare_boundary_relation_keeps_its_cache(monkeypatch):
     # a bare relation that is not an ordinary triplet is refused
     with pytest.raises(ex.AssumptionError):
         ex.krein_rhs(ex.canonical_chi(ex.mul_relation(ex.full_subspace(1))), tau, 1j)
+
+
+def _kernel_check_passes(scene, pi):
+    try:
+        coupling._scene_boundary_map(scene, pi, ex.TOL)
+    except ex.TripletMismatch:
+        return False
+    return True
+
+
+def _perturbed_scene(scene, seed, eps):
+    a = ex.rel_matrix(scene.a_tilde)
+    e = ex.random_hermitian(np.random.default_rng(seed), a.shape[0])
+    return ex.coupling_scene(ex.relation_from_matrix(a + eps * e), scene.h1_dim, scene.h2_dim)
+
+
+def test_triplet_check_matches_the_relation_route():
+    # the boundary-value check of a scene's triplet gives the verdict of
+    # comparing the triplet's kernel S with the first restriction S1
+    shapes = [(1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 2), (2, 3), (4, 2)]
+    for seed in range(40):
+        n1, n2 = shapes[seed % len(shapes)]
+        scene = ex.random_scene(seed, n1, n2)
+        pi = ex.scene_triplet(scene)
+        assert ex.rel_equal(pi.s_rel, scene.s1)
+        assert _kernel_check_passes(scene, pi)
+        # a triplet of another shape fails on dimensions first
+        other = ex.scene_triplet(ex.random_scene(seed + 100, n1 + 1, n2))
+        assert not ex.rel_equal(other.s_rel, scene.s1)
+        assert not _kernel_check_passes(scene, other)
+        if n1 <= n2:
+            continue  # S1 = {0} for a generic matrix: nothing to perturb
+        for eps in (1e-12, 1e-5, 1e-2):
+            moved = _perturbed_scene(scene, seed + 200, eps)
+            verdict = ex.rel_equal(pi.s_rel, moved.s1)
+            assert verdict is (eps < 1e-8)
+            assert _kernel_check_passes(moved, pi) is verdict

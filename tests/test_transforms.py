@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
+from extensio import boundary
 
 RESID = 1e-9
 LAMS = (1j, 2j, 1 + 1j)
@@ -161,3 +162,30 @@ def test_t_transform_at_zero_is_the_second_block_compression():
     for lam in (1j, 1 + 1j):
         assert np.array_equal(via_t.weyl_fn(lam), via_block.weyl_fn(lam))
         assert ex.rel_equal(ex.weyl_eval(via_t.boundary, lam), ex.weyl_eval(via_block.boundary, lam))
+
+
+def test_transform_kernel_is_read_on_first_use(monkeypatch):
+    calls = []
+    parts = boundary.rel_parts
+
+    def counted(rel, tol=ex.TOL):
+        calls.append(tol)
+        return parts(rel, tol)
+
+    monkeypatch.setattr(boundary, "rel_parts", counted)
+    br, _ = triplet_fixture(seed=43, n=4, defect=2)
+    split = ex.SpaceSplit(1, 1)
+    results = [
+        ex.block_compress(br, split, 1),
+        ex.schur_complement(br, split),
+        ex.t_transform(br, split, np.ones((1, 1))),
+    ]
+    calls.clear()
+    for res in results:
+        kernel = res.kernel_rel
+        assert res.kernel_rel is kernel is res.boundary.s_rel
+    # one rel_parts per transformed relation, on first read only
+    assert len(calls) == len(results)
+    # each kernel extends the kernel S of the relation transformed
+    for res in results:
+        assert ex.containment_gap(br.s_rel.graph, res.kernel_rel.graph) <= ex.TOL.angle
