@@ -236,10 +236,12 @@ def mul_t_limit(
 
 class _PairSlot:
     """What the limit tests derive from one parameter pair tau on one
-    triplet: the sweep of the last grid (``_sweep``) and the dimension of
-    the exact multivalued part of the coupling, None when tau carries no
-    realization.  The slot holds tau, so the identity test on it cannot
-    meet a recycled id; a computation that raises stores nothing."""
+    triplet: the sweep of the last grid (``_sweep``), the two
+    resolvent-difference conditions of the last probe
+    (``_resolvent_conditions``) and the dimension of the exact multivalued
+    part of the coupling, None when tau carries no realization.  The slot
+    holds tau, so the identity test on it cannot meet a recycled id; a
+    computation that raises stores nothing."""
 
     def __init__(self, pi: OrdinaryTriplet, tau: NevanlinnaPairEval, tol: Tolerances):
         self.pi = pi
@@ -247,6 +249,8 @@ class _PairSlot:
         self.tol = tol
         self.grid: tuple[float, ...] | None = None
         self.sweep: tuple[np.ndarray, ...] = ()
+        self.probe: LimitProbe | None = None
+        self.conditions: tuple[bool, bool, float, float] | None = None
 
     @functools.cached_property
     def exact_dim(self) -> int | None:
@@ -296,6 +300,22 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
     return slot.sweep
 
 
+def _resolvent_conditions(slot: _PairSlot, sw: tuple[np.ndarray, ...], probe: LimitProbe) -> tuple[bool, bool, float, float]:
+    """Verdicts and fitted slopes of the two resolvent-difference
+    conditions, phi omega and psi omega M vanishing weakly, on the sweep sw
+    of the slot's pair.  They do not depend on the reference point, so the
+    slot keeps them for the last probe (the whole probe: its grid, vectors
+    and slope_tol all enter); ``_vanishes`` fits row by row, so fitting
+    them apart from the quadratic-form rows changes no bit."""
+    if slot.probe != probe:
+        ys, m_mat, phi, psi, omega = sw
+        probes = probe_vectors(slot.pi.boundary_dim, probe)
+        pairs = probes.conj().T @ np.stack([phi @ omega, psi @ omega @ m_mat]) @ probes
+        passes, slopes = _vanishes(ys, np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys, probe)
+        slot.probe, slot.conditions = probe, (bool(passes[0]), bool(passes[1]), float(slopes[0]), float(slopes[1]))
+    return slot.conditions
+
+
 def admissible(
     pi: OrdinaryTriplet,
     tau: NevanlinnaPairEval,
@@ -310,30 +330,26 @@ def admissible(
     if tau.dim != m:
         raise ArgumentError("pair dimension differs from the boundary space")
     z0 = _reference_point(z0)
-    probes = probe_vectors(m, probe)
     sw = _sweep(pi, tau, probe, tol)
-    ys, m_mat, phi, psi, omega = sw
-    # the two conditions: phi omega and psi omega M vanish weakly
-    pairs = probes.conj().T @ np.stack([phi @ omega, psi @ omega @ m_mat]) @ probes
-    adm_curves = np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys
-    passes, slopes = _vanishes(ys, np.vstack([adm_curves, _qlt_curves(pi, sw, z0, probes, tol)]), probe)
-    adm1, adm2 = bool(passes[0]), bool(passes[1])
+    slot = _pair_slot(pi, tau, tol)
+    adm1, adm2, adm1_slope, adm2_slope = _resolvent_conditions(slot, sw, probe)
+    qlt = _vanishes(sw[0], _qlt_curves(pi, sw, z0, probe_vectors(m, probe), tol), probe)[0]
     if _kernel_single_valued(pi, 0, tol):
         verdict = adm1
     elif _kernel_single_valued(pi, 1, tol):
         verdict = adm2
     else:
         verdict = adm1 and adm2
-    exact_dim = _pair_slot(pi, tau, tol).exact_dim
+    exact_dim = slot.exact_dim
     return AdmissibilityReport(
         exact_mul_dim=exact_dim,
         adm1_pass=adm1,
         adm2_pass=adm2,
-        qlt_pass=bool(np.all(passes[2:])),
+        qlt_pass=bool(np.all(qlt)),
         agreement=None if exact_dim is None else (exact_dim == 0) == verdict,
         admissible=verdict,
-        adm1_slope=float(slopes[0]),
-        adm2_slope=float(slopes[1]),
+        adm1_slope=adm1_slope,
+        adm2_slope=adm2_slope,
     )
 
 

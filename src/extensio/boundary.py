@@ -29,7 +29,7 @@ from .errors import (
     TripletMismatch,
     UnequalDefect,
 )
-from .kreinspace import FundamentalSymmetry, KreinRelation, _pairing_form
+from .kreinspace import _j_form
 from .linrel import (
     TOL,
     LinearRelation,
@@ -134,8 +134,7 @@ def green_residual(gamma: LinearRelation) -> float:
     """
     if gamma.dim_in % 2 or gamma.dim_out % 2:
         raise ArgumentError("graph spaces must have even dimension")
-    j_in, j_out = FundamentalSymmetry(gamma.dim_in // 2), FundamentalSymmetry(gamma.dim_out // 2)
-    return float(np.linalg.norm(_pairing_form(KreinRelation(gamma, j_in, j_out))))
+    return float(np.linalg.norm(_j_form(gamma.in_block) - _j_form(gamma.out_block)))
 
 
 def validate_boundary_relation(gamma: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelation:

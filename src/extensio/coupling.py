@@ -259,7 +259,12 @@ def krein_rhs(pi: BoundaryRelation, tau: FamilyEval, lam: complex, tol: Toleranc
 def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
     """Solve the boundary value problem for the compressed resolvent: an
     adjoint-domain element whose defect mismatch is h and whose twisted
-    boundary pair lies in the parameter family at lam."""
+    boundary pair lies in the parameter family at lam.
+
+    pi is single-valued, so the state rows F of its graph basis have full
+    column rank and span dom Gamma: with F = Q R, Q is an orthonormal
+    basis of dom Gamma and the boundary rows times R^{-1} are its boundary
+    values."""
     lam = complex(lam)
     h1 = scene.h1_dim
     rhs = np.asarray(h, dtype=complex).reshape(-1)
@@ -267,11 +272,12 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
         raise DimMismatch("right-hand side does not live in the first space")
     tau = tau_of_extension(scene, pi, tol)
     v_graph = tau.eval(lam).graph
-    t_basis = pi.t_rel.graph.basis
+    g = pi.gamma.graph.basis
+    t_basis, r = np.linalg.qr(g[: 2 * h1, :])
     k = t_basis.shape[1]
     top = t_basis[:h1, :]
     bot = t_basis[h1:, :]
-    bounds = _boundary_map(pi, tol)(t_basis)
+    bounds = g[2 * h1 :, :] @ np.linalg.inv(r)
     m = pi.boundary_dim
     twisted = np.vstack([bounds[:m, :], -bounds[m:, :]])
     proj = v_graph.projector()
@@ -321,24 +327,31 @@ def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, t
     return m_mat, phi, psi, omega
 
 
-def double_weyl(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> DoubleWeylResult:
+def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -> DoubleWeylResult:
     """Boundary relation for the direct sum of the adjoint domains whose
-    Weyl family is the two-by-two block resolvent family of the coupling."""
+    Weyl family is the two-by-two block resolvent family of the coupling.
+
+    pi is single-valued, so the state rows F of its graph basis span
+    dom Gamma and the boundary rows (G0; G1) are their boundary values:
+    the first summand's columns are read off that basis with no parts or
+    boundary map.  A bare boundary relation must pass ``ordinary_triplet``;
+    its own cache serves the Weyl function."""
     if pi.boundary_dim != chi.boundary_dim:
         raise DimMismatch("boundary spaces of the factors differ")
+    if not isinstance(pi, OrdinaryTriplet):
+        ordinary_triplet(pi, tol)
     n1 = pi.state_dim
     n2 = chi.state_dim
     m = pi.boundary_dim
-    t_basis = pi.t_rel.graph.basis
-    bounds = _boundary_map(pi, tol)(t_basis)
-    g0 = bounds[:m, :]
-    g1 = bounds[m:, :]
-    k1 = t_basis.shape[1]
+    g_basis = pi.gamma.graph.basis
+    g0 = g_basis[2 * n1 : 2 * n1 + m, :]
+    g1 = g_basis[2 * n1 + m :, :]
+    k1 = g_basis.shape[1]
     cols_first = np.vstack(
         [
-            t_basis[:n1, :],
+            g_basis[:n1, :],
             np.zeros((n2, k1)),
-            t_basis[n1:, :],
+            g_basis[n1 : 2 * n1, :],
             np.zeros((n2, k1)),
             g1,
             -g0,

@@ -1,8 +1,11 @@
 """Indefinite inner product structure on C^{2n} and the main transform.
 
 The pairing is [u, v] = (J u, v) with the block symmetry
-J = [[0, -iI], [iI, 0]] materialized as an explicit matrix.  Euclidean
-inner products stay linear in the first argument, as in ``linrel``.
+J = [[0, -iI], [iI, 0]].  The pairing forms, the Krein adjoint and the
+J-orthogonal complement apply J as the block swap J u = [-i u2; i u1] of
+the two halves of u, which is exact in floating point, and X* J X as
+i(G* - G) with G = X1* X2.  Euclidean inner products stay linear in the
+first argument, as in ``linrel``.
 """
 
 from __future__ import annotations
@@ -72,28 +75,40 @@ class KreinRelation:
             raise DimMismatch("relation dimensions do not match the symmetries")
 
 
+def _apply_j(rows: np.ndarray) -> np.ndarray:
+    """J times each column of rows: the block swap [-i u2; i u1]."""
+    half = rows.shape[0] // 2
+    return np.vstack([-1j * rows[half:], 1j * rows[:half]])
+
+
 def krein_complement(space: Subspace, j: FundamentalSymmetry, tol: Tolerances = TOL) -> Subspace:
     """J-orthogonal complement: all u with [u, v] = 0 for every v in space."""
     if space.ambient_dim != j.dim:
         raise DimMismatch("space does not live in the symmetry's space")
     # J is unitary: it maps the orthonormal basis to an orthonormal basis.
-    return subspace_complement(Subspace._trusted(j.dim, j.matrix @ space.basis), tol)
+    return subspace_complement(Subspace._trusted(j.dim, _apply_j(space.basis)), tol)
 
 
 def krein_adjoint(t: KreinRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Indefinite adjoint J_in T* J_out = {(J_out h, J_in k) : (h, k) in T*};
     J is unitary, so the row-transformed graph basis stays orthonormal."""
     star = rel_adjoint(t.rel, tol)
-    basis = np.vstack([t.j_out.matrix @ star.in_block, t.j_in.matrix @ star.out_block])
+    basis = np.vstack([_apply_j(star.in_block), _apply_j(star.out_block)])
     return LinearRelation(star.dim_in, star.dim_out, Subspace._trusted(star.graph.ambient_dim, basis))
+
+
+def _j_form(rows: np.ndarray) -> np.ndarray:
+    """X* J X = i(G* - G) with G = X1* X2, for X split at half its rows."""
+    half = rows.shape[0] // 2
+    g = rows[:half].conj().T @ rows[half:]
+    return 1j * (g.conj().T - g)
 
 
 def _pairing_form(t: KreinRelation) -> np.ndarray:
     """X* J_in X - Y* J_out Y on the graph basis [X; Y] of T.  T^[*] is the
     orthogonal complement of [J_out Y; -J_in X], so its spectral norm is the
     sine of the containment gap of T^{-1} in T^[*]."""
-    x, y = t.rel.in_block, t.rel.out_block
-    return x.conj().T @ t.j_in.matrix @ x - y.conj().T @ t.j_out.matrix @ y
+    return _j_form(t.rel.in_block) - _j_form(t.rel.out_block)
 
 
 def is_isometric(t: KreinRelation, tol: Tolerances = TOL) -> bool:

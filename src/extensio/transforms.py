@@ -4,9 +4,11 @@ compressions, Schur complements, the quadratic block transform, and
 Weyl-family sums.
 
 Every transform is implemented once at the relation level, by composing
-the boundary relation with an explicit block relation.  The matrix
-formulas for the transformed Weyl families are returned alongside as
-independent evaluation routes so tests can compare the two.
+the boundary relation with a block relation; the block compressions and
+the T-transform meet coefficients on Gamma's graph basis instead of
+building theirs.  The matrix formulas for the transformed Weyl families
+are returned alongside as independent evaluation routes so tests can
+compare the two.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .linrel import (
     TOL,
     LinearRelation,
     Tolerances,
+    _meet,
     _rank,
     _span,
     as_complex_matrix,
@@ -168,12 +171,18 @@ def _weyl_matrix(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndar
 def _block_transform(br: BoundaryRelation, e: np.ndarray, tol: Tolerances) -> BoundaryRelation:
     """Gamma composed with the block relation {((E k, h'), (k, E* h'))}
     for an m x d matrix E: inputs are constrained to ran E and the outputs
-    pair k with E* h'."""
-    m, d = e.shape
-    cols_k = np.vstack([e, np.zeros((m, d)), np.eye(d, dtype=complex), np.zeros((d, d))])
-    cols_hp = np.vstack([np.zeros((m, m)), np.eye(m, dtype=complex), np.zeros((d, m)), e.conj().T])
-    block = LinearRelation(2 * m, 2 * d, _span(np.hstack([cols_k, cols_hp]), tol))
-    return validate_boundary_relation(rel_product(block, br.gamma, tol), tol)
+    pair k with E* h'.
+
+    With Gamma's graph basis split into state rows F and boundary rows
+    H0, H1, the composite is spanned by [F u; k; E* H1 u] over the meet
+    H0 u = E k; no block relation is built.  Both callers pass an E with
+    smallest singular value at least one (an embedding, or [t; I]), so the
+    generators are anchored at unit scale as in ``rel_product``."""
+    n, m = br.state_dim, br.boundary_dim
+    g = br.gamma.graph.basis
+    u, k = _meet(g[2 * n : 2 * n + m, :], e, tol)
+    gens = np.vstack([g[: 2 * n, :] @ u, k, e.conj().T @ (g[2 * n + m :, :] @ u)])
+    return validate_boundary_relation(LinearRelation(2 * n, 2 * e.shape[1], _span(gens, tol, 1.0)), tol)
 
 
 def _t_combination(full: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Limit-based admissibility detectors against exactly computable cases."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -377,3 +379,33 @@ def test_exact_mul_helper():
         ex.realize_tau(
             ex.pair_from_matrix_function(1, lambda lam: np.array([[lam]]))
         )
+
+
+def test_resolvent_conditions_are_fitted_once_per_probe(monkeypatch):
+    # the two resolvent-difference rows do not depend on z0: three
+    # admissible calls on one (pi, tau) fit them once, and only the
+    # quadratic-form rows are fitted per call
+    fitted = []
+    vanishes = admissibility._vanishes
+
+    def counted(ys, curves, probe):
+        fitted.append(curves.shape[0])
+        return vanishes(ys, curves, probe)
+
+    monkeypatch.setattr(admissibility, "_vanishes", counted)
+    scene = ex.random_scene(5, 2, 2)
+    pi = ex.scene_triplet(scene)
+    pair = ex.realized_pair(ex.induced_chi(scene, pi))
+    probe_rows = pi.boundary_dim + ex.DEFAULT_PROBE.extra_probes
+    reports = [ex.admissible(pi, pair, z0=z0) for z0 in (1j, 2j, 1 + 1j)]
+    assert fitted == [2, probe_rows, probe_rows, probe_rows]
+    # a probe that differs only in slope_tol fits them again
+    fitted.clear()
+    loose = dataclasses.replace(ex.DEFAULT_PROBE, slope_tol=0.6)
+    loose_reports = [ex.admissible(pi, pair, probe=loose, z0=z0) for z0 in (1j, 2j)]
+    assert fitted == [2, probe_rows, probe_rows]
+    # every report equals the one from a fresh triplet
+    for z0, rep in zip((1j, 2j, 1 + 1j), reports):
+        assert rep == ex.admissible(ex.scene_triplet(scene), pair, z0=z0)
+    for z0, rep in zip((1j, 2j), loose_reports):
+        assert rep == ex.admissible(ex.scene_triplet(scene), pair, probe=loose, z0=z0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
-from extensio import boundary, coupling
+from extensio import boundary, coupling, linrel, transforms
 from extensio.linrel import _nullspace
 
 RESID = 1e-9
@@ -271,3 +271,115 @@ def test_triplet_check_matches_the_relation_route():
             verdict = ex.rel_equal(pi.s_rel, moved.s1)
             assert verdict is (eps < 1e-8)
             assert _kernel_check_passes(moved, pi) is verdict
+
+
+def _reference_double_weyl_graph(pi, chi):
+    # former route: an orthonormal basis of dom Gamma from rel_parts (the
+    # triplet's T) and its boundary values through the boundary map
+    n1, n2, m = pi.state_dim, chi.state_dim, pi.boundary_dim
+    t_basis = ex.rel_parts(pi.gamma).dom.basis
+    bounds = boundary._boundary_map(pi, ex.TOL)(t_basis)
+    g0, g1 = bounds[:m], bounds[m:]
+    k1 = t_basis.shape[1]
+    c = chi.gamma.graph.basis
+    k2 = c.shape[1]
+    h, hp = c[2 * n2 : 2 * n2 + m], c[2 * n2 + m :]
+    first = np.vstack([t_basis[:n1], np.zeros((n2, k1)), t_basis[n1:], np.zeros((n2, k1)), g1, -g0, -g0, np.zeros((m, k1))])
+    second = np.vstack([np.zeros((n1, k2)), c[:n2], np.zeros((n1, k2)), c[n2 : 2 * n2], hp, h, np.zeros((m, k2)), hp])
+    return ex.relation_from_generators(2 * (n1 + n2), 4 * m, np.hstack([first, second]))
+
+
+def _double_weyl_scenes():
+    shapes = [(1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 2), (2, 3), (4, 2)]
+    for seed in range(40):
+        n1, n2 = shapes[seed % len(shapes)]
+        scene = ex.random_scene(seed, n1, n2)
+        pi = ex.scene_triplet(scene)
+        yield pi, ex.induced_chi(scene, pi)
+    yield ex.fix_b_triplet(), ex.induced_chi(ex.fix_b_scene(), ex.fix_b_triplet())
+    pi, pair = ex.fix_infty_steering()
+    yield pi, pair.realization
+
+
+def test_double_weyl_graph_matches_the_parts_route():
+    # the first summand's columns are read off Gamma's graph basis: the
+    # same boundary relation as from an orthonormal basis of dom Gamma
+    for pi, chi in _double_weyl_scenes():
+        dw = ex.double_weyl(pi, chi)
+        ref = _reference_double_weyl_graph(pi, chi)
+        assert dw.boundary.gamma.graph_dim == ref.graph_dim
+        assert np.linalg.norm(dw.boundary.gamma.graph.projector() - ref.graph.projector()) < 1e-12
+        # a bare boundary relation passes ordinary_triplet first
+        bare = ex.double_weyl(ex.validate_boundary_relation(pi.gamma), chi)
+        assert np.array_equal(bare.boundary.gamma.graph.basis, dw.boundary.gamma.graph.basis)
+        assert np.array_equal(bare.weyl_fn(2j), dw.weyl_fn(2j))
+    multivalued = ex.canonical_chi(ex.mul_relation(ex.full_subspace(1)))
+    with pytest.raises(ex.AssumptionError):
+        ex.double_weyl(multivalued, multivalued)
+
+
+def test_double_weyl_and_t_transform_take_no_parts_or_product(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("no relation parts or product on this route")
+
+    for module in (linrel, boundary, coupling, transforms):
+        for name in ("rel_parts", "rel_product"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    for pi, chi in _double_weyl_scenes():
+        m = pi.boundary_dim
+        dw = ex.double_weyl(pi, chi)
+        for t in (np.zeros((m, m)), np.eye(m)):
+            ex.t_transform(dw.boundary, ex.SpaceSplit(m, m), t)
+
+
+def _reference_straus_solve(scene, pi, h, lam):
+    # former route: an orthonormal basis of dom Gamma from rel_parts (the
+    # triplet's T) and its boundary values through the boundary map
+    h1, m = scene.h1_dim, pi.boundary_dim
+    proj = ex.tau_of_extension(scene, pi).eval(lam).graph.projector()
+    t_basis = ex.rel_parts(pi.gamma).dom.basis
+    bounds = boundary._boundary_map(pi, ex.TOL)(t_basis)
+    twisted = np.vstack([bounds[:m], -bounds[m:]])
+    system = np.vstack([t_basis[h1:] - lam * t_basis[:h1], (np.eye(2 * m) - proj) @ twisted])
+    target = np.concatenate([h, np.zeros(2 * m)])
+    coeff = np.linalg.lstsq(system, target, rcond=None)[0]
+    if np.linalg.norm(system @ coeff - target) > coupling._STRAUS_RESIDUAL_TOL * (1 + np.linalg.norm(h)):
+        raise ex.NoSolution("reference")
+    null = _nullspace(system, ex.TOL)
+    if null.size and np.linalg.norm(t_basis[:h1] @ null) > ex.TOL.angle:
+        raise ex.NonUnique("reference")
+    return t_basis[:h1] @ coeff
+
+
+def _straus_outcome(solve, *args):
+    try:
+        return "solved", solve(*args)
+    except (ex.NoSolution, ex.NonUnique) as exc:
+        return type(exc).__name__, None
+
+
+def test_straus_solve_decisions_match_the_parts_route():
+    # dom Gamma is read off Gamma's graph basis by one QR; the NoSolution
+    # and NonUnique decisions are those of the rel_parts route, at real
+    # points (eigenvalues of the coupling and of its first corner) as well
+    outcomes = set()
+    cases = [(ex.fix_b_scene(), ex.fix_b_triplet())]
+    shapes = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (2, 3)]
+    for seed in range(18):
+        scene = ex.random_scene(seed, *shapes[seed % len(shapes)])
+        cases.append((scene, ex.scene_triplet(scene)))
+    rng = np.random.default_rng(12)
+    for scene, pi in cases:
+        a = ex.rel_matrix(scene.a_tilde)
+        h1 = scene.h1_dim
+        lams = [1j, 1 + 1j, 0.0, 0.5, 1.0, *np.linalg.eigvalsh(a)[:2], np.linalg.eigvalsh(a[:h1, :h1])[0]]
+        for lam in lams:
+            for h in (np.zeros(h1, dtype=complex), rng.standard_normal(h1) + 1j * rng.standard_normal(h1)):
+                new = _straus_outcome(ex.straus_solve, scene, pi, h, lam)
+                ref = _straus_outcome(_reference_straus_solve, scene, pi, h, complex(lam))
+                assert new[0] == ref[0]
+                if new[0] == "solved":
+                    assert np.linalg.norm(new[1] - ref[1]) <= 1e-10 * (1 + np.linalg.norm(ref[1]))
+                outcomes.add(new[0])
+    assert outcomes == {"solved", "NoSolution", "NonUnique"}

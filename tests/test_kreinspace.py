@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
+from extensio import kreinspace
 
 RESID = 1e-10
 
@@ -190,3 +191,64 @@ def test_unitarity_at_the_angle_cutoff(ratio, inside):
             )
             assert ex.is_isometric(cut) == ex.is_subrelation(ex.rel_inverse(cut.rel), ex.krein_adjoint(cut))
             assert not ex.is_unitary(cut) and not ex.rel_equal(ex.rel_inverse(cut.rel), ex.krein_adjoint(cut))
+
+
+# Reference routes with J materialized as FundamentalSymmetry.matrix; the
+# library applies J as the block swap [-i u2; i u1] and forms X* J X as
+# i(G* - G) with G = X1* X2.
+
+
+def _dense_pairing_form(kr):
+    x, y = kr.rel.in_block, kr.rel.out_block
+    return x.conj().T @ kr.j_in.matrix @ x - y.conj().T @ kr.j_out.matrix @ y
+
+
+def _dense_krein_adjoint_basis(kr):
+    star = ex.rel_adjoint(kr.rel)
+    return np.vstack([kr.j_out.matrix @ star.in_block, kr.j_in.matrix @ star.out_block])
+
+
+def _dense_isometric(kr):
+    form = _dense_pairing_form(kr)
+    return not form.size or bool(np.abs(np.linalg.eigvalsh(form)).max() <= np.sin(ex.TOL.angle))
+
+
+def _block_swap_cases():
+    # random relations with unequal half dimensions, unitary graphs and
+    # unitary graphs pushed to either side of the angle cutoff
+    cases = list(_random_split_relations())
+    rng = np.random.default_rng(8)
+    for n, m in ((1, 2), (2, 1), (3, 1), (1, 3), (2, 3)):
+        kr = ex.inverse_main_transform(ex.random_selfadjoint_relation(rng, n + m), (n, m))
+        basis = kr.rel.graph.basis
+        push = rng.standard_normal(basis.shape) + 1j * rng.standard_normal(basis.shape)
+
+        def moved(eps):
+            return ex.LinearRelation(2 * n, 2 * m, ex.subspace_from_columns(basis + eps * push))
+
+        slope = _pairing_sine(ex.KreinRelation(moved(1e-6), kr.j_in, kr.j_out)) / 1e-6
+        cases.append((n, m, kr.rel))
+        cases += [(n, m, moved(ratio * np.sin(ex.TOL.angle) / slope)) for ratio in (0.7, 1.5)]
+    return cases
+
+
+def test_block_swap_matches_the_dense_symmetry():
+    verdicts = set()
+    for n, m, rel in _block_swap_cases():
+        kr = ex.KreinRelation(rel, ex.FundamentalSymmetry(n), ex.FundamentalSymmetry(m))
+        dense = _dense_pairing_form(kr)
+        form = kreinspace._pairing_form(kr)
+        assert np.linalg.norm(form - dense) <= 1e-14 * max(1, rel.graph_dim)
+        assert np.array_equal(form, form.conj().T)
+        assert ex.is_isometric(kr) == _dense_isometric(kr)
+        assert ex.is_unitary(kr) == (_dense_isometric(kr) and 2 * rel.graph_dim == rel.dim_in + rel.dim_out)
+        verdicts.add(ex.is_isometric(kr))
+        assert abs(ex.green_residual(rel) - np.linalg.norm(dense)) <= 1e-14 * max(1, rel.graph_dim)
+        # the swap is exact: the adjoint basis and the complement's
+        # generators equal the dense products entry for entry
+        assert np.array_equal(ex.krein_adjoint(kr).graph.basis, _dense_krein_adjoint_basis(kr))
+        parts = ex.rel_parts(rel)
+        for space, j in ((parts.dom, kr.j_in), (parts.ran, kr.j_out)):
+            dense_comp = ex.subspace_complement(ex.Subspace(j.dim, j.matrix @ space.basis))
+            assert np.array_equal(ex.krein_complement(space, j).basis, dense_comp.basis)
+    assert verdicts == {True, False}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import extensio as ex
-from extensio import boundary
+from extensio import boundary, transforms
 
 RESID = 1e-9
 LAMS = (1j, 2j, 1 + 1j)
@@ -189,3 +189,41 @@ def test_transform_kernel_is_read_on_first_use(monkeypatch):
     # each kernel extends the kernel S of the relation transformed
     for res in results:
         assert ex.containment_gap(br.s_rel.graph, res.kernel_rel.graph) <= ex.TOL.angle
+
+
+def _reference_block_transform(br, e):
+    # former route: the block relation {((E k, h'), (k, E* h'))}
+    # orthonormalized, then composed with Gamma by a relation product
+    m, d = e.shape
+    cols_k = np.vstack([e, np.zeros((m, d)), np.eye(d), np.zeros((d, d))])
+    cols_hp = np.vstack([np.zeros((m, m)), np.eye(m), np.zeros((d, m)), e.conj().T])
+    block = ex.relation_from_generators(2 * m, 2 * d, np.hstack([cols_k, cols_hp]))
+    return ex.validate_boundary_relation(ex.rel_product(block, br.gamma))
+
+
+def _block_transform_cases():
+    # von Neumann triplets, every split, t scaled from 1e-3 to 1e3, and
+    # both block_compress embeddings
+    for n in range(2, 7):
+        for defect in sorted({1, n // 2, n - 1}):
+            br, rng = triplet_fixture(seed=100 * n + defect, n=n, defect=defect)
+            m = br.boundary_dim
+            for d1 in range(m + 1):
+                d2 = m - d1
+                for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+                    t = scale * (rng.standard_normal((d1, d2)) + 1j * rng.standard_normal((d1, d2)))
+                    yield br, transforms._embed(m, 0, d1) @ t + transforms._embed(m, d1, d2)
+                yield br, transforms._embed(m, 0, d1)
+                yield br, transforms._embed(m, d1, d2)
+
+
+def test_block_transform_matches_the_product_route():
+    count = 0
+    for br, e in _block_transform_cases():
+        new = transforms._block_transform(br, e, ex.TOL).gamma
+        ref = _reference_block_transform(br, e).gamma
+        assert new.graph_dim == ref.graph_dim
+        assert ex.containment_gap(new.graph, ref.graph) < 1e-11
+        assert ex.containment_gap(ref.graph, new.graph) < 1e-11
+        count += 1
+    assert count == 266
