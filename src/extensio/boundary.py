@@ -351,27 +351,28 @@ def _off_spectrum(eigs: np.ndarray, lams: np.ndarray, n: int, tol: Tolerances) -
     return diffs
 
 
-def _gamma_and_weyl_grid(br: BoundaryRelation, lams, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+def _gamma_and_weyl_grid(br: BoundaryRelation, lams, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gamma field and Weyl function of an ordinary triplet at each point of
     lams, stacked (k, n, m) and (k, m, m), from its cached data:
     gamma(lam) = Q Q* gamma(mu) + E diag((t - mu)/(t - lam)) E* gamma(mu)
-    and M(lam) = Gamma_1 (gamma(lam), lam gamma(lam)).  The mul term is
-    built from Q, so it is exactly zero when mul A0 = {0}; the forms
-    (I - E E*) gamma(mu) and gamma(mu) + (lam - mu)(A0 - lam)^{-1} gamma(mu)
-    leave a rounding-level residue that lam scales up in M."""
+    and M(lam) = Gamma_1 (gamma(lam), lam gamma(lam)), with their rows t - lam
+    of ``_off_spectrum``.  The mul term is built from Q, so it is exactly
+    zero when mul A0 = {0}; the forms (I - E E*) gamma(mu) and
+    gamma(mu) + (lam - mu)(A0 - lam)^{-1} gamma(mu) leave a rounding-level
+    residue that lam scales up in M."""
     lams = np.asarray(lams, dtype=complex)
     if (lams.imag == 0).any():
         raise RealAxis("gamma fields and Weyl functions live off the real axis")
     prop = _triplet_cache(br, tol).propagation
-    ratios = prop.shifted / _off_spectrum(prop.eigs, lams, br.state_dim, tol)
-    gam = prop.mul_part + prop.vecs @ (ratios[:, :, None] * prop.coeffs)
+    diffs = _off_spectrum(prop.eigs, lams, br.state_dim, tol)
+    gam = prop.mul_part + prop.vecs @ ((prop.shifted / diffs)[:, :, None] * prop.coeffs)
     weyl = prop.gamma1_f @ gam + lams[:, None, None] * (prop.gamma1_fp @ gam)
-    return gam, weyl
+    return gam, weyl, diffs
 
 
 def _gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """Gamma field and Weyl function at one point (``_gamma_and_weyl_grid``)."""
-    gam, weyl = _gamma_and_weyl_grid(br, [lam], tol)
+    gam, weyl, _ = _gamma_and_weyl_grid(br, [lam], tol)
     return gam[0], weyl[0]
 
 
@@ -387,6 +388,14 @@ def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.nda
     spec = _triplet_cache(br, tol).spectrum
     diffs = _off_spectrum(spec.eigs, np.array([lam], dtype=complex), br.state_dim, tol)[0]
     return (spec.vecs / diffs) @ spec.vecs.conj().T
+
+
+def _krein_pieces(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """gamma(lam), gamma(conj lam), M(lam) and A0's resolvent E diag(1/(t - lam)) E*
+    (``_a0_resolvent``) from one ``_gamma_and_weyl_grid`` pass at [lam, conj lam]."""
+    gam, weyl, diffs = _gamma_and_weyl_grid(br, [lam, lam.conjugate()], tol)
+    vecs = _triplet_cache(br, tol).spectrum.vecs
+    return gam[0], gam[1], weyl[0], (vecs / diffs[0]) @ vecs.conj().T
 
 
 def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:

@@ -11,6 +11,7 @@ function and the gamma field.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,9 +44,9 @@ from .linrel import (
 from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
-    _a0_resolvent,
     _boundary_map,
     _gamma_and_weyl,
+    _krein_pieces,
     ordinary_triplet,
     validate_boundary_relation,
     weyl_eval,
@@ -77,17 +78,34 @@ _STRAUS_RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class CouplingScene:
-    """Selfadjoint relation on C^{h1+h2} with its corner restrictions and
-    compressions; minimal means the second restriction is simple."""
+    """Selfadjoint relation on C^{h1+h2} with its first restriction S1 and
+    the tolerances it was split under; S2, the compressions T1 and T2 and
+    minimality (S2 is simple) are read on first use under them."""
 
     h1_dim: int
     h2_dim: int
     a_tilde: LinearRelation
     s1: LinearRelation
-    s2: LinearRelation
-    t1: LinearRelation
-    t2: LinearRelation
-    minimal: bool
+    tol: Tolerances = TOL
+
+    @cached_property
+    def s2(self) -> LinearRelation:
+        f1, f2, f1p, f2p = _row_ranges(self.h1_dim, self.h2_dim)
+        return _restriction(self.a_tilde, f2 + f2p, f1 + f1p, self.tol)
+
+    @cached_property
+    def t1(self) -> LinearRelation:
+        f1, _, f1p, _ = _row_ranges(self.h1_dim, self.h2_dim)
+        return LinearRelation(self.h1_dim, self.h1_dim, subspace_coords(self.a_tilde.graph, f1 + f1p, self.tol))
+
+    @cached_property
+    def t2(self) -> LinearRelation:
+        _, f2, _, f2p = _row_ranges(self.h1_dim, self.h2_dim)
+        return LinearRelation(self.h2_dim, self.h2_dim, subspace_coords(self.a_tilde.graph, f2 + f2p, self.tol))
+
+    @cached_property
+    def minimal(self) -> bool:
+        return is_simple(self.s2, tol=self.tol)
 
 
 @dataclass(frozen=True)
@@ -120,26 +138,24 @@ def coupling_scene(a_tilde: LinearRelation, h1_dim: int, h2_dim: int, tol: Toler
     if not rel_classify(a_tilde, tol).selfadjoint:
         raise AssumptionError("coupling scenes need a selfadjoint relation")
     f1, f2, f1p, f2p = _row_ranges(h1_dim, h2_dim)
+    return CouplingScene(h1_dim, h2_dim, a_tilde, _restriction(a_tilde, f1 + f1p, f2 + f2p, tol), tol)
+
+
+def _restriction(a_tilde: LinearRelation, keep: list[int], kill: list[int], tol: Tolerances) -> LinearRelation:
+    """Corner of a_tilde on the rows keep: G ker(G_kill) has orthonormal columns
+    and rounding-level rows kill, so its rows keep are an orthonormal basis."""
     graph = a_tilde.graph
-
-    def split(keep: list[int], kill: list[int], dim: int) -> tuple[LinearRelation, LinearRelation]:
-        # G ker(G_kill) has orthonormal columns and rounding-level killed
-        # rows, so its kept rows are an orthonormal basis of the corner.
-        inside = graph.basis @ _nullspace(graph.basis[kill, :], tol, 1.0)
-        corner = LinearRelation(dim, dim, Subspace._trusted(2 * dim, inside[keep, :]))
-        return corner, LinearRelation(dim, dim, subspace_coords(graph, keep, tol))
-
-    s1, t1 = split(f1 + f1p, f2 + f2p, h1_dim)
-    s2, t2 = split(f2 + f2p, f1 + f1p, h2_dim)
-    return CouplingScene(h1_dim, h2_dim, a_tilde, s1, s2, t1, t2, is_simple(s2, tol=tol))
+    inside = graph.basis @ _nullspace(graph.basis[kill, :], tol, 1.0)
+    dim = len(keep) // 2
+    return LinearRelation(dim, dim, Subspace._trusted(2 * dim, inside[keep, :]))
 
 
-def _scene_boundary_map(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances) -> Callable[[np.ndarray], np.ndarray]:
-    """The triplet's boundary map (``boundary._boundary_map``), once its
-    kernel S is checked to be the scene's first restriction S1: S1 must
-    have the dimension n - m of S and lie in ker Gamma, so Gamma sends its
-    orthonormal basis into dom Gamma with boundary values that vanish.
-    Raises TripletMismatch otherwise; no SVD is taken."""
+def _scene_boundary_values(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances) -> np.ndarray:
+    """Twisted boundary values (h, -h') of the rows (f1, f1') of the
+    coupling's graph basis under the triplet's boundary map, which checks
+    that they lie in dom Gamma.  S = ker Gamma is checked first to be the
+    scene's S1, with no SVD: S1 must have the dimension n - m of S and an
+    orthonormal basis with vanishing boundary values.  Raises TripletMismatch."""
     n, m = pi.state_dim, pi.boundary_dim
     if scene.s1.dim_in != n or scene.s1.graph_dim != n - m:
         raise TripletMismatch("triplet kernel differs from the first restriction")
@@ -147,22 +163,20 @@ def _scene_boundary_map(scene: CouplingScene, pi: OrdinaryTriplet, tol: Toleranc
     basis = scene.s1.graph.basis
     if np.linalg.norm(boundary_values(basis)) > tol.angle * (1 + np.linalg.norm(basis)):
         raise TripletMismatch("triplet kernel differs from the first restriction")
-    return boundary_values
+    f1, _, f1p, _ = _row_ranges(scene.h1_dim, scene.h2_dim)
+    graph = scene.a_tilde.graph.basis
+    bounds = boundary_values(np.vstack([graph[f1, :], graph[f1p, :]]))
+    return np.vstack([bounds[:m, :], -bounds[m:, :]])
 
 
 def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
     """Boundary relation for the second restriction carrying the twisted
     boundary values of the first components of the coupling."""
-    boundary_values = _scene_boundary_map(scene, pi, tol)
-    h1, h2 = scene.h1_dim, scene.h2_dim
-    m = pi.boundary_dim
-    f1, f2, f1p, f2p = _row_ranges(h1, h2)
+    twisted = _scene_boundary_values(scene, pi, tol)
+    _, f2, _, f2p = _row_ranges(scene.h1_dim, scene.h2_dim)
     basis = scene.a_tilde.graph.basis
-    fhat1 = np.vstack([basis[f1, :], basis[f1p, :]])
-    fhat2 = np.vstack([basis[f2, :], basis[f2p, :]])
-    bounds = boundary_values(fhat1)
-    gens = np.vstack([fhat2, bounds[:m, :], -bounds[m:, :]])
-    chi = LinearRelation(2 * h2, 2 * m, _span(gens, tol))
+    gens = np.vstack([basis[f2, :], basis[f2p, :], twisted])
+    chi = LinearRelation(2 * scene.h2_dim, 2 * pi.boundary_dim, _span(gens, tol))
     return validate_boundary_relation(chi, tol)
 
 
@@ -206,18 +220,17 @@ def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -
 
 def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL) -> FamilyEval:
     """Parameter family of the coupling: twisted boundary values of the
-    elements whose second component solves the eigenvalue equation."""
-    boundary_values = _scene_boundary_map(scene, pi, tol)
-    h1, h2 = scene.h1_dim, scene.h2_dim
+    elements G c whose second component solves the eigenvalue equation,
+    c in ker(G_f2' - lam G_f2).  They are those of the whole graph basis G
+    times c, so the boundary map and its checks run once, here."""
+    twisted = _scene_boundary_values(scene, pi, tol)
     m = pi.boundary_dim
-    f1, f2, f1p, f2p = _row_ranges(h1, h2)
+    _, f2, _, f2p = _row_ranges(scene.h1_dim, scene.h2_dim)
     basis = scene.a_tilde.graph.basis
 
     def eval_at(lam: complex) -> LinearRelation:
-        cols = basis @ _nullspace(basis[f2p, :] - complex(lam) * basis[f2, :], tol)
-        bounds = boundary_values(np.vstack([cols[f1, :], cols[f1p, :]]))
-        gens = np.vstack([bounds[:m, :], -bounds[m:, :]])
-        return LinearRelation(m, m, _span(gens, tol))
+        coeff = _nullspace(basis[f2p, :] - complex(lam) * basis[f2, :], tol)
+        return LinearRelation(m, m, _span(twisted @ coeff, tol))
 
     return FamilyEval(m, eval_at)
 
@@ -236,16 +249,14 @@ def krein_rhs(pi: BoundaryRelation, tau: FamilyEval, lam: complex, tol: Toleranc
     With [phi; psi] a graph basis of tau(lam), the inverse of M + tau is
     phi (psi + M phi)^{-1}; every ingredient is read off Gamma's graph
     basis as a matrix: A0's resolvent, gamma and M come from the triplet's
-    one spectral decomposition of A0, with no SVD per point.  A bare
-    boundary relation must pass ``ordinary_triplet``; its own cache serves
-    every call."""
+    one spectral decomposition of A0, in one pass at [lam, conj lam] with
+    no SVD (``boundary._krein_pieces``).  A bare boundary relation must
+    pass ``ordinary_triplet``; its own cache serves every call."""
     lam = complex(lam)
     if not isinstance(pi, OrdinaryTriplet):
         ordinary_triplet(pi, tol)
     m = pi.boundary_dim
-    g_lam, m_mat = _gamma_and_weyl(pi, lam, tol)
-    g_bar, _ = _gamma_and_weyl(pi, lam.conjugate(), tol)
-    r0 = _a0_resolvent(pi, lam, tol)
+    g_lam, g_bar, m_mat, r0 = _krein_pieces(pi, lam, tol)
     value = tau.eval(lam)
     if value.dim_in != m or value.dim_out != m:
         raise DimMismatch("family value does not act in the boundary space")

@@ -1,5 +1,7 @@
 """Coupling scenes, induced parameter families and resolvent formulas."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,61 @@ def test_induced_chi_mismatch():
     other = ex.fix_b_triplet()
     with pytest.raises(ex.TripletMismatch):
         ex.induced_chi(scene, other)
+
+
+def test_tau_of_extension_mismatch():
+    """Twin of test_induced_chi_mismatch.  The family takes the triplet's
+    boundary values once, when it is built, so a triplet whose kernel is
+    not the first restriction is refused at construction, before any
+    value is read: on dimensions, or on S1's boundary values."""
+    scene, _ = random_case()
+    with pytest.raises(ex.TripletMismatch):
+        ex.tau_of_extension(scene, ex.fix_b_triplet())
+    scene, _ = random_case(seed=11, n1=3, n2=2)
+    _, other = random_case(seed=12, n1=3, n2=2)
+    assert scene.s1.graph_dim == other.s_rel.graph_dim == 1
+    with pytest.raises(ex.TripletMismatch):
+        ex.tau_of_extension(scene, other)
+
+
+def _reference_tau_eval(scene, pi, lam):
+    """Former per-point route: the boundary map, with its residual check,
+    applied to the (f1, f1') rows of each value's own elements G c."""
+    h1, n, m = scene.h1_dim, scene.h1_dim + scene.h2_dim, pi.boundary_dim
+    basis = scene.a_tilde.graph.basis
+    cols = basis @ _nullspace(basis[2 * n - scene.h2_dim :] - lam * basis[h1:n], ex.TOL)
+    bounds = boundary._boundary_map(pi, ex.TOL)(np.vstack([cols[:h1], cols[n : n + h1]]))
+    return ex.LinearRelation(m, m, linrel._span(np.vstack([bounds[:m], -bounds[m:]]), ex.TOL))
+
+
+def _multivalued_scene(seed=5, n1=3, n2=2):
+    # P H P (+) {0} x span(v), with P = I - v v* and v meeting both spaces
+    rng = np.random.default_rng(seed)
+    n = n1 + n2
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    p = np.eye(n) - np.outer(v, v.conj())
+    h = ex.random_hermitian(rng, n)
+    mul = np.concatenate([np.zeros(n), v])[:, None]
+    a_tilde = ex.relation_from_generators(n, n, np.hstack([np.vstack([p, p @ h @ p]), mul]))
+    return ex.coupling_scene(a_tilde, n1, n2)
+
+
+TAU_POINTS = (1j, -1j, 2j, 1 + 1j, 1e6j)
+
+
+def test_tau_of_extension_matches_the_per_point_boundary_map():
+    cases = []
+    for seed, (n1, n2) in enumerate(itertools.product(range(1, 5), repeat=2)):
+        cases.append(random_case(seed=seed, n1=n1, n2=n2))
+    cases.append((ex.fix_b_scene(), ex.fix_b_triplet()))
+    multivalued = _multivalued_scene()
+    assert ex.rel_parts(multivalued.a_tilde).mul.dim == 1
+    cases.append((multivalued, ex.scene_triplet(multivalued)))
+    for scene, pi in cases:
+        tau = ex.tau_of_extension(scene, pi)
+        for lam in TAU_POINTS:
+            assert ex.rel_equal(tau.eval(lam), _reference_tau_eval(scene, pi, lam)), (scene.h1_dim, scene.h2_dim, lam)
 
 
 def test_tau_identity_triplet_is_negative_reciprocal():
@@ -230,7 +287,7 @@ def test_krein_rhs_on_a_bare_boundary_relation_keeps_its_cache(monkeypatch):
     for lam in (1j, 2j, 1 + 1j):
         lhs = ex.generalized_resolvent(scene, lam).compressed
         assert np.linalg.norm(ex.krein_rhs(bare, tau, lam) - lhs) <= RESID * (1 + np.linalg.norm(lhs))
-    assert len(builds) == 1
+    assert len(builds) == 1 and len(bare._derived) == 1
     # a bare relation that is not an ordinary triplet is refused
     with pytest.raises(ex.AssumptionError):
         ex.krein_rhs(ex.canonical_chi(ex.mul_relation(ex.full_subspace(1))), tau, 1j)
@@ -238,7 +295,7 @@ def test_krein_rhs_on_a_bare_boundary_relation_keeps_its_cache(monkeypatch):
 
 def _kernel_check_passes(scene, pi):
     try:
-        coupling._scene_boundary_map(scene, pi, ex.TOL)
+        coupling._scene_boundary_values(scene, pi, ex.TOL)
     except ex.TripletMismatch:
         return False
     return True
@@ -383,3 +440,95 @@ def test_straus_solve_decisions_match_the_parts_route():
                     assert np.linalg.norm(new[1] - ref[1]) <= 1e-10 * (1 + np.linalg.norm(ref[1]))
                 outcomes.add(new[0])
     assert outcomes == {"solved", "NoSolution", "NonUnique"}
+
+
+def _eager_scene_parts(a_tilde, h1, h2, tol=ex.TOL):
+    """Former eager construction of a scene: each restriction is the kept
+    rows of G ker(G_kill), each compression the span of the kept rows, and
+    minimality is the simplicity of S2."""
+    n = h1 + h2
+    graph = a_tilde.graph
+    first = list(range(h1)) + list(range(n, n + h1))
+    second = list(range(h1, n)) + list(range(n + h1, 2 * n))
+
+    def split(keep, kill, dim):
+        inside = graph.basis @ _nullspace(graph.basis[kill, :], tol, 1.0)
+        corner = ex.LinearRelation(dim, dim, ex.Subspace(2 * dim, inside[keep, :]))
+        return corner, ex.LinearRelation(dim, dim, ex.subspace_coords(graph, keep, tol))
+
+    s1, t1 = split(first, second, h1)
+    s2, t2 = split(second, first, h2)
+    return s1, s2, t1, t2, ex.is_simple(s2, tol=tol)
+
+
+def _reducing_hermitian(coupling_eps=0.0):
+    # the matrix of test_coupling_scene_with_reducing_eigenvector_is_not_minimal:
+    # e_5 is an eigenvector of the second corner, coupled to e_1 at coupling_eps
+    h = ex.random_hermitian(np.random.default_rng(10), 5)
+    h[4, :] = 0.0
+    h[:, 4] = 0.0
+    h[4, 4] = 2.0
+    h[0, 4] = h[4, 0] = coupling_eps
+    return h
+
+
+def _lazy_scene_cases():
+    shapes = [(1, 1), (2, 1), (1, 3), (3, 2), (2, 2), (4, 4)]
+    for seed in range(12):
+        n1, n2 = shapes[seed % len(shapes)]
+        rng = np.random.default_rng(300 + seed)
+        yield ex.relation_from_matrix(ex.random_hermitian(rng, n1 + n2)), n1, n2
+    yield ex.relation_from_matrix(_reducing_hermitian()), 2, 3
+    yield ex.fix_b_relation(), 1, 1
+    yield _multivalued_scene().a_tilde, 3, 2
+
+
+def test_coupling_scene_takes_one_svd(monkeypatch):
+    a_tilde = ex.relation_from_matrix(ex.random_hermitian(np.random.default_rng(41), 8))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    scene = ex.coupling_scene(a_tilde, 4, 4)
+    assert len(calls) == 1
+    # the other corners cost nothing until they are read, and once
+    scene.s2, scene.t1, scene.t2, scene.minimal
+    read = len(calls)
+    scene.s2, scene.t1, scene.t2, scene.minimal
+    assert read > 1 and len(calls) == read
+
+
+def test_lazy_scene_parts_match_the_eager_construction():
+    minimal = set()
+    for a_tilde, h1, h2 in _lazy_scene_cases():
+        scene = ex.coupling_scene(a_tilde, h1, h2)
+        ref = _eager_scene_parts(a_tilde, h1, h2)
+        for new, old in zip((scene.s1, scene.s2, scene.t1, scene.t2), ref[:4]):
+            assert ex.rel_equal(new, old)
+        assert scene.minimal is ref[4]
+        minimal.add(scene.minimal)
+    assert minimal == {True, False}
+
+
+def test_lazy_scene_parts_use_the_scene_tolerances(monkeypatch):
+    loose = ex.Tolerances(rank=1e-4, angle=1e-4, psd=1e-4)
+    a_tilde = ex.relation_from_matrix(_reducing_hermitian(1e-6))
+    # a reducing eigenvector coupled at 1e-6 decouples only under the loose cutoff
+    assert ex.coupling_scene(a_tilde, 2, 3).minimal
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            seen.extend(x for x in (*args, *kwargs.values()) if isinstance(x, ex.Tolerances))
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("_nullspace", "subspace_coords", "is_simple"):
+        monkeypatch.setattr(coupling, name, spy(getattr(coupling, name)))
+    scene = ex.coupling_scene(a_tilde, 2, 3, loose)
+    assert scene.tol == loose
+    ref = _eager_scene_parts(a_tilde, 2, 3, loose)
+    for new, old in zip((scene.s2, scene.t1, scene.t2), ref[1:4]):
+        assert ex.rel_equal(new, old, loose)
+    assert scene.minimal is ref[4] is False
+    assert len(seen) == 5 and set(seen) == {loose}

@@ -9,9 +9,10 @@ import pytest
 import extensio as ex
 from extensio import boundary
 from extensio.admissibility import DEFAULT_GRID
-from extensio.boundary import _a0_resolvent, _gamma_and_weyl, _nullspace_gamma_and_weyl, _triplet_cache
+from extensio.boundary import _a0_resolvent, _gamma_and_weyl, _krein_pieces, _nullspace_gamma_and_weyl, _triplet_cache
 
 AGREE = 1e-12
+FUSED = 1e-14
 REFERENCE = 1e-13
 POINTS = [1j * y for y in DEFAULT_GRID] + [1j, -1j, 1 + 1j, 1 - 1j] + [x + 1e-6j for x in (-2.5, -0.3, 0.7, 3.1)]
 
@@ -57,6 +58,44 @@ def test_spectral_route_off_the_spectrum_only():
     real = (eigs[0] + eigs[1]) / 2
     ref = ex.resolvent_matrix(ex.kernel_of_boundary_map(br, 0), real)
     assert np.linalg.norm(_a0_resolvent(br, real, ex.TOL) - ref) <= AGREE * np.linalg.norm(ref)
+
+
+def test_krein_pass_matches_the_composition():
+    # krein_rhs takes gamma(lam), gamma(conj lam), M(lam) and A0's resolvent
+    # in one pass; each piece is the one the separate calls give
+    for case in ("fix-b", "fix-infty", "random"):
+        for br in _triplets(case):
+            m = br.boundary_dim
+            tau = ex.FamilyEval(m, lambda lam: ex.relation_from_matrix(np.eye(m)))
+            for lam in POINTS:
+                g_lam, m_lam = _gamma_and_weyl(br, lam, ex.TOL)
+                g_bar, _ = _gamma_and_weyl(br, lam.conjugate(), ex.TOL)
+                r0 = _a0_resolvent(br, lam, ex.TOL)
+                for new, ref in zip(_krein_pieces(br, lam, ex.TOL), (g_lam, g_bar, m_lam, r0)):
+                    assert np.linalg.norm(new - ref) <= FUSED * np.linalg.norm(ref), (case, lam)
+                # tau = I: (M + tau)^{-1} = (I + M)^{-1}, which krein_rhs takes
+                # through a graph basis of tau(lam), so only to AGREE
+                composed = r0 - g_lam @ np.linalg.inv(np.eye(m) + m_lam) @ g_bar.conj().T
+                rhs = ex.krein_rhs(br, tau, lam)
+                assert np.linalg.norm(rhs - composed) <= AGREE * max(np.linalg.norm(composed), 1.0), (case, lam)
+
+
+def test_krein_rhs_off_the_real_axis_and_the_spectrum_only(monkeypatch):
+    br = _triplets("random")[1]
+    tau = ex.FamilyEval(br.boundary_dim, lambda lam: ex.relation_from_matrix(np.eye(br.boundary_dim)))
+    eigs = _triplet_cache(br, ex.TOL).spectrum.eigs
+    # within the rank cutoff of an eigenvalue of A0
+    with pytest.raises(ex.SingularAtLambda):
+        ex.krein_rhs(br, tau, eigs[0] + 1e-13j)
+
+    def refused(*args):
+        raise AssertionError("a real point reached the grid")
+
+    # a real point is refused before any cache or grid work
+    monkeypatch.setattr(boundary, "_triplet_cache", refused)
+    monkeypatch.setattr(boundary, "_off_spectrum", refused)
+    with pytest.raises(ex.RealAxis):
+        ex.krein_rhs(br, tau, (eigs[0] + eigs[1]) / 2)
 
 
 def _mp_nullspace_route(br, lam):
