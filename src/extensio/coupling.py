@@ -152,20 +152,17 @@ def _restriction(a_tilde: LinearRelation, keep: list[int], kill: list[int], tol:
 
 def _scene_boundary_values(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances) -> np.ndarray:
     """Twisted boundary values (h, -h') of the rows (f1, f1') of the
-    coupling's graph basis under the triplet's boundary map, which checks
-    that they lie in dom Gamma.  S = ker Gamma is checked first to be the
-    scene's S1, with no SVD: S1 must have the dimension n - m of S and an
-    orthonormal basis with vanishing boundary values.  Raises TripletMismatch."""
+    coupling's graph basis under the triplet's boundary map, whose residual
+    check says that they lie in dom Gamma = S*.  These rows span P1 A~,
+    which is S1* for the selfadjoint A~, so the check says S1* is in S*,
+    that is S in S1; with the dimension n - m of S checked first, S = S1,
+    with no SVD.  Raises TripletMismatch."""
     n, m = pi.state_dim, pi.boundary_dim
     if scene.s1.dim_in != n or scene.s1.graph_dim != n - m:
         raise TripletMismatch("triplet kernel differs from the first restriction")
-    boundary_values = _boundary_map(pi, tol)
-    basis = scene.s1.graph.basis
-    if np.linalg.norm(boundary_values(basis)) > tol.angle * (1 + np.linalg.norm(basis)):
-        raise TripletMismatch("triplet kernel differs from the first restriction")
     f1, _, f1p, _ = _row_ranges(scene.h1_dim, scene.h2_dim)
     graph = scene.a_tilde.graph.basis
-    bounds = boundary_values(np.vstack([graph[f1, :], graph[f1p, :]]))
+    bounds = _boundary_map(pi, tol)(np.vstack([graph[f1, :], graph[f1p, :]]))
     return np.vstack([bounds[:m, :], -bounds[m:, :]])
 
 

@@ -3,12 +3,14 @@ images under block relations, compositions with J-unitary factors,
 compressions, Schur complements, the quadratic block transform, and
 Weyl-family sums.
 
-Every transform is implemented once at the relation level, by composing
-the boundary relation with a block relation; the block compressions and
-the T-transform meet coefficients on Gamma's graph basis instead of
-building theirs.  The matrix formulas for the transformed Weyl families
-are returned alongside as independent evaluation routes so tests can
-compare the two.
+A J-unitary matrix W moves only the boundary rows H of Gamma's graph
+basis [F; H], to W H.  Transposition is W = J, the affine transform a
+lower-triangular W, and the Schur complement the transpose of the
+first-block compression of the transpose.  The compressions and the
+T-transform meet coefficients on Gamma's graph basis; only a
+relation-valued W and ``recover_transform`` compose relations.  The
+matrix formulas for the transformed Weyl families are returned alongside
+as independent evaluation routes so tests can compare the two.
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ from .errors import (
     NotUnitary,
     SingularAtLambda,
 )
-from .kreinspace import FundamentalSymmetry
+from .kreinspace import FundamentalSymmetry, _apply_j
 from .linrel import (
     TOL,
     LinearRelation,
+    Subspace,
     Tolerances,
     _meet,
+    _q_factor,
     _rank,
     _span,
     as_complex_matrix,
@@ -109,9 +113,7 @@ class StandardJUnitary:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.vstack(
-            [np.hstack([self.w00, self.w01]), np.hstack([self.w10, self.w11])]
-        )
+        return np.block([[self.w00, self.w01], [self.w10, self.w11]])
 
 
 def standard_j_unitary(mat) -> StandardJUnitary:
@@ -141,21 +143,10 @@ class SpaceSplit:
 
 @dataclass(frozen=True)
 class TransformResult:
-    """Transformed boundary relation and the matrix route for its Weyl
-    family; its symmetric kernel is read on first use."""
+    """Transformed boundary relation and the matrix route for its Weyl family."""
 
     boundary: BoundaryRelation
     weyl_fn: Callable[[complex], np.ndarray]
-
-    @property
-    def kernel_rel(self) -> LinearRelation:
-        return self.boundary.s_rel
-
-
-def _to_relation(w, tol: Tolerances) -> LinearRelation:
-    if isinstance(w, LinearRelation):
-        return w
-    return relation_from_matrix(w.matrix if isinstance(w, StandardJUnitary) else w, tol)
 
 
 def _embed(m: int, start: int, d: int) -> np.ndarray:
@@ -185,6 +176,17 @@ def _block_transform(br: BoundaryRelation, e: np.ndarray, tol: Tolerances) -> Bo
     return validate_boundary_relation(LinearRelation(2 * n, 2 * e.shape[1], _span(gens, tol, 1.0)), tol)
 
 
+def _with_boundary_rows(br: BoundaryRelation, rows: np.ndarray, tol: Tolerances) -> BoundaryRelation:
+    """W o Gamma for an invertible W on C^{2m}, given the rows W H of
+    Gamma's orthonormal graph basis [F; H].  The columns [F; W H] are
+    independent (sigma_min >= min(1, sigma_min(W))), so one QR spans the
+    composite with no rank decision, and its kernel is ker Gamma."""
+    gamma = br.gamma
+    basis = _q_factor(np.vstack([gamma.in_block, rows]))
+    graph = Subspace._trusted(gamma.dim_in + gamma.dim_out, basis)
+    return validate_boundary_relation(LinearRelation(gamma.dim_in, gamma.dim_out, graph), tol)
+
+
 def _t_combination(full: np.ndarray, t: np.ndarray) -> np.ndarray:
     """t^H M11 t + t^H M12 + M21 t + M22 for the blocks of full split after
     t.shape[0] rows and columns; full may be a stack of matrices."""
@@ -206,28 +208,34 @@ def shmulyan(w: LinearRelation, theta: LinearRelation, tol: Tolerances = TOL) ->
 
 def shmulyan_family(w, f: FamilyEval, tol: Tolerances = TOL) -> FamilyEval:
     """Pointwise transform of a relation-valued family."""
-    w_rel = _to_relation(w, tol)
-    if w_rel.dim_out % 2:
+    if not isinstance(w, LinearRelation):
+        w = relation_from_matrix(w.matrix if isinstance(w, StandardJUnitary) else w, tol)
+    if w.dim_out % 2:
         raise DimMismatch("transform does not act between graph spaces")
-    k = w_rel.dim_out // 2
-    return FamilyEval(k, lambda lam: shmulyan(w_rel, f.eval(lam), tol))
+    k = w.dim_out // 2
+    return FamilyEval(k, lambda lam: shmulyan(w, f.eval(lam), tol))
 
 
 def compose_boundary(w, br: BoundaryRelation, tol: Tolerances = TOL) -> BoundaryRelation:
     """Boundary relation for the same symmetric kernel with transformed
-    boundary values; the Weyl family moves by the graph-image transform."""
-    w_rel = _to_relation(w, tol)
-    composite = rel_product(w_rel, br.gamma, tol)
-    result = validate_boundary_relation(composite, tol)
+    boundary values; the Weyl family moves by the graph-image transform.
+    A matrix W must be standard J-unitary; a relation W is composed with
+    Gamma, and the kernel of the composite is checked to be S."""
+    if not isinstance(w, LinearRelation):
+        w = w if isinstance(w, StandardJUnitary) else standard_j_unitary(w)
+        if w.dim != br.boundary_dim:
+            raise DimMismatch("transform does not act on the boundary space")
+        return _with_boundary_rows(br, w.matrix @ br.gamma.out_block, tol)
+    result = validate_boundary_relation(rel_product(w, br.gamma, tol), tol)
     if not subspace_equal(result.s_rel.graph, br.s_rel.graph, tol):
         raise KernelNontrivial("composition enlarged the kernel beyond S")
     return result
 
 
 def transpose_boundary(br: BoundaryRelation, tol: Tolerances = TOL) -> BoundaryRelation:
-    """Compose with the fundamental symmetry; the Weyl family becomes the
-    negative inverse."""
-    return compose_boundary(FundamentalSymmetry(br.boundary_dim).matrix, br, tol)
+    """Compose with the fundamental symmetry, the exact block swap of the
+    boundary rows; the Weyl family becomes the negative inverse."""
+    return _with_boundary_rows(br, _apply_j(br.gamma.out_block), tol)
 
 
 def recover_transform(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances = TOL) -> StandardJUnitary:
@@ -252,9 +260,8 @@ def affine_transform(br: BoundaryRelation, b, g, tol: Tolerances = TOL) -> Bound
     if np.linalg.norm(bg - bg.conj().T) > tol.angle * (1 + np.linalg.norm(bg)):
         raise BGNotHermitian("product of the affine blocks must be Hermitian")
     g_inv = np.linalg.inv(g) if m else g
-    zero = np.zeros((m, m), dtype=complex)
-    w = np.vstack([np.hstack([g_inv, zero]), np.hstack([b, g.conj().T])])
-    return compose_boundary(w, br, tol)
+    w = np.block([[g_inv, np.zeros((m, m))], [b, g.conj().T]])
+    return _with_boundary_rows(br, w @ br.gamma.out_block, tol)
 
 
 def block_compress(br: BoundaryRelation, split: SpaceSplit, which: int, tol: Tolerances = TOL) -> TransformResult:
@@ -281,35 +288,28 @@ def block_compress(br: BoundaryRelation, split: SpaceSplit, which: int, tol: Tol
 def schur_complement(br: BoundaryRelation, split: SpaceSplit, tol: Tolerances = TOL) -> TransformResult:
     """Constrain the second boundary output block to zero: inputs are
     projected onto the first block and the Weyl family becomes the Schur
-    complement of the second diagonal block."""
+    complement of the second diagonal block.
+
+    The composite {(f, (E1* h, E1* h')) : E2* h' = 0} is the transpose of
+    the first-block compression of the transpose of Gamma."""
     m = br.boundary_dim
     if split.total != m:
         raise DimMismatch("split does not match the boundary dimension")
     if not check_B123(br, tol).all_hold:
         raise HypothesisFailed("base_boundary_conditions")
-    if not check_B123(transpose_boundary(br, tol), tol).all_hold:
+    flipped = transpose_boundary(br, tol)
+    if not check_B123(flipped, tol).all_hold:
         raise HypothesisFailed("transposed_boundary_conditions")
     second = block_compress(br, split, 2, tol).boundary
     if not check_B123(transpose_boundary(second, tol), tol).all_hold:
         raise HypothesisFailed("second_block_transpose_conditions")
     d1, d2 = split.dim1, split.dim2
-    e1 = _embed(m, 0, d1)
-    e2 = _embed(m, d1, d2)
-    cols_h = np.vstack(
-        [np.eye(m, dtype=complex), np.zeros((m, m)), e1.conj().T, np.zeros((d1, m))]
-    )
-    cols_hp = np.vstack(
-        [np.zeros((m, d1)), e1, np.zeros((d1, d1)), np.eye(d1, dtype=complex)]
-    )
-    q_rel = LinearRelation(2 * m, 2 * d1, _span(np.hstack([cols_h, cols_hp]), tol))
-    result = validate_boundary_relation(rel_product(q_rel, br.gamma, tol), tol)
+    result = transpose_boundary(_block_transform(flipped, _embed(m, 0, d1), tol), tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:
         full = _weyl_matrix(br, lam, tol)
-        m11 = e1.conj().T @ full @ e1
-        m12 = e1.conj().T @ full @ e2
-        m21 = e2.conj().T @ full @ e1
-        m22 = e2.conj().T @ full @ e2
+        m11, m12 = full[:d1, :d1], full[:d1, d1:]
+        m21, m22 = full[d1:, :d1], full[d1:, d1:]
         if d2:
             if _rank(np.linalg.svd(m22, compute_uv=False), m22.shape, tol, 1.0) < d2:
                 raise SingularAtLambda(lam, "second diagonal block not invertible")

@@ -50,7 +50,8 @@ def test_tau_of_extension_mismatch():
     """Twin of test_induced_chi_mismatch.  The family takes the triplet's
     boundary values once, when it is built, so a triplet whose kernel is
     not the first restriction is refused at construction, before any
-    value is read: on dimensions, or on S1's boundary values."""
+    value is read: on dimensions, or, at equal dimensions (seed 12), on
+    the residual of the boundary map on the coupling's (f1, f1') rows."""
     scene, _ = random_case()
     with pytest.raises(ex.TripletMismatch):
         ex.tau_of_extension(scene, ex.fix_b_triplet())
@@ -383,11 +384,16 @@ def test_double_weyl_and_t_transform_take_no_parts_or_product(monkeypatch):
         for name in ("rel_parts", "rel_product"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
+    rng = np.random.default_rng(7)
     for pi, chi in _double_weyl_scenes():
         m = pi.boundary_dim
         dw = ex.double_weyl(pi, chi)
         for t in (np.zeros((m, m)), np.eye(m)):
             ex.t_transform(dw.boundary, ex.SpaceSplit(m, m), t)
+        # a J-unitary matrix moves Gamma's boundary rows, with no product
+        ex.transpose_boundary(pi)
+        ex.compose_boundary(ex.random_standard_j_unitary(rng, m), pi)
+        ex.affine_transform(pi, np.eye(m), 2 * np.eye(m))
 
 
 def _reference_straus_solve(scene, pi, h, lam):

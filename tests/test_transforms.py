@@ -23,6 +23,13 @@ def test_standard_j_unitary_validation():
     assert np.linalg.norm(w.matrix.conj().T @ j @ w.matrix - j) < RESID
     with pytest.raises(ex.AssumptionError):
         ex.standard_j_unitary(2.0 * np.eye(4))
+    # a plain matrix passed to compose_boundary is validated the same way
+    # before it moves Gamma's boundary rows, and must act on C^{2m}
+    pi, _ = triplet_fixture()
+    with pytest.raises(ex.NotUnitary):
+        ex.compose_boundary(2 * np.eye(6), pi)
+    with pytest.raises(ex.DimMismatch):
+        ex.compose_boundary(w, pi)
 
 
 def test_shmulyan_image_oracle():
@@ -158,7 +165,7 @@ def test_t_transform_at_zero_is_the_second_block_compression():
     via_t = ex.t_transform(br, split, np.zeros((1, 1)))
     via_block = ex.block_compress(br, split, 2)
     assert ex.rel_equal(via_t.boundary.gamma, via_block.boundary.gamma)
-    assert ex.rel_equal(via_t.kernel_rel, via_block.kernel_rel)
+    assert ex.rel_equal(via_t.boundary.s_rel, via_block.boundary.s_rel)
     for lam in (1j, 1 + 1j):
         assert np.array_equal(via_t.weyl_fn(lam), via_block.weyl_fn(lam))
         assert ex.rel_equal(ex.weyl_eval(via_t.boundary, lam), ex.weyl_eval(via_block.boundary, lam))
@@ -182,13 +189,13 @@ def test_transform_kernel_is_read_on_first_use(monkeypatch):
     ]
     calls.clear()
     for res in results:
-        kernel = res.kernel_rel
-        assert res.kernel_rel is kernel is res.boundary.s_rel
+        kernel = res.boundary.s_rel
+        assert res.boundary.s_rel is kernel
     # one rel_parts per transformed relation, on first read only
     assert len(calls) == len(results)
     # each kernel extends the kernel S of the relation transformed
     for res in results:
-        assert ex.containment_gap(br.s_rel.graph, res.kernel_rel.graph) <= ex.TOL.angle
+        assert ex.containment_gap(br.s_rel.graph, res.boundary.s_rel.graph) <= ex.TOL.angle
 
 
 def _reference_block_transform(br, e):
@@ -227,3 +234,66 @@ def test_block_transform_matches_the_product_route():
         assert ex.containment_gap(ref.graph, new.graph) < 1e-11
         count += 1
     assert count == 266
+
+
+def _reference_compose(w, br):
+    # former route: the graph of W composed with Gamma by a relation product
+    return ex.validate_boundary_relation(ex.rel_product(ex.relation_from_matrix(w), br.gamma))
+
+
+def _matrix_transform_cases():
+    # von Neumann triplets with n = 2..8 and every defect, each W
+    # J-unitarily rescaled by diag(c^-1 I, c I) for c from 1e-3 to 1e3
+    for n in range(2, 9):
+        for defect in range(1, n + 1):
+            br, rng = triplet_fixture(seed=1000 + 10 * n + defect, n=n, defect=defect)
+            m = br.boundary_dim
+            w0 = ex.random_standard_j_unitary(rng, m).matrix
+            g0 = np.eye(m) + 0.3 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            b0 = ex.random_hermitian(rng, m) @ np.linalg.inv(g0)
+            yield br, ex.FundamentalSymmetry(m).matrix, ex.transpose_boundary(br)
+            for c in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+                d = np.diag(np.concatenate([np.full(m, 1 / c), np.full(m, c)]))
+                yield br, d @ w0, ex.compose_boundary(d @ w0, br)
+                g, b = c * g0, c * b0
+                w = np.block([[np.linalg.inv(g), np.zeros((m, m))], [b, g.conj().T]])
+                yield br, w, ex.affine_transform(br, b, g)
+
+
+def test_matrix_transforms_match_the_product_route():
+    count = 0
+    for br, w, result in _matrix_transform_cases():
+        new, ref = result.gamma, _reference_compose(w, br).gamma
+        assert new.graph_dim == ref.graph_dim
+        assert ex.containment_gap(new.graph, ref.graph) <= 1e-11
+        assert ex.containment_gap(ref.graph, new.graph) <= 1e-11
+        # the kernel is ker Gamma by construction
+        assert ex.rel_equal(result.s_rel, br.s_rel)
+        count += 1
+    assert count == 35 * 11
+
+
+def _reference_schur_composite(br, d1):
+    # former route: the block relation {((h, E1 k), (E1* h, k))} built by
+    # hand and composed with Gamma by a relation product
+    m = br.boundary_dim
+    e1 = transforms._embed(m, 0, d1)
+    cols_h = np.vstack([np.eye(m), np.zeros((m, m)), e1.conj().T, np.zeros((d1, m))])
+    cols_hp = np.vstack([np.zeros((m, d1)), e1, np.zeros((d1, d1)), np.eye(d1)])
+    q_rel = ex.relation_from_generators(2 * m, 2 * d1, np.hstack([cols_h, cols_hp]))
+    return ex.validate_boundary_relation(ex.rel_product(q_rel, br.gamma))
+
+
+def test_schur_composite_matches_the_product_route():
+    count = 0
+    for n in range(2, 7):
+        for defect in range(1, n + 1):
+            br, _ = triplet_fixture(seed=2000 + 10 * n + defect, n=n, defect=defect)
+            for d1 in range(defect + 1):
+                new = ex.schur_complement(br, ex.SpaceSplit(d1, defect - d1)).boundary.gamma
+                ref = _reference_schur_composite(br, d1).gamma
+                assert new.graph_dim == ref.graph_dim
+                assert ex.containment_gap(new.graph, ref.graph) <= 1e-11
+                assert ex.containment_gap(ref.graph, new.graph) <= 1e-11
+                count += 1
+    assert count == sum((d + 1) for n in range(2, 7) for d in range(1, n + 1))

@@ -90,6 +90,15 @@ TYPED_ERRORS = {
         ),
     ),
     "KNotExtending": (ex.KNotExtending, lambda: ex.reduce_multivalued(ex.fix_b_triplet(), k=[[1j]])),
+    # the NotB123 composite: its first boundary values do not fill C^1, so
+    # B2 fails and schur_complement refuses its base relation
+    "HypothesisFailed": (
+        ex.HypothesisFailed,
+        lambda: ex.schur_complement(
+            ex.validate_boundary_relation(ex.rel_product(_lagrangian_square(), ex.fix_b_triplet().gamma)),
+            ex.SpaceSplit(1, 0),
+        ),
+    ),
     # the flip coupling at its eigenvalue 1: (A - 1) x = (h, 0) has no
     # solution for h = 1, and the eigenvector (1, 1) solves it for h = 0
     "NoSolution": (ex.NoSolution, lambda: ex.straus_solve(ex.fix_b_scene(), ex.fix_b_triplet(), [1.0], 1.0)),
