@@ -38,6 +38,7 @@ from .linrel import (
     _nullspace,
     _operator_spectrum,
     _orthonormal_columns,
+    _range_and_kernel,
     _rank,
     _span,
     as_complex_matrix,
@@ -97,16 +98,12 @@ class BoundaryRelation:
         return self.gamma.dim_out // 2
 
     @cached_property
-    def _parts(self) -> RelationParts:
-        return rel_parts(self.gamma, self.tol)
-
-    @cached_property
     def s_rel(self) -> LinearRelation:
-        return LinearRelation(self.state_dim, self.state_dim, self._parts.ker)
+        return LinearRelation(self.state_dim, self.state_dim, _triplet_cache(self, self.tol).parts.ker)
 
     @cached_property
     def t_rel(self) -> LinearRelation:
-        return LinearRelation(self.state_dim, self.state_dim, self._parts.dom)
+        return LinearRelation(self.state_dim, self.state_dim, _triplet_cache(self, self.tol).parts.dom)
 
     @cached_property
     def _derived(self) -> dict[Tolerances, _TripletCache]:
@@ -253,8 +250,9 @@ class _Propagation(NamedTuple):
 
 
 class _TripletCache:
-    """The lambda-independent data of an ordinary triplet under one
-    tolerance context, each part built on first use: the spectral data of
+    """The lambda-independent data of a boundary relation under one
+    tolerance context, each part built on first use: Gamma's ``parts``
+    (``rel_parts``), and for an ordinary triplet the spectral data of
     A0 = ker Gamma_0 (``linrel._operator_spectrum`` on its kernel columns),
     Gamma's input block X with its left inverse X^+ = R^{-1} Q* (an element
     (f, f') of dom Gamma has the boundary pair out_block X^+ (f; f')),
@@ -268,6 +266,10 @@ class _TripletCache:
         self.br = br
         self.tol = tol
         self.pair = None
+
+    @cached_property
+    def parts(self) -> RelationParts:
+        return rel_parts(self.br.gamma, self.tol)
 
     @cached_property
     def spectrum(self):
@@ -467,7 +469,7 @@ def defect_report(br: BoundaryRelation, tol: Tolerances = TOL) -> DefectReport:
     m = br.boundary_dim
     n_plus = eigenspace(br.t_rel, 1j, tol)[0].dim
     n_minus = eigenspace(br.t_rel, -1j, tol)[0].dim
-    mul_dim = rel_parts(br.gamma, tol).mul.dim
+    mul_dim = _triplet_cache(br, tol).parts.mul.dim
     identity = n_plus == n_minus and m - n_plus == mul_dim
     return DefectReport(n_plus, n_minus, mul_dim, identity)
 
@@ -477,7 +479,7 @@ def mul_via_kernel(br: BoundaryRelation, p: NevanlinnaPairEval, lam: complex, to
     pair kernel at one point."""
     kern = nev_kernel(p, lam, lam)
     dim_ker = p.dim - _rank(np.linalg.svd(kern, compute_uv=False), kern.shape, tol)
-    return rel_parts(br.gamma, tol).mul.dim == dim_ker
+    return _triplet_cache(br, tol).parts.mul.dim == dim_ker
 
 
 def intermediate_extension(br: BoundaryRelation, theta: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -506,13 +508,17 @@ class B123Report:
 
 
 def check_B123(br: BoundaryRelation, tol: Tolerances = TOL) -> B123Report:
-    m = br.boundary_dim
+    """(B1) the Green residual; one SVD of the first boundary rows H0 of
+    Gamma's graph basis [F; H0; H1] gives (B2) rank H0 = m and ker H0, and
+    (B3) is A0 = ker Gamma_0 = span F ker(H0) selfadjoint.  H0 is a block of
+    unit columns, so its rank is anchored at unit scale: rounding-level
+    first boundary values are none, not a surjective block."""
+    n, m = br.state_dim, br.boundary_dim
+    g = br.gamma.graph.basis
     b1 = green_residual(br.gamma) <= tol.angle * max(1, br.gamma.graph_dim)
-    ran = rel_parts(br.gamma, tol).ran
-    b2 = _orthonormal_columns(ran.basis[:m, :], tol).shape[1] == m
-    a0 = kernel_of_boundary_map(br, 0, tol)
-    b3 = rel_classify(a0, tol).selfadjoint
-    return B123Report(b1, b2, b3)
+    ran, ker = _range_and_kernel(g[2 * n : 2 * n + m, :], tol, 1.0)
+    a0 = LinearRelation(n, n, _span(g[: 2 * n, :] @ ker, tol, 1.0))
+    return B123Report(b1, ran.shape[1] == m, rel_classify(a0, tol).selfadjoint)
 
 
 def reduce_multivalued(br: BoundaryRelation, k=None, tol: Tolerances = TOL) -> BoundaryRelation:
@@ -525,39 +531,28 @@ def reduce_multivalued(br: BoundaryRelation, k=None, tol: Tolerances = TOL) -> B
     the embedded family value of the reduction; this is verified at two
     sample points.
     """
-    report = check_B123(br, tol)
-    if not report.all_hold:
+    if not check_B123(br, tol).all_hold:
         raise NotB123("reduction needs the Green identity, surjectivity, and a selfadjoint kernel")
-    n = br.state_dim
-    m = br.boundary_dim
-    mul = rel_parts(br.gamma, tol).mul
-    b0 = _orthonormal_columns(mul.basis[:m, :], tol)
+    n, m = br.state_dim, br.boundary_dim
+    mul = _triplet_cache(br, tol).parts.mul
+    p_part, q_part = mul.basis[:m, :], mul.basis[m:, :]
+    b0 = _orthonormal_columns(p_part, tol)
     if b0.shape[1] != mul.dim:
         raise NotB123("multivalued part is not an operator graph")
-    p_part = mul.basis[:m, :]
-    q_part = mul.basis[m:, :]
     if k is None:
-        if mul.dim:
-            coeff = np.linalg.lstsq(p_part, b0, rcond=None)[0]
-            k0_cols = q_part @ coeff
-            k = k0_cols @ b0.conj().T + (b0 @ k0_cols.conj().T) @ (np.eye(m) - b0 @ b0.conj().T)
-        else:
-            k = np.zeros((m, m), dtype=complex)
+        # with mul Gamma = {0} every block below is empty and k is zero
+        k0_cols = q_part @ np.linalg.lstsq(p_part, b0, rcond=None)[0]
+        k = k0_cols @ b0.conj().T + (b0 @ k0_cols.conj().T) @ (np.eye(m) - b0 @ b0.conj().T)
     k = as_complex_matrix(k, m, m)
     if np.linalg.norm(k - k.conj().T) > tol.angle * (1 + np.linalg.norm(k)):
         raise KNotExtending("parameter matrix must be Hermitian")
     if mul.dim and np.linalg.norm(k @ p_part - q_part) > tol.angle * (1 + np.linalg.norm(k)):
         raise KNotExtending("parameter matrix must extend the multivalued-part operator")
-    comp = np.eye(m, dtype=complex) - b0 @ b0.conj().T
-    b1_basis = _orthonormal_columns(comp, tol)
-    m1 = b1_basis.shape[1]
-    gens = br.gamma.graph.basis
-    f_rows = gens[: 2 * n, :]
-    h = gens[2 * n : 2 * n + m, :]
-    hp = gens[2 * n + m :, :]
-    new_out0 = b1_basis.conj().T @ h
-    new_out1 = b1_basis.conj().T @ (hp - k @ h)
-    reduced = LinearRelation(2 * n, 2 * m1, _span(np.vstack([f_rows, new_out0, new_out1]), tol))
+    b1_basis = _orthonormal_columns(np.eye(m, dtype=complex) - b0 @ b0.conj().T, tol)
+    g = br.gamma.graph.basis
+    h, hp = g[2 * n : 2 * n + m, :], g[2 * n + m :, :]
+    new_out = np.vstack([b1_basis.conj().T @ h, b1_basis.conj().T @ (hp - k @ h)])
+    reduced = LinearRelation(2 * n, 2 * b1_basis.shape[1], _span(np.vstack([g[: 2 * n, :], new_out]), tol))
     result = validate_boundary_relation(reduced, tol)
     for lam in (1j, 2j):
         m_full = rel_matrix(weyl_eval(br, lam, tol), tol)

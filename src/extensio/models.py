@@ -26,7 +26,7 @@ from .linrel import (
 from .boundary import BoundaryRelation, OrdinaryTriplet, _boundary_map, ordinary_triplet, von_neumann_triplet, weyl_eval
 from .nevanlinna import NevanlinnaPairEval, pair_from_relation
 from .coupling import CouplingScene, canonical_chi, coupling_scene
-from .kreinspace import FundamentalSymmetry
+from .kreinspace import _apply_j
 from .transforms import StandardJUnitary, standard_j_unitary
 
 __all__ = [
@@ -200,9 +200,8 @@ def random_standard_j_unitary(
 ) -> StandardJUnitary:
     from scipy.linalg import expm
 
-    j = FundamentalSymmetry(m).matrix
     s = scale * random_hermitian(rng, 2 * m)
-    return standard_j_unitary(expm(1j * (j @ s)))
+    return standard_j_unitary(expm(1j * _apply_j(s)))
 
 
 def scene_triplet(scene: CouplingScene, tol: Tolerances = TOL) -> OrdinaryTriplet:

@@ -111,19 +111,21 @@ class HerglotzModel:
         if np.linalg.norm(a - a.conj().T) > _HERMITIAN_TOL * (1 + np.linalg.norm(a)):
             raise ArgumentError("constant coefficient must be Hermitian")
         _require_psd(b, "linear coefficient")
-        points = [float(t) for t, _ in self.masses]
-        for i, t in enumerate(points):
-            if any(abs(t - s) < _COINCIDENCE_TOL * (1 + abs(t)) for s in points[:i]):
+        masses = tuple((float(t), as_complex_matrix(sigma)) for t, sigma in self.masses)
+        for i, (t, _) in enumerate(masses):
+            if any(abs(t - s) < _COINCIDENCE_TOL * (1 + abs(t)) for s, _ in masses[:i]):
                 raise ArgumentError("mass points must be distinct")
-        for _, sigma in self.masses:
-            sig = as_complex_matrix(sigma)
+        for _, sig in masses:
             if sig.shape != (m, m):
                 raise ArgumentError("mass matrices must match the model dimension")
             _require_psd(sig, "mass matrix")
+        object.__setattr__(self, "coeff_const", a)
+        object.__setattr__(self, "coeff_linear", b)
+        object.__setattr__(self, "masses", masses)
 
     @property
     def dim(self) -> int:
-        return as_complex_matrix(self.coeff_const).shape[0]
+        return self.coeff_const.shape[0]
 
 
 def _require_psd(mat: np.ndarray, label: str) -> None:
@@ -254,12 +256,10 @@ def herglotz_eval(model: HerglotzModel, lam: complex) -> np.ndarray:
             raise PoleHit(f"evaluation at mass point {t}")
     if lam.imag == 0:
         raise RealAxis("Herglotz models are evaluated off the real axis")
-    a = as_complex_matrix(model.coeff_const)
-    b = as_complex_matrix(model.coeff_linear)
-    out = a + lam * b
+    out = model.coeff_const + lam * model.coeff_linear
     for t, sigma in model.masses:
         weight = 1.0 / (t - lam) - t / (t * t + 1.0)
-        out = out + weight * as_complex_matrix(sigma)
+        out = out + weight * sigma
     return out
 
 

@@ -30,7 +30,7 @@ from .errors import (
     NotUnitary,
     SingularAtLambda,
 )
-from .kreinspace import FundamentalSymmetry, _apply_j
+from .kreinspace import _apply_j
 from .linrel import (
     TOL,
     LinearRelation,
@@ -98,12 +98,14 @@ class StandardJUnitary:
         for name in ("w00", "w01", "w10", "w11"):
             block = as_complex_matrix(getattr(self, name), m, m)
             object.__setattr__(self, name, block)
+        # |W*JW - J| = |JW*JW - I| and |WJW* - J| = |WJW*J - I| (J unitary, J^2 = I)
         w = self.matrix
-        j = FundamentalSymmetry(m).matrix
+        wh_j = _apply_j(w).conj().T
+        eye = np.eye(2 * m)
         scale = 1 + np.linalg.norm(w) ** 2
         if (
-            np.linalg.norm(w.conj().T @ j @ w - j) > _J_UNITARY_TOL * scale
-            or np.linalg.norm(w @ j @ w.conj().T - j) > _J_UNITARY_TOL * scale
+            np.linalg.norm(_apply_j(wh_j @ w) - eye) > _J_UNITARY_TOL * scale
+            or np.linalg.norm(w @ _apply_j(wh_j) - eye) > _J_UNITARY_TOL * scale
         ):
             raise NotUnitary("blocks do not assemble to a standard J-unitary operator")
 
@@ -193,6 +195,17 @@ def _t_combination(full: np.ndarray, t: np.ndarray) -> np.ndarray:
     d1 = t.shape[0]
     t_h = t.conj().T
     return t_h @ full[..., :d1, :d1] @ t + t_h @ full[..., :d1, d1:] + full[..., d1:, :d1] @ t + full[..., d1:, d1:]
+
+
+def _schur_block(full: np.ndarray, d1: int, lam: complex, tol: Tolerances) -> np.ndarray:
+    """M11 - M12 M22^{-1} M21 for M(lam) split after d1 rows and columns;
+    SingularAtLambda where M22 has a unit-anchored rank deficit."""
+    m22 = full[d1:, d1:]
+    if not m22.size:
+        return full[:d1, :d1]
+    if _rank(np.linalg.svd(m22, compute_uv=False), m22.shape, tol, 1.0) < m22.shape[0]:
+        raise SingularAtLambda(lam, "second diagonal block not invertible")
+    return full[:d1, :d1] - full[:d1, d1:] @ np.linalg.inv(m22) @ full[d1:, :d1]
 
 
 def shmulyan(w: LinearRelation, theta: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -303,23 +316,12 @@ def schur_complement(br: BoundaryRelation, split: SpaceSplit, tol: Tolerances = 
     second = block_compress(br, split, 2, tol).boundary
     if not check_B123(transpose_boundary(second, tol), tol).all_hold:
         raise HypothesisFailed("second_block_transpose_conditions")
-    d1, d2 = split.dim1, split.dim2
+    d1 = split.dim1
     result = transpose_boundary(_block_transform(flipped, _embed(m, 0, d1), tol), tol)
-
-    def weyl_fn(lam: complex) -> np.ndarray:
-        full = _weyl_matrix(br, lam, tol)
-        m11, m12 = full[:d1, :d1], full[:d1, d1:]
-        m21, m22 = full[d1:, :d1], full[d1:, d1:]
-        if d2:
-            if _rank(np.linalg.svd(m22, compute_uv=False), m22.shape, tol, 1.0) < d2:
-                raise SingularAtLambda(lam, "second diagonal block not invertible")
-            return m11 - m12 @ np.linalg.inv(m22) @ m21
-        return m11
-
     for lam in (1j, 2j):
         full = _weyl_matrix(br, lam, tol)
         try:
-            schur = weyl_fn(lam)
+            schur = _schur_block(full, d1, lam, tol)
         except SingularAtLambda:
             continue
         if _rank(np.linalg.svd(full, compute_uv=False), full.shape, tol, 1.0) < m:
@@ -330,7 +332,7 @@ def schur_complement(br: BoundaryRelation, split: SpaceSplit, tol: Tolerances = 
         rhs = np.linalg.inv(schur) if d1 else schur
         if np.linalg.norm(lhs - rhs) > _INVERSE_BLOCK_TOL * (1 + np.linalg.norm(rhs)):
             raise HypothesisFailed("inverse_block_identity", f"fails at {lam}")
-    return TransformResult(result, weyl_fn)
+    return TransformResult(result, lambda lam: _schur_block(_weyl_matrix(br, lam, tol), d1, lam, tol))
 
 
 def t_transform(br: BoundaryRelation, split: SpaceSplit, t, tol: Tolerances = TOL) -> TransformResult:

@@ -1,6 +1,7 @@
 """Boundary relations, triplets and Weyl families."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -138,6 +139,120 @@ def test_reduce_multivalued():
     pi = ex.von_neumann_triplet(s)
     reduced = ex.reduce_multivalued(pi)
     assert ex.green_residual(reduced.gamma) < RESID
+
+
+def _reference_b123(br, tol=ex.TOL):
+    # former route: B2 from a max-anchored rank of the first rows of an
+    # orthonormal basis of ran Gamma, B3 from the relation ker Gamma_0
+    m = br.boundary_dim
+    b1 = ex.green_residual(br.gamma) <= tol.angle * max(1, br.gamma.graph_dim)
+    ran = ex.rel_parts(br.gamma, tol).ran
+    b2 = linrel._orthonormal_columns(ran.basis[:m, :], tol).shape[1] == m
+    b3 = ex.rel_classify(ex.kernel_of_boundary_map(br, 0, tol), tol).selfadjoint
+    return b1, b2, b3
+
+
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))[0]
+
+
+def _b2_case(seed, cos_sin=(0.0, 1.0), scale=1.0):
+    # Gamma is the inverse main transform of the selfadjoint relation
+    # {(x, Hx + v) : x perp V, v in V} on C^(n+m), V spanned by
+    # cos(theta) a_j + sin(theta) b_j with orthonormal a_j in the state and
+    # b_j in the h-coordinates.  Gamma_0 takes the values x_h over x perp V:
+    # onto C^m when cos(theta) != 0, never onto V's h-part when it is 0
+    c, s = cos_sin
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    k = int(rng.integers(1, min(n, m) + 1))
+    h = scale * ex.random_hermitian(rng, n + m)
+    v = np.vstack([c * _orthonormal(rng, n, k), s * _orthonormal(rng, m, k)])
+    q = np.linalg.svd(v)[0][:, k:]
+    gens = np.vstack([np.hstack([q, np.zeros((n + m, k))]), np.hstack([h @ q, v])])
+    a_tilde = ex.relation_from_generators(n + m, n + m, gens)
+    assert ex.rel_classify(a_tilde).selfadjoint
+    return ex.validate_boundary_relation(ex.inverse_main_transform(a_tilde, (n, m)).rel), rng
+
+
+def test_b2_fails_when_first_boundary_values_are_rounding_noise():
+    # with V in the h-coordinates B2 fails by construction; where V holds
+    # all of them, Gamma_0's rows are rounding noise, which the former
+    # max-anchored rank counted as surjective
+    former_passes = 0
+    for seed in range(400):
+        br, rng = _b2_case(seed)
+        assert not ex.check_B123(br).b2
+        former_passes += _reference_b123(br)[1]
+        with pytest.raises(ex.NotB123):
+            ex.reduce_multivalued(br)
+        d1 = int(rng.integers(0, br.boundary_dim + 1))
+        with pytest.raises(ex.HypothesisFailed) as info:
+            ex.schur_complement(br, ex.SpaceSplit(d1, br.boundary_dim - d1))
+        assert info.value.which == "base_boundary_conditions"
+    assert former_passes > 100
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2, 1.0, 1e-2, 1e-5, 1e-7, 1e-9, 1e-11, 0.0])
+def test_b2_follows_the_angle_of_the_multivalued_part(theta):
+    # theta is the angle of V from the state coordinates; pi/2 puts V in
+    # the h-coordinates exactly (cos(pi/2) rounds to 6e-17)
+    cos_sin = (0.0, 1.0) if theta == np.pi / 2 else (np.cos(theta), np.sin(theta))
+    for scale in (1e-4, 1.0, 1e4):
+        for seed in range(40):
+            br, _ = _b2_case(1000 + seed, cos_sin, scale)
+            assert ex.check_B123(br).b2 == (cos_sin[0] != 0.0)
+
+
+def _well_posed_boundary_relations():
+    # von Neumann triplets with n = 1..8 and every defect, their transposes
+    # and block compressions; induced chi and double Weyl boundaries of
+    # random scenes; canonical chi of random selfadjoint relations
+    for n, defect, rep in itertools.product(range(1, 9), range(1, 9), range(3)):
+        if defect <= n:
+            pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(100 * n + 10 * defect + rep), n, defect))
+            yield pi
+            yield ex.transpose_boundary(pi)
+            for d1 in range(defect + 1):
+                for which in (1, 2):
+                    yield ex.block_compress(pi, ex.SpaceSplit(d1, defect - d1), which).boundary
+    shapes = [(1, 1), (2, 1), (3, 1), (3, 2), (1, 2), (2, 2), (2, 3), (4, 2)]
+    for seed in range(48):
+        scene = ex.random_scene(seed, *shapes[seed % len(shapes)])
+        pi = ex.scene_triplet(scene)
+        chi = ex.induced_chi(scene, pi)
+        yield chi
+        yield ex.double_weyl(pi, chi).boundary
+        yield ex.canonical_chi(ex.random_selfadjoint_relation(np.random.default_rng(seed), 1 + seed % 4))
+
+
+def test_check_b123_matches_the_former_route():
+    count = 0
+    for br in _well_posed_boundary_relations():
+        rep = ex.check_B123(br)
+        assert (rep.b1, rep.b2, rep.b3) == _reference_b123(br)
+        count += 1
+    assert count == 1296
+
+
+def test_gamma_parts_are_computed_once_per_relation(monkeypatch):
+    calls = []
+    parts = linrel.rel_parts
+
+    def counted(rel, tol=ex.TOL):
+        calls.append(tol)
+        return parts(rel, tol)
+
+    monkeypatch.setattr(boundary, "rel_parts", counted)
+    pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(16), 3, 1))
+    pair = ex.pair_from_matrix_function(2, lambda lam: lam * np.eye(2))
+    pi.s_rel, pi.t_rel
+    assert ex.defect_report(pi).identity_holds and ex.mul_via_kernel(pi, pair, 2j)
+    ex.reduce_multivalued(pi)
+    assert calls == [ex.TOL]
+    # a second tolerance context keeps its own parts
+    ex.defect_report(pi, ex.Tolerances(rank=1e-9))
+    assert len(calls) == 2
 
 
 def test_ordinary_triplet_requires_operator_s():

@@ -381,13 +381,16 @@ def test_double_weyl_and_t_transform_take_no_parts_or_product(monkeypatch):
         raise AssertionError("no relation parts or product on this route")
 
     for module in (linrel, boundary, coupling, transforms):
-        for name in ("rel_parts", "rel_product"):
+        for name in ("rel_parts", "rel_product", "kernel_of_boundary_map"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
     rng = np.random.default_rng(7)
     for pi, chi in _double_weyl_scenes():
         m = pi.boundary_dim
         dw = ex.double_weyl(pi, chi)
+        # (B1)-(B3) are read off Gamma's graph basis
+        for br in (pi, chi, dw.boundary):
+            assert ex.check_B123(br).all_hold
         for t in (np.zeros((m, m)), np.eye(m)):
             ex.t_transform(dw.boundary, ex.SpaceSplit(m, m), t)
         # a J-unitary matrix moves Gamma's boundary rows, with no product

@@ -198,6 +198,22 @@ def test_transform_kernel_is_read_on_first_use(monkeypatch):
         assert ex.containment_gap(br.s_rel.graph, res.boundary.s_rel.graph) <= ex.TOL.angle
 
 
+def test_schur_complement_svd_count(monkeypatch):
+    # on the fixture (n = 5, defect 3, split (2, 1)): three check_B123 of
+    # two SVDs each, two meets of two, and at i and 2i one M(lambda) of
+    # three and the ranks of M22, M and the Schur block
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    pi, _ = triplet_fixture()
+    calls.clear()
+    assert ex.check_B123(pi).all_hold
+    assert len(calls) <= 2
+    calls.clear()
+    ex.schur_complement(pi, ex.SpaceSplit(2, 1))
+    assert len(calls) <= 22
+
+
 def _reference_block_transform(br, e):
     # former route: the block relation {((E k, h'), (k, E* h'))}
     # orthonormalized, then composed with Gamma by a relation product
