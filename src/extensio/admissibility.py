@@ -25,6 +25,8 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _spectral_point,
+    as_complex_matrix,
     rel_matrix,
     rel_parts,
 )
@@ -86,9 +88,13 @@ class LimitProbe:
         object.__setattr__(self, "y_grid", tuple(self.y_grid))
         if len(self.y_grid) < 4:
             raise ArgumentError("limit grid needs at least four points")
-        diffs = np.diff(np.asarray(self.y_grid, dtype=float))
-        if np.any(diffs <= 0):
+        heights = [_spectral_point(1j * y, "upper").imag for y in self.y_grid]
+        if np.any(np.diff(heights) <= 0):
             raise ArgumentError("limit grid must be strictly increasing")
+        if not (np.isfinite(self.slope_tol) and self.slope_tol > 0):
+            raise ArgumentError("slope tolerance must be finite and positive")
+        if not (isinstance(self.extra_probes, (int, np.integer)) and self.extra_probes >= 0):
+            raise ArgumentError("the number of extra probes must be a nonnegative integer")
 
 
 DEFAULT_PROBE = LimitProbe()
@@ -329,7 +335,7 @@ def admissible(
     m = pi.boundary_dim
     if tau.dim != m:
         raise ArgumentError("pair dimension differs from the boundary space")
-    z0 = _reference_point(z0)
+    z0 = _spectral_point(z0, "upper")
     sw = _sweep(pi, tau, probe, tol)
     slot = _pair_slot(pi, tau, tol)
     adm1, adm2, adm1_slope, adm2_slope = _resolvent_conditions(slot, sw, probe)
@@ -368,19 +374,12 @@ def mt_admissibility(
     exactly through the intermediate extension of the triplet.
     """
     m = pi.boundary_dim
-    t_mat = np.asarray(t, dtype=complex).reshape(m, m)
+    t_mat = as_complex_matrix(t, m, m)
     probes = probe_vectors(m, probe)
     ys, *pieces = _sweep(pi, tau, probe, tol)
     m_t = _t_combination(_double_weyl_blocks(*pieces), t_mat)
     curve = np.linalg.norm(m_t @ probes, axis=1).max(axis=1, initial=0.0) / ys
     return bool(_vanishes(ys, curve[None, :], probe)[0][0])
-
-
-def _reference_point(z0: complex) -> complex:
-    z0 = complex(z0)
-    if z0.imag <= 0:
-        raise ArgumentError("reference point must lie in the upper half plane")
-    return z0
 
 
 def _qlt_curves(pi: OrdinaryTriplet, sw: tuple[np.ndarray, ...], z0: complex, probes: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -401,7 +400,7 @@ def langer_textorius(
 ) -> bool:
     """Quadratic-form test built from one reference point in the upper
     half plane; the verdict does not depend on the reference point."""
-    z0 = _reference_point(z0)
+    z0 = _spectral_point(z0, "upper")
     probes = probe_vectors(pi.boundary_dim, probe)
     sw = _sweep(pi, tau, probe, tol)
     return bool(np.all(_vanishes(sw[0], _qlt_curves(pi, sw, z0, probes, tol), probe)[0]))

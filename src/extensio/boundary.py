@@ -24,7 +24,6 @@ from .errors import (
     NotIsometric,
     NotIsometryU,
     NotMaximal,
-    RealAxis,
     SingularAtLambda,
     TripletMismatch,
     UnequalDefect,
@@ -38,9 +37,9 @@ from .linrel import (
     _nullspace,
     _operator_spectrum,
     _orthonormal_columns,
-    _range_and_kernel,
     _rank,
     _span,
+    _spectral_point,
     as_complex_matrix,
     eigenspace,
     rel_adjoint,
@@ -213,8 +212,6 @@ def _nullspace_gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerance
     first boundary map is a bijection of the defect elements onto C^m:
     with G c their graph columns, gamma = G_f c (G_h c)^{-1} and
     M = G_h' c (G_h c)^{-1}.  One nullspace per point."""
-    if lam.imag == 0:
-        raise RealAxis("gamma fields and Weyl functions live off the real axis")
     n = br.state_dim
     m = br.boundary_dim
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
@@ -362,9 +359,7 @@ def _gamma_and_weyl_grid(br: BoundaryRelation, lams, tol: Tolerances) -> tuple[n
     zero when mul A0 = {0}; the forms (I - E E*) gamma(mu) and
     gamma(mu) + (lam - mu)(A0 - lam)^{-1} gamma(mu) leave a rounding-level
     residue that lam scales up in M."""
-    lams = np.asarray(lams, dtype=complex)
-    if (lams.imag == 0).any():
-        raise RealAxis("gamma fields and Weyl functions live off the real axis")
+    lams = np.array([_spectral_point(lam, "nonreal") for lam in lams])
     prop = _triplet_cache(br, tol).propagation
     diffs = _off_spectrum(prop.eigs, lams, br.state_dim, tol)
     gam = prop.mul_part + prop.vecs @ ((prop.shifted / diffs)[:, :, None] * prop.coeffs)
@@ -402,9 +397,7 @@ def _krein_pieces(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[
 
 def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """Family value: image of the defect elements of dom Gamma."""
-    lam = complex(lam)
-    if lam.imag == 0:
-        raise RealAxis("family values live off the real axis")
+    lam = _spectral_point(lam, "nonreal")
     m = br.boundary_dim
     image = br.gamma.out_block @ _defect_coords(br, lam, tol)
     # Rows of the unit columns G c: anchor the rank cutoff at scale one.
@@ -413,9 +406,7 @@ def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> Line
 
 def gamma_field(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """Relation sending a first boundary coordinate to its defect vector."""
-    lam = complex(lam)
-    if lam.imag == 0:
-        raise RealAxis("the gamma field lives off the real axis")
+    lam = _spectral_point(lam, "nonreal")
     n = br.state_dim
     m = br.boundary_dim
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
@@ -443,8 +434,8 @@ def check_weyl_identities(trip: OrdinaryTriplet, lam: complex, mu: complex, tol:
     first boundary map.  Two routes meet: gamma and M at lam and at mu come
     from one nullspace at each point, and the propagated right-hand sides
     from the spectral decomposition of A0."""
-    lam = complex(lam)
-    mu = complex(mu)
+    lam = _spectral_point(lam, "nonreal")
+    mu = _spectral_point(mu, "nonreal")
     g_lam, m_lam = _nullspace_gamma_and_weyl(trip, lam, tol)
     g_mu, m_mu = _nullspace_gamma_and_weyl(trip, mu, tol)
     res = _a0_resolvent(trip, lam, tol)
@@ -509,16 +500,16 @@ class B123Report:
 
 def check_B123(br: BoundaryRelation, tol: Tolerances = TOL) -> B123Report:
     """(B1) the Green residual; one SVD of the first boundary rows H0 of
-    Gamma's graph basis [F; H0; H1] gives (B2) rank H0 = m and ker H0, and
-    (B3) is A0 = ker Gamma_0 = span F ker(H0) selfadjoint.  H0 is a block of
-    unit columns, so its rank is anchored at unit scale: rounding-level
-    first boundary values are none, not a surjective block."""
+    Gamma's graph basis [F; H0; H1] gives ker H0 (``_kernel_columns``), so
+    (B2) rank H0 = graph_dim - dim ker H0 = m, and (B3) is A0 = ker Gamma_0
+    = span F ker(H0) selfadjoint.  H0 is a block of unit columns, so its
+    rank is anchored at unit scale: rounding-level first boundary values
+    are none, not a surjective block."""
     n, m = br.state_dim, br.boundary_dim
-    g = br.gamma.graph.basis
     b1 = green_residual(br.gamma) <= tol.angle * max(1, br.gamma.graph_dim)
-    ran, ker = _range_and_kernel(g[2 * n : 2 * n + m, :], tol, 1.0)
-    a0 = LinearRelation(n, n, _span(g[: 2 * n, :] @ ker, tol, 1.0))
-    return B123Report(b1, ran.shape[1] == m, rel_classify(a0, tol).selfadjoint)
+    cols = _kernel_columns(br, 0, tol)
+    a0 = LinearRelation(n, n, _span(cols, tol, 1.0))
+    return B123Report(b1, br.gamma.graph_dim - cols.shape[1] == m, rel_classify(a0, tol).selfadjoint)
 
 
 def reduce_multivalued(br: BoundaryRelation, k=None, tol: Tolerances = TOL) -> BoundaryRelation:

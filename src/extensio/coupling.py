@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .linrel import (
     _nullspace,
     _rank,
     _span,
+    _spectral_point,
+    as_complex_matrix,
     is_simple,
     rel_classify,
     resolvent_matrix,
@@ -57,7 +58,6 @@ from .transforms import SpaceSplit, TransformResult, block_compress
 __all__ = [
     "CouplingScene",
     "GeneralizedResolventSample",
-    "DoubleWeylResult",
     "coupling_scene",
     "induced_chi",
     "canonical_chi",
@@ -114,11 +114,6 @@ class GeneralizedResolventSample:
 
     lam: complex
     compressed: np.ndarray
-
-
-class DoubleWeylResult(NamedTuple):
-    boundary: BoundaryRelation
-    weyl_fn: Callable[[complex], np.ndarray]
 
 
 def _row_ranges(h1: int, h2: int) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -234,7 +229,7 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
 
 def generalized_resolvent(scene: CouplingScene, lam: complex, tol: Tolerances = TOL) -> GeneralizedResolventSample:
     """Corner of the resolvent of the coupling on the first space."""
-    lam = complex(lam)
+    lam = _spectral_point(lam)
     full = resolvent_matrix(scene.a_tilde, lam, tol)
     return GeneralizedResolventSample(lam, full[: scene.h1_dim, : scene.h1_dim])
 
@@ -273,9 +268,9 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     column rank and span dom Gamma: with F = Q R, Q is an orthonormal
     basis of dom Gamma and the boundary rows times R^{-1} are its boundary
     values."""
-    lam = complex(lam)
+    lam = _spectral_point(lam)
     h1 = scene.h1_dim
-    rhs = np.asarray(h, dtype=complex).reshape(-1)
+    rhs = as_complex_matrix(np.reshape(h, (1, -1)))[0]
     if rhs.size != h1:
         raise DimMismatch("right-hand side does not live in the first space")
     tau = tau_of_extension(scene, pi, tol)
@@ -335,7 +330,7 @@ def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, t
     return m_mat, phi, psi, omega
 
 
-def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -> DoubleWeylResult:
+def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:
     """Boundary relation for the direct sum of the adjoint domains whose
     Weyl family is the two-by-two block resolvent family of the coupling.
 
@@ -389,7 +384,7 @@ def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = T
     def weyl_fn(lam: complex) -> np.ndarray:
         return _double_weyl_blocks(*_coupling_pieces(pi, chi, lam, tol))
 
-    return DoubleWeylResult(boundary, weyl_fn)
+    return TransformResult(boundary, weyl_fn)
 
 
 def intermediate_h1(pi: OrdinaryTriplet, chi: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:

@@ -17,12 +17,13 @@ closed, so closure operations are identities and are not provided.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, AssumptionError, SingularAtLambda
+from .errors import ArgumentError, AssumptionError, RealAxis, SingularAtLambda
 
 __all__ = [
     "Tolerances",
@@ -113,6 +114,20 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
     ):
         raise ArgumentError("matrix entries must be finite")
     return mat
+
+
+def _spectral_point(lam, rule: str = "finite") -> complex:
+    """Validate a spectral point: finite, and nonreal (``"nonreal"``, for
+    Weyl families, gamma fields and pairs) or in the open upper half plane
+    (``"upper"``, for reference points and limit grids) where rule asks."""
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ArgumentError(f"spectral point {lam} is not finite")
+    if rule == "nonreal" and lam.imag == 0:
+        raise RealAxis(f"evaluation point {lam} must be nonreal: families live off the real axis")
+    if rule == "upper" and not lam.imag > 0:
+        raise ArgumentError(f"point {lam} must lie in the open upper half plane")
+    return lam
 
 
 def _rank(singular: np.ndarray, shape: tuple[int, int], tol: Tolerances, scale: float | None = None) -> int:
@@ -508,6 +523,7 @@ def eigenspace(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> tupl
     """
     if rel.dim_in != rel.dim_out:
         raise ArgumentError("eigenspace needs dim_in = dim_out")
+    lam = _spectral_point(lam)
     coeff = _nullspace(rel.out_block - lam * rel.in_block, tol)
     # Keep the graph copy inside rel exactly; the eigen-residual stays in
     # the output rows instead of pushing the basis off the graph.
@@ -677,7 +693,7 @@ def resolvent_matrix(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -
     """
     if rel.dim_in != rel.dim_out:
         raise ArgumentError("resolvent needs dim_in = dim_out")
-    lam = complex(lam)
+    lam = _spectral_point(lam)
     x = rel.in_block
     shifted = rel.out_block - lam * x
     rank = _rank(np.linalg.svd(shifted, compute_uv=False), shifted.shape, tol, 1.0)

@@ -18,6 +18,7 @@ from .linrel import (
     TOL,
     LinearRelation,
     Tolerances,
+    _spectral_point,
     identity_relation,
     relation_from_generators,
     relation_from_matrix,
@@ -248,6 +249,7 @@ def _entire_sincos(model: SLModel, lam: complex) -> tuple[complex, complex]:
 def sl_weyl(model: SLModel, lam: complex) -> np.ndarray:
     """Boundary-value transfer matrix of -f'' = lam f with data
     (f(0), f(l)) against (f'(0), -f'(l))."""
+    lam = _spectral_point(lam)
     w = _sqrt_upper(lam)
     z = w * model.length
     k = int(round(z.real / np.pi))
@@ -342,9 +344,10 @@ def periodic_spectrum(
     """
     from scipy.optimize import brentq, minimize_scalar
 
-    lo, hi = float(search_window[0]), float(search_window[1])
-    if not lo < hi:
-        raise ArgumentError("search window must be nonempty")
+    lo, hi = _spectral_point(search_window[0]), _spectral_point(search_window[1])
+    if lo.imag or hi.imag or not lo.real < hi.real:
+        raise ArgumentError("search window must be a nonempty real interval")
+    lo, hi = lo.real, hi.real
     det_fn = _interface_det(model, variant)
 
     def det_at(x: float) -> complex:

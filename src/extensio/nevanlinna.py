@@ -20,7 +20,6 @@ from .errors import (
     ConjugateCoincidence,
     HypothesisFailed,
     PoleHit,
-    RealAxis,
 )
 from .linrel import (
     TOL,
@@ -29,6 +28,7 @@ from .linrel import (
     Tolerances,
     _rank,
     _span,
+    _spectral_point,
     as_complex_matrix,
     rel_adjoint,
     rel_classify,
@@ -142,8 +142,7 @@ def _imag_part(mat: np.ndarray) -> np.ndarray:
 
 def pair_at(p: NevanlinnaPairEval, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate and validate shapes."""
-    if abs(complex(lam).imag) == 0:
-        raise RealAxis("pairs are evaluated off the real axis")
+    lam = _spectral_point(lam, "nonreal")
     phi, psi = p.eval(lam)
     phi = as_complex_matrix(phi, p.dim, p.dim)
     psi = as_complex_matrix(psi, p.dim, p.dim)
@@ -202,7 +201,7 @@ def check_family(
     if lams is None:
         lams = DEFAULT_SAMPLES
     for lam in lams:
-        lam = complex(lam)
+        lam = _spectral_point(lam, "nonreal")
         value = f.eval(lam)
         flags = rel_classify(value, tol)
         maximal = value.graph_dim == value.dim_in
@@ -239,8 +238,8 @@ def pair_from_herglotz(model: HerglotzModel) -> NevanlinnaPairEval:
 
 def nev_kernel(p: NevanlinnaPairEval, lam: complex, mu: complex) -> np.ndarray:
     """(phi(mu)^H psi(lam) - psi(mu)^H phi(lam)) / (lam - conj(mu))."""
-    lam = complex(lam)
-    mu = complex(mu)
+    lam = _spectral_point(lam)
+    mu = _spectral_point(mu)
     if abs(lam - np.conj(mu)) < _COINCIDENCE_TOL * (1 + abs(lam)):
         raise ConjugateCoincidence("kernel denominator vanishes")
     phi_l, psi_l = pair_at(p, lam)
@@ -254,8 +253,7 @@ def herglotz_eval(model: HerglotzModel, lam: complex) -> np.ndarray:
     for t, _ in model.masses:
         if abs(lam - t) < _COINCIDENCE_TOL * (1 + abs(t)):
             raise PoleHit(f"evaluation at mass point {t}")
-    if lam.imag == 0:
-        raise RealAxis("Herglotz models are evaluated off the real axis")
+    lam = _spectral_point(lam, "nonreal")
     out = model.coeff_const + lam * model.coeff_linear
     for t, sigma in model.masses:
         weight = 1.0 / (t - lam) - t / (t * t + 1.0)
@@ -278,9 +276,7 @@ class FamilyFlags:
 def classify_family(f: FamilyEval, lam: complex, tol: Tolerances = TOL) -> FamilyFlags:
     """Subspace tests on a single value; each class is a single-point
     property, so one nonreal sample decides membership."""
-    lam = complex(lam)
-    if lam.imag == 0:
-        raise RealAxis("classification needs a nonreal sample")
+    lam = _spectral_point(lam, "nonreal")
     value = f.eval(lam)
     adj = rel_adjoint(value, tol)
     parts = rel_parts(value, tol)
@@ -308,9 +304,7 @@ def classify_family(f: FamilyEval, lam: complex, tol: Tolerances = TOL) -> Famil
 
 def decompose_family(f: FamilyEval, lam: complex, tol: Tolerances = TOL) -> tuple[LinearRelation, Subspace]:
     """Operator part and the lam-independent multivalued part."""
-    lam = complex(lam)
-    if lam.imag == 0:
-        raise RealAxis("decomposition needs a nonreal sample")
+    lam = _spectral_point(lam, "nonreal")
     part, mul = operator_part(f.eval(lam), tol)
     _, mul_second = operator_part(f.eval(2 * lam), tol)
     if not subspace_equal(mul, mul_second, tol):

@@ -142,3 +142,30 @@ def test_every_public_name_has_a_caller_or_a_paper_map_row():
         assert tests, f"{name}: the row cites no test"
         for file, test in tests:
             assert test in defined.get(file, ()), f"{name}: {file}::{test} does not exist"
+
+
+SRC = ROOT / "src" / "extensio"
+
+
+def test_the_real_axis_is_refused_in_one_place():
+    """One helper in ``linrel`` applies the rule for spectral points, so
+    RealAxis has one raise site."""
+    raises = sum(path.read_text(encoding="utf-8").count("raise RealAxis") for path in SRC.glob("*.py"))
+    assert raises == 1
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a module imports is read somewhere in it; the package
+    ``__init__`` re-exports with ``*`` and is left out."""
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - read, f"{path.name} imports {sorted(imported - read)} and never uses them"

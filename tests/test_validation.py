@@ -5,6 +5,10 @@ conftest.py verifies them instead.  Each typed hypothesis error is raised
 here by one input that reaches its raise site.
 """
 
+import functools
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -110,3 +114,146 @@ TYPED_ERRORS = {
 def test_typed_errors_reach_their_raise_sites(error, call):
     with pytest.raises(error):
         call()
+
+
+# Spectral points enter at public entry points, where one rule applies:
+# every point is finite, Weyl families, gamma fields and pairs are
+# evaluated off the real axis (RealAxis), and reference points lie in the
+# open upper half plane.
+NONFINITE = {
+    "nan+nanj": complex(np.nan, np.nan),
+    "1+nanj": complex(1.0, np.nan),
+    "inf*i": complex(0.0, np.inf),
+    "inf+i": complex(np.inf, 1.0),
+}
+
+
+@functools.cache
+def _fixtures():
+    herglotz = ex.HerglotzModel(
+        np.diag([1.0, -1.0]).astype(complex),
+        np.diag([2.0, 0.0]).astype(complex),
+        ((0.5, np.ones((2, 2), dtype=complex)),),
+    )
+    pair = ex.realized_constant_pair(ex.relation_from_matrix([[2.0]]))
+    trip = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(21), 5, 3))
+    scene, pi = ex.fix_b_scene(), ex.fix_b_triplet()
+    chi = ex.induced_chi(scene, pi)
+    split = ex.SpaceSplit(2, 1)
+    return SimpleNamespace(
+        rel=ex.fix_b_relation(),
+        scene=scene,
+        pi=pi,
+        herglotz=herglotz,
+        pair=pair,
+        family=ex.family_eval_from_pair(pair),
+        mul_pair=ex.realized_constant_pair(ex.mul_relation(ex.full_subspace(1))),
+        weyl_fns={
+            "block_compress": ex.block_compress(trip, split, 1).weyl_fn,
+            "schur_complement": ex.schur_complement(trip, split).weyl_fn,
+            "t_transform": ex.t_transform(trip, split, np.ones((2, 1))).weyl_fn,
+            "sum_weyl": ex.sum_weyl(pi, pi).weyl_fn,
+            "double_weyl": ex.double_weyl(pi, chi).weyl_fn,
+            "intermediate_h1": ex.intermediate_h1(pi, chi).weyl_fn,
+            "intermediate_h2": ex.intermediate_h2(pi, chi).weyl_fn,
+        },
+    )
+
+
+ANY_FINITE = {
+    "resolvent_matrix": lambda f, p: ex.resolvent_matrix(f.rel, p),
+    "eigenspace": lambda f, p: ex.eigenspace(f.rel, p),
+    "generalized_resolvent": lambda f, p: ex.generalized_resolvent(f.scene, p),
+    "straus_solve": lambda f, p: ex.straus_solve(f.scene, f.pi, [1.0], p),
+    "nev_kernel": lambda f, p: ex.nev_kernel(f.pair, p, 1j),
+    "sl_weyl": lambda f, p: ex.sl_weyl(ex.SLModel(), p),
+    "periodic_spectrum": lambda f, p: ex.periodic_spectrum(ex.SLModel(), (0.0, p)),
+}
+NONREAL = {
+    "weyl_eval": lambda f, p: ex.weyl_eval(f.pi, p),
+    "gamma_field": lambda f, p: ex.gamma_field(f.pi, p),
+    "check_weyl_identities": lambda f, p: ex.check_weyl_identities(f.pi, p, 1j),
+    "pair_at": lambda f, p: ex.pair_at(f.pair, p),
+    "herglotz_eval": lambda f, p: ex.herglotz_eval(f.herglotz, p),
+    "check_family": lambda f, p: ex.check_family(f.family, [p]),
+    "classify_family": lambda f, p: ex.classify_family(f.family, p),
+    "decompose_family": lambda f, p: ex.decompose_family(f.family, p),
+    **{
+        f"{name}.weyl_fn": (lambda f, p, name=name: f.weyl_fns[name](p))
+        for name in ("block_compress", "schur_complement", "t_transform", "sum_weyl",
+                     "double_weyl", "intermediate_h1", "intermediate_h2")
+    },
+}
+UPPER = {
+    "admissible": lambda f, p: ex.admissible(f.pi, f.mul_pair, z0=p),
+    "langer_textorius": lambda f, p: ex.langer_textorius(f.pi, f.mul_pair, p),
+}
+ENTRIES = {**ANY_FINITE, **NONREAL, **UPPER}
+
+
+@pytest.mark.parametrize("point", NONFINITE.values(), ids=NONFINITE.keys())
+@pytest.mark.parametrize("call", ENTRIES.values(), ids=ENTRIES.keys())
+def test_nonfinite_points_are_refused_at_entry(call, point, capfd):
+    fixtures = _fixtures()
+    with pytest.raises(ex.ArgumentError, match="not finite"):
+        call(fixtures, point)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("point", [2.0, -1.0, 0.0])
+@pytest.mark.parametrize("call", NONREAL.values(), ids=NONREAL.keys())
+def test_real_points_raise_real_axis_where_values_live_off_it(call, point):
+    with pytest.raises(ex.RealAxis, match="nonreal"):
+        call(_fixtures(), point)
+
+
+@pytest.mark.parametrize("z0", [0.5, -1j, 1 - 1j, complex(0.0, np.inf)])
+def test_reference_points_must_lie_in_the_upper_half_plane(z0, tmp_path):
+    fixtures = _fixtures()
+    for call in UPPER.values():
+        with pytest.raises(ex.ArgumentError):
+            call(fixtures, z0)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"triplets": {"ident": ex.triplet_to_json(fixtures.pi)}, "pairs": {
+        "neg-recip": {"kind": "scalar-rational", "numerator": [[-1.0, 0.0]], "denominator": [[0.0, 0.0], [1.0, 0.0]]}
+    }}))
+    text = f"{z0.real}{z0.imag:+}i" if isinstance(z0, complex) else str(z0)
+    assert ex.cli_run(["admissibility", str(path), "ident", "neg-recip", "--z0", text]) == 2
+
+
+BAD_PROBES = {
+    "negative grid": dict(y_grid=(-1e4, -1e3, -1e2, -1e1)),
+    "zero height": dict(y_grid=(0.0, 1e1, 1e2, 1e3)),
+    "trailing inf": dict(y_grid=(1e2, 1e3, 1e4, np.inf)),
+    "trailing nan": dict(y_grid=(1e2, 1e3, 1e4, np.nan)),
+    "not increasing": dict(y_grid=(1e2, 1e4, 1e3, 1e5)),
+    "nan slope_tol": dict(slope_tol=np.nan),
+    "inf slope_tol": dict(slope_tol=np.inf),
+    "zero slope_tol": dict(slope_tol=0.0),
+    "negative extra_probes": dict(extra_probes=-1),
+    "fractional extra_probes": dict(extra_probes=2.5),
+}
+
+
+@pytest.mark.parametrize("kwargs", BAD_PROBES.values(), ids=BAD_PROBES.keys())
+def test_limit_probe_rejects_what_it_cannot_sample(kwargs):
+    with pytest.raises(ex.ArgumentError):
+        ex.LimitProbe(**kwargs)
+
+
+def test_limit_probe_accepts_the_default_and_integer_like_counts():
+    assert ex.LimitProbe() == ex.DEFAULT_PROBE
+    assert ex.LimitProbe(y_grid=[1.0, 2.0, 3.0, 4.0], extra_probes=np.int64(0)).extra_probes == 0
+
+
+def test_arrays_entering_next_to_a_point_are_validated():
+    fixtures = _fixtures()
+    with pytest.raises(ex.ArgumentError, match="finite"):
+        ex.straus_solve(fixtures.scene, fixtures.pi, [np.nan], 1j)
+    trip = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(3), 4, 2))
+    pair = ex.realized_constant_pair(ex.relation_from_matrix(np.eye(2)))
+    assert isinstance(ex.mt_admissibility(trip, pair, np.zeros((2, 2))), bool)
+    with pytest.raises(ex.ArgumentError, match="rows"):
+        ex.mt_admissibility(trip, pair, np.zeros((3, 3)))
+    with pytest.raises(ex.ArgumentError, match="finite"):
+        ex.mt_admissibility(trip, pair, np.full((2, 2), np.nan))
