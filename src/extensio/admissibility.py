@@ -95,6 +95,8 @@ class LimitProbe:
             raise ArgumentError("slope tolerance must be finite and positive")
         if not (isinstance(self.extra_probes, (int, np.integer)) and self.extra_probes >= 0):
             raise ArgumentError("the number of extra probes must be a nonnegative integer")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ArgumentError("the probe seed must be a nonnegative integer")
 
 
 DEFAULT_PROBE = LimitProbe()

@@ -221,7 +221,8 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
     basis = scene.a_tilde.graph.basis
 
     def eval_at(lam: complex) -> LinearRelation:
-        coeff = _nullspace(basis[f2p, :] - complex(lam) * basis[f2, :], tol)
+        # any finite point: straus_solve evaluates tau on the real axis
+        coeff = _nullspace(basis[f2p, :] - _spectral_point(lam) * basis[f2, :], tol)
         return LinearRelation(m, m, _span(twisted @ coeff, tol))
 
     return FamilyEval(m, eval_at)

@@ -78,7 +78,7 @@ class KreinRelation:
 def _apply_j(rows: np.ndarray) -> np.ndarray:
     """J times each column of rows: the block swap [-i u2; i u1]."""
     half = rows.shape[0] // 2
-    return np.vstack([-1j * rows[half:], 1j * rows[:half]])
+    return np.concatenate([-1j * rows[half:], 1j * rows[:half]])
 
 
 def krein_complement(space: Subspace, j: FundamentalSymmetry, tol: Tolerances = TOL) -> Subspace:
@@ -93,7 +93,7 @@ def krein_adjoint(t: KreinRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Indefinite adjoint J_in T* J_out = {(J_out h, J_in k) : (h, k) in T*};
     J is unitary, so the row-transformed graph basis stays orthonormal."""
     star = rel_adjoint(t.rel, tol)
-    basis = np.vstack([_apply_j(star.in_block), _apply_j(star.out_block)])
+    basis = np.concatenate([_apply_j(star.in_block), _apply_j(star.out_block)])
     return LinearRelation(star.dim_in, star.dim_out, Subspace._trusted(star.graph.ambient_dim, basis))
 
 
@@ -133,7 +133,7 @@ def main_transform(gamma: KreinRelation) -> LinearRelation:
     h = basis[2 * n : 2 * n + m, :]
     hp = basis[2 * n + m :, :]
     # Row shuffle with a sign flip keeps the basis orthonormal exactly.
-    shuffled = np.vstack([f, h, fp, -hp])
+    shuffled = np.concatenate([f, h, fp, -hp])
     return LinearRelation(n + m, n + m, Subspace._trusted(2 * (n + m), shuffled))
 
 
@@ -147,7 +147,7 @@ def inverse_main_transform(atilde: LinearRelation, split: tuple[int, int]) -> Kr
     h = basis[n : n + m, :]
     fp = basis[n + m : 2 * n + m, :]
     neg_hp = basis[2 * n + m :, :]
-    graph = np.vstack([f, fp, h, -neg_hp])
+    graph = np.concatenate([f, fp, h, -neg_hp])
     rel = LinearRelation(2 * n, 2 * m, Subspace._trusted(2 * n + 2 * m, graph))
     return KreinRelation(rel, FundamentalSymmetry(n), FundamentalSymmetry(m))
 

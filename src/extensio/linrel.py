@@ -77,16 +77,29 @@ __all__ = [
 class Tolerances:
     """Tolerance context threaded through all subspace decisions.
 
-    :param rank: relative singular-value cutoff; the effective threshold for
-        a matrix ``M`` is ``rank * smax(M) * max(M.shape)``.
-    :param angle: largest principal angle (radians) below which two
-        subspaces count as equal / contained.
-    :param psd: eigenvalue slack for semidefiniteness and Hermiticity checks.
+    :param rank: relative singular-value cutoff in (0, 1); the effective
+        threshold for a matrix ``M`` is ``rank * smax(M) * max(M.shape)``.
+    :param angle: largest principal angle (radians, finite and positive)
+        below which two subspaces count as equal / contained.
+    :param psd: eigenvalue slack (finite, nonnegative) for semidefiniteness
+        and Hermiticity checks.
+
+    Values outside these ranges, NaN included, raise ``ArgumentError``.
     """
 
     rank: float = 1e-10
     angle: float = 1e-8
     psd: float = 1e-9
+
+    def __post_init__(self):
+        # a NaN field makes every cutoff comparison false, so it is refused
+        # here with the out-of-range values
+        if not 0 < self.rank < 1:
+            raise ArgumentError(f"rank cutoff {self.rank} must lie in (0, 1)")
+        if not 0 < self.angle < np.inf:
+            raise ArgumentError(f"angle tolerance {self.angle} must be finite and positive")
+        if not 0 <= self.psd < np.inf:
+            raise ArgumentError(f"psd slack {self.psd} must be finite and nonnegative")
 
 
 TOL = Tolerances()
@@ -109,9 +122,7 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
         raise ArgumentError(f"expected {rows} rows, got {mat.shape[0]}")
     if cols is not None and mat.shape[1] != cols:
         raise ArgumentError(f"expected {cols} columns, got {mat.shape[1]}")
-    if mat.size and not (
-        np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))
-    ):
+    if not np.isfinite(mat).all():
         raise ArgumentError("matrix entries must be finite")
     return mat
 
@@ -150,15 +161,6 @@ def _orthonormal_columns(mat: np.ndarray, tol: Tolerances, scale: float | None =
     return np.ascontiguousarray(u[:, : _rank(s, mat.shape, tol, scale)])
 
 
-def _range_and_kernel(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of ran(mat) and ker(mat) as columns, from one SVD."""
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex), np.eye(mat.shape[1], dtype=complex)
-    u, s, vh = np.linalg.svd(mat)
-    r = _rank(s, mat.shape, tol, scale)
-    return np.ascontiguousarray(u[:, :r]), np.ascontiguousarray(vh[r:, :].conj().T)
-
-
 def _q_factor(cols: np.ndarray) -> np.ndarray:
     """Q factor of independent columns.  An empty block is its own Q
     factor, and LAPACK charges as much for its QR as for a real one."""
@@ -167,7 +169,10 @@ def _q_factor(cols: np.ndarray) -> np.ndarray:
 
 def _nullspace(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of ker(mat) as columns."""
-    return _range_and_kernel(mat, tol, scale)[1]
+    if mat.shape[0] == 0 or mat.shape[1] == 0:
+        return np.eye(mat.shape[1], dtype=complex)
+    _, s, vh = np.linalg.svd(mat)
+    return np.ascontiguousarray(vh[_rank(s, mat.shape, tol, scale) :, :].conj().T)
 
 
 def _meet(left: np.ndarray, right: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -177,7 +182,7 @@ def _meet(left: np.ndarray, right: np.ndarray, tol: Tolerances) -> tuple[np.ndar
     The inputs are blocks of unit bases, so a uniformly tiny block is
     rounding noise and meets everything, never a small subspace.
     """
-    coeff = _nullspace(np.hstack([left, -right]), tol, 1.0)
+    coeff = _nullspace(np.concatenate([left, -right], axis=1), tol, 1.0)
     return coeff[: left.shape[1]], coeff[left.shape[1] :]
 
 
@@ -217,8 +222,11 @@ class Subspace:
     @classmethod
     def _trusted(cls, ambient_dim: int, basis: np.ndarray) -> Subspace:
         """Subspace on a complex orthonormal basis with ``ambient_dim`` rows,
-        unchecked: an SVD or QR factor, or such a basis with its rows
-        selected, permuted, sign-flipped or multiplied by a unitary."""
+        unchecked: an SVD or QR factor, such a basis with its rows
+        selected, permuted, sign-flipped or multiplied by a unitary, or
+        columns whose Gram matrix is known to be diagonal, rescaled to unit
+        length (``rel_parts``: such parts inherit the orthonormality of the
+        graph basis they are read from)."""
         space = object.__new__(cls)
         object.__setattr__(space, "ambient_dim", ambient_dim)
         object.__setattr__(space, "basis", basis)
@@ -270,14 +278,14 @@ def subspace_intersect(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> Subsp
 def subspace_sum(a: Subspace, b: Subspace, tol: Tolerances = TOL) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise ArgumentError("ambient dimensions differ")
-    return _span(np.hstack([a.basis, b.basis]), tol)
+    return _span(np.concatenate([a.basis, b.basis], axis=1), tol)
 
 
 def subspace_direct_sum(a: Subspace, b: Subspace) -> Subspace:
     """Block direct sum inside ``C^(ambient_a + ambient_b)``."""
-    top = np.hstack([a.basis, np.zeros((a.ambient_dim, b.dim))])
-    bot = np.hstack([np.zeros((b.ambient_dim, a.dim)), b.basis])
-    return Subspace._trusted(a.ambient_dim + b.ambient_dim, np.vstack([top, bot]))
+    top = np.concatenate([a.basis, np.zeros((a.ambient_dim, b.dim))], axis=1)
+    bot = np.concatenate([np.zeros((b.ambient_dim, a.dim)), b.basis], axis=1)
+    return Subspace._trusted(a.ambient_dim + b.ambient_dim, np.concatenate([top, bot]))
 
 
 def subspace_coords(space: Subspace, rows: Sequence[int], tol: Tolerances = TOL) -> Subspace:
@@ -381,12 +389,12 @@ def relation_from_matrix(mat, tol: Tolerances = TOL) -> LinearRelation:
     """Graph of a matrix as a (single-valued, everywhere defined) relation."""
     mat = as_complex_matrix(mat)
     m, n = mat.shape
-    return LinearRelation(n, m, _span(np.vstack([np.eye(n, dtype=complex), mat]), tol))
+    return LinearRelation(n, m, _span(np.concatenate([np.eye(n, dtype=complex), mat]), tol))
 
 
 def zero_relation(dim_in: int, dim_out: int) -> LinearRelation:
     """The zero operator: every input maps to 0."""
-    gens = np.vstack([np.eye(dim_in, dtype=complex), np.zeros((dim_out, dim_in))])
+    gens = np.concatenate([np.eye(dim_in, dtype=complex), np.zeros((dim_out, dim_in))])
     return LinearRelation(dim_in, dim_out, _span(gens, TOL))
 
 
@@ -397,8 +405,23 @@ def identity_relation(dim: int) -> LinearRelation:
 def mul_relation(mul_space: Subspace) -> LinearRelation:
     """The purely multivalued relation {0} x mul_space."""
     d = mul_space.ambient_dim
-    gens = np.vstack([np.zeros((d, mul_space.dim)), mul_space.basis])
+    gens = np.concatenate([np.zeros((d, mul_space.dim)), mul_space.basis])
     return LinearRelation(d, d, Subspace._trusted(2 * d, gens))
+
+
+def _range_and_kernel_image(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of ran a and of b ker(a) from one unit-anchored SVD
+    of a, for the blocks [a; b] of an orthonormal basis (see rel_parts)."""
+    if a.shape[0] == 0 or a.shape[1] == 0:
+        return np.zeros((a.shape[0], 0), dtype=complex), b.copy()
+    u, s, vh = np.linalg.svd(a)
+    r = _rank(s, a.shape, tol, 1.0)
+    image, dropped = b @ vh[r:, :].conj().T, s[r:]
+    if dropped.size:
+        if not dropped[0] < 1:
+            raise ArgumentError(f"rank cutoff {tol.rank} x {max(a.shape)} drops a unit singular value")
+        image[:, : dropped.size] /= np.sqrt(1 - dropped * dropped)
+    return np.ascontiguousarray(u[:, :r]), image
 
 
 def rel_parts(rel: LinearRelation, tol: Tolerances = TOL) -> RelationParts:
@@ -406,24 +429,27 @@ def rel_parts(rel: LinearRelation, tol: Tolerances = TOL) -> RelationParts:
 
     One SVD of each block of the graph basis [X; Y] gives dom = ran X with
     ker X, and ran = ran Y with ker Y; the ranks are anchored at unit scale.
-    The columns of [X; Y] are orthonormal, so X is an isometry on ker Y and
-    Y one on ker X: ker is the Q factor of X ker(Y) and mul that of
-    Y ker(X), with no further rank decision.
+    X*X + Y*Y = I and the columns V_d of ker(Y) are right singular
+    vectors, so (X V_d)*(X V_d) = I - diag(s_d^2), with s_d the singular
+    values the rank decision dropped (0 beyond min(shape)): ker is X V_d
+    scaled by diag(1 - s_d^2)^(-1/2), and mul is Y ker(X) likewise, with
+    no QR and no further rank decision.  A cutoff that drops a unit
+    singular value (tol.rank * max(shape) >= 1) raises ArgumentError.
     """
     x, y = rel.in_block, rel.out_block
-    dom, ker_x = _range_and_kernel(x, tol, 1.0)
-    ran, ker_y = _range_and_kernel(y, tol, 1.0)
+    dom, mul = _range_and_kernel_image(x, y, tol)
+    ran, ker = _range_and_kernel_image(y, x, tol)
     return RelationParts(
         Subspace._trusted(rel.dim_in, dom),
         Subspace._trusted(rel.dim_out, ran),
-        Subspace._trusted(rel.dim_in, _q_factor(x @ ker_y)),
-        Subspace._trusted(rel.dim_out, _q_factor(y @ ker_x)),
+        Subspace._trusted(rel.dim_in, ker),
+        Subspace._trusted(rel.dim_out, mul),
     )
 
 
 def rel_inverse(rel: LinearRelation) -> LinearRelation:
     """Swap input and output blocks; a row permutation of the graph basis."""
-    basis = np.vstack([rel.out_block, rel.in_block])
+    basis = np.concatenate([rel.out_block, rel.in_block])
     return LinearRelation(rel.dim_out, rel.dim_in, Subspace._trusted(rel.dim_in + rel.dim_out, basis))
 
 
@@ -434,7 +460,7 @@ def rel_adjoint(rel: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     vector (-g, f), so the adjoint graph is the orthogonal complement of the
     sign/swap image of the original graph.
     """
-    swapped = np.vstack([-rel.out_block, rel.in_block])
+    swapped = np.concatenate([-rel.out_block, rel.in_block])
     comp = _nullspace(swapped.conj().T, tol)
     return LinearRelation(rel.dim_out, rel.dim_in, Subspace._trusted(rel.dim_in + rel.dim_out, comp))
 
@@ -448,7 +474,7 @@ def rel_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> Line
     if a.dim_in != b.dim_in or a.dim_out != b.dim_out:
         raise ArgumentError("dimension mismatch in rel_sum")
     u, v = _meet(a.in_block, b.in_block, tol)
-    gens = np.vstack([a.in_block @ u, a.out_block @ u + b.out_block @ v])
+    gens = np.concatenate([a.in_block @ u, a.out_block @ u + b.out_block @ v])
     return LinearRelation(a.dim_in, a.dim_out, _span(gens, tol, 1.0))
 
 
@@ -470,7 +496,7 @@ def rel_product(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> 
     if b.dim_out != a.dim_in:
         raise ArgumentError("inner dimensions differ in rel_product")
     u, v = _meet(b.out_block, a.in_block, tol)
-    gens = np.vstack([b.in_block @ u, a.out_block @ v])
+    gens = np.concatenate([b.in_block @ u, a.out_block @ v])
     return LinearRelation(b.dim_in, a.dim_out, _span(gens, tol, 1.0))
 
 
@@ -497,12 +523,12 @@ def rel_direct_sum(a: LinearRelation, b: LinearRelation) -> LinearRelation:
     """Direct sum acting on C^(n_a+n_b) -> C^(m_a+m_b)."""
     na, ma, nb, mb = a.dim_in, a.dim_out, b.dim_in, b.dim_out
     ka, kb = a.graph_dim, b.graph_dim
-    gens = np.vstack(
+    gens = np.concatenate(
         [
-            np.hstack([a.in_block, np.zeros((na, kb))]),
-            np.hstack([np.zeros((nb, ka)), b.in_block]),
-            np.hstack([a.out_block, np.zeros((ma, kb))]),
-            np.hstack([np.zeros((mb, ka)), b.out_block]),
+            np.concatenate([a.in_block, np.zeros((na, kb))], axis=1),
+            np.concatenate([np.zeros((nb, ka)), b.in_block], axis=1),
+            np.concatenate([a.out_block, np.zeros((ma, kb))], axis=1),
+            np.concatenate([np.zeros((mb, ka)), b.out_block], axis=1),
         ]
     )
     return LinearRelation(na + nb, ma + mb, Subspace._trusted(na + nb + ma + mb, gens))
@@ -575,7 +601,7 @@ def operator_part(rel: LinearRelation, tol: Tolerances = TOL) -> tuple[LinearRel
     if mul.dim == 0:
         return rel, mul
     coeff = _nullspace(mul.basis.conj().T @ rel.out_block, tol)
-    gens = np.vstack([rel.in_block @ coeff, rel.out_block @ coeff])
+    gens = np.concatenate([rel.in_block @ coeff, rel.out_block @ coeff])
     return LinearRelation(rel.dim_in, rel.dim_out, _span(gens, tol)), mul
 
 

@@ -3,15 +3,17 @@ triple-space routes they replaced.
 
 The references lift both graphs into a triple space, orthonormalize each
 lift, intersect the lifts and project; ``rel_parts`` is referenced by
-three rank decisions per part.  The library meets coefficients on the
-graph bases instead (``linrel._meet``).
+three rank decisions per part, and its ker and mul by the Q factors of
+X ker(Y) and Y ker(X).  The library meets coefficients on the graph bases
+instead (``linrel._meet``) and rescales X ker(Y) and Y ker(X), whose Gram
+matrices are diagonal, to unit columns.
 """
 
 import numpy as np
 import pytest
 
 import extensio as ex
-from extensio.linrel import _nullspace, _orthonormal_columns
+from extensio.linrel import _nullspace, _orthonormal_columns, _q_factor
 
 AGREE = 1e-12
 ORTHO = 1e-12
@@ -74,6 +76,12 @@ def _ref_parts(rel, tol=ex.TOL):
     return ex.RelationParts(
         span(x), span(y), span(x @ _nullspace(y, tol, 1.0)), span(y @ _nullspace(x, tol, 1.0))
     )
+
+
+def _qr_parts(rel, tol=ex.TOL):
+    """ker and mul as the Q factors of X ker(Y) and Y ker(X)."""
+    x, y = rel.in_block, rel.out_block
+    return _q_factor(x @ _nullspace(y, tol, 1.0)), _q_factor(y @ _nullspace(x, tol, 1.0))
 
 
 def _ref_couple(pi, chi):
@@ -188,6 +196,30 @@ def test_parts_match_rank_route(n, m):
             _agree(new, ref)
         _assert_orthonormal(parts.ker)
         _assert_orthonormal(parts.mul)
+
+
+@pytest.mark.parametrize("tol", [ex.TOL, ex.Tolerances(rank=1e-4)], ids=["default", "loose"])
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_parts_match_qr_route(n, m, tol):
+    rng = np.random.default_rng(10 * n + m + 5)
+    for rel in _relations(rng, n, m):
+        parts = ex.rel_parts(rel, tol)
+        ker, mul = _qr_parts(rel, tol)
+        _agree(parts.ker, ex.Subspace(n, ker))
+        _agree(parts.mul, ex.Subspace(m, mul))
+        _assert_orthonormal(parts.ker)
+        _assert_orthonormal(parts.mul)
+
+
+def test_a_cutoff_that_drops_a_unit_singular_value_is_refused():
+    # rank=0.5 on a 2-column block puts the cutoff at 1: the zero operator
+    # C^2 -> C^1 has X = I, whose unit singular values would be dropped,
+    # and the kernel columns of X could not be scaled to unit length
+    loose = ex.Tolerances(rank=0.5)
+    rel = ex.zero_relation(2, 1)
+    for case in (rel, ex.rel_inverse(rel)):
+        with pytest.raises(ex.ArgumentError, match="unit singular value"):
+            ex.rel_parts(case, loose)
 
 
 def test_parts_are_orthonormal_under_a_loose_rank_tolerance():

@@ -165,6 +165,7 @@ ANY_FINITE = {
     "eigenspace": lambda f, p: ex.eigenspace(f.rel, p),
     "generalized_resolvent": lambda f, p: ex.generalized_resolvent(f.scene, p),
     "straus_solve": lambda f, p: ex.straus_solve(f.scene, f.pi, [1.0], p),
+    "tau.eval": lambda f, p: ex.tau_of_extension(f.scene, f.pi).eval(p),
     "nev_kernel": lambda f, p: ex.nev_kernel(f.pair, p, 1j),
     "sl_weyl": lambda f, p: ex.sl_weyl(ex.SLModel(), p),
     "periodic_spectrum": lambda f, p: ex.periodic_spectrum(ex.SLModel(), (0.0, p)),
@@ -232,6 +233,8 @@ BAD_PROBES = {
     "zero slope_tol": dict(slope_tol=0.0),
     "negative extra_probes": dict(extra_probes=-1),
     "fractional extra_probes": dict(extra_probes=2.5),
+    "negative seed": dict(seed=-1),
+    "fractional seed": dict(seed=2.5),
 }
 
 
@@ -244,6 +247,33 @@ def test_limit_probe_rejects_what_it_cannot_sample(kwargs):
 def test_limit_probe_accepts_the_default_and_integer_like_counts():
     assert ex.LimitProbe() == ex.DEFAULT_PROBE
     assert ex.LimitProbe(y_grid=[1.0, 2.0, 3.0, 4.0], extra_probes=np.int64(0)).extra_probes == 0
+    assert ex.LimitProbe(seed=np.int64(0)).seed == 0
+
+
+BAD_TOLERANCES = {
+    "negative rank": dict(rank=-1.0),
+    "zero rank": dict(rank=0.0),
+    "unit rank": dict(rank=1.0),
+    "nan rank": dict(rank=np.nan),
+    "zero angle": dict(angle=0.0),
+    "negative angle": dict(angle=-1e-8),
+    "inf angle": dict(angle=np.inf),
+    "nan angle": dict(angle=np.nan),
+    "negative psd": dict(psd=-1e-9),
+    "inf psd": dict(psd=np.inf),
+    "nan psd": dict(psd=np.nan),
+}
+
+
+@pytest.mark.parametrize("kwargs", BAD_TOLERANCES.values(), ids=BAD_TOLERANCES.keys())
+def test_tolerances_reject_what_no_cutoff_can_use(kwargs):
+    with pytest.raises(ex.ArgumentError):
+        ex.Tolerances(**kwargs)
+
+
+def test_tolerances_accept_the_default_and_the_edges_of_their_ranges():
+    assert ex.Tolerances() == ex.TOL
+    assert ex.Tolerances(rank=0.5, angle=1.0, psd=0.0).psd == 0.0
 
 
 def test_arrays_entering_next_to_a_point_are_validated():
