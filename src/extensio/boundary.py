@@ -24,7 +24,6 @@ from .errors import (
     NotIsometric,
     NotIsometryU,
     NotMaximal,
-    SingularAtLambda,
     TripletMismatch,
     UnequalDefect,
 )
@@ -35,9 +34,10 @@ from .linrel import (
     RelationParts,
     Tolerances,
     _nullspace,
+    _off_spectrum,
     _operator_spectrum,
     _orthonormal_columns,
-    _rank,
+    _rank_of,
     _span,
     _spectral_point,
     as_complex_matrix,
@@ -151,7 +151,7 @@ def ordinary_triplet(gamma: LinearRelation | BoundaryRelation, tol: Tolerances =
     as in rel_parts) decides both."""
     br = gamma if isinstance(gamma, BoundaryRelation) else validate_boundary_relation(gamma, tol)
     out = br.gamma.out_block
-    if _rank(np.linalg.svd(out, compute_uv=False), out.shape, tol, 1.0) != br.gamma.dim_out:
+    if _rank_of(out, tol, 1.0) != br.gamma.dim_out:
         raise AssumptionError("ordinary triplet needs a surjective, single-valued boundary relation")
     return OrdinaryTriplet(br.gamma, br.tol)
 
@@ -251,8 +251,9 @@ class _TripletCache:
     tolerance context, each part built on first use: Gamma's ``parts``
     (``rel_parts``), and for an ordinary triplet the spectral data of
     A0 = ker Gamma_0 (``linrel._operator_spectrum`` on its kernel columns),
-    Gamma's input block X with its left inverse X^+ = R^{-1} Q* (an element
-    (f, f') of dom Gamma has the boundary pair out_block X^+ (f; f')),
+    Gamma's input block X with its left inverse X^+ = R^{-1} Q* and the
+    orthonormal basis Q of dom Gamma (an element (f, f') of dom Gamma has
+    the boundary pair out_block X^+ (f; f')),
     gamma(mu) at ``_MU`` by the nullspace route split over the spectral
     data (which raises AssumptionError unless Gamma_0 maps the defect
     elements onto C^m), and whether ker Gamma_0 and ker Gamma_1 are
@@ -275,10 +276,10 @@ class _TripletCache:
         return _operator_spectrum(cols[:n], cols[n:], self.tol)
 
     @cached_property
-    def boundary_factor(self) -> tuple[np.ndarray, np.ndarray]:
+    def boundary_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         x = self.br.gamma.in_block
         q, r = np.linalg.qr(x)
-        return x, np.linalg.solve(r, q.conj().T)
+        return x, np.linalg.solve(r, q.conj().T), q
 
     @cached_property
     def propagation(self) -> _Propagation:
@@ -309,8 +310,7 @@ class _TripletCache:
         unit-anchored rank."""
         spec = self.spectrum
         a1 = _kernel_columns(self.br, 1, self.tol)[: self.br.state_dim]
-        a1_rank = _rank(np.linalg.svd(a1, compute_uv=False), a1.shape, self.tol, 1.0)
-        return spec.eigs.size == spec.coords.shape[0], a1_rank == a1.shape[1]
+        return spec.eigs.size == spec.coords.shape[0], _rank_of(a1, self.tol, 1.0) == a1.shape[1]
 
 
 def _triplet_cache(br: BoundaryRelation, tol: Tolerances) -> _TripletCache:
@@ -325,7 +325,7 @@ def _boundary_map(pi: OrdinaryTriplet, tol: Tolerances) -> Callable[[np.ndarray]
     Gamma's input block X has full column rank, so it is factored once per
     triplet (``_TripletCache.boundary_factor``) and each batch of elements
     costs two products and the residual check."""
-    x, x_pinv = _triplet_cache(pi, tol).boundary_factor
+    x, x_pinv, _ = _triplet_cache(pi, tol).boundary_factor
 
     def values(columns: np.ndarray) -> np.ndarray:
         coeff = x_pinv @ columns
@@ -334,20 +334,6 @@ def _boundary_map(pi: OrdinaryTriplet, tol: Tolerances) -> Callable[[np.ndarray]
         return pi.gamma.out_block @ coeff
 
     return values
-
-
-def _off_spectrum(eigs: np.ndarray, lams: np.ndarray, n: int, tol: Tolerances) -> np.ndarray:
-    """t - lam for each lam (rows) and eigenvalue t of A0 (columns).  The
-    |t - lam| of a row are the singular values of A0 - lam compressed to
-    dom A0; SingularAtLambda is raised where the smallest one falls under
-    the unit-anchored cutoff of ``_rank``, row by row."""
-    diffs = eigs - lams[:, None]
-    if eigs.size:
-        dist = np.abs(diffs)
-        singular = dist.min(axis=1) <= (tol.rank * n) * np.maximum(dist.max(axis=1), 1.0)
-        if singular.any():
-            raise SingularAtLambda(complex(lams[singular.argmax()]), "lambda is an eigenvalue of A0")
-    return diffs
 
 
 def _gamma_and_weyl_grid(br: BoundaryRelation, lams, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -469,7 +455,7 @@ def mul_via_kernel(br: BoundaryRelation, p: NevanlinnaPairEval, lam: complex, to
     """Agreement between dim mul Gamma and the kernel dimension of the
     pair kernel at one point."""
     kern = nev_kernel(p, lam, lam)
-    dim_ker = p.dim - _rank(np.linalg.svd(kern, compute_uv=False), kern.shape, tol)
+    dim_ker = p.dim - _rank_of(kern, tol)
     return _triplet_cache(br, tol).parts.mul.dim == dim_ker
 
 

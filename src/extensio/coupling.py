@@ -23,7 +23,6 @@ from .errors import (
     NoSolution,
     Omega0Singular,
     RelationSumSingular,
-    SingularAtLambda,
     TripletMismatch,
 )
 from .linrel import (
@@ -31,9 +30,9 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _checked_inverse,
     _meet,
     _nullspace,
-    _rank,
     _span,
     _spectral_point,
     as_complex_matrix,
@@ -48,6 +47,7 @@ from .boundary import (
     _boundary_map,
     _gamma_and_weyl,
     _krein_pieces,
+    _triplet_cache,
     ordinary_triplet,
     validate_boundary_relation,
     weyl_eval,
@@ -256,7 +256,7 @@ def krein_rhs(pi: BoundaryRelation, tau: FamilyEval, lam: complex, tol: Toleranc
     if value.graph_dim != m:
         raise RelationSumSingular(lam, "family sum has no bounded inverse")
     phi = value.in_block
-    omega = _pair_inverse(value.out_block + m_mat @ phi, lam, tol, RelationSumSingular)
+    omega = _checked_inverse(value.out_block + m_mat @ phi, tol, RelationSumSingular, lam, "pair combination is not invertible")
     return r0 - g_lam @ phi @ omega @ g_bar.conj().T
 
 
@@ -266,8 +266,9 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     boundary pair lies in the parameter family at lam.
 
     pi is single-valued, so the state rows F of its graph basis have full
-    column rank and span dom Gamma: with F = Q R, Q is an orthonormal
-    basis of dom Gamma and the boundary rows times R^{-1} are its boundary
+    column rank and span dom Gamma: the triplet's cached factor F = Q R
+    (``_TripletCache.boundary_factor``) gives the orthonormal basis Q of
+    dom Gamma, and the boundary rows times F^+ Q = R^{-1} are its boundary
     values."""
     lam = _spectral_point(lam)
     h1 = scene.h1_dim
@@ -276,12 +277,11 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
         raise DimMismatch("right-hand side does not live in the first space")
     tau = tau_of_extension(scene, pi, tol)
     v_graph = tau.eval(lam).graph
-    g = pi.gamma.graph.basis
-    t_basis, r = np.linalg.qr(g[: 2 * h1, :])
+    _, x_pinv, t_basis = _triplet_cache(pi, tol).boundary_factor
     k = t_basis.shape[1]
     top = t_basis[:h1, :]
     bot = t_basis[h1:, :]
-    bounds = g[2 * h1 :, :] @ np.linalg.inv(r)
+    bounds = pi.gamma.out_block @ (x_pinv @ t_basis)
     m = pi.boundary_dim
     twisted = np.vstack([bounds[:m, :], -bounds[m:, :]])
     proj = v_graph.projector()
@@ -301,15 +301,6 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     return top @ coeff
 
 
-def _pair_inverse(omega0: np.ndarray, lam: complex, tol: Tolerances, error: type[SingularAtLambda]) -> np.ndarray:
-    """Inverse of the pair combination psi + M phi; raises ``error`` when
-    its smallest singular value falls below the unit-anchored cutoff."""
-    svals = np.linalg.svd(omega0, compute_uv=False)
-    if _rank(svals, omega0.shape, tol, 1.0) < omega0.shape[0]:
-        raise error(lam, "pair combination is not invertible")
-    return np.linalg.inv(omega0)
-
-
 def _double_weyl_blocks(m_mat: np.ndarray, phi: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """The block family [[-phi omega, I - phi omega M], [psi omega, psi omega M]]
     of the coupling, at one point or for a stack of points."""
@@ -327,7 +318,7 @@ def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, t
         raise Omega0Singular(lam, "parameter family value is not maximal")
     phi = tau_rel.in_block
     psi = tau_rel.out_block
-    omega = _pair_inverse(psi + m_mat @ phi, lam, tol, Omega0Singular)
+    omega = _checked_inverse(psi + m_mat @ phi, tol, Omega0Singular, lam, "pair combination is not invertible")
     return m_mat, phi, psi, omega
 
 

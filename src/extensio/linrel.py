@@ -77,8 +77,9 @@ __all__ = [
 class Tolerances:
     """Tolerance context threaded through all subspace decisions.
 
-    :param rank: relative singular-value cutoff in (0, 1); the effective
-        threshold for a matrix ``M`` is ``rank * smax(M) * max(M.shape)``.
+    :param rank: relative singular-value cutoff in (0, 1); the threshold
+        for a matrix ``M`` is ``rank * max(smax(M), scale) * max(M.shape)``,
+        with the unit anchor ``scale = 1`` for blocks of unit bases.
     :param angle: largest principal angle (radians, finite and positive)
         below which two subspaces count as equal / contained.
     :param psd: eigenvalue slack (finite, nonnegative) for semidefiniteness
@@ -141,12 +142,30 @@ def _spectral_point(lam, rule: str = "finite") -> complex:
     return lam
 
 
+def _cutoff(smax, shape: tuple[int, int], tol: Tolerances, scale: float | None = None):
+    """The rank cutoff; smax may be an array, one largest value per matrix."""
+    anchor = smax if scale is None else np.maximum(smax, scale)
+    return tol.rank * anchor * max(shape)
+
+
 def _rank(singular: np.ndarray, shape: tuple[int, int], tol: Tolerances, scale: float | None = None) -> int:
     if singular.size == 0:
         return 0
-    anchor = singular[0] if scale is None else max(singular[0], scale)
-    cutoff = tol.rank * anchor * max(shape)
-    return int(np.count_nonzero(singular > cutoff))
+    return int(np.count_nonzero(singular > _cutoff(singular[0], shape, tol, scale)))
+
+
+def _rank_of(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:
+    """Rank of mat: its singular values under the cutoff of ``_rank``."""
+    return _rank(np.linalg.svd(mat, compute_uv=False), mat.shape, tol, scale)
+
+
+def _checked_inverse(mat: np.ndarray, tol: Tolerances, error: type[Exception], *args) -> np.ndarray:
+    """Inverse of a square matrix built from blocks of unit bases, or
+    ``error(*args)`` raised when its rank falls short: the cutoff is
+    anchored at unit scale, so a rounding-level matrix reads as singular."""
+    if _rank_of(mat, tol, 1.0) < mat.shape[0]:
+        raise error(*args)
+    return np.linalg.inv(mat)
 
 
 def _orthonormal_columns(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray:
@@ -643,6 +662,20 @@ def _operator_spectrum(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> _Spectr
     return _Spectrum(eigs, u[:, :r] @ w, coords @ w, np.ascontiguousarray(u[:, r:]), smin)
 
 
+def _off_spectrum(eigs: np.ndarray, lams: np.ndarray, n: int, tol: Tolerances) -> np.ndarray:
+    """t - lam for each lam (rows) and eigenvalue t of an n x n relation A
+    (columns, ``_operator_spectrum``).  The |t - lam| of a row are the
+    singular values of A - lam compressed to dom A; SingularAtLambda is
+    raised where the smallest falls under the unit-anchored cutoff."""
+    diffs = eigs - lams[:, None]
+    if eigs.size:
+        dist = np.abs(diffs)
+        singular = dist.min(axis=1) <= _cutoff(dist.max(axis=1), (n, n), tol, 1.0)
+        if singular.any():
+            raise SingularAtLambda(complex(lams[singular.argmax()]), "lambda is an eigenvalue of A0")
+    return diffs
+
+
 def is_simple(rel: LinearRelation, tol: Tolerances = TOL) -> bool:
     """True when the symmetric relation S has no selfadjoint part: in
     finite dimension, mul S = {0} and no (v, t v) in S with v != 0.  The
@@ -701,12 +734,8 @@ def rel_matrix(rel: LinearRelation, tol: Tolerances = TOL) -> np.ndarray:
     x = rel.in_block
     if rel.dim_in == 0:
         return np.zeros((rel.dim_out, 0), dtype=complex)
-    s = np.linalg.svd(x, compute_uv=False)
-    # Block of a unit basis: anchor the cutoff at scale one so a
-    # rounding-level input block reads as singular.
-    if _rank(s, x.shape, tol, 1.0) < rel.dim_in:
-        raise AssumptionError("relation is not single-valued and everywhere defined")
-    return rel.out_block @ np.linalg.inv(x)
+    inv = _checked_inverse(x, tol, AssumptionError, "relation is not single-valued and everywhere defined")
+    return rel.out_block @ inv
 
 
 def resolvent_matrix(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
@@ -722,7 +751,7 @@ def resolvent_matrix(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -
     lam = _spectral_point(lam)
     x = rel.in_block
     shifted = rel.out_block - lam * x
-    rank = _rank(np.linalg.svd(shifted, compute_uv=False), shifted.shape, tol, 1.0)
+    rank = _rank_of(shifted, tol, 1.0)
     if rank < shifted.shape[1]:
         raise SingularAtLambda(lam, "nontrivial kernel of R - lambda")
     if rank < shifted.shape[0]:

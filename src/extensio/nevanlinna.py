@@ -26,7 +26,7 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
-    _rank,
+    _rank_of,
     _span,
     _spectral_point,
     as_complex_matrix,
@@ -175,8 +175,7 @@ def check_pair(
             raise HypothesisFailed("conjugate_symmetry", f"pair symmetry fails at {lam}")
         sign = 1j if lam.imag > 0 else -1j
         probe = psi + sign * phi
-        svals = np.linalg.svd(probe, compute_uv=False)
-        if _rank(svals, probe.shape, tol, 1.0) < p.dim:
+        if _rank_of(probe, tol, 1.0) < p.dim:
             raise HypothesisFailed("invertibility", f"psi + sign*i*phi singular at {lam}")
 
 
@@ -287,8 +286,7 @@ def classify_family(f: FamilyEval, lam: complex, tol: Tolerances = TOL) -> Famil
     strict_everywhere_defined = False
     if everywhere_defined and operator_valued:
         imag = _imag_part(rel_matrix(value, tol))
-        svals = np.linalg.svd(imag, compute_uv=False)
-        rank = _rank(svals, imag.shape, tol, max(1.0, np.linalg.norm(imag)))
+        rank = _rank_of(imag, tol, max(1.0, np.linalg.norm(imag)))
         strict_everywhere_defined = rank == value.dim_in
     second = f.eval(2 * lam)
     constant = rel_classify(value, tol).selfadjoint and rel_equal(value, second, tol)

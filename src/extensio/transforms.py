@@ -36,9 +36,9 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _checked_inverse,
     _meet,
     _q_factor,
-    _rank,
     _span,
     as_complex_matrix,
     rel_direct_sum,
@@ -203,9 +203,8 @@ def _schur_block(full: np.ndarray, d1: int, lam: complex, tol: Tolerances) -> np
     m22 = full[d1:, d1:]
     if not m22.size:
         return full[:d1, :d1]
-    if _rank(np.linalg.svd(m22, compute_uv=False), m22.shape, tol, 1.0) < m22.shape[0]:
-        raise SingularAtLambda(lam, "second diagonal block not invertible")
-    return full[:d1, :d1] - full[:d1, d1:] @ np.linalg.inv(m22) @ full[d1:, :d1]
+    inv = _checked_inverse(m22, tol, SingularAtLambda, lam, "second diagonal block not invertible")
+    return full[:d1, :d1] - full[:d1, d1:] @ inv @ full[d1:, :d1]
 
 
 def shmulyan(w: LinearRelation, theta: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -267,12 +266,10 @@ def affine_transform(br: BoundaryRelation, b, g, tol: Tolerances = TOL) -> Bound
     m = br.boundary_dim
     b = as_complex_matrix(b, m, m)
     g = as_complex_matrix(g, m, m)
-    if _rank(np.linalg.svd(g, compute_uv=False), g.shape, tol, 1.0) < m:
-        raise GSingular("scaling block must be invertible")
+    g_inv = _checked_inverse(g, tol, GSingular, "scaling block must be invertible")
     bg = b @ g
     if np.linalg.norm(bg - bg.conj().T) > tol.angle * (1 + np.linalg.norm(bg)):
         raise BGNotHermitian("product of the affine blocks must be Hermitian")
-    g_inv = np.linalg.inv(g) if m else g
     w = np.block([[g_inv, np.zeros((m, m))], [b, g.conj().T]])
     return _with_boundary_rows(br, w @ br.gamma.out_block, tol)
 
@@ -322,14 +319,10 @@ def schur_complement(br: BoundaryRelation, split: SpaceSplit, tol: Tolerances = 
         full = _weyl_matrix(br, lam, tol)
         try:
             schur = _schur_block(full, d1, lam, tol)
+            lhs = _checked_inverse(full, tol, SingularAtLambda, lam, "Weyl function not invertible")[:d1, :d1]
+            rhs = _checked_inverse(schur, tol, SingularAtLambda, lam, "Schur complement not invertible")
         except SingularAtLambda:
             continue
-        if _rank(np.linalg.svd(full, compute_uv=False), full.shape, tol, 1.0) < m:
-            continue
-        if _rank(np.linalg.svd(schur, compute_uv=False), schur.shape, tol, 1.0) < d1:
-            continue
-        lhs = np.linalg.inv(full)[:d1, :d1]
-        rhs = np.linalg.inv(schur) if d1 else schur
         if np.linalg.norm(lhs - rhs) > _INVERSE_BLOCK_TOL * (1 + np.linalg.norm(rhs)):
             raise HypothesisFailed("inverse_block_identity", f"fails at {lam}")
     return TransformResult(result, lambda lam: _schur_block(_weyl_matrix(br, lam, tol), d1, lam, tol))

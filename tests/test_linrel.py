@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extensio as ex
+from extensio.boundary import _a0_resolvent, _triplet_cache
 from extensio.linrel import _nullspace
 
 RESID = 1e-10
@@ -105,8 +106,9 @@ def test_inverse_and_shift():
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_invertibility_cutoff_is_unit_anchored(factor):
-    # rel_matrix and check_pair call an n x n block singular when its
-    # smallest singular value s is at most tol.rank * max(1, smax) * n
+    # rel_matrix, check_pair, affine_transform and the off-spectrum test
+    # call an n x n block singular when its smallest singular value s is
+    # at most tol.rank * max(1, smax) * n
     n = 3
     s = factor * ex.TOL.rank * n
     singular = factor < 1
@@ -127,6 +129,26 @@ def test_invertibility_cutoff_is_unit_anchored(factor):
         assert info.value.which == "invertibility"
     else:
         ex.check_pair(pair)
+    # affine_transform with G = s I on a boundary relation with boundary
+    # dimension n; it has no state rows, which W = diag(G^-1, G*) of
+    # condition 1/s^2 would push out of the QR of Gamma's moved graph
+    chi = ex.canonical_chi(ex.relation_from_matrix(np.diag([0.5, -1.0, 2.0])))
+    if singular:
+        with pytest.raises(ex.GSingular):
+            ex.affine_transform(chi, np.zeros((n, n)), s * np.eye(n))
+    else:
+        assert ex.affine_transform(chi, np.zeros((n, n)), s * np.eye(n)).boundary_dim == n
+    # lam at distance factor x cutoff from the lowest eigenvalue of A0,
+    # whose |t - lam| are the singular values of A0 - lam on dom A0
+    br = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(3), 5, 2))
+    eigs = _triplet_cache(br, ex.TOL).spectrum.eigs
+    dist = factor * ex.TOL.rank * br.state_dim * max(1.0, np.abs(eigs - eigs[0]).max())
+    lam = eigs[0] + dist
+    if singular:
+        with pytest.raises(ex.SingularAtLambda, match="eigenvalue of A0"):
+            _a0_resolvent(br, lam, ex.TOL)
+    else:
+        assert np.linalg.norm(_a0_resolvent(br, lam, ex.TOL), 2) == pytest.approx(1 / dist, rel=1e-6)
 
 
 def test_mul_and_zero_relations():

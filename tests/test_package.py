@@ -169,3 +169,35 @@ def test_no_module_imports_a_name_it_never_uses():
                 imported.update(alias.asname or alias.name for alias in node.names)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not imported - read, f"{path.name} imports {sorted(imported - read)} and never uses them"
+
+
+def _rank_rule_uses(tree):
+    """Calls of ``np.linalg.svd`` or ``_rank`` and reads of ``tol.rank``
+    in a module's syntax tree, by line."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "_rank":
+                uses.append((node.lineno, "_rank"))
+            elif isinstance(func, ast.Attribute) and ast.unparse(func) in ("np.linalg.svd", "numpy.linalg.svd"):
+                uses.append((node.lineno, "np.linalg.svd"))
+        elif isinstance(node, ast.Attribute) and node.attr == "rank" and ast.unparse(node.value) == "tol":
+            uses.append((node.lineno, "tol.rank"))
+    return uses
+
+
+def test_rank_is_decided_in_linrel_only():
+    """Every SVD and every rank cutoff is taken in ``linrel``: the other
+    modules call its ``_rank_of`` and ``_checked_inverse``, so the rule
+    and its future hooks live in one module."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        if path.name != "linrel.py":
+            uses = _rank_rule_uses(ast.parse(path.read_text(encoding="utf-8")))
+            if uses:
+                found[path.name] = uses
+    assert not found, found
+    # the scan sees the rule where it lives
+    linrel_uses = {kind for _, kind in _rank_rule_uses(ast.parse((SRC / "linrel.py").read_text(encoding="utf-8")))}
+    assert linrel_uses == {"_rank", "np.linalg.svd", "tol.rank"}
