@@ -35,7 +35,6 @@ from .boundary import (
     OrdinaryTriplet,
     _gamma_and_weyl,
     _gamma_and_weyl_grid,
-    _kernel_single_valued,
     _triplet_cache,
 )
 from .nevanlinna import FamilyEval, NevanlinnaPairEval
@@ -342,9 +341,10 @@ def admissible(
     slot = _pair_slot(pi, tau, tol)
     adm1, adm2, adm1_slope, adm2_slope = _resolvent_conditions(slot, sw, probe)
     qlt = _vanishes(sw[0], _qlt_curves(pi, sw, z0, probe_vectors(m, probe), tol), probe)[0]
-    if _kernel_single_valued(pi, 0, tol):
+    a0_single, a1_single = _triplet_cache(pi, tol).single_valued
+    if a0_single:
         verdict = adm1
-    elif _kernel_single_valued(pi, 1, tol):
+    elif a1_single:
         verdict = adm2
     else:
         verdict = adm1 and adm2

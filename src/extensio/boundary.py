@@ -359,12 +359,6 @@ def _gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tupl
     return gam[0], weyl[0]
 
 
-def _kernel_single_valued(br: BoundaryRelation, index: int, tol: Tolerances) -> bool:
-    """mul A = {0} for A = ker Gamma_index, decided once per triplet and
-    tolerance context (``_TripletCache.single_valued``)."""
-    return _triplet_cache(br, tol).single_valued[index]
-
-
 def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
     """Resolvent of A0 = ker Gamma_0 from its cached spectral data:
     E diag(1/(t - lam)) E*, zero on mul A0."""

@@ -142,6 +142,41 @@ def _spectral_point(lam, rule: str = "finite") -> complex:
     return lam
 
 
+try:
+    from numpy.linalg import _umath_linalg
+
+    # LAPACK's SVD gufuncs by (compute_uv, full_matrices); numpy 1.x names them otherwise
+    _SVD_GUFUNCS = {(False, True): _umath_linalg.svd, (True, False): _umath_linalg.svd_s, (True, True): _umath_linalg.svd_f}
+    _NUMPY_SVD = np.linalg.svd
+except (ImportError, AttributeError):
+    _NUMPY_SVD = None
+_SVD_SIGNATURES = {np.dtype(complex): ("D->d", "D->DdD"), np.dtype(float): ("d->d", "d->ddd")}
+
+
+def _svd(mat: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
+    """``np.linalg.svd(mat, full_matrices, compute_uv)``, bit for bit, from
+    LAPACK's gufunc without numpy's per-call wrapper.  numpy's function
+    itself serves input that is neither complex128 nor float64, a numpy
+    without the gufuncs, and an ``np.linalg.svd`` replaced at run time, so
+    a counting wrapper sees every call.  A LAPACK failure or non-finite
+    input raises AssumptionError, whether or not RuntimeWarning is an error."""
+    sigs = _SVD_SIGNATURES.get(mat.dtype)
+    try:
+        if sigs is None or np.linalg.svd is not _NUMPY_SVD:
+            out = np.linalg.svd(mat, full_matrices=full_matrices, compute_uv=compute_uv)
+        else:
+            out = _SVD_GUFUNCS[compute_uv, full_matrices](mat, signature=sigs[compute_uv])
+    except (RuntimeWarning, FloatingPointError, np.linalg.LinAlgError):
+        # numpy's function raises LinAlgError; the gufunc sets the invalid
+        # flag, which an error filter for RuntimeWarning or np.errstate raises
+        raise AssumptionError("SVD did not converge") from None
+    s = out[1] if compute_uv else out
+    # a failure fills every output with NaN, and inf input gives NaN unflagged
+    if s.size and not s[0] < np.inf:
+        raise AssumptionError("SVD did not converge")
+    return out
+
+
 def _cutoff(smax, shape: tuple[int, int], tol: Tolerances, scale: float | None = None):
     """The rank cutoff; smax may be an array, one largest value per matrix."""
     anchor = smax if scale is None else np.maximum(smax, scale)
@@ -156,7 +191,7 @@ def _rank(singular: np.ndarray, shape: tuple[int, int], tol: Tolerances, scale: 
 
 def _rank_of(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:
     """Rank of mat: its singular values under the cutoff of ``_rank``."""
-    return _rank(np.linalg.svd(mat, compute_uv=False), mat.shape, tol, scale)
+    return _rank(_svd(mat, compute_uv=False), mat.shape, tol, scale)
 
 
 def _checked_inverse(mat: np.ndarray, tol: Tolerances, error: type[Exception], *args) -> np.ndarray:
@@ -176,7 +211,7 @@ def _orthonormal_columns(mat: np.ndarray, tol: Tolerances, scale: float | None =
     """
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return np.zeros((mat.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    u, s, _ = _svd(mat, full_matrices=False)
     return np.ascontiguousarray(u[:, : _rank(s, mat.shape, tol, scale)])
 
 
@@ -190,7 +225,7 @@ def _nullspace(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> 
     """Orthonormal basis of ker(mat) as columns."""
     if mat.shape[0] == 0 or mat.shape[1] == 0:
         return np.eye(mat.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(mat)
+    _, s, vh = _svd(mat)
     return np.ascontiguousarray(vh[_rank(s, mat.shape, tol, scale) :, :].conj().T)
 
 
@@ -341,7 +376,7 @@ def containment_gap(inner: Subspace, outer: Subspace) -> float:
     resid = inner.basis - outer.basis @ (outer.basis.conj().T @ inner.basis)
     # The largest singular value; norm(resid, 2) computes the same SVD
     # with more overhead.
-    sine = min(1.0, float(np.linalg.svd(resid, compute_uv=False)[0]))
+    sine = min(1.0, float(_svd(resid, compute_uv=False)[0]))
     return float(np.arcsin(sine))
 
 
@@ -433,7 +468,7 @@ def _range_and_kernel_image(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> tu
     of a, for the blocks [a; b] of an orthonormal basis (see rel_parts)."""
     if a.shape[0] == 0 or a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex), b.copy()
-    u, s, vh = np.linalg.svd(a)
+    u, s, vh = _svd(a)
     r = _rank(s, a.shape, tol, 1.0)
     image, dropped = b @ vh[r:, :].conj().T, s[r:]
     if dropped.size:
@@ -652,7 +687,7 @@ def _operator_spectrum(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> _Spectr
     if n == 0 or k == 0:
         empty = np.zeros((n, 0), dtype=complex)
         return _Spectrum(np.zeros(0), empty, np.zeros((k, 0), dtype=complex), np.eye(n, dtype=complex), 0.0)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    u, s, vh = _svd(x, full_matrices=False)
     r = _rank(s, x.shape, tol, 1.0)
     coords = vh[:r].conj().T / s[:r]
     comp = u[:, :r].conj().T @ (y @ coords)
@@ -703,7 +738,7 @@ def is_simple(rel: LinearRelation, tol: Tolerances = TOL) -> bool:
         q = coords[:, lo:hi] if hi - lo == 1 else np.linalg.qr(coords[:, lo:hi])[0]
         for t in eigs[lo:hi]:
             resid = y @ q - t * (x @ q)
-            sing = np.linalg.norm(resid, axis=0) if hi - lo == 1 else np.linalg.svd(resid, compute_uv=False)
+            sing = np.linalg.norm(resid, axis=0) if hi - lo == 1 else _svd(resid, compute_uv=False)
             if _rank(sing, (n, k), tol, 1.0) < hi - lo:
                 return False
     return True

@@ -8,7 +8,7 @@ import pytest
 
 import extensio as ex
 from extensio import boundary, linrel
-from extensio.boundary import _kernel_columns, _kernel_single_valued
+from extensio.boundary import _kernel_columns, _triplet_cache
 from extensio.linrel import _rank
 
 RESID = 1e-9
@@ -385,7 +385,7 @@ def test_kernel_single_valued_matches_relation_route(case):
     decisions = []
     for br in bases:
         for index in (0, 1):
-            fast = _kernel_single_valued(br, index, ex.TOL)
+            fast = _triplet_cache(br, ex.TOL).single_valued[index]
             assert fast == (ex.rel_parts(ex.kernel_of_boundary_map(br, index)).mul.dim == 0)
             assert fast == _two_rank_rule(br, index)
             decisions.append(fast)

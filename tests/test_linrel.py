@@ -1,12 +1,15 @@
 """Subspace and linear relation calculus tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import extensio as ex
 from extensio.boundary import _a0_resolvent, _triplet_cache
-from extensio.linrel import _nullspace
+from extensio import linrel
+from extensio.linrel import _nullspace, _svd
 
 RESID = 1e-10
 
@@ -462,3 +465,92 @@ def test_adjoint_involution_and_rank_nullity(seed, n_in, n_out):
     parts = ex.rel_parts(rel)
     assert parts.dom.dim + parts.mul.dim == rel.graph_dim
     assert parts.ran.dim + parts.ker.dim == rel.graph_dim
+
+
+# _svd against np.linalg.svd: tall, wide and square shapes up to 32 x 16,
+# the empty shapes, and the three forms (values only, reduced, full)
+SVD_SHAPES = [
+    (1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (16, 16),
+    (2, 1), (4, 2), (7, 3), (16, 8), (32, 16),
+    (1, 2), (2, 4), (3, 7), (8, 16), (16, 32),
+    (3, 0), (0, 3), (0, 0),
+]
+SVD_FORMS = [(False, True), (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("shape", SVD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_svd_is_bit_identical_to_numpy(shape, dtype):
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        # the gufunc route is the one under test, not numpy's own function
+        assert linrel._NUMPY_SVD is np.linalg.svd
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    full = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if dtype is complex else 0)
+    rank_one = np.outer(full[:, :1], full[:1, :]) if full.size else full
+    for mat in (full.astype(dtype), rank_one.astype(dtype)):
+        for compute_uv, full_matrices in SVD_FORMS:
+            got = _svd(mat, compute_uv, full_matrices)
+            want = np.linalg.svd(mat, full_matrices=full_matrices, compute_uv=compute_uv)
+            pairs = zip(got, want) if compute_uv else [(got, want)]
+            for g, w in pairs:
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w) and g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("filter_action", ["error", "default"])
+@pytest.mark.parametrize("dtype", [complex, float, np.complex64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_svd_failure_raises_a_typed_error(bad, dtype, filter_action):
+    # complex64 takes numpy's own function, which raises LinAlgError on NaN;
+    # the gufunc flags NaN as a RuntimeWarning and returns NaN for inf
+    mat = np.ones((4, 3), dtype=dtype)
+    mat[1, 2] = bad
+    for compute_uv, full_matrices in SVD_FORMS:
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter(filter_action, RuntimeWarning)
+            with pytest.raises(ex.AssumptionError, match="SVD did not converge"):
+                _svd(mat, compute_uv, full_matrices)
+        # under the default filter numpy still shows its flag as a warning
+        assert all(issubclass(w.category, RuntimeWarning) for w in shown)
+        # a caller's np.errstate turns the flag into FloatingPointError
+        with np.errstate(invalid="raise"), pytest.raises(ex.AssumptionError, match="SVD did not converge"):
+            _svd(mat, compute_uv, full_matrices)
+
+
+def _svd_contract_outputs():
+    # relation_from_generators takes reduced SVDs, rel_adjoint a full one,
+    # containment_gap the values only; rel_inverse takes none
+    rng = np.random.default_rng(2006)
+    outputs = []
+    for dims in [(2, 3, 2), (3, 3, 3), (4, 2, 5), (1, 4, 1)]:
+        a, b = random_rel(rng, *dims), random_rel(rng, *dims)
+        outputs += [
+            a.graph.basis,
+            ex.rel_inverse(a).graph.basis,
+            ex.rel_adjoint(a).graph.basis,
+            np.array(ex.containment_gap(a.graph, b.graph)),
+        ]
+    return outputs
+
+
+def test_a_replaced_numpy_svd_sees_every_svd(monkeypatch):
+    """A wrapper put in place of np.linalg.svd, as the benchmark's counters
+    are, sees each of _svd's calls once, and the outputs do not move."""
+    reference = _svd_contract_outputs()
+    seen = {"numpy": 0, "entry": 0}
+    numpy_svd, entry = np.linalg.svd, linrel._svd
+
+    def counted_numpy(*args, **kwargs):
+        seen["numpy"] += 1
+        return numpy_svd(*args, **kwargs)
+
+    def counted_entry(*args, **kwargs):
+        seen["entry"] += 1
+        return entry(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_numpy)
+    monkeypatch.setattr(linrel, "_svd", counted_entry)
+    outputs = _svd_contract_outputs()
+    assert seen["entry"] > 0 and seen["numpy"] == seen["entry"]
+    for got, want in zip(outputs, reference, strict=True):
+        assert got.tobytes() == want.tobytes()

@@ -187,10 +187,23 @@ def _rank_rule_uses(tree):
     return uses
 
 
+def _names_lapack_svd(node):
+    """A reference to ``np.linalg.svd`` or to numpy's gufunc module."""
+    if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.linalg.svd", "numpy.linalg.svd"):
+        return True
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "_umath_linalg" for alias in node.names)
+    return isinstance(node, ast.Name) and node.id == "_umath_linalg"
+
+
 def test_rank_is_decided_in_linrel_only():
     """Every SVD and every rank cutoff is taken in ``linrel``: the other
     modules call its ``_rank_of`` and ``_checked_inverse``, so the rule
-    and its future hooks live in one module."""
+    and its hooks live in one module.  Within it, ``_svd`` is the one
+    function that reaches LAPACK's SVD: no other function names
+    ``np.linalg.svd`` or the gufunc module, the seven SVD sites call
+    ``_svd``, and at module level the names appear only in the
+    import-time lookup of the gufuncs."""
     found = {}
     for path in SRC.glob("*.py"):
         if path.name != "linrel.py":
@@ -201,3 +214,24 @@ def test_rank_is_decided_in_linrel_only():
     # the scan sees the rule where it lives
     linrel_uses = {kind for _, kind in _rank_rule_uses(ast.parse((SRC / "linrel.py").read_text(encoding="utf-8")))}
     assert linrel_uses == {"_rank", "np.linalg.svd", "tol.rank"}
+
+    reaching, calling, module_level = set(), set(), []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                if any(_names_lapack_svd(node) for node in ast.walk(func)):
+                    reaching.add(f"{path.stem}.{func.name}")
+                if any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_svd" for n in ast.walk(func)):
+                    calling.add(f"{path.stem}.{func.name}")
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if any(_names_lapack_svd(node) for node in ast.walk(stmt)):
+                    module_level.append((path.name, stmt))
+    assert reaching == {"linrel._svd"}
+    sites = ("_rank_of", "_orthonormal_columns", "_nullspace", "containment_gap",
+             "_range_and_kernel_image", "_operator_spectrum", "is_simple")
+    assert calling == {f"linrel.{name}" for name in sites}
+    [(name, lookup)] = module_level
+    assert name == "linrel.py" and isinstance(lookup, ast.Try)
+    assert {t.id for s in lookup.body if isinstance(s, ast.Assign) for t in s.targets} == {"_SVD_GUFUNCS", "_NUMPY_SVD"}
