@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _rank_of,
     _spectral_point,
     as_complex_matrix,
     rel_matrix,
@@ -132,35 +134,60 @@ def probe_vectors(dim: int, probe: LimitProbe = DEFAULT_PROBE) -> np.ndarray:
             (dim, probe.extra_probes)
         )
         norms = np.linalg.norm(extra, axis=0)
-        cols = np.hstack([np.eye(dim, dtype=complex), extra / np.where(norms == 0, 1.0, norms)])
+        cols = np.concatenate([np.eye(dim, dtype=complex), extra / np.where(norms == 0, 1.0, norms)], axis=1)
     cols.flags.writeable = False
     return cols
 
 
-def _fit(ys: np.ndarray, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares log-log slope over the top four grid decades, and the
-    top value, of every row of curves (all points when fewer than two lie
-    in those decades)."""
-    vals = np.maximum(np.abs(curves), _LOG_FLOOR)
+class _GridDesign(NamedTuple):
+    """What the slope fits read off a y-grid alone (``_grid_design``): the
+    grid ``ys``; the mask ``keep`` of its points within the top four
+    decades (all points when fewer than two lie there); their log10 y,
+    centred (``dx``), with its sum of squares ``dx_sq``; and ``last_step``,
+    log10 of the ratio of the last two points."""
+
+    ys: np.ndarray
+    keep: np.ndarray
+    dx: np.ndarray
+    dx_sq: float
+    last_step: float
+
+
+@functools.lru_cache
+def _grid_design(y_grid: tuple[float, ...]) -> _GridDesign:
+    """The fit design of a y-grid, built once per grid, as probe_vectors
+    is, with read-only arrays."""
+    ys = np.asarray(y_grid, dtype=float)
     keep = ys >= ys[-1] / 10.0**_TOP_DECADES * _DECADE_MARGIN
     if np.count_nonzero(keep) < 2:
         keep = np.ones(ys.shape, dtype=bool)
     dx = np.log10(ys[keep])
     dx -= dx.mean()
-    return np.log10(vals[:, keep]) @ dx / (dx @ dx), vals[:, -1]
+    for arr in (ys, keep, dx):
+        arr.flags.writeable = False
+    return _GridDesign(ys, keep, dx, dx @ dx, np.log10(ys[-1] / ys[-2]))
 
 
-def _vanishes(ys: np.ndarray, curves: np.ndarray, probe: LimitProbe) -> tuple[np.ndarray, np.ndarray]:
-    """Decay verdicts and fitted slopes of the rows of curves on the y-grid.
+def _fit(design: _GridDesign, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares log-log slope over the kept grid points of the design,
+    and the top value, of every row of curves."""
+    vals = np.maximum(np.abs(curves), _LOG_FLOOR)
+    return np.log10(vals[:, design.keep]) @ design.dx / design.dx_sq, vals[:, -1]
+
+
+def _vanishes(curves: np.ndarray, probe: LimitProbe) -> tuple[np.ndarray, np.ndarray]:
+    """Decay verdicts and fitted slopes of the rows of curves on the probe's
+    y-grid.
 
     A curve vanishes when its top value is at rounding level, when the
     fit decays and ends below the decay floor, or when its last grid step
     decays: a curve that stays flat over the low decades and falls off as
     1/y only near the top can end just above the floor.
     """
-    slopes, tops = _fit(ys, curves)
+    design = _grid_design(probe.y_grid)
+    slopes, tops = _fit(design, curves)
     logs = np.log10(np.maximum(np.abs(curves[:, -2:]), _LOG_FLOOR))
-    last = (logs[:, 1] - logs[:, 0]) / np.log10(ys[-1] / ys[-2])
+    last = (logs[:, 1] - logs[:, 0]) / design.last_step
     fit_decays = (slopes < -probe.slope_tol) & (tops < _DECAY_FLOOR)
     return (tops < _ROUNDING_FLOOR) | fit_decays | (last < -probe.slope_tol), slopes
 
@@ -183,15 +210,16 @@ def realize_tau(tau: NevanlinnaPairEval) -> BoundaryRelation:
     return tau.realization
 
 
-def _grid_matrices(family: FamilyEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """The y-grid and the family's matrices at the points iy, stacked."""
-    ys = np.asarray(probe.y_grid, dtype=float)
-    return ys, np.stack([rel_matrix(family.eval(1j * y), tol) for y in ys])
+def _grid_matrices(family: FamilyEval, probe: LimitProbe, tol: Tolerances) -> tuple[_GridDesign, np.ndarray]:
+    """The fit design of the y-grid and the family's matrices at the points
+    iy, stacked."""
+    design = _grid_design(probe.y_grid)
+    return design, np.stack([rel_matrix(family.eval(1j * y), tol) for y in design.ys])
 
 
-def _sublinear(probes: np.ndarray, ys: np.ndarray, mats: np.ndarray) -> bool:
+def _sublinear(probes: np.ndarray, design: _GridDesign, mats: np.ndarray) -> bool:
     """No probe's form (mat h, h)/y tends to a positive constant."""
-    slopes, tops = _fit(ys, np.abs(_forms(probes, mats)) / ys)
+    slopes, tops = _fit(design, np.abs(_forms(probes, mats)) / design.ys)
     return not np.any((slopes > _SUBLINEAR_SLOPE) & (tops > _SUBLINEAR_TOP))
 
 
@@ -224,8 +252,8 @@ def mul_t_limit(
     probes = probe_vectors(m, probe)
     if probes.size == 0:
         return True
-    ys, mats = _grid_matrices(family, probe, tol)
-    if not _sublinear(probes, ys, mats):
+    design, mats = _grid_matrices(family, probe, tol)
+    if not _sublinear(probes, design, mats):
         raise AssumptionError("sublinear growth of the family is required first")
     if h0 is not None:
         if h0.ambient_dim != m:
@@ -237,7 +265,7 @@ def mul_t_limit(
         probes = probes[:, keep] / norms[keep]
         if probes.size == 0:
             return True
-    slopes, _ = _fit(ys, ys * np.abs(np.imag(_forms(probes, mats))))
+    slopes, _ = _fit(design, design.ys * np.abs(np.imag(_forms(probes, mats))))
     return bool(np.all(slopes > probe.slope_tol))
 
 
@@ -285,23 +313,20 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
     the triplet's cached spectral data, and the pair is evaluated once per
     grid point; the result is kept in the pair slot for the probe's grid,
     the only part of the probe it reads.  Raises Omega0Singular at the
-    first point where psi + M phi is singular, on every call."""
+    first point where psi + M phi falls short of full rank under the
+    unit-anchored cutoff (one values-only SVD of the stack), on every
+    call."""
     slot = _pair_slot(pi, tau, tol)
     if slot.grid != probe.y_grid:
-        ys = np.asarray(probe.y_grid, dtype=float)
+        ys = _grid_design(probe.y_grid).ys
         m_mat = _gamma_and_weyl_grid(pi, 1j * ys, tol)[1]
         phi, psi = (np.asarray(np.stack(part), dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
         combo = psi + m_mat @ phi
-        try:
-            omega = np.linalg.inv(combo)
-        except np.linalg.LinAlgError:
-            for y, mat in zip(ys, combo):
-                try:
-                    np.linalg.inv(mat)
-                except np.linalg.LinAlgError as exc:
-                    raise Omega0Singular(1j * y, "pair combination is not invertible") from exc
-            raise
-        for arr in (ys, m_mat, phi, psi, omega):
+        short = np.flatnonzero(_rank_of(combo, tol, 1.0) < combo.shape[-1])
+        if short.size:
+            raise Omega0Singular(1j * ys[short[0]], "pair combination is not invertible")
+        omega = np.linalg.inv(combo)
+        for arr in (m_mat, phi, psi, omega):
             arr.flags.writeable = False
         slot.grid, slot.sweep = probe.y_grid, (ys, m_mat, phi, psi, omega)
     return slot.sweep
@@ -318,7 +343,7 @@ def _resolvent_conditions(slot: _PairSlot, sw: tuple[np.ndarray, ...], probe: Li
         ys, m_mat, phi, psi, omega = sw
         probes = probe_vectors(slot.pi.boundary_dim, probe)
         pairs = probes.conj().T @ np.stack([phi @ omega, psi @ omega @ m_mat]) @ probes
-        passes, slopes = _vanishes(ys, np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys, probe)
+        passes, slopes = _vanishes(np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys, probe)
         slot.probe, slot.conditions = probe, (bool(passes[0]), bool(passes[1]), float(slopes[0]), float(slopes[1]))
     return slot.conditions
 
@@ -340,7 +365,7 @@ def admissible(
     sw = _sweep(pi, tau, probe, tol)
     slot = _pair_slot(pi, tau, tol)
     adm1, adm2, adm1_slope, adm2_slope = _resolvent_conditions(slot, sw, probe)
-    qlt = _vanishes(sw[0], _qlt_curves(pi, sw, z0, probe_vectors(m, probe), tol), probe)[0]
+    qlt = _vanishes(_qlt_curves(pi, sw, z0, probe_vectors(m, probe), tol), probe)[0]
     a0_single, a1_single = _triplet_cache(pi, tol).single_valued
     if a0_single:
         verdict = adm1
@@ -381,7 +406,7 @@ def mt_admissibility(
     ys, *pieces = _sweep(pi, tau, probe, tol)
     m_t = _t_combination(_double_weyl_blocks(*pieces), t_mat)
     curve = np.linalg.norm(m_t @ probes, axis=1).max(axis=1, initial=0.0) / ys
-    return bool(_vanishes(ys, curve[None, :], probe)[0][0])
+    return bool(_vanishes(curve[None, :], probe)[0][0])
 
 
 def _qlt_curves(pi: OrdinaryTriplet, sw: tuple[np.ndarray, ...], z0: complex, probes: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -405,4 +430,4 @@ def langer_textorius(
     z0 = _spectral_point(z0, "upper")
     probes = probe_vectors(pi.boundary_dim, probe)
     sw = _sweep(pi, tau, probe, tol)
-    return bool(np.all(_vanishes(sw[0], _qlt_curves(pi, sw, z0, probes, tol), probe)[0]))
+    return bool(np.all(_vanishes(_qlt_curves(pi, sw, z0, probes, tol), probe)[0]))

@@ -33,6 +33,7 @@ from .linrel import (
     LinearRelation,
     RelationParts,
     Tolerances,
+    _checked_inverse,
     _nullspace,
     _off_spectrum,
     _operator_spectrum,
@@ -194,7 +195,7 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     beta = coord_u.conj().T @ delta
     out0 = alpha + beta
     out1 = 1j * (alpha - beta)
-    columns = np.vstack([f, fp, out0, out1])
+    columns = np.concatenate([f, fp, out0, out1])
     gamma = LinearRelation(2 * n, 2 * d, _span(columns, tol))
     return ordinary_triplet(gamma, tol)
 
@@ -211,15 +212,15 @@ def _nullspace_gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerance
     """Gamma field and Weyl function at lam as matrices for a triplet whose
     first boundary map is a bijection of the defect elements onto C^m:
     with G c their graph columns, gamma = G_f c (G_h c)^{-1} and
-    M = G_h' c (G_h c)^{-1}.  One nullspace per point."""
+    M = G_h' c (G_h c)^{-1}.  One nullspace per point, and one unit-anchored
+    rank test of the block G_h c (its columns are unit vectors), which
+    raises AssumptionError when the bijection fails."""
     n = br.state_dim
     m = br.boundary_dim
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
-    try:
-        # a defect space of dimension other than m gives a non-square block
-        inv = np.linalg.inv(cols[2 * n : 2 * n + m, :])
-    except np.linalg.LinAlgError as exc:
-        raise AssumptionError("first boundary map is not a bijection of the defect space onto C^m") from exc
+    # a defect space of dimension other than m gives a non-square block
+    message = "first boundary map is not a bijection of the defect space onto C^m"
+    inv = _checked_inverse(cols[2 * n : 2 * n + m, :], tol, AssumptionError, message)
     return cols[:n, :] @ inv, cols[2 * n + m :, :] @ inv
 
 
@@ -390,7 +391,7 @@ def gamma_field(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> Li
     n = br.state_dim
     m = br.boundary_dim
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
-    return LinearRelation(m, n, _span(np.vstack([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol))
+    return LinearRelation(m, n, _span(np.concatenate([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol))
 
 
 def kernel_of_boundary_map(br: BoundaryRelation, index: int, tol: Tolerances = TOL) -> LinearRelation:
@@ -522,8 +523,8 @@ def reduce_multivalued(br: BoundaryRelation, k=None, tol: Tolerances = TOL) -> B
     b1_basis = _orthonormal_columns(np.eye(m, dtype=complex) - b0 @ b0.conj().T, tol)
     g = br.gamma.graph.basis
     h, hp = g[2 * n : 2 * n + m, :], g[2 * n + m :, :]
-    new_out = np.vstack([b1_basis.conj().T @ h, b1_basis.conj().T @ (hp - k @ h)])
-    reduced = LinearRelation(2 * n, 2 * b1_basis.shape[1], _span(np.vstack([g[: 2 * n, :], new_out]), tol))
+    new_out = np.concatenate([b1_basis.conj().T @ h, b1_basis.conj().T @ (hp - k @ h)])
+    reduced = LinearRelation(2 * n, 2 * b1_basis.shape[1], _span(np.concatenate([g[: 2 * n, :], new_out]), tol))
     result = validate_boundary_relation(reduced, tol)
     for lam in (1j, 2j):
         m_full = rel_matrix(weyl_eval(br, lam, tol), tol)

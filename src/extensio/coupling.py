@@ -157,8 +157,8 @@ def _scene_boundary_values(scene: CouplingScene, pi: OrdinaryTriplet, tol: Toler
         raise TripletMismatch("triplet kernel differs from the first restriction")
     f1, _, f1p, _ = _row_ranges(scene.h1_dim, scene.h2_dim)
     graph = scene.a_tilde.graph.basis
-    bounds = _boundary_map(pi, tol)(np.vstack([graph[f1, :], graph[f1p, :]]))
-    return np.vstack([bounds[:m, :], -bounds[m:, :]])
+    bounds = _boundary_map(pi, tol)(np.concatenate([graph[f1, :], graph[f1p, :]]))
+    return np.concatenate([bounds[:m, :], -bounds[m:, :]])
 
 
 def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
@@ -167,7 +167,7 @@ def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL
     twisted = _scene_boundary_values(scene, pi, tol)
     _, f2, _, f2p = _row_ranges(scene.h1_dim, scene.h2_dim)
     basis = scene.a_tilde.graph.basis
-    gens = np.vstack([basis[f2, :], basis[f2p, :], twisted])
+    gens = np.concatenate([basis[f2, :], basis[f2p, :], twisted])
     chi = LinearRelation(2 * scene.h2_dim, 2 * pi.boundary_dim, _span(gens, tol))
     return validate_boundary_relation(chi, tol)
 
@@ -180,7 +180,7 @@ def canonical_chi(theta: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelat
     if not rel_classify(theta, tol).selfadjoint:
         raise AssumptionError("canonical couplings need a selfadjoint parameter")
     m = theta.dim_in
-    gens = np.vstack(
+    gens = np.concatenate(
         [np.zeros((0, theta.graph_dim)), theta.in_block, -theta.out_block]
     )
     chi = LinearRelation(0, 2 * m, _span(gens, tol))
@@ -201,9 +201,9 @@ def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -
     n1, n2, m = pi.state_dim, chi.state_dim, pi.boundary_dim
     g1 = pi.gamma.graph.basis
     g2 = chi.gamma.graph.basis
-    twisted = np.vstack([g2[2 * n2 : 2 * n2 + m, :], -g2[2 * n2 + m :, :]])
+    twisted = np.concatenate([g2[2 * n2 : 2 * n2 + m, :], -g2[2 * n2 + m :, :]])
     u, v = _meet(g1[2 * n1 :, :], twisted, tol)
-    gens = np.vstack([g1[:n1, :] @ u, g2[:n2, :] @ v, g1[n1 : 2 * n1, :] @ u, g2[n2 : 2 * n2, :] @ v])
+    gens = np.concatenate([g1[:n1, :] @ u, g2[:n2, :] @ v, g1[n1 : 2 * n1, :] @ u, g2[n2 : 2 * n2, :] @ v])
     result = LinearRelation(n1 + n2, n1 + n2, _span(gens, tol, 1.0))
     if not rel_classify(result, tol).selfadjoint:
         raise AssumptionError("coupling did not produce a selfadjoint relation")
@@ -283,10 +283,10 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     bot = t_basis[h1:, :]
     bounds = pi.gamma.out_block @ (x_pinv @ t_basis)
     m = pi.boundary_dim
-    twisted = np.vstack([bounds[:m, :], -bounds[m:, :]])
+    twisted = np.concatenate([bounds[:m, :], -bounds[m:, :]])
     proj = v_graph.projector()
     outside = (np.eye(2 * m, dtype=complex) - proj) @ twisted
-    system = np.vstack([bot - lam * top, outside])
+    system = np.concatenate([bot - lam * top, outside])
     target = np.concatenate([rhs, np.zeros(2 * m, dtype=complex)])
     if k == 0:
         if np.linalg.norm(target) > tol.angle:
@@ -307,7 +307,9 @@ def _double_weyl_blocks(m_mat: np.ndarray, phi: np.ndarray, psi: np.ndarray, ome
     upper = phi @ omega
     lower = psi @ omega
     eye = np.eye(m_mat.shape[-1], dtype=complex)
-    return np.block([[-upper, eye - upper @ m_mat], [lower, lower @ m_mat]])
+    top = np.concatenate([-upper, eye - upper @ m_mat], axis=-1)
+    bottom = np.concatenate([lower, lower @ m_mat], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
 
 
 def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, tol: Tolerances):
@@ -342,7 +344,7 @@ def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = T
     g0 = g_basis[2 * n1 : 2 * n1 + m, :]
     g1 = g_basis[2 * n1 + m :, :]
     k1 = g_basis.shape[1]
-    cols_first = np.vstack(
+    cols_first = np.concatenate(
         [
             g_basis[:n1, :],
             np.zeros((n2, k1)),
@@ -358,7 +360,7 @@ def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = T
     k2 = c_basis.shape[1]
     h = c_basis[2 * n2 : 2 * n2 + m, :]
     hp = c_basis[2 * n2 + m :, :]
-    cols_second = np.vstack(
+    cols_second = np.concatenate(
         [
             np.zeros((n1, k2)),
             c_basis[:n2, :],
@@ -370,7 +372,7 @@ def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = T
             hp,
         ]
     )
-    gamma = LinearRelation(2 * (n1 + n2), 4 * m, _span(np.hstack([cols_first, cols_second]), tol))
+    gamma = LinearRelation(2 * (n1 + n2), 4 * m, _span(np.concatenate([cols_first, cols_second], axis=1), tol))
     boundary = validate_boundary_relation(gamma, tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:

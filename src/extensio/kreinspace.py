@@ -59,7 +59,7 @@ class FundamentalSymmetry:
         n = self.half_dim
         eye = np.eye(n, dtype=complex)
         zero = np.zeros((n, n), dtype=complex)
-        return np.vstack([np.hstack([zero, -1j * eye]), np.hstack([1j * eye, zero])])
+        return np.concatenate([np.concatenate([zero, -1j * eye], axis=1), np.concatenate([1j * eye, zero], axis=1)])
 
 
 @dataclass(frozen=True)

@@ -171,34 +171,51 @@ def _svd(mat: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
         # flag, which an error filter for RuntimeWarning or np.errstate raises
         raise AssumptionError("SVD did not converge") from None
     s = out[1] if compute_uv else out
-    # a failure fills every output with NaN, and inf input gives NaN unflagged
-    if s.size and not s[0] < np.inf:
+    # a failure fills every output with NaN, and inf input gives NaN
+    # unflagged; each matrix of a stack has its largest value first
+    if s.size and not (s[0] if s.ndim == 1 else s[..., 0].max()) < np.inf:
         raise AssumptionError("SVD did not converge")
     return out
 
 
 def _cutoff(smax, shape: tuple[int, int], tol: Tolerances, scale: float | None = None):
-    """The rank cutoff; smax may be an array, one largest value per matrix."""
-    anchor = smax if scale is None else np.maximum(smax, scale)
-    return tol.rank * anchor * max(shape)
+    """The rank cutoff; smax is a float, or an array with one largest value
+    per matrix."""
+    if scale is not None:
+        smax = np.maximum(smax, scale) if isinstance(smax, np.ndarray) else max(smax, scale)
+    return tol.rank * smax * max(shape)
 
 
 def _rank(singular: np.ndarray, shape: tuple[int, int], tol: Tolerances, scale: float | None = None) -> int:
-    if singular.size == 0:
+    """Number of singular values (descending, as LAPACK returns them) above
+    the cutoff, counted on Python floats: on a handful of values numpy's
+    per-call overhead costs more than the arithmetic, and the float
+    operations are the same, so the count is too."""
+    values = singular.tolist()
+    if not values:
         return 0
-    return int(np.count_nonzero(singular > _cutoff(singular[0], shape, tol, scale)))
+    cut = _cutoff(values[0], shape, tol, scale)
+    for rank, value in enumerate(values):
+        if not value > cut:
+            return rank
+    return len(values)
 
 
-def _rank_of(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:
-    """Rank of mat: its singular values under the cutoff of ``_rank``."""
-    return _rank(_svd(mat, compute_uv=False), mat.shape, tol, scale)
+def _rank_of(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> int | np.ndarray:
+    """Rank of mat: its singular values under the cutoff of ``_rank``.  For
+    a stack of matrices, one values-only SVD gives an array of their ranks."""
+    singular = _svd(mat, compute_uv=False)
+    if singular.ndim == 1:
+        return _rank(singular, mat.shape, tol, scale)
+    return np.count_nonzero(singular > _cutoff(singular[..., :1], mat.shape[-2:], tol, scale), axis=-1)
 
 
 def _checked_inverse(mat: np.ndarray, tol: Tolerances, error: type[Exception], *args) -> np.ndarray:
     """Inverse of a square matrix built from blocks of unit bases, or
-    ``error(*args)`` raised when its rank falls short: the cutoff is
-    anchored at unit scale, so a rounding-level matrix reads as singular."""
-    if _rank_of(mat, tol, 1.0) < mat.shape[0]:
+    ``error(*args)`` raised when its rank falls short of its size (always,
+    when it is not square): the cutoff is anchored at unit scale, so a
+    rounding-level matrix reads as singular."""
+    if _rank_of(mat, tol, 1.0) < max(mat.shape):
         raise error(*args)
     return np.linalg.inv(mat)
 

@@ -92,7 +92,7 @@ def fix_infty_relation(tol: Tolerances = TOL) -> LinearRelation:
 def twist_relation(v: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Flip the sign of the output component; an involution that maps
     selfadjoint parameters to selfadjoint parameters."""
-    gens = np.vstack([v.in_block, -v.out_block])
+    gens = np.concatenate([v.in_block, -v.out_block])
     return relation_from_generators(v.dim_in, v.dim_out, gens, tol)
 
 
@@ -162,7 +162,7 @@ def random_selfadjoint_relation(
 
     u = unitary_group.rvs(n, random_state=rng)
     eye = np.eye(n, dtype=complex)
-    gens = np.vstack([u - eye, 1j * (u + eye)])
+    gens = np.concatenate([u - eye, 1j * (u + eye)])
     return relation_from_generators(n, n, gens, tol)
 
 
@@ -176,7 +176,7 @@ def random_symmetric_restriction(
     h = random_hermitian(rng, n)
     g = rng.standard_normal((n, n - defect)) + 1j * rng.standard_normal((n, n - defect))
     q = np.linalg.qr(g)[0]
-    return relation_from_generators(n, n, np.vstack([q, h @ q]), tol)
+    return relation_from_generators(n, n, np.concatenate([q, h @ q]), tol)
 
 
 def random_scene(
@@ -304,9 +304,9 @@ def _interface_det(model: SLModel, variant: str) -> Callable[[complex], complex]
             s, c = _entire_sincos(model, lam)
             phi = s * np.eye(2, dtype=complex)
             psi = np.array([[-c, 1.0], [1.0, -c]], dtype=complex)
-            top = np.hstack([phi, -phi])
-            bot = np.hstack([psi, psi])
-            return complex(np.linalg.det(np.vstack([top, bot])))
+            top = np.concatenate([phi, -phi], axis=1)
+            bot = np.concatenate([psi, psi], axis=1)
+            return complex(np.linalg.det(np.concatenate([top, bot])))
 
         return det_at
     if variant == "dirichlet":

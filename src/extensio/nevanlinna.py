@@ -182,7 +182,7 @@ def check_pair(
 def family_from_pair(p: NevanlinnaPairEval, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """The relation {(phi(lam) h, psi(lam) h) : h in C^dim}."""
     phi, psi = pair_at(p, lam)
-    return LinearRelation(p.dim, p.dim, _span(np.vstack([phi, psi]), tol))
+    return LinearRelation(p.dim, p.dim, _span(np.concatenate([phi, psi]), tol))
 
 
 def family_eval_from_pair(p: NevanlinnaPairEval, tol: Tolerances = TOL) -> FamilyEval:

@@ -115,7 +115,8 @@ class StandardJUnitary:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.block([[self.w00, self.w01], [self.w10, self.w11]])
+        top = np.concatenate([self.w00, self.w01], axis=1)
+        return np.concatenate([top, np.concatenate([self.w10, self.w11], axis=1)])
 
 
 def standard_j_unitary(mat) -> StandardJUnitary:
@@ -174,7 +175,7 @@ def _block_transform(br: BoundaryRelation, e: np.ndarray, tol: Tolerances) -> Bo
     n, m = br.state_dim, br.boundary_dim
     g = br.gamma.graph.basis
     u, k = _meet(g[2 * n : 2 * n + m, :], e, tol)
-    gens = np.vstack([g[: 2 * n, :] @ u, k, e.conj().T @ (g[2 * n + m :, :] @ u)])
+    gens = np.concatenate([g[: 2 * n, :] @ u, k, e.conj().T @ (g[2 * n + m :, :] @ u)])
     return validate_boundary_relation(LinearRelation(2 * n, 2 * e.shape[1], _span(gens, tol, 1.0)), tol)
 
 
@@ -184,7 +185,7 @@ def _with_boundary_rows(br: BoundaryRelation, rows: np.ndarray, tol: Tolerances)
     independent (sigma_min >= min(1, sigma_min(W))), so one QR spans the
     composite with no rank decision, and its kernel is ker Gamma."""
     gamma = br.gamma
-    basis = _q_factor(np.vstack([gamma.in_block, rows]))
+    basis = _q_factor(np.concatenate([gamma.in_block, rows]))
     graph = Subspace._trusted(gamma.dim_in + gamma.dim_out, basis)
     return validate_boundary_relation(LinearRelation(gamma.dim_in, gamma.dim_out, graph), tol)
 
@@ -270,7 +271,8 @@ def affine_transform(br: BoundaryRelation, b, g, tol: Tolerances = TOL) -> Bound
     bg = b @ g
     if np.linalg.norm(bg - bg.conj().T) > tol.angle * (1 + np.linalg.norm(bg)):
         raise BGNotHermitian("product of the affine blocks must be Hermitian")
-    w = np.block([[g_inv, np.zeros((m, m))], [b, g.conj().T]])
+    top = np.concatenate([g_inv, np.zeros((m, m))], axis=1)
+    w = np.concatenate([top, np.concatenate([b, g.conj().T], axis=1)])
     return _with_boundary_rows(br, w @ br.gamma.out_block, tol)
 
 

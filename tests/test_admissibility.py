@@ -7,7 +7,8 @@ import pytest
 
 import extensio as ex
 from extensio import admissibility
-from extensio.admissibility import _fit
+from extensio.admissibility import _fit, _grid_design, _vanishes
+from extensio.coupling import _double_weyl_blocks
 
 
 def lam_family(fn, dim=1):
@@ -74,17 +75,88 @@ def _polyfit_reference(ys, vals):
     "grid", [ex.DEFAULT_PROBE.y_grid, (1.0, 3.0, 1e2, 4e3, 1e5, 2e6), (1.0, 1e5, 1e10, 1e15)]
 )
 def test_fit_matches_polyfit(grid):
-    ys = np.asarray(ex.LimitProbe(y_grid=grid).y_grid, dtype=float)
+    design = _grid_design(ex.LimitProbe(y_grid=grid).y_grid)
+    ys = design.ys
     rng = np.random.default_rng(31)
     powers = rng.uniform(-3, 2, size=(20, 1))
     curves = ys**powers * np.exp(rng.standard_normal((20, ys.size)))
     curves[0] = 0.0  # floored at 1e-300 before the logs
     curves[1, -1] = -1e-3  # the fit reads absolute values
-    slopes, tops = _fit(ys, curves)
+    slopes, tops = _fit(design, curves)
     for row, slope, top in zip(curves, slopes, tops):
         ref_slope, ref_top = _polyfit_reference(ys, row)
         assert abs(slope - ref_slope) <= 1e-12
         assert top == ref_top
+
+
+def _former_fit(ys, curves):
+    # the fit as written before its grid design was cached, step for step
+    vals = np.maximum(np.abs(curves), 1e-300)
+    keep = ys >= ys[-1] / 10.0**4 * 0.999
+    if np.count_nonzero(keep) < 2:
+        keep = np.ones(ys.shape, dtype=bool)
+    dx = np.log10(ys[keep])
+    dx -= dx.mean()
+    return np.log10(vals[:, keep]) @ dx / (dx @ dx), vals[:, -1]
+
+
+def _former_vanishes(ys, curves, probe):
+    slopes, tops = _former_fit(ys, curves)
+    logs = np.log10(np.maximum(np.abs(curves[:, -2:]), 1e-300))
+    last = (logs[:, 1] - logs[:, 0]) / np.log10(ys[-1] / ys[-2])
+    fit_decays = (slopes < -probe.slope_tol) & (tops < 1e-4)
+    return (tops < 1e-12) | fit_decays | (last < -probe.slope_tol), slopes
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ex.DEFAULT_PROBE.y_grid,
+        (1.0, 3.0, 1e2, 4e3, 1e5, 2e6),
+        (1.0, 1e5, 1e10, 1e15),
+        (10, 20, 50, 100, 1e3),
+        (2.5, 31.0, 7e2, 1.1e4, 1.37e5),
+    ],
+)
+def test_cached_grid_design_keeps_every_bit(grid):
+    # (1, 1e5, 1e10, 1e15) has one point in its top four decades, so all
+    # points are fitted; the integer grid hashes like its float twin
+    probe = ex.LimitProbe(y_grid=grid)
+    design = _grid_design(probe.y_grid)
+    assert _grid_design(probe.y_grid) is design
+    assert not design.ys.flags.writeable and not design.dx.flags.writeable
+    ys = np.asarray(probe.y_grid, dtype=float)
+    assert design.ys.tobytes() == ys.tobytes()
+    # the pieces themselves, as the former fit computed them per call
+    keep = ys >= ys[-1] / 10.0**4 * 0.999
+    if np.count_nonzero(keep) < 2:
+        keep = np.ones(ys.shape, dtype=bool)
+    dx = np.log10(ys[keep])
+    dx -= dx.mean()
+    assert np.array_equal(design.keep, keep) and design.dx.tobytes() == dx.tobytes()
+    assert design.dx_sq == dx @ dx and design.last_step == np.log10(ys[-1] / ys[-2])
+    rng = np.random.default_rng(2023)
+    for _ in range(20):
+        powers = rng.uniform(-3, 2, size=(9, 1))
+        curves = ys**powers * np.exp(rng.standard_normal((9, ys.size)))
+        curves[0] = 0.0
+        curves[1, -2:] = [1e-13, -1e-14]
+        curves[2] *= 1e-200
+        for got, want in zip(_fit(design, curves), _former_fit(ys, curves), strict=True):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(_vanishes(curves, probe), _former_vanishes(ys, curves, probe), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_double_weyl_blocks_match_np_block():
+    rng = np.random.default_rng(7)
+    for shape in [(2, 2), (4, 3, 3)]:
+        m_mat, phi, psi, omega = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4))
+        got = _double_weyl_blocks(m_mat, phi, psi, omega)
+        upper, lower = phi @ omega, psi @ omega
+        eye = np.eye(shape[-1], dtype=complex)
+        want = np.block([[-upper, eye - upper @ m_mat], [lower, lower @ m_mat]])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_limit_tests_evaluate_the_family_once_per_grid_point():
@@ -372,6 +444,34 @@ def test_singular_pair_combination_raises():
         assert exc.value.lam == 1e4j
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_near_singular_pair_combination_is_decided_by_the_rank_rule(factor):
+    # phi = 0 and psi = (iy - 1e4 i + s): psi + M phi is the 1 x 1 block s at
+    # y = 1e4, and the unit-anchored cutoff of a 1 x 1 block is tol.rank
+    pi = ex.fix_b_triplet()
+    s = factor * ex.TOL.rank
+    zero = np.zeros((1, 1), dtype=complex)
+    pair = ex.NevanlinnaPairEval(1, lambda lam: (zero, (lam - 1e4j + s) * np.eye(1, dtype=complex)))
+    if factor < 1:
+        # LAPACK inverts s without complaint; the rank rule refuses it
+        with pytest.raises(ex.Omega0Singular) as exc:
+            ex.admissible(pi, pair)
+        assert exc.value.lam == 1e4j
+    else:
+        ys, *_, omega = admissibility._sweep(pi, pair, ex.DEFAULT_PROBE, ex.TOL)
+        assert omega[np.flatnonzero(ys == 1e4)[0], 0, 0] == 1 / s
+
+
+def test_nan_pair_combination_raises_a_typed_error():
+    # the rank test's SVD refuses a NaN in psi + M phi before any slope reads it
+    pi = ex.fix_b_triplet()
+    zero = np.zeros((1, 1), dtype=complex)
+    nan = np.full((1, 1), np.nan, dtype=complex)
+    pair = ex.NevanlinnaPairEval(1, lambda lam: (zero, nan if lam == 1e4j else np.eye(1, dtype=complex)))
+    with pytest.raises(ex.AssumptionError, match="SVD did not converge"):
+        ex.admissible(pi, pair)
+
+
 def test_exact_mul_helper():
     assert ex.exact_mul(ex.fix_infty_relation()).dim == 1
     assert ex.exact_mul(ex.fix_b_relation()).dim == 0
@@ -388,9 +488,9 @@ def test_resolvent_conditions_are_fitted_once_per_probe(monkeypatch):
     fitted = []
     vanishes = admissibility._vanishes
 
-    def counted(ys, curves, probe):
+    def counted(curves, probe):
         fitted.append(curves.shape[0])
-        return vanishes(ys, curves, probe)
+        return vanishes(curves, probe)
 
     monkeypatch.setattr(admissibility, "_vanishes", counted)
     scene = ex.random_scene(5, 2, 2)

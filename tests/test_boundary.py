@@ -8,7 +8,7 @@ import pytest
 
 import extensio as ex
 from extensio import boundary, linrel
-from extensio.boundary import _kernel_columns, _triplet_cache
+from extensio.boundary import _defect_coords, _kernel_columns, _nullspace_gamma_and_weyl, _triplet_cache
 from extensio.linrel import _rank
 
 RESID = 1e-9
@@ -430,3 +430,25 @@ def test_weyl_and_gamma_match_two_step_route(case):
             assert ex.rel_parts(value).mul.dim == 1
         else:
             assert ex.rel_equal(ex.gamma_field(br, lam), _two_step_gamma(br, lam))
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-6])
+def test_near_singular_gamma0_block_is_decided_by_the_rank_rule(eps):
+    # at lam = t + i eps next to an eigenvalue t of A0, Gamma_0 maps the
+    # defect space onto C^m with a smallest singular value of order eps
+    pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(5), 5, 2))
+    n, m = pi.state_dim, pi.boundary_dim
+    lam = _triplet_cache(pi, ex.TOL).spectrum.eigs[1] + 1j * eps
+    block = (pi.gamma.graph.basis @ _defect_coords(pi, lam, ex.TOL))[2 * n : 2 * n + m]
+    smallest = np.linalg.svd(block, compute_uv=False)[-1]
+    cutoff = ex.TOL.rank * m  # unit-anchored: the block's columns are unit vectors
+    if eps < 1e-10:
+        # LAPACK inverts the block without complaint; the rank rule refuses it
+        assert 0 < smallest < cutoff / 100
+        with pytest.raises(ex.AssumptionError, match="not a bijection"):
+            _nullspace_gamma_and_weyl(pi, lam, ex.TOL)
+    else:
+        assert smallest > 100 * cutoff
+        weyl = _nullspace_gamma_and_weyl(pi, lam, ex.TOL)[1]
+        spectral = boundary._gamma_and_weyl(pi, lam, ex.TOL)[1]
+        assert np.linalg.norm(weyl - spectral) <= 1e-8 * np.linalg.norm(spectral)

@@ -107,6 +107,65 @@ def test_inverse_and_shift():
     assert np.linalg.norm(ex.rel_matrix(inv) - np.linalg.inv(mat)) < RESID
 
 
+def _former_rank(singular, shape, tol, scale):
+    # the count as numpy array arithmetic, before it moved to Python floats
+    if singular.size == 0:
+        return 0
+    anchor = singular[0] if scale is None else np.maximum(singular[0], scale)
+    return int(np.count_nonzero(singular > tol.rank * anchor * max(shape)))
+
+
+def _rank_table():
+    tol = ex.TOL
+    at = tol.rank * 2.0 * 3  # the cutoff of [2.0, ...] on a 3 x 2 matrix, unanchored
+    table = [
+        (np.zeros(0), (3, 0)),
+        (np.zeros(0), (0, 0)),
+        (np.array([0.0]), (1, 1)),
+        (np.array([1e-11]), (1, 1)),
+        (np.array([5.0]), (4, 1)),
+        (np.array([2.0, at]), (3, 2)),
+        (np.array([2.0, np.nextafter(at, np.inf)]), (3, 2)),
+        (np.array([2.0, np.nextafter(at, 0.0)]), (3, 2)),
+        (np.array([0.5, tol.rank * 3]), (3, 3)),  # at the unit-anchored cutoff
+        (np.array([0.5, 0.1, tol.rank * 10.0 * 3]), (3, 3)),  # at the cutoff anchored at 10
+        (np.array([3.0, 1.0, 1e-9, 1e-10, 0.0]), (5, 5)),
+    ]
+    rng = np.random.default_rng(17)
+    for shape in [(2, 2), (4, 3), (3, 6), (8, 8)]:
+        mat = rng.standard_normal(shape) @ np.diag(10.0 ** rng.uniform(-14, 3, shape[1]))
+        table.append((np.linalg.svd(mat, compute_uv=False), shape))
+    return table
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, 10.0])
+def test_rank_on_python_floats_matches_the_array_count(scale):
+    for singular, shape in _rank_table():
+        want = _former_rank(singular, shape, ex.TOL, scale)
+        got = linrel._rank(singular, shape, ex.TOL, scale)
+        assert type(got) is int and got == want, (singular, shape)
+    # the table holds values exactly at the cutoff, one ulp either side
+    assert linrel._rank(np.array([2.0, ex.TOL.rank * 2.0 * 3]), (3, 2), ex.TOL) == 1
+    assert linrel._rank(np.array([0.5, ex.TOL.rank * 3]), (3, 3), ex.TOL, 1.0) == 1
+    assert linrel._rank(np.array([0.5, ex.TOL.rank * 10.0 * 3]), (3, 3), ex.TOL, 10.0) == 1
+
+
+def test_rank_of_a_stack_is_the_rank_of_each_matrix():
+    rng = np.random.default_rng(23)
+    for shape in [(5, 3, 3), (4, 2, 5), (3, 4, 0)]:
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if shape[2]:
+            stack[1, :, -1] = stack[1, :, 0]  # rank one short
+            stack[2] *= 1e-12  # rounding level at unit scale only
+        for scale in (None, 1.0):
+            ranks = linrel._rank_of(stack, ex.TOL, scale)
+            assert ranks.tolist() == [linrel._rank_of(mat, ex.TOL, scale) for mat in stack]
+    bad = np.ones((3, 2, 2), dtype=complex)
+    bad[2, 0, 0] = np.nan
+    with pytest.raises(ex.AssumptionError, match="SVD did not converge"):
+        linrel._rank_of(bad, ex.TOL)
+
+
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_invertibility_cutoff_is_unit_anchored(factor):
     # rel_matrix, check_pair, affine_transform and the off-spectrum test

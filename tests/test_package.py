@@ -235,3 +235,18 @@ def test_rank_is_decided_in_linrel_only():
     [(name, lookup)] = module_level
     assert name == "linrel.py" and isinstance(lookup, ast.Try)
     assert {t.id for s in lookup.body if isinstance(s, ast.Assign) for t in s.targets} == {"_SVD_GUFUNCS", "_NUMPY_SVD"}
+
+
+def test_arrays_are_stacked_with_concatenate_only():
+    """One stacking idiom: ``np.concatenate`` with an axis, never
+    ``np.vstack``, ``np.hstack`` or ``np.block``, whose wrappers cost more
+    per call on the library's small blocks."""
+    stackers = ("vstack", "hstack", "block")
+    found = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in stackers and ast.unparse(node.value) in ("np", "numpy"):
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                found += [(path.name, node.lineno, a.name) for a in node.names if a.name in stackers]
+    assert not found, found
