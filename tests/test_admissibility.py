@@ -89,14 +89,19 @@ def test_fit_matches_polyfit(grid):
         assert top == ref_top
 
 
-def _former_fit(ys, curves):
-    # the fit as written before its grid design was cached, step for step
-    vals = np.maximum(np.abs(curves), 1e-300)
+def _former_design(ys):
+    # the grid pieces as the fit computed them on every call, step for step
     keep = ys >= ys[-1] / 10.0**4 * 0.999
     if np.count_nonzero(keep) < 2:
         keep = np.ones(ys.shape, dtype=bool)
     dx = np.log10(ys[keep])
     dx -= dx.mean()
+    return keep, dx
+
+
+def _former_fit(ys, curves):
+    vals = np.maximum(np.abs(curves), 1e-300)
+    keep, dx = _former_design(ys)
     return np.log10(vals[:, keep]) @ dx / (dx @ dx), vals[:, -1]
 
 
@@ -127,12 +132,7 @@ def test_cached_grid_design_keeps_every_bit(grid):
     assert not design.ys.flags.writeable and not design.dx.flags.writeable
     ys = np.asarray(probe.y_grid, dtype=float)
     assert design.ys.tobytes() == ys.tobytes()
-    # the pieces themselves, as the former fit computed them per call
-    keep = ys >= ys[-1] / 10.0**4 * 0.999
-    if np.count_nonzero(keep) < 2:
-        keep = np.ones(ys.shape, dtype=bool)
-    dx = np.log10(ys[keep])
-    dx -= dx.mean()
+    keep, dx = _former_design(ys)
     assert np.array_equal(design.keep, keep) and design.dx.tobytes() == dx.tobytes()
     assert design.dx_sq == dx @ dx and design.last_step == np.log10(ys[-1] / ys[-2])
     rng = np.random.default_rng(2023)
