@@ -214,7 +214,7 @@ def _grid_matrices(family: FamilyEval, probe: LimitProbe, tol: Tolerances) -> tu
     """The fit design of the y-grid and the family's matrices at the points
     iy, stacked."""
     design = _grid_design(probe.y_grid)
-    return design, np.stack([rel_matrix(family.eval(1j * y), tol) for y in design.ys])
+    return design, np.array([rel_matrix(family.eval(1j * y), tol) for y in design.ys], dtype=complex)
 
 
 def _sublinear(probes: np.ndarray, design: _GridDesign, mats: np.ndarray) -> bool:
@@ -320,7 +320,7 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
     if slot.grid != probe.y_grid:
         ys = _grid_design(probe.y_grid).ys
         m_mat = _gamma_and_weyl_grid(pi, 1j * ys, tol)[1]
-        phi, psi = (np.asarray(np.stack(part), dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
+        phi, psi = (np.array(part, dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
         combo = psi + m_mat @ phi
         short = np.flatnonzero(_rank_of(combo, tol, 1.0) < combo.shape[-1])
         if short.size:
@@ -342,7 +342,7 @@ def _resolvent_conditions(slot: _PairSlot, sw: tuple[np.ndarray, ...], probe: Li
     if slot.probe != probe:
         ys, m_mat, phi, psi, omega = sw
         probes = probe_vectors(slot.pi.boundary_dim, probe)
-        pairs = probes.conj().T @ np.stack([phi @ omega, psi @ omega @ m_mat]) @ probes
+        pairs = probes.conj().T @ np.array([phi @ omega, psi @ omega @ m_mat], dtype=complex) @ probes
         passes, slopes = _vanishes(np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys, probe)
         slot.probe, slot.conditions = probe, (bool(passes[0]), bool(passes[1]), float(slopes[0]), float(slopes[1]))
     return slot.conditions

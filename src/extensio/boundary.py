@@ -32,18 +32,19 @@ from .linrel import (
     TOL,
     LinearRelation,
     RelationParts,
+    Subspace,
     Tolerances,
     _checked_inverse,
     _nullspace,
     _off_spectrum,
     _operator_spectrum,
     _orthonormal_columns,
+    _polar_factor,
     _rank_of,
     _span,
     _spectral_point,
     as_complex_matrix,
     eigenspace,
-    rel_adjoint,
     rel_classify,
     rel_matrix,
     rel_parts,
@@ -158,26 +159,30 @@ def ordinary_triplet(gamma: LinearRelation | BoundaryRelation, tol: Tolerances =
 
 
 def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> OrdinaryTriplet:
-    """Boundary maps from the defect decomposition of the adjoint.
+    """Boundary maps from von Neumann's formula S* = S + N_i + N_{-i}.
 
-    Splits each element of the adjoint graph into its symmetric part and
-    the two defect components at +/-i, pairs the defect spaces by the
-    isometry u (default: matched orthonormal bases), and emits the sum
-    and scaled difference of the coordinates.
+    The sum is orthogonal in the graph inner product.  With [X; Y] S's
+    graph basis, Y +/- iX has orthonormal columns for symmetric S, and the
+    defect spaces N_{+/-i} = ker(S* -/+ i) = ran(S +/- i)^perp have the
+    orthonormal bases b+/- = ker((Y +/- iX)*).  An element with defect parts
+    b+ c+ and b- c- has Gamma_0 = c+ + U* c- and Gamma_1 = i (c+ - U* c-),
+    where U = b-* u b+ holds the isometry u of N_i onto N_{-i}, so Gamma's
+    graph has the orthonormal basis [X; Y; 0; 0], [b+; i b+; I; i I] / 2
+    and [b-; -i b-; U*; -i U*] / 2, with no adjoint and no span.  The
+    default U = -polar(b-* b+) depends on no choice of bases and makes
+    A0 = ker Gamma_0 an operator: A0 = 0 for S = {0}.
     """
     if not rel_classify(s, tol).symmetric:
         raise AssumptionError("von Neumann construction needs a symmetric relation")
-    adj = rel_adjoint(s, tol)
     n = s.dim_in
-    plus, _ = eigenspace(adj, 1j, tol)
-    minus, _ = eigenspace(adj, -1j, tol)
-    if plus.dim != minus.dim:
-        raise UnequalDefect(f"defect numbers ({plus.dim}, {minus.dim}) differ")
-    d = plus.dim
-    b_plus = plus.basis
-    b_minus = minus.basis
+    x, y = s.in_block, s.out_block
+    b_plus = _nullspace((y + 1j * x).conj().T, tol)
+    b_minus = _nullspace((y - 1j * x).conj().T, tol)
+    d = b_plus.shape[1]
+    if b_minus.shape[1] != d:
+        raise UnequalDefect(f"defect numbers ({d}, {b_minus.shape[1]}) differ")
     if u is None:
-        coord_u = np.eye(d, dtype=complex)
+        coord_u = -_polar_factor(b_minus.conj().T @ b_plus)
     else:
         u = as_complex_matrix(u, n, n)
         stray = np.linalg.norm(u @ b_plus - b_minus @ (b_minus.conj().T @ u @ b_plus))
@@ -186,18 +191,13 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
             coord_u.conj().T @ coord_u - np.eye(d)
         ) > tol.angle * max(1, d):
             raise NotIsometryU("pairing matrix must map one defect space onto the other")
-    gens = adj.graph.basis
-    f = gens[:n, :]
-    fp = gens[n:, :]
-    # Orthogonal projection coefficients onto the normalized defect graphs.
-    alpha = (b_plus.conj().T @ f - 1j * b_plus.conj().T @ fp) / 2
-    delta = (b_minus.conj().T @ f + 1j * b_minus.conj().T @ fp) / 2
-    beta = coord_u.conj().T @ delta
-    out0 = alpha + beta
-    out1 = 1j * (alpha - beta)
-    columns = np.concatenate([f, fp, out0, out1])
-    gamma = LinearRelation(2 * n, 2 * d, _span(columns, tol))
-    return ordinary_triplet(gamma, tol)
+    eye = np.eye(d, dtype=complex)
+    v = coord_u.conj().T
+    zeros = np.zeros((2 * d, s.graph_dim), dtype=complex)
+    plus = np.concatenate([b_plus, 1j * b_plus, eye, 1j * eye]) / 2
+    minus = np.concatenate([b_minus, -1j * b_minus, v, -1j * v]) / 2
+    basis = np.concatenate([np.concatenate([x, y, zeros]), plus, minus], axis=1)
+    return ordinary_triplet(LinearRelation(2 * n, 2 * d, Subspace._trusted(2 * n + 2 * d, basis)), tol)
 
 
 def _defect_coords(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:

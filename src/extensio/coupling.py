@@ -33,12 +33,14 @@ from .linrel import (
     _checked_inverse,
     _meet,
     _nullspace,
+    _off_spectrum,
+    _operator_spectrum,
     _span,
+    _Spectrum,
     _spectral_point,
     as_complex_matrix,
     is_simple,
     rel_classify,
-    resolvent_matrix,
     subspace_coords,
 )
 from .boundary import (
@@ -80,7 +82,8 @@ _STRAUS_RESIDUAL_TOL = 1e-8
 class CouplingScene:
     """Selfadjoint relation on C^{h1+h2} with its first restriction S1 and
     the tolerances it was split under; S2, the compressions T1 and T2 and
-    minimality (S2 is simple) are read on first use under them."""
+    minimality (S2 is simple) are read on first use under them, and the
+    spectral decomposition of A~ on first use under each tolerance."""
 
     h1_dim: int
     h2_dim: int
@@ -106,6 +109,12 @@ class CouplingScene:
     @cached_property
     def minimal(self) -> bool:
         return is_simple(self.s2, tol=self.tol)
+
+    @cached_property
+    def _spectra(self) -> dict[Tolerances, _Spectrum]:
+        """The spectral decomposition of A~, one entry per tolerance
+        context, each taken on first use (``generalized_resolvent``)."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -229,10 +238,19 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
 
 
 def generalized_resolvent(scene: CouplingScene, lam: complex, tol: Tolerances = TOL) -> GeneralizedResolventSample:
-    """Corner of the resolvent of the coupling on the first space."""
+    """Corner of the resolvent of the coupling on the first space,
+    E1 diag(1/(t - lam)) E1*, with E1 the first-space rows of the
+    eigenvectors of A~'s operator part: the scene keeps one spectral
+    decomposition of A~ per tolerance context (``linrel._operator_spectrum``),
+    and the resolvent vanishes on mul A~.  Any finite lam off the spectrum;
+    ``_off_spectrum`` raises SingularAtLambda on it."""
     lam = _spectral_point(lam)
-    full = resolvent_matrix(scene.a_tilde, lam, tol)
-    return GeneralizedResolventSample(lam, full[: scene.h1_dim, : scene.h1_dim])
+    spec = scene._spectra.get(tol)
+    if spec is None:
+        spec = scene._spectra[tol] = _operator_spectrum(scene.a_tilde.in_block, scene.a_tilde.out_block, tol)
+    diffs = _off_spectrum(spec.eigs, np.array([lam]), scene.a_tilde.dim_in, tol)[0]
+    e1 = spec.vecs[: scene.h1_dim]
+    return GeneralizedResolventSample(lam, (e1 / diffs) @ e1.conj().T)
 
 
 def krein_rhs(pi: BoundaryRelation, tau: FamilyEval, lam: complex, tol: Tolerances = TOL) -> np.ndarray:

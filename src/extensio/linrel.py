@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -101,6 +102,11 @@ class Tolerances:
             raise ArgumentError(f"angle tolerance {self.angle} must be finite and positive")
         if not 0 <= self.psd < np.inf:
             raise ArgumentError(f"psd slack {self.psd} must be finite and nonnegative")
+
+    @cached_property
+    def _sin_angle(self) -> float:
+        """sin(angle), the symmetry cutoff of ``rel_classify``, taken once."""
+        return float(np.sin(self.angle))
 
 
 TOL = Tolerances()
@@ -230,6 +236,13 @@ def _orthonormal_columns(mat: np.ndarray, tol: Tolerances, scale: float | None =
         return np.zeros((mat.shape[0], 0), dtype=complex)
     u, s, _ = _svd(mat, full_matrices=False)
     return np.ascontiguousarray(u[:, : _rank(s, mat.shape, tol, scale)])
+
+
+def _polar_factor(mat: np.ndarray) -> np.ndarray:
+    """Unitary factor W V* of a square matrix W diag(s) V*: the unitary
+    nearest to it, unique when the matrix is invertible."""
+    u, _, vh = _svd(mat)
+    return u @ vh
 
 
 def _q_factor(cols: np.ndarray) -> np.ndarray:
@@ -647,14 +660,16 @@ def rel_classify(rel: LinearRelation, tol: Tolerances = TOL) -> RelationFlags:
         raise ArgumentError("classification needs dim_in = dim_out")
     gram = rel.in_block.conj().T @ rel.out_block
     imag_form = (gram - gram.conj().T) / 2j
-    eigs = np.linalg.eigvalsh(imag_form) if imag_form.size else np.zeros(1)
-    symmetric = bool(2 * np.abs(eigs).max() <= np.sin(tol.angle))
-    dissipative = bool(eigs.min() >= -tol.psd)
+    # a few eigenvalues: Python's min, max and abs on floats cost less than
+    # numpy's reductions, and give the same values
+    eigs = np.linalg.eigvalsh(imag_form).tolist() if imag_form.size else [0.0]
+    symmetric = 2 * max(map(abs, eigs)) <= tol._sin_angle
+    dissipative = min(eigs) >= -tol.psd
     return RelationFlags(
         symmetric=symmetric,
         selfadjoint=symmetric and rel.graph_dim == rel.dim_in,
         dissipative=dissipative,
-        accumulative=bool(eigs.max() <= tol.psd),
+        accumulative=max(eigs) <= tol.psd,
         maximal_dissipative=dissipative and rel.graph_dim == rel.dim_in,
     )
 

@@ -7,7 +7,7 @@ import pytest
 
 import extensio as ex
 from extensio import admissibility
-from extensio.admissibility import _fit, _grid_design, _vanishes
+from extensio.admissibility import DEFAULT_GRID, _fit, _grid_design, _vanishes
 from extensio.coupling import _double_weyl_blocks
 
 
@@ -157,6 +157,37 @@ def test_double_weyl_blocks_match_np_block():
         eye = np.eye(shape[-1], dtype=complex)
         want = np.block([[-upper, eye - upper @ m_mat], [lower, lower @ m_mat]])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("points", [1, 7])
+def test_stacked_grid_arrays_keep_every_byte(points):
+    # np.array(parts, dtype=complex) in place of the former
+    # np.asarray(np.stack(parts), dtype=complex), on the parts the sweep
+    # stacks: a realized pair's (phi, psi), real ones among them, and the
+    # family matrices of the quadratic-form test
+    scene = ex.random_scene(3, 2, 2)
+    pi = ex.scene_triplet(scene)
+    pair = ex.realized_pair(ex.induced_chi(scene, pi))
+    ys = DEFAULT_GRID[-points:]
+    real = ex.NevanlinnaPairEval(2, lambda lam: (np.eye(2), np.diag([1.0, 2.0])))
+    for tau in (pair, real):
+        for parts in zip(*(tau.eval(1j * y) for y in ys)):
+            got = np.array(parts, dtype=complex)
+            want = np.asarray(np.stack(parts), dtype=complex)
+            assert got.shape == want.shape == (points, 2, 2) and got.tobytes() == want.tobytes()
+    mats = [ex.rel_matrix(ex.weyl_eval(pi, 1j * y)) for y in ys]
+    assert np.array(mats, dtype=complex).tobytes() == np.stack(mats).tobytes()
+    # the sweep and the grid matrices themselves against the former
+    # stacking over the default grid
+    if points == len(DEFAULT_GRID):
+        family = ex.FamilyEval(2, lambda lam: ex.weyl_eval(pi, lam))
+        got = admissibility._grid_matrices(family, ex.DEFAULT_PROBE, ex.TOL)[1]
+        assert got.tobytes() == np.stack(mats).tobytes()
+        for tau in (pair, real):
+            _, _, phi, psi, _ = admissibility._sweep(pi, tau, ex.DEFAULT_PROBE, ex.TOL)
+            for got, part in zip((phi, psi), zip(*(tau.eval(1j * y) for y in ys))):
+                want = np.asarray(np.stack(part), dtype=complex)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_limit_tests_evaluate_the_family_once_per_grid_point():

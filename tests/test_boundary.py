@@ -452,3 +452,97 @@ def test_near_singular_gamma0_block_is_decided_by_the_rank_rule(eps):
         weyl = _nullspace_gamma_and_weyl(pi, lam, ex.TOL)[1]
         spectral = boundary._gamma_and_weyl(pi, lam, ex.TOL)[1]
         assert np.linalg.norm(weyl - spectral) <= 1e-8 * np.linalg.norm(spectral)
+
+
+def _former_von_neumann(s, u, tol=ex.TOL):
+    # reference route: the adjoint, its eigenspaces at +/-i, and one span of
+    # each adjoint element with its projected defect coordinates
+    adj = ex.rel_adjoint(s, tol)
+    n = s.dim_in
+    b_plus = ex.eigenspace(adj, 1j, tol)[0].basis
+    b_minus = ex.eigenspace(adj, -1j, tol)[0].basis
+    coord_u = b_minus.conj().T @ u @ b_plus
+    f, fp = adj.in_block, adj.out_block
+    alpha = (b_plus.conj().T @ f - 1j * b_plus.conj().T @ fp) / 2
+    beta = coord_u.conj().T @ (b_minus.conj().T @ f + 1j * b_minus.conj().T @ fp) / 2
+    gens = np.concatenate([f, fp, alpha + beta, 1j * (alpha - beta)])
+    return ex.ordinary_triplet(ex.relation_from_generators(2 * n, 2 * b_plus.shape[1], gens, tol), tol)
+
+
+VN_SHAPES = ((1, 1), (2, 1), (3, 2), (5, 1), (6, 3), (8, 2), (8, 8), (13, 5))
+
+
+def _vn_restrictions(seed):
+    rng = np.random.default_rng(seed)
+    return [ex.random_symmetric_restriction(rng, n, d) for n, d in VN_SHAPES]
+
+
+def test_von_neumann_basis_is_orthonormal_and_isometric():
+    # Gamma's graph basis is written down, not computed: its Gram matrix is
+    # the identity and the Green identity holds, both to rounding
+    for s in _vn_restrictions(41):
+        pi = ex.von_neumann_triplet(s)
+        g = pi.gamma.graph.basis
+        assert g.shape == (2 * s.dim_in + 2 * pi.boundary_dim, 2 * s.dim_in - s.graph_dim)
+        assert np.linalg.norm(g.conj().T @ g - np.eye(g.shape[1])) <= 1e-14
+        assert ex.green_residual(pi.gamma) <= 1e-14
+
+
+def test_von_neumann_domain_is_the_adjoint_and_kernel_is_s():
+    for s in _vn_restrictions(42):
+        pi = ex.von_neumann_triplet(s)
+        assert ex.rel_equal(pi.t_rel, ex.rel_adjoint(s))
+        assert ex.rel_equal(pi.s_rel, s)
+        assert ex.defect_report(pi).identity_holds
+
+
+def test_explicit_pairing_keeps_a0_and_moves_m_by_a_unitary():
+    # the same isometry u on both routes gives the same A0; Gamma's
+    # coordinates differ by the change of basis P of N_i, read off
+    # gamma(i) = b+, so M changes only to P* M P
+    rng = np.random.default_rng(43)
+    for s in _vn_restrictions(43):
+        adj = ex.rel_adjoint(s)
+        b_plus = ex.eigenspace(adj, 1j)[0].basis
+        b_minus = ex.eigenspace(adj, -1j)[0].basis
+        d = b_plus.shape[1]
+        w = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        u = b_minus @ w @ b_plus.conj().T
+        new, old = ex.von_neumann_triplet(s, u=u), _former_von_neumann(s, u=u)
+        a0_new, a0_old = ex.kernel_of_boundary_map(new, 0), ex.kernel_of_boundary_map(old, 0)
+        assert ex.largest_principal_angle(a0_new.graph, a0_old.graph) <= 1e-12
+        p = ex.rel_matrix(ex.gamma_field(old, 1j)).conj().T @ ex.rel_matrix(ex.gamma_field(new, 1j))
+        assert np.linalg.norm(p.conj().T @ p - np.eye(d)) <= 1e-12
+        for lam in (1j, 2j, 1 + 1j, -0.5 + 3j):
+            m_new = ex.rel_matrix(ex.weyl_eval(new, lam))
+            m_old = ex.rel_matrix(ex.weyl_eval(old, lam))
+            assert np.linalg.norm(m_new - p.conj().T @ m_old @ p) <= 1e-12 * max(np.linalg.norm(m_old), 1.0)
+
+
+def test_default_a0_does_not_depend_on_the_graph_basis_of_s():
+    # U = -polar(b-* b+) is the same operator of N_i onto N_{-i} for any
+    # orthonormal bases b+/-, so a unitary rotation of S's graph basis
+    # leaves A0 where it was
+    rng = np.random.default_rng(44)
+    for s in _vn_restrictions(44):
+        k = s.graph_dim
+        q = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        rotated = ex.LinearRelation(s.dim_in, s.dim_out, ex.Subspace(2 * s.dim_in, s.graph.basis @ q))
+        a0 = ex.kernel_of_boundary_map(ex.von_neumann_triplet(s), 0)
+        a0_rot = ex.kernel_of_boundary_map(ex.von_neumann_triplet(rotated), 0)
+        assert ex.largest_principal_angle(a0.graph, a0_rot.graph) <= 1e-12
+        # and A0 is an operator, unlike U = I on bases that happen to match
+        assert ex.rel_parts(a0).mul.dim == 0
+
+
+def test_default_pairing_of_the_zero_relation_gives_a0_zero():
+    for n in (1, 2, 4):
+        pi = ex.von_neumann_triplet(ex.LinearRelation(n, n, ex.zero_subspace(2 * n)))
+        assert pi.boundary_dim == n
+        assert ex.rel_equal(ex.kernel_of_boundary_map(pi, 0), ex.zero_relation(n, n))
+        assert np.array_equal(_triplet_cache(pi, ex.TOL).spectrum.eigs, np.zeros(n))
+        # U = -I: S has no graph columns, and the block of N_{-i} in Gamma's
+        # graph basis is [I; -iI; -I; iI] / 2
+        minus = pi.gamma.graph.basis[:, n:]
+        eye = np.eye(n)
+        assert np.allclose(minus, np.concatenate([eye, -1j * eye, -eye, 1j * eye]) / 2, rtol=0, atol=1e-15)

@@ -541,3 +541,52 @@ def test_lazy_scene_parts_use_the_scene_tolerances(monkeypatch):
         assert ex.rel_equal(new, old, loose)
     assert scene.minimal is ref[4] is False
     assert len(seen) == 5 and set(seen) == {loose}
+
+
+def _cayley_scene_with_mul(seed):
+    # a Cayley image of a Haar unitary plus one multivalued direction,
+    # rotated by a seeded unitary so that mul A~ lies in neither summand
+    rng = np.random.default_rng(seed)
+    n = 2 + seed % 5
+    a = ex.rel_direct_sum(ex.random_selfadjoint_relation(rng, n - 1), ex.mul_relation(ex.full_subspace(1)))
+    q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    g = a.graph.basis
+    a = ex.relation_from_generators(n, n, np.concatenate([q @ g[:n], q @ g[n:]]))
+    h1 = 1 + seed % (n - 1)
+    return ex.coupling_scene(a, h1, n - h1)
+
+
+@pytest.mark.parametrize("kind", ["multivalued", "matrix"])
+def test_generalized_resolvent_matches_resolvent_matrix(kind):
+    # the scene's spectral decomposition against X (Y - lam X)^{-1} on A~'s
+    # graph basis, off and near the real axis, with mul A~ != {0} or a matrix
+    for seed in range(20):
+        if kind == "multivalued":
+            scene = _cayley_scene_with_mul(seed)
+            assert ex.rel_parts(scene.a_tilde).mul.dim == 1
+        else:
+            scene = ex.random_scene(seed, 1 + seed % 3, 1 + seed % 4)
+        h1 = scene.h1_dim
+        for lam in (1j, -2j, 1 + 1j, 1e8j, 0.3 + 1e-6j, -1.7 + 1e-9j, 0.5 + 1e-12j):
+            ref = ex.resolvent_matrix(scene.a_tilde, lam)[:h1, :h1]
+            new = ex.generalized_resolvent(scene, lam).compressed
+            assert np.linalg.norm(new - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0), (seed, lam)
+        eig = coupling._operator_spectrum(scene.a_tilde.in_block, scene.a_tilde.out_block, ex.TOL).eigs[0]
+        for route in (lambda lam: ex.resolvent_matrix(scene.a_tilde, lam), lambda lam: ex.generalized_resolvent(scene, lam)):
+            with pytest.raises(ex.SingularAtLambda):
+                route(eig)
+
+
+def test_one_spectral_decomposition_per_scene(monkeypatch):
+    builds = []
+    decompose = coupling._operator_spectrum
+    monkeypatch.setattr(coupling, "_operator_spectrum", lambda *args: builds.append(1) or decompose(*args))
+    scenes = [ex.random_scene(seed, 2, 3) for seed in (1, 2)]
+    for scene in scenes:
+        for lam in (1j, -1j, 2j, -2j, 1 + 1j, 1 - 1j):
+            ex.generalized_resolvent(scene, lam)
+    assert len(builds) == 2
+    # one decomposition per tolerance context, as for a triplet's cache
+    ex.generalized_resolvent(scenes[0], 1j, ex.Tolerances(rank=1e-11))
+    ex.generalized_resolvent(scenes[0], 2j, ex.Tolerances(rank=1e-11))
+    assert len(builds) == 3

@@ -254,6 +254,34 @@ def test_classify_flags():
     assert acc.accumulative and not acc.dissipative
 
 
+def _former_flags(eigs, rel, tol):
+    # the former numpy expressions of the four eigenvalue flags
+    symmetric = bool(2 * np.abs(eigs).max() <= np.sin(tol.angle))
+    dissipative = bool(eigs.min() >= -tol.psd)
+    full = rel.graph_dim == rel.dim_in
+    return ex.RelationFlags(symmetric, symmetric and full, dissipative, bool(eigs.max() <= tol.psd), dissipative and full)
+
+
+@pytest.mark.parametrize("tol", [ex.TOL, ex.Tolerances(angle=0.3, psd=0.0), ex.Tolerances(angle=1e-15, psd=1e-300)])
+def test_classify_flags_on_python_floats_match_the_numpy_expressions(monkeypatch, tol):
+    # eigenvalues exactly at each threshold and one ulp either side, fed to
+    # rel_classify in place of eigvalsh's, against the former expressions
+    thresholds = [np.sin(tol.angle) / 2, -np.sin(tol.angle) / 2, -tol.psd, tol.psd]
+    values = [v for t in thresholds for v in (np.nextafter(t, -np.inf), t, np.nextafter(t, np.inf))]
+    tables = [[v] for v in values] + [[min(v, 0.0), max(v, 0.0)] for v in values] + [[-1.0, 0.0, 1.0], [0.0, 0.0]]
+    rel = ex.relation_from_matrix(np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex))
+    fed = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: fed[-1])
+    for table in tables:
+        fed.append(np.array(table, dtype=float))
+        assert ex.rel_classify(rel, tol) == _former_flags(fed[-1], rel, tol), table
+    # an empty graph reads the single eigenvalue 0
+    empty = ex.LinearRelation(2, 2, ex.zero_subspace(4))
+    assert ex.rel_classify(empty, tol) == _former_flags(np.zeros(1), empty, tol)
+    # the cutoff is numpy's sine, taken once per tolerance context
+    assert tol._sin_angle == np.sin(tol.angle) and type(tol._sin_angle) is float
+
+
 def _reference_flags(rel):
     # reference route: containment in the adjoint relation
     adj = ex.rel_adjoint(rel)

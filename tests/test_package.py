@@ -201,7 +201,7 @@ def test_rank_is_decided_in_linrel_only():
     modules call its ``_rank_of`` and ``_checked_inverse``, so the rule
     and its hooks live in one module.  Within it, ``_svd`` is the one
     function that reaches LAPACK's SVD: no other function names
-    ``np.linalg.svd`` or the gufunc module, the seven SVD sites call
+    ``np.linalg.svd`` or the gufunc module, the eight SVD sites call
     ``_svd``, and at module level the names appear only in the
     import-time lookup of the gufuncs."""
     found = {}
@@ -230,7 +230,7 @@ def test_rank_is_decided_in_linrel_only():
                     module_level.append((path.name, stmt))
     assert reaching == {"linrel._svd"}
     sites = ("_rank_of", "_orthonormal_columns", "_nullspace", "containment_gap",
-             "_range_and_kernel_image", "_operator_spectrum", "is_simple")
+             "_range_and_kernel_image", "_operator_spectrum", "is_simple", "_polar_factor")
     assert calling == {f"linrel.{name}" for name in sites}
     [(name, lookup)] = module_level
     assert name == "linrel.py" and isinstance(lookup, ast.Try)
