@@ -26,11 +26,11 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _range_and_kernel_image,
     _rank_of,
     _spectral_point,
     as_complex_matrix,
     rel_matrix,
-    rel_parts,
 )
 from .boundary import (
     BoundaryRelation,
@@ -199,8 +199,11 @@ def _forms(probes: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def exact_mul(a_tilde: LinearRelation, tol: Tolerances = TOL) -> Subspace:
-    """Multivalued part of a selfadjoint relation, computed exactly."""
-    return rel_parts(a_tilde, tol).mul
+    """Multivalued part of a selfadjoint relation, computed exactly: the
+    mul part of ``rel_parts``, from the one SVD it needs, of the input
+    block X (mul = Y ker X)."""
+    mul = _range_and_kernel_image(a_tilde.in_block, a_tilde.out_block, tol)[1]
+    return Subspace._trusted(a_tilde.dim_out, mul)
 
 
 def realize_tau(tau: NevanlinnaPairEval) -> BoundaryRelation:

@@ -78,7 +78,8 @@ __all__ = [
 _WEYL_SPLIT_TOL = 1e-9
 
 # The point at which a triplet's gamma field is taken by the nullspace
-# route; every other point is reached from it by propagation.
+# route (a von Neumann triplet has it in closed form, gamma(i) = b+);
+# every other point is reached from it by propagation.
 _MU = 1j
 
 
@@ -170,7 +171,8 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     graph has the orthonormal basis [X; Y; 0; 0], [b+; i b+; I; i I] / 2
     and [b-; -i b-; U*; -i U*] / 2, with no adjoint and no span.  The
     default U = -polar(b-* b+) depends on no choice of bases and makes
-    A0 = ker Gamma_0 an operator: A0 = 0 for S = {0}.
+    A0 = ker Gamma_0 an operator: A0 = 0 for S = {0}.  The triplet's cache
+    under tol is filled from the construction (``_VonNeumannCache``).
     """
     if not rel_classify(s, tol).symmetric:
         raise AssumptionError("von Neumann construction needs a symmetric relation")
@@ -197,7 +199,9 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     plus = np.concatenate([b_plus, 1j * b_plus, eye, 1j * eye]) / 2
     minus = np.concatenate([b_minus, -1j * b_minus, v, -1j * v]) / 2
     basis = np.concatenate([np.concatenate([x, y, zeros]), plus, minus], axis=1)
-    return ordinary_triplet(LinearRelation(2 * n, 2 * d, Subspace._trusted(2 * n + 2 * d, basis)), tol)
+    trip = ordinary_triplet(LinearRelation(2 * n, 2 * d, Subspace._trusted(2 * n + 2 * d, basis)), tol)
+    trip._derived[tol] = _VonNeumannCache(trip, tol, b_plus, coord_u)
+    return trip
 
 
 def _defect_coords(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
@@ -259,7 +263,9 @@ class _TripletCache:
     data (which raises AssumptionError unless Gamma_0 maps the defect
     elements onto C^m), and whether ker Gamma_0 and ker Gamma_1 are
     single-valued.  ``pair`` is one slot that the limit tests of
-    ``admissibility`` fill for the parameter pair they last saw."""
+    ``admissibility`` fill for the parameter pair they last saw.  A von
+    Neumann triplet's cache reads the kernel columns, gamma(mu) and the
+    factor of dom Gamma off its construction (``_VonNeumannCache``)."""
 
     def __init__(self, br: BoundaryRelation, tol: Tolerances):
         self.br = br
@@ -270,10 +276,18 @@ class _TripletCache:
     def parts(self) -> RelationParts:
         return rel_parts(self.br.gamma, self.tol)
 
+    def kernel_columns(self, index: int) -> np.ndarray:
+        """``_kernel_columns`` of ker Gamma_0 (index 0) or ker Gamma_1."""
+        return _kernel_columns(self.br, index, self.tol)
+
+    def gamma_mu(self) -> np.ndarray:
+        """gamma(mu) at ``_MU`` by the nullspace route."""
+        return _nullspace_gamma_and_weyl(self.br, _MU, self.tol)[0]
+
     @cached_property
     def spectrum(self):
         n = self.br.state_dim
-        cols = _kernel_columns(self.br, 0, self.tol)
+        cols = self.kernel_columns(0)
         return _operator_spectrum(cols[:n], cols[n:], self.tol)
 
     @cached_property
@@ -287,7 +301,7 @@ class _TripletCache:
         br = self.br
         n, m = br.state_dim, br.boundary_dim
         # first, so a triplet it does not apply to builds nothing else
-        gamma_mu = _nullspace_gamma_and_weyl(br, _MU, self.tol)[0]
+        gamma_mu = self.gamma_mu()
         spec = self.spectrum
         gamma1 = br.gamma.out_block[m:, :] @ self.boundary_factor[1]
         return _Propagation(
@@ -310,8 +324,47 @@ class _TripletCache:
         that is the rank ``spectrum`` already took; for A1 it is one
         unit-anchored rank."""
         spec = self.spectrum
-        a1 = _kernel_columns(self.br, 1, self.tol)[: self.br.state_dim]
+        a1 = self.kernel_columns(1)[: self.br.state_dim]
         return spec.eigs.size == spec.coords.shape[0], _rank_of(a1, self.tol, 1.0) == a1.shape[1]
+
+
+class _VonNeumannCache(_TripletCache):
+    """The cache of a von Neumann triplet under the tolerances it was built
+    with, read off the construction where the general route takes rank
+    decisions: on Gamma's graph basis [X; Y; 0; 0], [b+; i b+; I; i I] / 2,
+    [b-; -i b-; U*; -i U*] / 2 (k, d and d columns),
+    - gamma(i) = b+ (and M(i) = iI), for the nullspace, the checked inverse
+      and the inverse at ``_MU``;
+    - ker Gamma_0 and ker Gamma_1 have the orthonormal coefficients
+      blockdiag(I_k, [I; -/+U] / sqrt 2), for two nullspaces of Gamma's
+      boundary rows;
+    - the columns of Gamma's input block are orthogonal, X = Q D with
+      D = diag(1_k, 2^(-1/2) 1_2d), so X^+ = D^-2 X* and Q = X D^-1, for
+      the QR and the solve.
+    Only ``_operator_spectrum`` of A0 and the rank test of A1 remain."""
+
+    def __init__(self, br: BoundaryRelation, tol: Tolerances, b_plus: np.ndarray, coord_u: np.ndarray):
+        super().__init__(br, tol)
+        self.b_plus = b_plus
+        self.coord_u = coord_u
+
+    def kernel_columns(self, index: int) -> np.ndarray:
+        state = self.br.gamma.in_block
+        d = self.coord_u.shape[0]
+        k = state.shape[1] - 2 * d
+        sign = 1 if index else -1
+        defect = (state[:, k : k + d] + sign * (state[:, k + d :] @ self.coord_u)) / np.sqrt(2)
+        return np.concatenate([state[:, :k], defect], axis=1)
+
+    def gamma_mu(self) -> np.ndarray:
+        return self.b_plus
+
+    @cached_property
+    def boundary_factor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        x = self.br.gamma.in_block
+        d = self.coord_u.shape[0]
+        inv_square = np.concatenate([np.ones(x.shape[1] - 2 * d), np.full(2 * d, 2.0)])
+        return x, inv_square[:, None] * x.conj().T, x * np.sqrt(inv_square)
 
 
 def _triplet_cache(br: BoundaryRelation, tol: Tolerances) -> _TripletCache:

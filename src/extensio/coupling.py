@@ -23,6 +23,7 @@ from .errors import (
     NoSolution,
     Omega0Singular,
     RelationSumSingular,
+    SingularAtLambda,
     TripletMismatch,
 )
 from .linrel import (
@@ -76,6 +77,12 @@ __all__ = [
 # Least-squares residual, relative to the data, above which straus_solve
 # finds no solution of the boundary value problem.
 _STRAUS_RESIDUAL_TOL = 1e-8
+
+# Largest bound on cond W(lam) at which tau_of_extension takes its kernel by
+# an LU solve of the pencil W: the span of W^{-1} [I; 0] stays within about
+# 1e-16 times the bound of the nullspace's (1e-13 at the limit); beyond it
+# the kernel is a nullspace.
+_PENCIL_COND_LIMIT = 1e3
 
 
 @dataclass(frozen=True)
@@ -223,15 +230,37 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
     """Parameter family of the coupling: twisted boundary values of the
     elements G c whose second component solves the eigenvalue equation,
     c in ker(G_f2' - lam G_f2).  They are those of the whole graph basis G
-    times c, so the boundary map and its checks run once, here."""
+    times c, so the boundary map and its checks run once, here.
+
+    Off the real axis that kernel needs no rank decision.  A~ is
+    selfadjoint, so V+/- = G_f' +/- i G_f are unitary, the pencil
+    W(lam) = G_f' - lam G_f = ((1 + i lam) V+ + (1 - i lam) V-) / 2 has
+    norm at most s / 2 and sigma_min(W) >= 2 |Im lam| / s, with
+    s = |1 + i lam| + |1 - i lam|, and the h1 columns c = W^{-1} [I; 0]
+    span the kernel: one LU solve.  Their span is as accurate as W is well
+    conditioned, so the LU solve is taken only where the bound
+    cond(W) <= s^2 / (4 |Im lam|) is at most ``_PENCIL_COND_LIMIT``.  Near
+    the real axis, where lam may be close to an eigenvalue of A~ while tau
+    itself stays smooth, and on it, where straus_solve evaluates tau, the
+    kernel is a nullspace.  The value's one rank decision is its span."""
     twisted = _scene_boundary_values(scene, pi, tol)
     m = pi.boundary_dim
-    _, f2, _, f2p = _row_ranges(scene.h1_dim, scene.h2_dim)
+    h1, n = scene.h1_dim, scene.h1_dim + scene.h2_dim
     basis = scene.a_tilde.graph.basis
+    g_f, g_fp = basis[:n, :], basis[n:, :]
+    first = np.eye(n, h1, dtype=complex)
 
     def eval_at(lam: complex) -> LinearRelation:
-        # any finite point: straus_solve evaluates tau on the real axis
-        coeff = _nullspace(basis[f2p, :] - _spectral_point(lam) * basis[f2, :], tol)
+        lam = _spectral_point(lam)
+        spread = abs(1 + 1j * lam) + abs(1 - 1j * lam)
+        if spread * spread <= 4 * _PENCIL_COND_LIMIT * abs(lam.imag):
+            try:
+                coeff = np.linalg.solve(g_fp - lam * g_f, first)
+            except np.linalg.LinAlgError:
+                # exactly singular: lam is an eigenvalue, so A~ is not selfadjoint
+                raise SingularAtLambda(lam, "graph pencil of the coupling is singular") from None
+        else:
+            coeff = _nullspace(g_fp[h1:, :] - lam * g_f[h1:, :], tol)
         return LinearRelation(m, m, _span(twisted @ coeff, tol))
 
     return FamilyEval(m, eval_at)

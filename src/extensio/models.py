@@ -156,8 +156,9 @@ def random_relation(
 def random_selfadjoint_relation(
     rng: np.random.Generator, n: int, tol: Tolerances = TOL
 ) -> LinearRelation:
-    """Cayley image of a Haar unitary; multivalued with positive
-    probability."""
+    """Cayley image of a Haar unitary: mul is the eigenspace of the
+    eigenvalue 1, which a Haar unitary has with probability zero, so a
+    draw is a selfadjoint operator graph almost surely."""
     from scipy.stats import unitary_group
 
     u = unitary_group.rvs(n, random_state=rng)

@@ -512,6 +512,33 @@ def test_exact_mul_helper():
         )
 
 
+def test_exact_mul_is_the_mul_part_of_rel_parts_bit_for_bit(monkeypatch):
+    # one SVD, of the input block, gives the bytes of rel_parts(a).mul, on
+    # operator graphs, multivalued and purely multivalued relations, and
+    # the empty relation
+    rng = np.random.default_rng(51)
+    relations = [ex.zero_relation(3, 3), ex.LinearRelation(2, 2, ex.zero_subspace(4))]
+    relations += [ex.mul_relation(ex.full_subspace(n)) for n in (1, 3)]
+    for n in range(1, 7):
+        a = ex.random_selfadjoint_relation(rng, n)
+        relations.append(a)
+        relations.append(ex.rel_direct_sum(a, ex.mul_relation(ex.full_subspace(1 + n % 2))))
+    relations += [ex.fix_infty_relation(), ex.fix_b_relation()]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    dims = set()
+    for a in relations:
+        calls.clear()
+        mul = ex.exact_mul(a)
+        assert len(calls) <= 1
+        ref = ex.rel_parts(a).mul
+        assert mul.ambient_dim == ref.ambient_dim
+        assert mul.basis.shape == ref.basis.shape and mul.basis.tobytes() == ref.basis.tobytes()
+        dims.add(mul.dim)
+    assert dims >= {0, 1, 2, 3}
+
+
 def test_resolvent_conditions_are_fitted_once_per_probe(monkeypatch):
     # the two resolvent-difference rows do not depend on z0: three
     # admissible calls on one (pi, tau) fit them once, and only the

@@ -8,6 +8,7 @@ import pytest
 
 import extensio as ex
 from extensio import boundary, linrel
+from extensio.admissibility import DEFAULT_GRID
 from extensio.boundary import _defect_coords, _kernel_columns, _nullspace_gamma_and_weyl, _triplet_cache
 from extensio.linrel import _rank
 
@@ -546,3 +547,69 @@ def test_default_pairing_of_the_zero_relation_gives_a0_zero():
         minus = pi.gamma.graph.basis[:, n:]
         eye = np.eye(n)
         assert np.allclose(minus, np.concatenate([eye, -1j * eye, -eye, 1j * eye]) / 2, rtol=0, atol=1e-15)
+
+
+def _closed_form_cases():
+    # default pairings up to n = 16, a multivalued S, explicit pairings,
+    # and S = {0} with U = I (A0 = {0} x C^n) and U = -I (A1 = {0} x C^n)
+    rng = np.random.default_rng(45)
+    shapes = VN_SHAPES + ((16, 4), (16, 16))
+    restrictions = [ex.random_symmetric_restriction(rng, n, d) for n, d in shapes]
+    restrictions.append(_random_von_neumann(np.random.default_rng(46), True).s_rel)
+    for s in restrictions:
+        yield s, None
+        adj = ex.rel_adjoint(s)
+        b_plus, b_minus = ex.eigenspace(adj, 1j)[0].basis, ex.eigenspace(adj, -1j)[0].basis
+        d = b_plus.shape[1]
+        w = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        yield s, b_minus @ w @ b_plus.conj().T
+    for n in (1, 3, 16):
+        zero = ex.LinearRelation(n, n, ex.zero_subspace(2 * n))
+        yield zero, np.eye(n)
+        yield zero, -np.eye(n)
+
+
+def _projector(cols):
+    return cols @ cols.conj().T
+
+
+def test_closed_form_cache_matches_the_general_route():
+    # a von Neumann triplet's cache is read off the construction; the same
+    # Gamma as a plain ordinary triplet takes the general route
+    lams = [1j * y for y in DEFAULT_GRID]
+    singles = set()
+    for s, u in _closed_form_cases():
+        pi = ex.von_neumann_triplet(s, u=u)
+        general = ex.ordinary_triplet(pi.gamma)
+        new, ref = _triplet_cache(pi, ex.TOL), _triplet_cache(general, ex.TOL)
+        assert isinstance(new, boundary._VonNeumannCache) and type(ref) is boundary._TripletCache
+        scale = max(1.0, np.abs(ref.spectrum.eigs).max(initial=0.0))
+        assert np.abs(new.spectrum.eigs - ref.spectrum.eigs).max(initial=0.0) <= 1e-12 * scale
+        for part in (lambda sp: (sp.vecs * sp.eigs) @ sp.vecs.conj().T, lambda sp: _projector(sp.vecs), lambda sp: _projector(sp.mul)):
+            assert np.linalg.norm(part(new.spectrum) - part(ref.spectrum)) <= 1e-12 * scale
+        assert abs(new.spectrum.smin - ref.spectrum.smin) <= 1e-12
+        assert new.single_valued == ref.single_valued
+        singles.add(new.single_valued)
+        for got, want in zip(boundary._gamma_and_weyl_grid(pi, lams, ex.TOL), boundary._gamma_and_weyl_grid(general, lams, ex.TOL)):
+            assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+        (x, x_pinv, q), (x_ref, x_pinv_ref, q_ref) = new.boundary_factor, ref.boundary_factor
+        assert np.array_equal(x, x_ref)
+        assert np.linalg.norm(x_pinv - x_pinv_ref) <= 1e-12 * np.linalg.norm(x_pinv_ref)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(q.shape[1])) <= 1e-12
+        assert np.linalg.norm(_projector(q) - _projector(q_ref)) <= 1e-12
+    assert singles == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_closed_form_cache_takes_two_rank_decisions(monkeypatch):
+    # A0's spectral decomposition and the rank test of A1; gamma(i), the
+    # kernels of Gamma_0 and Gamma_1 and the factor of dom Gamma are read
+    # off the construction.  Other tolerances take the general route.
+    pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(47), 6, 3))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    cache = _triplet_cache(pi, ex.TOL)
+    cache.propagation, cache.single_valued, cache.boundary_factor
+    assert len(calls) == 2
+    loose = ex.Tolerances(rank=1e-11)
+    assert type(_triplet_cache(pi, loose)) is boundary._TripletCache

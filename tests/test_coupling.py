@@ -72,6 +72,17 @@ def _reference_tau_eval(scene, pi, lam):
     return ex.LinearRelation(m, m, linrel._span(np.vstack([bounds[:m], -bounds[m:]]), ex.TOL))
 
 
+def _nullspace_tau_eval(scene, pi, lam):
+    """Former evaluator of tau_of_extension at every point: c spans
+    ker(G_f2' - lam G_f2) by a nullspace, then the span of the twisted
+    boundary values times c."""
+    h1, n, m = scene.h1_dim, scene.h1_dim + scene.h2_dim, pi.boundary_dim
+    basis = scene.a_tilde.graph.basis
+    twisted = coupling._scene_boundary_values(scene, pi, ex.TOL)
+    coeff = _nullspace(basis[n + h1 :] - lam * basis[h1:n], ex.TOL)
+    return ex.LinearRelation(m, m, linrel._span(twisted @ coeff, ex.TOL))
+
+
 def _multivalued_scene(seed=5, n1=3, n2=2):
     # P H P (+) {0} x span(v), with P = I - v v* and v meeting both spaces
     rng = np.random.default_rng(seed)
@@ -85,21 +96,127 @@ def _multivalued_scene(seed=5, n1=3, n2=2):
     return ex.coupling_scene(a_tilde, n1, n2)
 
 
-TAU_POINTS = (1j, -1j, 2j, 1 + 1j, 1e6j)
+# every shape with n1, n2 <= 4, 60 scenes with n1 = n2 in 2..16 at 7 points
+# each, scenes with S1 != {0}, and points within 1e-9 of the real axis or
+# far out on the imaginary one; 3 + 0.05i and 0.5 - 2e-3i take the LU
+# solve at bounds on cond W of 200 and 625, the other near points and 1e6i
+# (bounds of 1e6 and more) take the nullspace
+TAU_POINTS = (1j, -1j, 2j, 1 + 1j, 1 - 2j, 1e6j, -0.5 + 3j)
+TAU_NEAR_POINTS = (3 + 1e-9j, 0.5 - 1e-9j, -1.2 + 1e-9j, 3 + 1e-6j, 1e8j, 3 + 0.05j, 0.5 - 2e-3j)
+
+
+def _tau_parity_cases():
+    for seed, (n1, n2) in enumerate(itertools.product(range(1, 5), repeat=2)):
+        yield random_case(seed=seed, n1=n1, n2=n2), TAU_POINTS
+    for seed in range(60):
+        n = 2 + seed % 15
+        yield random_case(seed, n, n), TAU_POINTS + (TAU_NEAR_POINTS if seed % 5 == 0 else ())
+    shapes = [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (8, 4), (3, 2), (7, 1)]
+    for seed in range(24):
+        case = random_case(100 + seed, *shapes[seed % len(shapes)])
+        assert case[0].s1.graph_dim > 0
+        yield case, TAU_POINTS + TAU_NEAR_POINTS
 
 
 def test_tau_of_extension_matches_the_per_point_boundary_map():
-    cases = []
-    for seed, (n1, n2) in enumerate(itertools.product(range(1, 5), repeat=2)):
-        cases.append(random_case(seed=seed, n1=n1, n2=n2))
-    cases.append((ex.fix_b_scene(), ex.fix_b_triplet()))
+    # where cond W(lam) is bounded by 1e3, tau's kernel is one LU solve of
+    # the coupling's pencil; it spans what the nullspace did, to 1e-12 on
+    # the parity set, and the resolvent formula still reproduces the
+    # compressed resolvent.  With mul A~ != {0} the nullspace loses digits
+    # far out on the imaginary axis, 7.5e-12 off a 50-digit value at 1e6i,
+    # so that scene and fix-b keep rel_equal only.
+    values = 0
+    for (scene, pi), lams in _tau_parity_cases():
+        tau = ex.tau_of_extension(scene, pi)
+        for lam in lams:
+            value = tau.eval(lam)
+            assert ex.rel_equal(value, _reference_tau_eval(scene, pi, lam)), (scene.h1_dim, scene.h2_dim, lam)
+            new, ref = value.graph, _nullspace_tau_eval(scene, pi, lam).graph
+            assert new.dim == ref.dim == pi.boundary_dim
+            assert max(ex.containment_gap(new, ref), ex.containment_gap(ref, new)) <= 1e-12, (scene.h1_dim, lam)
+            lhs = ex.generalized_resolvent(scene, lam).compressed
+            rhs = ex.krein_rhs(pi, tau, lam)
+            assert np.linalg.norm(rhs - lhs) <= 1e-12 * np.linalg.norm(lhs), (scene.h1_dim, lam)
+            values += 1
+    assert values >= 420
     multivalued = _multivalued_scene()
     assert ex.rel_parts(multivalued.a_tilde).mul.dim == 1
-    cases.append((multivalued, ex.scene_triplet(multivalued)))
-    for scene, pi in cases:
+    for scene, pi in ((ex.fix_b_scene(), ex.fix_b_triplet()), (multivalued, ex.scene_triplet(multivalued))):
         tau = ex.tau_of_extension(scene, pi)
         for lam in TAU_POINTS:
             assert ex.rel_equal(tau.eval(lam), _reference_tau_eval(scene, pi, lam)), (scene.h1_dim, scene.h2_dim, lam)
+
+
+def test_tau_takes_one_rank_decision_off_the_real_axis(monkeypatch):
+    # where cond W(lam) <= s^2 / (4 |Im lam|) <= 1e3 the kernel is one LU
+    # solve and the value's span the one SVD; nearer the real axis, and on
+    # it, the kernel is a nullspace.  1 + 2.1e-3i has the bound 952,
+    # 1 - 1.9e-3i 1053.
+    scene, pi = random_case(seed=3, n1=3, n2=2)
+    tau = ex.tau_of_extension(scene, pi)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    points = ((1j, 1), (-2j, 1), (1 + 2.1e-3j, 1), (1 - 1.9e-3j, 2), (1 + 1e-9j, 2), (1e6j, 2), (0.5, 2), (0.0, 2))
+    for lam, svds in points:
+        calls.clear()
+        value = tau.eval(lam)
+        assert len(calls) == svds, lam
+        assert ex.rel_equal(value, _nullspace_tau_eval(scene, pi, lam))
+
+
+def _former_tau(scene, pi):
+    return ex.FamilyEval(pi.boundary_dim, lambda lam: _nullspace_tau_eval(scene, pi, complex(lam)))
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except ex.ExtensioError as err:
+        return type(err)
+
+
+def test_tau_near_an_eigenvalue_of_the_coupling_keeps_the_nullspace_accuracy():
+    # tau is smooth at the eigenvalues t of A~ while W(t + i eps) is nearly
+    # singular, so close to them the LU columns would be nearly parallel:
+    # the bound on cond W sends those points to the nullspace.  tau stays
+    # within 1e-12 of the former evaluator, krein_rhs gives the former
+    # route's value or error, and it meets generalized_resolvent as far as
+    # the formula's conditioning, about 1/eps, lets it.
+    for seed, (n1, n2) in enumerate(((2, 2), (3, 2), (4, 3), (2, 5), (6, 6))):
+        scene, pi = random_case(seed, n1, n2)
+        tau, former = ex.tau_of_extension(scene, pi), _former_tau(scene, pi)
+        spec = coupling._operator_spectrum(scene.a_tilde.in_block, scene.a_tilde.out_block, ex.TOL)
+        e1 = spec.vecs[:n1]
+        for t in spec.eigs[:3]:
+            for eps in (1e-1, 1e-2, 1e-4, 1e-6, 1e-10, 1e-12, -1e-12):
+                lam = complex(t, eps)
+                new, ref = tau.eval(lam).graph, former.eval(lam).graph
+                assert new.dim == ref.dim == pi.boundary_dim, (seed, lam)
+                assert max(ex.containment_gap(new, ref), ex.containment_gap(ref, new)) <= 1e-12, (seed, lam)
+                rhs, ref_rhs = _outcome(ex.krein_rhs, pi, tau, lam), _outcome(ex.krein_rhs, pi, former, lam)
+                if isinstance(ref_rhs, type):
+                    assert rhs is ref_rhs, (seed, lam)
+                    continue
+                assert np.linalg.norm(rhs - ref_rhs) <= 1e-12 * np.linalg.norm(ref_rhs), (seed, lam)
+                exact = (e1 / (spec.eigs - lam)) @ e1.conj().T
+                assert np.linalg.norm(rhs - exact) <= 1e-13 / abs(eps) * np.linalg.norm(exact), (seed, lam)
+                lhs = _outcome(ex.generalized_resolvent, scene, lam)
+                assert lhs is ex.SingularAtLambda or np.allclose(lhs.compressed, exact, rtol=0, atol=1e-12 * np.linalg.norm(exact))
+
+
+def test_tau_on_a_singular_pencil_raises_a_typed_error():
+    # a scene built around coupling_scene's check: the first column of
+    # G_f' - 2i G_f vanishes exactly, so 2i is an eigenvalue of A~
+    a, b = 1 / np.sqrt(5), 1 / np.sqrt(2)
+    basis = np.array([[a, 0], [0, b], [2j * a, 0], [0, b]], dtype=complex)
+    a_tilde = ex.LinearRelation(2, 2, ex.Subspace._trusted(4, basis))
+    scene = coupling.CouplingScene(1, 1, a_tilde, ex.LinearRelation(1, 1, ex.zero_subspace(2)))
+    pi = ex.von_neumann_triplet(scene.s1)
+    tau = ex.tau_of_extension(scene, pi)
+    with pytest.raises(ex.SingularAtLambda):
+        tau.eval(2j)
+    assert tau.eval(1j).graph_dim == 1
 
 
 def test_tau_identity_triplet_is_negative_reciprocal():
@@ -367,10 +484,15 @@ def test_double_weyl_graph_matches_the_parts_route():
         ref = _reference_double_weyl_graph(pi, chi)
         assert dw.boundary.gamma.graph_dim == ref.graph_dim
         assert np.linalg.norm(dw.boundary.gamma.graph.projector() - ref.graph.projector()) < 1e-12
-        # a bare boundary relation passes ordinary_triplet first
+        # a bare boundary relation passes ordinary_triplet first, and then
+        # takes the general cache route of a triplet built from its graph
         bare = ex.double_weyl(ex.validate_boundary_relation(pi.gamma), chi)
+        general = ex.double_weyl(ex.ordinary_triplet(pi.gamma), chi)
         assert np.array_equal(bare.boundary.gamma.graph.basis, dw.boundary.gamma.graph.basis)
-        assert np.array_equal(bare.weyl_fn(2j), dw.weyl_fn(2j))
+        assert np.array_equal(bare.weyl_fn(2j), general.weyl_fn(2j))
+        # a von Neumann triplet's closed-form cache gives the same family
+        weyl = general.weyl_fn(2j)
+        assert np.linalg.norm(dw.weyl_fn(2j) - weyl) <= 1e-12 * max(np.linalg.norm(weyl), 1.0)
     multivalued = ex.canonical_chi(ex.mul_relation(ex.full_subspace(1)))
     with pytest.raises(ex.AssumptionError):
         ex.double_weyl(multivalued, multivalued)

@@ -45,6 +45,11 @@ def test_random_generators_reproducible_and_classified():
     assert ex.rel_equal(a, b)
     assert ex.rel_classify(a).selfadjoint
 
+    # a Haar unitary has the eigenvalue 1 with probability zero, so the
+    # Cayley image is an operator graph
+    for seed in range(40):
+        assert ex.rel_parts(ex.random_selfadjoint_relation(np.random.default_rng(seed), 1 + seed % 6)).mul.dim == 0
+
     s = ex.random_symmetric_restriction(np.random.default_rng(4), 5, 2)
     flags = ex.rel_classify(s)
     assert flags.symmetric and not flags.selfadjoint
