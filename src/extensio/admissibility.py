@@ -35,7 +35,6 @@ from .linrel import (
 from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
-    _gamma_and_weyl,
     _gamma_and_weyl_grid,
     _triplet_cache,
 )
@@ -315,15 +314,24 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
     all read-only.  M is propagated over the whole grid in one pass from
     the triplet's cached spectral data, and the pair is evaluated once per
     grid point; the result is kept in the pair slot for the probe's grid,
-    the only part of the probe it reads.  Raises Omega0Singular at the
-    first point where psi + M phi falls short of full rank under the
-    unit-anchored cutoff (one values-only SVD of the stack), on every
-    call."""
+    the only part of the probe it reads.  Raises ArgumentError unless the
+    pair's values stack to m x m matrices (one shape check of the stack),
+    and Omega0Singular at the first point where psi + M phi falls short of
+    full rank under the unit-anchored cutoff (one values-only SVD of the
+    stack), on every call."""
     slot = _pair_slot(pi, tau, tol)
     if slot.grid != probe.y_grid:
+        if tau.dim != pi.boundary_dim:
+            raise ArgumentError("pair dimension differs from the boundary space")
         ys = _grid_design(probe.y_grid).ys
         m_mat = _gamma_and_weyl_grid(pi, 1j * ys, tol)[1]
-        phi, psi = (np.array(part, dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
+        values = [tau.eval(1j * y) for y in ys]
+        try:
+            phi, psi = (np.array(part, dtype=complex) for part in zip(*values))
+            if phi.shape != m_mat.shape or psi.shape != m_mat.shape:
+                raise ValueError
+        except ValueError:
+            raise ArgumentError("pair values are not matrices of the boundary dimension") from None
         combo = psi + m_mat @ phi
         short = np.flatnonzero(_rank_of(combo, tol, 1.0) < combo.shape[-1])
         if short.size:
@@ -359,16 +367,13 @@ def admissible(
     z0: complex = 1j,
 ) -> AdmissibilityReport:
     """Full report: the two resolvent-difference limit conditions, the
-    quadratic-form test, and the exact multivalued part of the coupling
-    when the pair carries a realization."""
-    m = pi.boundary_dim
-    if tau.dim != m:
-        raise ArgumentError("pair dimension differs from the boundary space")
+    quadratic-form test (``langer_textorius``), and the exact multivalued
+    part of the coupling when the pair carries a realization."""
     z0 = _spectral_point(z0, "upper")
     sw = _sweep(pi, tau, probe, tol)
     slot = _pair_slot(pi, tau, tol)
     adm1, adm2, adm1_slope, adm2_slope = _resolvent_conditions(slot, sw, probe)
-    qlt = _vanishes(_qlt_curves(pi, sw, z0, probe_vectors(m, probe), tol), probe)[0]
+    qlt = langer_textorius(pi, tau, z0, probe, tol)
     a0_single, a1_single = _triplet_cache(pi, tol).single_valued
     if a0_single:
         verdict = adm1
@@ -381,7 +386,7 @@ def admissible(
         exact_mul_dim=exact_dim,
         adm1_pass=adm1,
         adm2_pass=adm2,
-        qlt_pass=bool(np.all(qlt)),
+        qlt_pass=qlt,
         agreement=None if exact_dim is None else (exact_dim == 0) == verdict,
         admissible=verdict,
         adm1_slope=adm1_slope,
@@ -412,15 +417,6 @@ def mt_admissibility(
     return bool(_vanishes(curve[None, :], probe)[0][0])
 
 
-def _qlt_curves(pi: OrdinaryTriplet, sw: tuple[np.ndarray, ...], z0: complex, probes: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Curves of the quadratic-form test, one row per probe: the form
-    built from the reference point z0 must vanish weakly for each."""
-    ys, m_mat, phi, _, omega = sw
-    m_ref = _gamma_and_weyl(pi, z0, tol)[1]
-    q = m_mat - (m_mat - m_ref.conj().T) @ phi @ omega @ (m_mat - m_ref)
-    return np.abs(_forms(probes, q)) / ys
-
-
 def langer_textorius(
     pi: OrdinaryTriplet,
     tau: NevanlinnaPairEval,
@@ -429,8 +425,12 @@ def langer_textorius(
     tol: Tolerances = TOL,
 ) -> bool:
     """Quadratic-form test built from one reference point in the upper
-    half plane; the verdict does not depend on the reference point."""
+    half plane: for each probe h, the form (Q(iy) h, h)/y with
+    Q = M - (M - M(z0)*) phi omega (M - M(z0)) must vanish weakly.  The
+    verdict does not depend on the reference point."""
     z0 = _spectral_point(z0, "upper")
-    probes = probe_vectors(pi.boundary_dim, probe)
-    sw = _sweep(pi, tau, probe, tol)
-    return bool(np.all(_vanishes(_qlt_curves(pi, sw, z0, probes, tol), probe)[0]))
+    ys, m_mat, phi, _, omega = _sweep(pi, tau, probe, tol)
+    m_ref = _gamma_and_weyl_grid(pi, [z0], tol)[1][0]
+    q = m_mat - (m_mat - m_ref.conj().T) @ phi @ omega @ (m_mat - m_ref)
+    curves = np.abs(_forms(probe_vectors(pi.boundary_dim, probe), q)) / ys
+    return bool(np.all(_vanishes(curves, probe)[0]))

@@ -171,8 +171,11 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     graph has the orthonormal basis [X; Y; 0; 0], [b+; i b+; I; i I] / 2
     and [b-; -i b-; U*; -i U*] / 2, with no adjoint and no span.  The
     default U = -polar(b-* b+) depends on no choice of bases and makes
-    A0 = ker Gamma_0 an operator: A0 = 0 for S = {0}.  The triplet's cache
-    under tol is filled from the construction (``_VonNeumannCache``).
+    A0 = ker Gamma_0 an operator: A0 = 0 for S = {0}.  The boundary rows
+    [I, U*; iI, -iU*] / 2 of the defect columns have rank 2d, so Gamma is
+    single-valued and surjective by construction and only the Green
+    identity and maximality are checked.  The triplet's cache under tol is
+    filled from the construction (``_VonNeumannCache``).
     """
     if not rel_classify(s, tol).symmetric:
         raise AssumptionError("von Neumann construction needs a symmetric relation")
@@ -199,7 +202,8 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     plus = np.concatenate([b_plus, 1j * b_plus, eye, 1j * eye]) / 2
     minus = np.concatenate([b_minus, -1j * b_minus, v, -1j * v]) / 2
     basis = np.concatenate([np.concatenate([x, y, zeros]), plus, minus], axis=1)
-    trip = ordinary_triplet(LinearRelation(2 * n, 2 * d, Subspace._trusted(2 * n + 2 * d, basis)), tol)
+    br = validate_boundary_relation(LinearRelation(2 * n, 2 * d, Subspace._trusted(2 * n + 2 * d, basis)), tol)
+    trip = OrdinaryTriplet(br.gamma, tol)
     trip._derived[tol] = _VonNeumannCache(trip, tol, b_plus, coord_u)
     return trip
 
@@ -407,26 +411,12 @@ def _gamma_and_weyl_grid(br: BoundaryRelation, lams, tol: Tolerances) -> tuple[n
     return gam, weyl, diffs
 
 
-def _gamma_and_weyl(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Gamma field and Weyl function at one point (``_gamma_and_weyl_grid``)."""
-    gam, weyl, _ = _gamma_and_weyl_grid(br, [lam], tol)
-    return gam[0], weyl[0]
-
-
 def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
     """Resolvent of A0 = ker Gamma_0 from its cached spectral data:
     E diag(1/(t - lam)) E*, zero on mul A0."""
     spec = _triplet_cache(br, tol).spectrum
     diffs = _off_spectrum(spec.eigs, np.array([lam], dtype=complex), br.state_dim, tol)[0]
     return (spec.vecs / diffs) @ spec.vecs.conj().T
-
-
-def _krein_pieces(br: BoundaryRelation, lam: complex, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """gamma(lam), gamma(conj lam), M(lam) and A0's resolvent E diag(1/(t - lam)) E*
-    (``_a0_resolvent``) from one ``_gamma_and_weyl_grid`` pass at [lam, conj lam]."""
-    gam, weyl, diffs = _gamma_and_weyl_grid(br, [lam, lam.conjugate()], tol)
-    vecs = _triplet_cache(br, tol).spectrum.vecs
-    return gam[0], gam[1], weyl[0], (vecs / diffs[0]) @ vecs.conj().T
 
 
 def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:

@@ -48,8 +48,7 @@ from .boundary import (
     BoundaryRelation,
     OrdinaryTriplet,
     _boundary_map,
-    _gamma_and_weyl,
-    _krein_pieces,
+    _gamma_and_weyl_grid,
     _triplet_cache,
     ordinary_triplet,
     validate_boundary_relation,
@@ -282,29 +281,41 @@ def generalized_resolvent(scene: CouplingScene, lam: complex, tol: Tolerances = 
     return GeneralizedResolventSample(lam, (e1 / diffs) @ e1.conj().T)
 
 
+def _family_inverse(
+    value: LinearRelation, m_mat: np.ndarray, lam: complex, tol: Tolerances, error: type[SingularAtLambda]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi, psi and omega = (psi + M phi)^{-1} of a family value with graph
+    basis [phi; psi] at lam.  The value must have graph dimension m and
+    psi + M phi full rank under the unit-anchored cutoff
+    (``linrel._checked_inverse``); either failure raises error at lam."""
+    if value.graph_dim != m_mat.shape[0]:
+        raise error(lam, "family value is not maximal")
+    phi, psi = value.in_block, value.out_block
+    return phi, psi, _checked_inverse(psi + m_mat @ phi, tol, error, lam, "pair combination is not invertible")
+
+
 def krein_rhs(pi: BoundaryRelation, tau: FamilyEval, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
     """Resolvent formula route: resolvent of the distinguished extension
     corrected through the inverse of the family sum.
 
     With [phi; psi] a graph basis of tau(lam), the inverse of M + tau is
     phi (psi + M phi)^{-1}; every ingredient is read off Gamma's graph
-    basis as a matrix: A0's resolvent, gamma and M come from the triplet's
-    one spectral decomposition of A0, in one pass at [lam, conj lam] with
-    no SVD (``boundary._krein_pieces``).  A bare boundary relation must
+    basis as a matrix: gamma and M come from the triplet's one spectral
+    decomposition of A0, in one pass at [lam, conj lam] with no SVD
+    (``boundary._gamma_and_weyl_grid``), whose rows t - lam at lam give
+    A0's resolvent E diag(1/(t - lam)) E*.  A bare boundary relation must
     pass ``ordinary_triplet``; its own cache serves every call."""
     lam = complex(lam)
     if not isinstance(pi, OrdinaryTriplet):
         ordinary_triplet(pi, tol)
     m = pi.boundary_dim
-    g_lam, g_bar, m_mat, r0 = _krein_pieces(pi, lam, tol)
+    gam, weyl, diffs = _gamma_and_weyl_grid(pi, [lam, lam.conjugate()], tol)
+    vecs = _triplet_cache(pi, tol).spectrum.vecs
     value = tau.eval(lam)
     if value.dim_in != m or value.dim_out != m:
         raise DimMismatch("family value does not act in the boundary space")
-    if value.graph_dim != m:
-        raise RelationSumSingular(lam, "family sum has no bounded inverse")
-    phi = value.in_block
-    omega = _checked_inverse(value.out_block + m_mat @ phi, tol, RelationSumSingular, lam, "pair combination is not invertible")
-    return r0 - g_lam @ phi @ omega @ g_bar.conj().T
+    phi, _, omega = _family_inverse(value, weyl[0], lam, tol, RelationSumSingular)
+    return (vecs / diffs[0]) @ vecs.conj().T - gam[0] @ phi @ omega @ gam[1].conj().T
 
 
 def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
@@ -315,8 +326,7 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     pi is single-valued, so the state rows F of its graph basis have full
     column rank and span dom Gamma: the triplet's cached factor F = Q R
     (``_TripletCache.boundary_factor``) gives the orthonormal basis Q of
-    dom Gamma, and the boundary rows times F^+ Q = R^{-1} are its boundary
-    values."""
+    dom Gamma, whose boundary values the triplet's boundary map gives."""
     lam = _spectral_point(lam)
     h1 = scene.h1_dim
     rhs = as_complex_matrix(np.reshape(h, (1, -1)))[0]
@@ -324,11 +334,11 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
         raise DimMismatch("right-hand side does not live in the first space")
     tau = tau_of_extension(scene, pi, tol)
     v_graph = tau.eval(lam).graph
-    _, x_pinv, t_basis = _triplet_cache(pi, tol).boundary_factor
+    t_basis = _triplet_cache(pi, tol).boundary_factor[2]
     k = t_basis.shape[1]
     top = t_basis[:h1, :]
     bot = t_basis[h1:, :]
-    bounds = pi.gamma.out_block @ (x_pinv @ t_basis)
+    bounds = _boundary_map(pi, tol)(t_basis)
     m = pi.boundary_dim
     twisted = np.concatenate([bounds[:m, :], -bounds[m:, :]])
     proj = v_graph.projector()
@@ -357,18 +367,6 @@ def _double_weyl_blocks(m_mat: np.ndarray, phi: np.ndarray, psi: np.ndarray, ome
     top = np.concatenate([-upper, eye - upper @ m_mat], axis=-1)
     bottom = np.concatenate([lower, lower @ m_mat], axis=-1)
     return np.concatenate([top, bottom], axis=-2)
-
-
-def _coupling_pieces(pi: OrdinaryTriplet, chi: BoundaryRelation, lam: complex, tol: Tolerances):
-    m = pi.boundary_dim
-    m_mat = _gamma_and_weyl(pi, lam, tol)[1]
-    tau_rel = weyl_eval(chi, lam, tol)
-    if tau_rel.graph_dim != m:
-        raise Omega0Singular(lam, "parameter family value is not maximal")
-    phi = tau_rel.in_block
-    psi = tau_rel.out_block
-    omega = _checked_inverse(psi + m_mat @ phi, tol, Omega0Singular, lam, "pair combination is not invertible")
-    return m_mat, phi, psi, omega
 
 
 def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:
@@ -423,7 +421,8 @@ def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = T
     boundary = validate_boundary_relation(gamma, tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:
-        return _double_weyl_blocks(*_coupling_pieces(pi, chi, lam, tol))
+        m_mat = _gamma_and_weyl_grid(pi, [lam], tol)[1][0]
+        return _double_weyl_blocks(m_mat, *_family_inverse(weyl_eval(chi, lam, tol), m_mat, lam, tol, Omega0Singular))
 
     return TransformResult(boundary, weyl_fn)
 

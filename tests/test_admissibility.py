@@ -503,6 +503,30 @@ def test_nan_pair_combination_raises_a_typed_error():
         ex.admissible(pi, pair)
 
 
+WRONG_SHAPE_PAIRS = {
+    "2x2 values on a 1-dim pair": (1, lambda lam: (np.eye(2), np.eye(2))),
+    "1-D values": (1, lambda lam: (np.ones(1), np.ones(1))),
+    "scalar values": (1, lambda lam: (1.0, lam)),
+    "shape changes at one point": (1, lambda lam: (np.eye(2 if lam == 1e4j else 1), np.eye(1))),
+    "one ragged side": (1, lambda lam: (np.eye(1), np.eye(2) if lam == 1e4j else np.eye(1))),
+    "pair dimension differs": (2, lambda lam: (np.eye(1), np.eye(1))),
+}
+
+
+@pytest.mark.parametrize("dim,values", WRONG_SHAPE_PAIRS.values(), ids=WRONG_SHAPE_PAIRS.keys())
+def test_wrong_shape_pair_values_raise_a_typed_error(dim, values):
+    # the sweep checks the stacked pair values once, for every limit test
+    pi = ex.fix_b_triplet()
+    pair = ex.NevanlinnaPairEval(dim, values)
+    for run in (
+        lambda: ex.admissible(pi, pair),
+        lambda: ex.mt_admissibility(pi, pair, np.zeros((1, 1))),
+        lambda: ex.langer_textorius(pi, pair, 1j),
+    ):
+        with pytest.raises(ex.ArgumentError, match="pair"):
+            run()
+
+
 def test_exact_mul_helper():
     assert ex.exact_mul(ex.fix_infty_relation()).dim == 1
     assert ex.exact_mul(ex.fix_b_relation()).dim == 0

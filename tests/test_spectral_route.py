@@ -9,7 +9,7 @@ import pytest
 import extensio as ex
 from extensio import boundary
 from extensio.admissibility import DEFAULT_GRID
-from extensio.boundary import _a0_resolvent, _gamma_and_weyl, _krein_pieces, _nullspace_gamma_and_weyl, _triplet_cache
+from extensio.boundary import _a0_resolvent, _gamma_and_weyl_grid, _nullspace_gamma_and_weyl, _triplet_cache
 
 AGREE = 1e-12
 FUSED = 1e-14
@@ -19,6 +19,12 @@ POINTS = [1j * y for y in DEFAULT_GRID] + [1j, -1j, 1 + 1j, 1 - 1j] + [x + 1e-6j
 
 def _rel(new, ref):
     return np.linalg.norm(new - ref) / np.linalg.norm(ref)
+
+
+def _one_point(br, lam):
+    """gamma(lam) and M(lam) from a one-point grid."""
+    gam, weyl, _ = _gamma_and_weyl_grid(br, [lam], ex.TOL)
+    return gam[0], weyl[0]
 
 
 def _triplets(case):
@@ -36,7 +42,7 @@ def test_spectral_route_matches_nullspace_route(case):
     for br in _triplets(case):
         a0 = ex.kernel_of_boundary_map(br, 0)
         for lam in POINTS:
-            g_new, m_new = _gamma_and_weyl(br, lam, ex.TOL)
+            g_new, m_new = _one_point(br, lam)
             g_old, m_old = _nullspace_gamma_and_weyl(br, lam, ex.TOL)
             assert _rel(m_new, m_old) <= AGREE, lam
             # the nullspace route reads gamma off unit graph columns, so its
@@ -53,7 +59,7 @@ def test_spectral_route_off_the_spectrum_only():
     with pytest.raises(ex.SingularAtLambda):
         _a0_resolvent(br, eigs[0], ex.TOL)
     with pytest.raises(ex.RealAxis):
-        _gamma_and_weyl(br, 0.5, ex.TOL)
+        _one_point(br, 0.5)
     # a real point off the spectrum of A0 has a resolvent
     real = (eigs[0] + eigs[1]) / 2
     ref = ex.resolvent_matrix(ex.kernel_of_boundary_map(br, 0), real)
@@ -62,16 +68,20 @@ def test_spectral_route_off_the_spectrum_only():
 
 def test_krein_pass_matches_the_composition():
     # krein_rhs takes gamma(lam), gamma(conj lam), M(lam) and A0's resolvent
-    # in one pass; each piece is the one the separate calls give
+    # from one grid pass at [lam, conj lam]; each piece is the one the
+    # one-point calls and _a0_resolvent give
     for case in ("fix-b", "fix-infty", "random"):
         for br in _triplets(case):
             m = br.boundary_dim
             tau = ex.FamilyEval(m, lambda lam: ex.relation_from_matrix(np.eye(m)))
+            vecs = _triplet_cache(br, ex.TOL).spectrum.vecs
             for lam in POINTS:
-                g_lam, m_lam = _gamma_and_weyl(br, lam, ex.TOL)
-                g_bar, _ = _gamma_and_weyl(br, lam.conjugate(), ex.TOL)
+                g_lam, m_lam = _one_point(br, lam)
+                g_bar, _ = _one_point(br, lam.conjugate())
                 r0 = _a0_resolvent(br, lam, ex.TOL)
-                for new, ref in zip(_krein_pieces(br, lam, ex.TOL), (g_lam, g_bar, m_lam, r0)):
+                gam, weyl, diffs = _gamma_and_weyl_grid(br, [lam, lam.conjugate()], ex.TOL)
+                fused = (gam[0], gam[1], weyl[0], (vecs / diffs[0]) @ vecs.conj().T)
+                for new, ref in zip(fused, (g_lam, g_bar, m_lam, r0)):
                     assert np.linalg.norm(new - ref) <= FUSED * np.linalg.norm(ref), (case, lam)
                 # tau = I: (M + tau)^{-1} = (I + M)^{-1}, which krein_rhs takes
                 # through a graph basis of tau(lam), so only to AGREE
@@ -119,7 +129,7 @@ def test_spectral_route_matches_extended_precision_reference():
         br = ex.von_neumann_triplet(ex.random_symmetric_restriction(rng, n, d))
         for lam in (1j, 1 + 1j, 1e4j, 1e8j, 2 + 1e-7j):
             g_ref, m_ref = _mp_nullspace_route(br, lam)
-            g_new, m_new = _gamma_and_weyl(br, lam, ex.TOL)
+            g_new, m_new = _one_point(br, lam)
             assert _rel(g_new, g_ref) <= REFERENCE, (n, d, lam)
             assert _rel(m_new, m_ref) <= REFERENCE, (n, d, lam)
 
