@@ -39,8 +39,7 @@ from .boundary import (
     _triplet_cache,
 )
 from .nevanlinna import FamilyEval, NevanlinnaPairEval
-from .coupling import _double_weyl_blocks, couple
-from .transforms import _t_combination
+from .coupling import couple
 
 __all__ = [
     "LimitProbe",
@@ -167,11 +166,13 @@ def _grid_design(y_grid: tuple[float, ...]) -> _GridDesign:
     return _GridDesign(ys, keep, dx, dx @ dx, np.log10(ys[-1] / ys[-2]))
 
 
-def _fit(design: _GridDesign, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fit(design: _GridDesign, curves: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares log-log slope over the kept grid points of the design,
-    and the top value, of every row of curves."""
+    top value and log10 curve on the kept points, which end with the last
+    two of the grid, of every row of curves."""
     vals = np.maximum(np.abs(curves), _LOG_FLOOR)
-    return np.log10(vals[:, design.keep]) @ design.dx / design.dx_sq, vals[:, -1]
+    logs = np.log10(vals[:, design.keep])
+    return logs @ design.dx / design.dx_sq, vals[:, -1], logs
 
 
 def _vanishes(curves: np.ndarray, probe: LimitProbe) -> tuple[np.ndarray, np.ndarray]:
@@ -184,9 +185,8 @@ def _vanishes(curves: np.ndarray, probe: LimitProbe) -> tuple[np.ndarray, np.nda
     1/y only near the top can end just above the floor.
     """
     design = _grid_design(probe.y_grid)
-    slopes, tops = _fit(design, curves)
-    logs = np.log10(np.maximum(np.abs(curves[:, -2:]), _LOG_FLOOR))
-    last = (logs[:, 1] - logs[:, 0]) / design.last_step
+    slopes, tops, logs = _fit(design, curves)
+    last = (logs[:, -1] - logs[:, -2]) / design.last_step
     fit_decays = (slopes < -probe.slope_tol) & (tops < _DECAY_FLOOR)
     return (tops < _ROUNDING_FLOOR) | fit_decays | (last < -probe.slope_tol), slopes
 
@@ -207,7 +207,7 @@ def exact_mul(a_tilde: LinearRelation, tol: Tolerances = TOL) -> Subspace:
 
 def realize_tau(tau: NevanlinnaPairEval) -> BoundaryRelation:
     """Finite realization attached to a parameter pair, if any."""
-    if tau.realization is None or not isinstance(tau.realization, BoundaryRelation):
+    if not isinstance(tau.realization, BoundaryRelation):
         raise RealizationUnavailable("parameter pair carries no finite realization")
     return tau.realization
 
@@ -221,7 +221,7 @@ def _grid_matrices(family: FamilyEval, probe: LimitProbe, tol: Tolerances) -> tu
 
 def _sublinear(probes: np.ndarray, design: _GridDesign, mats: np.ndarray) -> bool:
     """No probe's form (mat h, h)/y tends to a positive constant."""
-    slopes, tops = _fit(design, np.abs(_forms(probes, mats)) / design.ys)
+    slopes, tops, _ = _fit(design, np.abs(_forms(probes, mats)) / design.ys)
     return not np.any((slopes > _SUBLINEAR_SLOPE) & (tops > _SUBLINEAR_TOP))
 
 
@@ -267,7 +267,7 @@ def mul_t_limit(
         probes = probes[:, keep] / norms[keep]
         if probes.size == 0:
             return True
-    slopes, _ = _fit(design, design.ys * np.abs(np.imag(_forms(probes, mats))))
+    slopes = _fit(design, design.ys * np.abs(np.imag(_forms(probes, mats))))[0]
     return bool(np.all(slopes > probe.slope_tol))
 
 
@@ -276,9 +276,10 @@ class _PairSlot:
     triplet: the sweep of the last grid (``_sweep``), the two
     resolvent-difference conditions of the last probe
     (``_resolvent_conditions``) and the dimension of the exact multivalued
-    part of the coupling, None when tau carries no realization.  The slot
-    holds tau, so the identity test on it cannot meet a recycled id; a
-    computation that raises stores nothing."""
+    part of the coupling, None when tau carries no realization.  ``_sweep``
+    keeps one per triplet (``_TripletCache.pair``) and matches tau by
+    identity, as a NevanlinnaPairEval compares without its realization; the
+    slot holds tau, so no recycled id can match.  A raise stores nothing."""
 
     def __init__(self, pi: OrdinaryTriplet, tau: NevanlinnaPairEval, tol: Tolerances):
         self.pi = pi
@@ -298,28 +299,21 @@ class _PairSlot:
         return exact_mul(couple(self.pi, chi, self.tol), self.tol).dim
 
 
-def _pair_slot(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, tol: Tolerances) -> _PairSlot:
-    """The triplet's one pair slot (``_TripletCache.pair``), emptied when it
-    held another pair.  Pairs are matched by identity, not ==: a
-    NevanlinnaPairEval compares without its realization."""
+def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """The y-grid, then M(iy), phi omega and psi omega with
+    omega = (psi + M phi)^{-1} at its points, stacked (k, m, m) and
+    read-only.  M is propagated over the whole grid in one pass from the
+    triplet's cached spectral data, and the pair is evaluated once per grid
+    point; the result is kept in the pair's slot (``_PairSlot``) for the
+    probe's grid, the only part of the probe it reads.  Raises
+    ArgumentError unless the pair's values are (phi, psi) pairs that stack
+    to m x m matrices (one shape check of the stack), and Omega0Singular at
+    the first point where psi + M phi falls short of full rank under the
+    unit-anchored cutoff (one values-only SVD of the stack), on every call."""
     cache = _triplet_cache(pi, tol)
     if cache.pair is None or cache.pair.tau is not tau:
         cache.pair = _PairSlot(pi, tau, tol)
-    return cache.pair
-
-
-def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """The y-grid, then M(iy), phi, psi and omega = (psi + M phi)^{-1} at its
-    points stacked (k, m, m), in the argument order of _double_weyl_blocks,
-    all read-only.  M is propagated over the whole grid in one pass from
-    the triplet's cached spectral data, and the pair is evaluated once per
-    grid point; the result is kept in the pair slot for the probe's grid,
-    the only part of the probe it reads.  Raises ArgumentError unless the
-    pair's values stack to m x m matrices (one shape check of the stack),
-    and Omega0Singular at the first point where psi + M phi falls short of
-    full rank under the unit-anchored cutoff (one values-only SVD of the
-    stack), on every call."""
-    slot = _pair_slot(pi, tau, tol)
+    slot = cache.pair
     if slot.grid != probe.y_grid:
         if tau.dim != pi.boundary_dim:
             raise ArgumentError("pair dimension differs from the boundary space")
@@ -330,30 +324,31 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
             phi, psi = (np.array(part, dtype=complex) for part in zip(*values))
             if phi.shape != m_mat.shape or psi.shape != m_mat.shape:
                 raise ValueError
-        except ValueError:
+        except (TypeError, ValueError):
             raise ArgumentError("pair values are not matrices of the boundary dimension") from None
         combo = psi + m_mat @ phi
         short = np.flatnonzero(_rank_of(combo, tol, 1.0) < combo.shape[-1])
         if short.size:
             raise Omega0Singular(1j * ys[short[0]], "pair combination is not invertible")
         omega = np.linalg.inv(combo)
-        for arr in (m_mat, phi, psi, omega):
+        upper, lower = phi @ omega, psi @ omega
+        for arr in (m_mat, upper, lower):
             arr.flags.writeable = False
-        slot.grid, slot.sweep = probe.y_grid, (ys, m_mat, phi, psi, omega)
+        slot.grid, slot.sweep = probe.y_grid, (ys, m_mat, upper, lower)
     return slot.sweep
 
 
-def _resolvent_conditions(slot: _PairSlot, sw: tuple[np.ndarray, ...], probe: LimitProbe) -> tuple[bool, bool, float, float]:
+def _resolvent_conditions(slot: _PairSlot, probe: LimitProbe) -> tuple[bool, bool, float, float]:
     """Verdicts and fitted slopes of the two resolvent-difference
-    conditions, phi omega and psi omega M vanishing weakly, on the sweep sw
-    of the slot's pair.  They do not depend on the reference point, so the
-    slot keeps them for the last probe (the whole probe: its grid, vectors
-    and slope_tol all enter); ``_vanishes`` fits row by row, so fitting
-    them apart from the quadratic-form rows changes no bit."""
+    conditions, phi omega and psi omega M vanishing weakly, on the slot's
+    sweep.  They do not depend on the reference point, so the slot keeps
+    them for the last probe (the whole probe: its grid, vectors and
+    slope_tol all enter); ``_vanishes`` fits row by row, so fitting them
+    apart from the quadratic-form rows changes no bit."""
     if slot.probe != probe:
-        ys, m_mat, phi, psi, omega = sw
+        ys, m_mat, upper, lower = slot.sweep
         probes = probe_vectors(slot.pi.boundary_dim, probe)
-        pairs = probes.conj().T @ np.array([phi @ omega, psi @ omega @ m_mat], dtype=complex) @ probes
+        pairs = probes.conj().T @ np.array([upper, lower @ m_mat], dtype=complex) @ probes
         passes, slopes = _vanishes(np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys, probe)
         slot.probe, slot.conditions = probe, (bool(passes[0]), bool(passes[1]), float(slopes[0]), float(slopes[1]))
     return slot.conditions
@@ -370,9 +365,9 @@ def admissible(
     quadratic-form test (``langer_textorius``), and the exact multivalued
     part of the coupling when the pair carries a realization."""
     z0 = _spectral_point(z0, "upper")
-    sw = _sweep(pi, tau, probe, tol)
-    slot = _pair_slot(pi, tau, tol)
-    adm1, adm2, adm1_slope, adm2_slope = _resolvent_conditions(slot, sw, probe)
+    _sweep(pi, tau, probe, tol)
+    slot = _triplet_cache(pi, tol).pair
+    adm1, adm2, adm1_slope, adm2_slope = _resolvent_conditions(slot, probe)
     qlt = langer_textorius(pi, tau, z0, probe, tol)
     a0_single, a1_single = _triplet_cache(pi, tol).single_valued
     if a0_single:
@@ -411,8 +406,11 @@ def mt_admissibility(
     m = pi.boundary_dim
     t_mat = as_complex_matrix(t, m, m)
     probes = probe_vectors(m, probe)
-    ys, *pieces = _sweep(pi, tau, probe, tol)
-    m_t = _t_combination(_double_weyl_blocks(*pieces), t_mat)
+    ys, m_mat, upper, lower = _sweep(pi, tau, probe, tol)
+    # t* M11 t + t* M12 + M21 t + M22 of _double_weyl_blocks, collapsed to
+    # t* + (psi omega - t* phi omega)(t + M)
+    t_h = t_mat.conj().T
+    m_t = t_h + (lower - t_h @ upper) @ (t_mat + m_mat)
     curve = np.linalg.norm(m_t @ probes, axis=1).max(axis=1, initial=0.0) / ys
     return bool(_vanishes(curve[None, :], probe)[0][0])
 
@@ -429,8 +427,8 @@ def langer_textorius(
     Q = M - (M - M(z0)*) phi omega (M - M(z0)) must vanish weakly.  The
     verdict does not depend on the reference point."""
     z0 = _spectral_point(z0, "upper")
-    ys, m_mat, phi, _, omega = _sweep(pi, tau, probe, tol)
+    ys, m_mat, upper, _ = _sweep(pi, tau, probe, tol)
     m_ref = _gamma_and_weyl_grid(pi, [z0], tol)[1][0]
-    q = m_mat - (m_mat - m_ref.conj().T) @ phi @ omega @ (m_mat - m_ref)
+    q = m_mat - (m_mat - m_ref.conj().T) @ upper @ (m_mat - m_ref)
     curves = np.abs(_forms(probe_vectors(pi.boundary_dim, probe), q)) / ys
     return bool(np.all(_vanishes(curves, probe)[0]))

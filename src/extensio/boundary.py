@@ -27,7 +27,7 @@ from .errors import (
     TripletMismatch,
     UnequalDefect,
 )
-from .kreinspace import _j_form
+from .kreinspace import _pairing_form
 from .linrel import (
     TOL,
     LinearRelation,
@@ -126,14 +126,14 @@ class OrdinaryTriplet(BoundaryRelation):
 
 
 def green_residual(gamma: LinearRelation) -> float:
-    """Norm of the pairing defect between input and output graph blocks.
+    """Frobenius norm of the pairing defect of the graph blocks (``_pairing_form``).
 
     Vanishing residual says the abstract Green identity holds on the
     whole graph, which is exactly isometry for the indefinite metrics.
     """
     if gamma.dim_in % 2 or gamma.dim_out % 2:
         raise ArgumentError("graph spaces must have even dimension")
-    return float(np.linalg.norm(_j_form(gamma.in_block) - _j_form(gamma.out_block)))
+    return float(np.linalg.norm(_pairing_form(gamma)))
 
 
 def validate_boundary_relation(gamma: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelation:
@@ -266,8 +266,8 @@ class _TripletCache:
     gamma(mu) at ``_MU`` by the nullspace route split over the spectral
     data (which raises AssumptionError unless Gamma_0 maps the defect
     elements onto C^m), and whether ker Gamma_0 and ker Gamma_1 are
-    single-valued.  ``pair`` is one slot that the limit tests of
-    ``admissibility`` fill for the parameter pair they last saw.  A von
+    single-valued.  Two slots hold the last parameter pair of the limit tests
+    (``pair``) and the last (chi, coupling) of ``coupling.couple``.  A von
     Neumann triplet's cache reads the kernel columns, gamma(mu) and the
     factor of dom Gamma off its construction (``_VonNeumannCache``)."""
 
@@ -275,6 +275,7 @@ class _TripletCache:
         self.br = br
         self.tol = tol
         self.pair = None
+        self.coupling = None
 
     @cached_property
     def parts(self) -> RelationParts:

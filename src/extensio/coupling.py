@@ -194,12 +194,8 @@ def canonical_chi(theta: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelat
         raise ArgumentError("parameter relation must be square")
     if not rel_classify(theta, tol).selfadjoint:
         raise AssumptionError("canonical couplings need a selfadjoint parameter")
-    m = theta.dim_in
-    gens = np.concatenate(
-        [np.zeros((0, theta.graph_dim)), theta.in_block, -theta.out_block]
-    )
-    chi = LinearRelation(0, 2 * m, _span(gens, tol))
-    return validate_boundary_relation(chi, tol)
+    basis = np.concatenate([theta.in_block, -theta.out_block])
+    return validate_boundary_relation(LinearRelation(0, len(basis), Subspace._trusted(len(basis), basis)), tol)
 
 
 def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -209,19 +205,24 @@ def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -
     The boundary rows of Gamma's graph basis meet the twisted boundary
     rows (h, -h') of chi's in G1 u = G2 v, and the coupling is spanned by
     the state rows of [G1 u; G2 v], reordered from (f1, f1', f2, f2') to
-    ((f1, f2), (f1', f2')).
+    ((f1, f2), (f1', f2')).  pi's cache under tol keeps the last coupling,
+    read-only, with its chi (matched by identity); a raising call stores none.
     """
     if pi.boundary_dim != chi.boundary_dim:
         raise DimMismatch("boundary spaces of the factors differ")
+    cache = _triplet_cache(pi, tol)
+    if cache.coupling is not None and cache.coupling[0] is chi:
+        return cache.coupling[1]
     n1, n2, m = pi.state_dim, chi.state_dim, pi.boundary_dim
-    g1 = pi.gamma.graph.basis
-    g2 = chi.gamma.graph.basis
+    g1, g2 = pi.gamma.graph.basis, chi.gamma.graph.basis
     twisted = np.concatenate([g2[2 * n2 : 2 * n2 + m, :], -g2[2 * n2 + m :, :]])
     u, v = _meet(g1[2 * n1 :, :], twisted, tol)
     gens = np.concatenate([g1[:n1, :] @ u, g2[:n2, :] @ v, g1[n1 : 2 * n1, :] @ u, g2[n2 : 2 * n2, :] @ v])
     result = LinearRelation(n1 + n2, n1 + n2, _span(gens, tol, 1.0))
     if not rel_classify(result, tol).selfadjoint:
         raise AssumptionError("coupling did not produce a selfadjoint relation")
+    result.graph.basis.flags.writeable = False
+    cache.coupling = (chi, result)
     return result
 
 
@@ -283,15 +284,16 @@ def generalized_resolvent(scene: CouplingScene, lam: complex, tol: Tolerances = 
 
 def _family_inverse(
     value: LinearRelation, m_mat: np.ndarray, lam: complex, tol: Tolerances, error: type[SingularAtLambda]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """phi, psi and omega = (psi + M phi)^{-1} of a family value with graph
-    basis [phi; psi] at lam.  The value must have graph dimension m and
-    psi + M phi full rank under the unit-anchored cutoff
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi omega and psi omega, omega = (psi + M phi)^{-1}, of a family value
+    with graph basis [phi; psi] at lam.  The value must have graph
+    dimension m and psi + M phi full rank under the unit-anchored cutoff
     (``linrel._checked_inverse``); either failure raises error at lam."""
     if value.graph_dim != m_mat.shape[0]:
         raise error(lam, "family value is not maximal")
     phi, psi = value.in_block, value.out_block
-    return phi, psi, _checked_inverse(psi + m_mat @ phi, tol, error, lam, "pair combination is not invertible")
+    omega = _checked_inverse(psi + m_mat @ phi, tol, error, lam, "pair combination is not invertible")
+    return phi @ omega, psi @ omega
 
 
 def krein_rhs(pi: BoundaryRelation, tau: FamilyEval, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
@@ -314,8 +316,8 @@ def krein_rhs(pi: BoundaryRelation, tau: FamilyEval, lam: complex, tol: Toleranc
     value = tau.eval(lam)
     if value.dim_in != m or value.dim_out != m:
         raise DimMismatch("family value does not act in the boundary space")
-    phi, _, omega = _family_inverse(value, weyl[0], lam, tol, RelationSumSingular)
-    return (vecs / diffs[0]) @ vecs.conj().T - gam[0] @ phi @ omega @ gam[1].conj().T
+    upper = _family_inverse(value, weyl[0], lam, tol, RelationSumSingular)[0]
+    return (vecs / diffs[0]) @ vecs.conj().T - gam[0] @ upper @ gam[1].conj().T
 
 
 def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol: Tolerances = TOL) -> np.ndarray:
@@ -358,11 +360,10 @@ def straus_solve(scene: CouplingScene, pi: OrdinaryTriplet, h, lam: complex, tol
     return top @ coeff
 
 
-def _double_weyl_blocks(m_mat: np.ndarray, phi: np.ndarray, psi: np.ndarray, omega: np.ndarray) -> np.ndarray:
+def _double_weyl_blocks(m_mat: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """The block family [[-phi omega, I - phi omega M], [psi omega, psi omega M]]
-    of the coupling, at one point or for a stack of points."""
-    upper = phi @ omega
-    lower = psi @ omega
+    of the coupling from M, upper = phi omega and lower = psi omega, at one
+    point or for a stack of points."""
     eye = np.eye(m_mat.shape[-1], dtype=complex)
     top = np.concatenate([-upper, eye - upper @ m_mat], axis=-1)
     bottom = np.concatenate([lower, lower @ m_mat], axis=-1)

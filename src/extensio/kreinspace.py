@@ -1,11 +1,12 @@
 """Indefinite inner product structure on C^{2n} and the main transform.
 
 The pairing is [u, v] = (J u, v) with the block symmetry
-J = [[0, -iI], [iI, 0]].  The pairing forms, the Krein adjoint and the
-J-orthogonal complement apply J as the block swap J u = [-i u2; i u1] of
-the two halves of u, which is exact in floating point, and X* J X as
-i(G* - G) with G = X1* X2.  Euclidean inner products stay linear in the
-first argument, as in ``linrel``.
+J = [[0, -iI], [iI, 0]].  The Krein adjoint and the J-orthogonal
+complement apply J as the block swap J u = [-i u2; i u1] of the two halves
+of u, which is exact in floating point, and the pairing form
+X* J X - Y* J Y of a graph basis [X; Y] is i(D* - D) with
+D = X1* X2 - Y1* Y2.  Euclidean inner products stay linear in the first
+argument, as in ``linrel``.
 """
 
 from __future__ import annotations
@@ -97,23 +98,19 @@ def krein_adjoint(t: KreinRelation, tol: Tolerances = TOL) -> LinearRelation:
     return LinearRelation(star.dim_in, star.dim_out, Subspace._trusted(star.graph.ambient_dim, basis))
 
 
-def _j_form(rows: np.ndarray) -> np.ndarray:
-    """X* J X = i(G* - G) with G = X1* X2, for X split at half its rows."""
-    half = rows.shape[0] // 2
-    g = rows[:half].conj().T @ rows[half:]
-    return 1j * (g.conj().T - g)
-
-
-def _pairing_form(t: KreinRelation) -> np.ndarray:
-    """X* J_in X - Y* J_out Y on the graph basis [X; Y] of T.  T^[*] is the
-    orthogonal complement of [J_out Y; -J_in X], so its spectral norm is the
-    sine of the containment gap of T^{-1} in T^[*]."""
-    return _j_form(t.rel.in_block) - _j_form(t.rel.out_block)
+def _pairing_form(rel: LinearRelation) -> np.ndarray:
+    """X* J_in X - Y* J_out Y on the graph basis [X; Y] of T, formed as
+    i(D* - D) with D = X1* X2 - Y1* Y2 for X and Y split at half their
+    rows.  T^[*] is the orthogonal complement of [J_out Y; -J_in X], so its
+    spectral norm is the sine of the containment gap of T^{-1} in T^[*]."""
+    x, y, hx, hy = rel.in_block, rel.out_block, rel.dim_in // 2, rel.dim_out // 2
+    d = x[:hx].conj().T @ x[hx:] - y[:hy].conj().T @ y[hy:]
+    return 1j * (d.conj().T - d)
 
 
 def is_isometric(t: KreinRelation, tol: Tolerances = TOL) -> bool:
     """Inverse graph contained in the indefinite adjoint."""
-    form = _pairing_form(t)
+    form = _pairing_form(t.rel)
     return not form.size or bool(np.abs(np.linalg.eigvalsh(form)).max() <= np.sin(tol.angle))
 
 

@@ -17,6 +17,7 @@ from .errors import ArgumentError, NearPole
 from .linrel import (
     TOL,
     LinearRelation,
+    Subspace,
     Tolerances,
     _spectral_point,
     identity_relation,
@@ -89,11 +90,11 @@ def fix_infty_relation(tol: Tolerances = TOL) -> LinearRelation:
     return relation_from_generators(2, 2, gens, tol)
 
 
-def twist_relation(v: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
+def twist_relation(v: LinearRelation) -> LinearRelation:
     """Flip the sign of the output component; an involution that maps
     selfadjoint parameters to selfadjoint parameters."""
-    gens = np.concatenate([v.in_block, -v.out_block])
-    return relation_from_generators(v.dim_in, v.dim_out, gens, tol)
+    basis = np.concatenate([v.in_block, -v.out_block])
+    return LinearRelation(v.dim_in, v.dim_out, Subspace._trusted(v.graph.ambient_dim, basis))
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,7 @@ def realized_constant_pair(v: LinearRelation, tol: Tolerances = TOL) -> Nevanlin
     """Constant pair whose finite realization couples to the extension
     with boundary values in the sign-twisted parameter."""
     base = pair_from_relation(v)
-    chi = canonical_chi(twist_relation(v, tol), tol)
+    chi = canonical_chi(twist_relation(v), tol)
     return NevanlinnaPairEval(base.dim, base.eval, chi)
 
 
@@ -128,7 +129,7 @@ def fix_infty_steering(tol: Tolerances = TOL) -> tuple[OrdinaryTriplet, Nevanlin
     bounds = _boundary_map(pi, tol)(basis)
     m = pi.boundary_dim
     theta = relation_from_generators(m, m, bounds, tol)
-    return pi, realized_constant_pair(twist_relation(theta, tol), tol)
+    return pi, realized_constant_pair(twist_relation(theta), tol)
 
 
 # ---------------------------------------------------------------------------

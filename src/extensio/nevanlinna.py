@@ -143,10 +143,12 @@ def _imag_part(mat: np.ndarray) -> np.ndarray:
 def pair_at(p: NevanlinnaPairEval, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate and validate shapes."""
     lam = _spectral_point(lam, "nonreal")
-    phi, psi = p.eval(lam)
-    phi = as_complex_matrix(phi, p.dim, p.dim)
-    psi = as_complex_matrix(psi, p.dim, p.dim)
-    return phi, psi
+    value = p.eval(lam)
+    try:
+        phi, psi = value
+    except (TypeError, ValueError):
+        raise ArgumentError("pair value is not a (phi, psi) pair") from None
+    return as_complex_matrix(phi, p.dim, p.dim), as_complex_matrix(psi, p.dim, p.dim)
 
 
 def check_pair(

@@ -9,6 +9,7 @@ import extensio as ex
 from extensio import admissibility
 from extensio.admissibility import DEFAULT_GRID, _fit, _grid_design, _vanishes
 from extensio.coupling import _double_weyl_blocks
+from extensio.transforms import _t_combination
 
 
 def lam_family(fn, dim=1):
@@ -82,11 +83,16 @@ def test_fit_matches_polyfit(grid):
     curves = ys**powers * np.exp(rng.standard_normal((20, ys.size)))
     curves[0] = 0.0  # floored at 1e-300 before the logs
     curves[1, -1] = -1e-3  # the fit reads absolute values
-    slopes, tops = _fit(design, curves)
+    slopes, tops, logs = _fit(design, curves)
     for row, slope, top in zip(curves, slopes, tops):
         ref_slope, ref_top = _polyfit_reference(ys, row)
         assert abs(slope - ref_slope) <= 1e-12
         assert top == ref_top
+    # the log curves are those of the kept points, which end with the last
+    # two of the grid
+    assert logs.shape == (20, np.count_nonzero(design.keep))
+    assert logs.tobytes() == np.log10(np.maximum(np.abs(curves[:, design.keep]), 1e-300)).tobytes()
+    assert logs[:, -2:].tobytes() == np.log10(np.maximum(np.abs(curves[:, -2:]), 1e-300)).tobytes()
 
 
 def _former_design(ys):
@@ -142,7 +148,7 @@ def test_cached_grid_design_keeps_every_bit(grid):
         curves[0] = 0.0
         curves[1, -2:] = [1e-13, -1e-14]
         curves[2] *= 1e-200
-        for got, want in zip(_fit(design, curves), _former_fit(ys, curves), strict=True):
+        for got, want in zip(_fit(design, curves)[:2], _former_fit(ys, curves), strict=True):
             assert got.tobytes() == want.tobytes()
         for got, want in zip(_vanishes(curves, probe), _former_vanishes(ys, curves, probe), strict=True):
             assert got.tobytes() == want.tobytes()
@@ -151,12 +157,56 @@ def test_cached_grid_design_keeps_every_bit(grid):
 def test_double_weyl_blocks_match_np_block():
     rng = np.random.default_rng(7)
     for shape in [(2, 2), (4, 3, 3)]:
-        m_mat, phi, psi, omega = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4))
-        got = _double_weyl_blocks(m_mat, phi, psi, omega)
-        upper, lower = phi @ omega, psi @ omega
+        m_mat, upper, lower = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(3))
+        got = _double_weyl_blocks(m_mat, upper, lower)
         eye = np.eye(shape[-1], dtype=complex)
         want = np.block([[-upper, eye - upper @ m_mat], [lower, lower @ m_mat]])
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _catalog_cases(seed):
+    # the case kinds of the admissibility-catalog benchmark: realized scene
+    # pairs, the steering fixture, von Neumann triplets with constant
+    # Hermitian pairs, and the purely multivalued parameter
+    rng = np.random.default_rng(seed)
+    for n1, n2 in ((1, 1), (2, 2), (3, 2), (2, 3)):
+        scene = ex.random_scene(int(rng.integers(1 << 30)), n1, n2)
+        pi = ex.scene_triplet(scene)
+        yield pi, ex.realized_pair(ex.induced_chi(scene, pi))
+    yield ex.fix_infty_steering()
+    for n, defect in ((3, 1), (4, 2), (5, 2)):
+        h = ex.random_hermitian(rng, n)
+        g = rng.standard_normal((n, n - defect)) + 1j * rng.standard_normal((n, n - defect))
+        pi = ex.von_neumann_triplet(ex.relation_from_generators(n, n, np.vstack([g, h @ g])))
+        yield pi, ex.realized_constant_pair(ex.relation_from_matrix(ex.random_hermitian(rng, defect)))
+    yield ex.fix_b_triplet(), ex.realized_constant_pair(ex.mul_relation(ex.full_subspace(1)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mt_curve_matches_the_t_combination_of_the_block_family(monkeypatch, seed):
+    # mt_admissibility collapses t* M11 t + t* M12 + M21 t + M22 of the
+    # 2m x 2m block family to t* - t* phi omega (t + M) + psi omega (t + M);
+    # the reference assembles the blocks and takes the T-combination
+    curves = []
+    vanishes = admissibility._vanishes
+    monkeypatch.setattr(admissibility, "_vanishes", lambda c, probe: curves.append(c) or vanishes(c, probe))
+    rng = np.random.default_rng(100 + seed)
+    verdicts = set()
+    for pi, pair in _catalog_cases(seed):
+        m = pi.boundary_dim
+        probes = ex.probe_vectors(m)
+        for t in (np.zeros((m, m)), rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))):
+            curves.clear()
+            verdict = ex.mt_admissibility(pi, pair, t)
+            ys, m_mat, upper, lower = admissibility._sweep(pi, pair, ex.DEFAULT_PROBE, ex.TOL)
+            full = _double_weyl_blocks(m_mat, upper, lower)
+            ref = np.linalg.norm(_t_combination(full, t) @ probes, axis=1).max(axis=1, initial=0.0) / ys
+            (got,) = curves
+            scale = np.linalg.norm(full, axis=(1, 2)) * (1 + np.linalg.norm(t)) ** 2 / ys
+            assert np.all(np.abs(got[0] - ref) <= 1e-14 * scale)
+            assert verdict == bool(vanishes(ref[None, :], ex.DEFAULT_PROBE)[0][0])
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("points", [1, 7])
@@ -178,15 +228,17 @@ def test_stacked_grid_arrays_keep_every_byte(points):
     mats = [ex.rel_matrix(ex.weyl_eval(pi, 1j * y)) for y in ys]
     assert np.array(mats, dtype=complex).tobytes() == np.stack(mats).tobytes()
     # the sweep and the grid matrices themselves against the former
-    # stacking over the default grid
+    # stacking over the default grid: the sweep's phi omega and psi omega
+    # are the products of the formerly stacked phi and psi with omega
     if points == len(DEFAULT_GRID):
         family = ex.FamilyEval(2, lambda lam: ex.weyl_eval(pi, lam))
         got = admissibility._grid_matrices(family, ex.DEFAULT_PROBE, ex.TOL)[1]
         assert got.tobytes() == np.stack(mats).tobytes()
         for tau in (pair, real):
-            _, _, phi, psi, _ = admissibility._sweep(pi, tau, ex.DEFAULT_PROBE, ex.TOL)
-            for got, part in zip((phi, psi), zip(*(tau.eval(1j * y) for y in ys))):
-                want = np.asarray(np.stack(part), dtype=complex)
+            _, m_mat, upper, lower = admissibility._sweep(pi, tau, ex.DEFAULT_PROBE, ex.TOL)
+            phi, psi = (np.asarray(np.stack(part), dtype=complex) for part in zip(*(tau.eval(1j * y) for y in ys)))
+            omega = np.linalg.inv(psi + m_mat @ phi)
+            for got, want in ((upper, phi @ omega), (lower, psi @ omega)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -286,7 +338,8 @@ def test_sweep_arrays_are_read_only():
     pi = ex.fix_b_triplet()
     pair = ex.pair_from_matrix_function(1, lambda lam: np.array([[-1.0 / lam]]))
     sweep = admissibility._sweep(pi, pair, ex.DEFAULT_PROBE, ex.TOL)
-    assert len(sweep) == 5
+    # the grid, M, phi omega and psi omega
+    assert len(sweep) == 4
     for arr in sweep:
         with pytest.raises(ValueError):
             arr[...] = 0
@@ -489,8 +542,10 @@ def test_near_singular_pair_combination_is_decided_by_the_rank_rule(factor):
             ex.admissible(pi, pair)
         assert exc.value.lam == 1e4j
     else:
-        ys, *_, omega = admissibility._sweep(pi, pair, ex.DEFAULT_PROBE, ex.TOL)
-        assert omega[np.flatnonzero(ys == 1e4)[0], 0, 0] == 1 / s
+        # the sweep holds phi omega = 0 and psi omega = s (1 / s) there
+        ys, _, upper, lower = admissibility._sweep(pi, pair, ex.DEFAULT_PROBE, ex.TOL)
+        at = np.flatnonzero(ys == 1e4)[0]
+        assert upper[at, 0, 0] == 0 and lower[at, 0, 0] == s * (1 / s)
 
 
 def test_nan_pair_combination_raises_a_typed_error():
@@ -510,12 +565,16 @@ WRONG_SHAPE_PAIRS = {
     "shape changes at one point": (1, lambda lam: (np.eye(2 if lam == 1e4j else 1), np.eye(1))),
     "one ragged side": (1, lambda lam: (np.eye(1), np.eye(2) if lam == 1e4j else np.eye(1))),
     "pair dimension differs": (2, lambda lam: (np.eye(1), np.eye(1))),
+    "not a pair": (1, lambda lam: 3),
+    "one matrix": (1, lambda lam: np.eye(1)),
+    "three parts": (1, lambda lam: (np.eye(1),) * 3),
 }
 
 
 @pytest.mark.parametrize("dim,values", WRONG_SHAPE_PAIRS.values(), ids=WRONG_SHAPE_PAIRS.keys())
 def test_wrong_shape_pair_values_raise_a_typed_error(dim, values):
-    # the sweep checks the stacked pair values once, for every limit test
+    # the sweep checks the stacked pair values once, for every limit test;
+    # pair_at checks one value, here at the point where some of them break
     pi = ex.fix_b_triplet()
     pair = ex.NevanlinnaPairEval(dim, values)
     for run in (
@@ -525,6 +584,8 @@ def test_wrong_shape_pair_values_raise_a_typed_error(dim, values):
     ):
         with pytest.raises(ex.ArgumentError, match="pair"):
             run()
+    with pytest.raises(ex.ArgumentError):
+        ex.pair_at(pair, 1e4j)
 
 
 def test_exact_mul_helper():

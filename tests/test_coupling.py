@@ -350,6 +350,76 @@ def test_couple_canonical_parameter():
         ex.canonical_chi(ex.relation_from_matrix(np.array([[1j]])))
 
 
+def test_couple_keeps_one_coupling_per_triplet_and_tolerance(monkeypatch):
+    scene, pi = random_case(seed=17)
+    chi = ex.induced_chi(scene, pi)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    coupled = ex.couple(pi, chi)
+    assert calls and ex.rel_equal(coupled, scene.a_tilde)
+    # the slot holds (chi, coupling): a second call returns the same
+    # relation and takes no SVD
+    slot = boundary._triplet_cache(pi, ex.TOL).coupling
+    assert slot[0] is chi and slot[1] is coupled
+    calls.clear()
+    assert ex.couple(pi, chi) is coupled and not calls
+    # its basis is read-only
+    with pytest.raises(ValueError):
+        coupled.graph.basis[0, 0] = 1.0
+    # chi is matched by identity: the same relation built again is coupled
+    # again, and replaces the slot
+    again = ex.induced_chi(scene, pi)
+    assert again is not chi and ex.rel_equal(again.gamma, chi.gamma)
+    rebuilt = ex.couple(pi, again)
+    assert calls and rebuilt is not coupled and ex.rel_equal(rebuilt, coupled)
+    assert ex.couple(pi, again) is rebuilt
+    # another tolerance context keeps its own slot
+    calls.clear()
+    loose = ex.Tolerances(rank=2 * ex.TOL.rank)
+    other = ex.couple(pi, again, loose)
+    assert calls and other is not rebuilt and ex.couple(pi, again, loose) is other
+    assert ex.couple(pi, again) is rebuilt
+
+
+def test_a_coupling_that_raises_is_not_stored(monkeypatch):
+    pi = ex.fix_b_triplet()
+    chi = ex.canonical_chi(ex.relation_from_matrix(np.array([[2.0]], dtype=complex)))
+    cache = boundary._triplet_cache(pi, ex.TOL)
+    with pytest.raises(ex.DimMismatch):
+        ex.couple(pi, ex.canonical_chi(ex.relation_from_matrix(np.eye(2))))
+    assert cache.coupling is None
+    flags = ex.rel_classify(ex.fix_a_relation())
+    monkeypatch.setattr(coupling, "rel_classify", lambda rel, tol: flags)
+    for _ in range(2):
+        with pytest.raises(ex.AssumptionError):
+            ex.couple(pi, chi)
+        assert cache.coupling is None
+    monkeypatch.undo()
+    assert cache.coupling is None
+    coupled = ex.couple(pi, chi)
+    assert cache.coupling[0] is chi and cache.coupling[1] is coupled
+
+
+def test_admissible_reuses_the_coupling_of_exact_mul(monkeypatch):
+    # the catalog takes exact_mul(couple(pi, chi)) and then the reports,
+    # whose exact dimension couples the same pair again
+    scene, pi = random_case(seed=19)
+    pair = ex.realized_pair(ex.induced_chi(scene, pi))
+    pi_infty, pair_infty = ex.fix_infty_steering()
+    dims = [ex.exact_mul(ex.couple(p, tau.realization)).dim for p, tau in ((pi, pair), (pi_infty, pair_infty))]
+    assert dims == [0, 1]
+
+    def no_coupling_svd(*args, **kwargs):
+        raise AssertionError("the coupling was built again")
+
+    monkeypatch.setattr(coupling, "_meet", no_coupling_svd)
+    monkeypatch.setattr(coupling, "_span", no_coupling_svd)
+    for p, tau, dim in ((pi, pair, 0), (pi_infty, pair_infty, 1)):
+        rep = ex.admissible(p, tau)
+        assert rep.exact_mul_dim == dim and rep.agreement
+
+
 def test_double_weyl_two_routes():
     scene, pi = random_case(seed=11)
     chi = ex.induced_chi(scene, pi)

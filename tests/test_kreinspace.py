@@ -194,8 +194,33 @@ def test_unitarity_at_the_angle_cutoff(ratio, inside):
 
 
 # Reference routes with J materialized as FundamentalSymmetry.matrix; the
-# library applies J as the block swap [-i u2; i u1] and forms X* J X as
-# i(G* - G) with G = X1* X2.
+# library applies J as the block swap [-i u2; i u1] and forms
+# X* J X - Y* J Y as i(D* - D) with D = X1* X2 - Y1* Y2.
+
+
+def _j_form(rows):
+    # X* J X = i(G* - G) with G = X1* X2, for X split at half its rows: the
+    # former route, one form per graph block
+    half = rows.shape[0] // 2
+    g = rows[:half].conj().T @ rows[half:]
+    return 1j * (g.conj().T - g)
+
+
+def test_pairing_form_matches_the_two_j_forms():
+    # one D = X1* X2 - Y1* Y2 in place of the difference of two forms, on
+    # the block-swap cases and on von Neumann triplets' boundary relations
+    rng = np.random.default_rng(12)
+    rels = [rel for _, _, rel in _block_swap_cases()]
+    for n in (1, 2, 3, 4):
+        pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(rng, n + 1, 1 + n % 2))
+        rels.append(pi.gamma)
+    for rel in rels:
+        form = kreinspace._pairing_form(rel)
+        ref = _j_form(rel.in_block) - _j_form(rel.out_block)
+        assert form.shape == ref.shape
+        assert np.linalg.norm(form - ref) <= 1e-14 * max(1, rel.graph_dim)
+        assert ex.green_residual(rel) == np.linalg.norm(form)
+        assert abs(ex.green_residual(rel) - np.linalg.norm(ref)) <= 1e-14 * max(1, rel.graph_dim)
 
 
 def _dense_pairing_form(kr):
@@ -237,7 +262,7 @@ def test_block_swap_matches_the_dense_symmetry():
     for n, m, rel in _block_swap_cases():
         kr = ex.KreinRelation(rel, ex.FundamentalSymmetry(n), ex.FundamentalSymmetry(m))
         dense = _dense_pairing_form(kr)
-        form = kreinspace._pairing_form(kr)
+        form = kreinspace._pairing_form(rel)
         assert np.linalg.norm(form - dense) <= 1e-14 * max(1, rel.graph_dim)
         assert np.array_equal(form, form.conj().T)
         assert ex.is_isometric(kr) == _dense_isometric(kr)
