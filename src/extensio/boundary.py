@@ -40,6 +40,7 @@ from .linrel import (
     _operator_spectrum,
     _orthonormal_columns,
     _polar_factor,
+    _q_factor,
     _rank_of,
     _span,
     _spectral_point,
@@ -171,11 +172,11 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     graph has the orthonormal basis [X; Y; 0; 0], [b+; i b+; I; i I] / 2
     and [b-; -i b-; U*; -i U*] / 2, with no adjoint and no span.  The
     default U = -polar(b-* b+) depends on no choice of bases and makes
-    A0 = ker Gamma_0 an operator: A0 = 0 for S = {0}.  The boundary rows
-    [I, U*; iI, -iU*] / 2 of the defect columns have rank 2d, so Gamma is
-    single-valued and surjective by construction and only the Green
-    identity and maximality are checked.  The triplet's cache under tol is
-    filled from the construction (``_VonNeumannCache``).
+    A0 = ker Gamma_0 an operator: for S = {0} it is -I, and A0 = 0.  The
+    boundary rows [I, U*; iI, -iU*] / 2 of the defect columns have rank
+    2d, so Gamma is single-valued and surjective by construction and only
+    the Green identity and maximality are checked.  The triplet's cache
+    under tol is filled from the construction (``_VonNeumannCache``).
     """
     if not rel_classify(s, tol).symmetric:
         raise AssumptionError("von Neumann construction needs a symmetric relation")
@@ -187,7 +188,7 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     if b_minus.shape[1] != d:
         raise UnequalDefect(f"defect numbers ({d}, {b_minus.shape[1]}) differ")
     if u is None:
-        coord_u = -_polar_factor(b_minus.conj().T @ b_plus)
+        coord_u = -_polar_factor(b_minus.conj().T @ b_plus) if s.graph_dim else -np.eye(d, dtype=complex)
     else:
         u = as_complex_matrix(u, n, n)
         stray = np.linalg.norm(u @ b_plus - b_minus @ (b_minus.conj().T @ u @ b_plus))
@@ -420,10 +421,18 @@ def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.nda
     return (spec.vecs / diffs) @ spec.vecs.conj().T
 
 
+def _matrix_graph(mat: np.ndarray) -> Subspace:
+    """Graph [I; mat] of a matrix, independent columns spanned by one QR."""
+    return Subspace._trusted(sum(mat.shape), _q_factor(np.concatenate([np.eye(mat.shape[1], dtype=complex), mat])))
+
+
 def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
-    """Family value: image of the defect elements of dom Gamma."""
+    """Family value: image of the defect elements of dom Gamma; for an
+    ordinary triplet the graph of M(lam) (``_gamma_and_weyl_grid``)."""
     lam = _spectral_point(lam, "nonreal")
     m = br.boundary_dim
+    if isinstance(br, OrdinaryTriplet):
+        return LinearRelation(m, m, _matrix_graph(_gamma_and_weyl_grid(br, [lam], tol)[1][0]))
     image = br.gamma.out_block @ _defect_coords(br, lam, tol)
     # Rows of the unit columns G c: anchor the rank cutoff at scale one.
     return LinearRelation(m, m, _span(image, tol, 1.0))
@@ -434,6 +443,8 @@ def gamma_field(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> Li
     lam = _spectral_point(lam, "nonreal")
     n = br.state_dim
     m = br.boundary_dim
+    if isinstance(br, OrdinaryTriplet):
+        return LinearRelation(m, n, _matrix_graph(_gamma_and_weyl_grid(br, [lam], tol)[0][0]))
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
     return LinearRelation(m, n, _span(np.concatenate([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol))
 

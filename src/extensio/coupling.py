@@ -36,6 +36,7 @@ from .linrel import (
     _nullspace,
     _off_spectrum,
     _operator_spectrum,
+    _q_factor,
     _span,
     _Spectrum,
     _spectral_point,
@@ -242,26 +243,31 @@ def tau_of_extension(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances 
     cond(W) <= s^2 / (4 |Im lam|) is at most ``_PENCIL_COND_LIMIT``.  Near
     the real axis, where lam may be close to an eigenvalue of A~ while tau
     itself stays smooth, and on it, where straus_solve evaluates tau, the
-    kernel is a nullspace.  The value's one rank decision is its span."""
+    kernel is a nullspace and the value's one rank decision its span.  The
+    LU branch takes none: elements with f1' - lam f1 in ran(S1 - lam) lie in
+    S1 = ker Gamma, so it solves for [Q_c; 0], Q_c completing ran(S1 - lam)
+    in C^{h1}, and one QR spans the m independent twisted values."""
     twisted = _scene_boundary_values(scene, pi, tol)
     m = pi.boundary_dim
     h1, n = scene.h1_dim, scene.h1_dim + scene.h2_dim
     basis = scene.a_tilde.graph.basis
     g_f, g_fp = basis[:n, :], basis[n:, :]
+    x1, y1 = scene.s1.in_block, scene.s1.out_block
     first = np.eye(n, h1, dtype=complex)
 
     def eval_at(lam: complex) -> LinearRelation:
         lam = _spectral_point(lam)
         spread = abs(1 + 1j * lam) + abs(1 - 1j * lam)
-        if spread * spread <= 4 * _PENCIL_COND_LIMIT * abs(lam.imag):
-            try:
-                coeff = np.linalg.solve(g_fp - lam * g_f, first)
-            except np.linalg.LinAlgError:
-                # exactly singular: lam is an eigenvalue, so A~ is not selfadjoint
-                raise SingularAtLambda(lam, "graph pencil of the coupling is singular") from None
-        else:
+        if spread * spread > 4 * _PENCIL_COND_LIMIT * abs(lam.imag):
             coeff = _nullspace(g_fp[h1:, :] - lam * g_f[h1:, :], tol)
-        return LinearRelation(m, m, _span(twisted @ coeff, tol))
+            return LinearRelation(m, m, _span(twisted @ coeff, tol))
+        rhs = first @ _q_factor(y1 - lam * x1, complete=True)[:, x1.shape[1] :] if x1.shape[1] else first
+        try:
+            coeff = np.linalg.solve(g_fp - lam * g_f, rhs)
+        except np.linalg.LinAlgError:
+            # exactly singular: lam is an eigenvalue, so A~ is not selfadjoint
+            raise SingularAtLambda(lam, "graph pencil of the coupling is singular") from None
+        return LinearRelation(m, m, Subspace._trusted(2 * m, _q_factor(twisted @ coeff)))
 
     return FamilyEval(m, eval_at)
 

@@ -151,12 +151,14 @@ def _spectral_point(lam, rule: str = "finite") -> complex:
 try:
     from numpy.linalg import _umath_linalg
 
-    # LAPACK's SVD gufuncs by (compute_uv, full_matrices); numpy 1.x names them otherwise
+    # LAPACK's SVD gufuncs by (compute_uv, full_matrices) and QR gufuncs; numpy 1.x names them otherwise
     _SVD_GUFUNCS = {(False, True): _umath_linalg.svd, (True, False): _umath_linalg.svd_s, (True, True): _umath_linalg.svd_f}
+    _QR_GUFUNCS = (_umath_linalg.qr_r_raw, _umath_linalg.qr_reduced, _umath_linalg.qr_complete)
     _NUMPY_SVD = np.linalg.svd
 except (ImportError, AttributeError):
-    _NUMPY_SVD = None
+    _NUMPY_SVD = _QR_GUFUNCS = None
 _SVD_SIGNATURES = {np.dtype(complex): ("D->d", "D->DdD"), np.dtype(float): ("d->d", "d->ddd")}
+_QR_SIGNATURES = {np.dtype(complex): ("D->D", "DD->D"), np.dtype(float): ("d->d", "dd->d")}
 
 
 def _svd(mat: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
@@ -245,10 +247,29 @@ def _polar_factor(mat: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def _q_factor(cols: np.ndarray) -> np.ndarray:
-    """Q factor of independent columns.  An empty block is its own Q
-    factor, and LAPACK charges as much for its QR as for a real one."""
-    return np.linalg.qr(cols)[0] if cols.shape[1] else cols
+def _q_factor(cols: np.ndarray, complete: bool = False) -> np.ndarray:
+    """Q of ``np.linalg.qr`` (mode "complete" if ``complete``) of independent
+    columns, bit for bit, with no rank decision; numpy's function serves other
+    dtypes, wide input and no gufuncs, and failures raise as in ``_svd``."""
+    rows, k = cols.shape
+    if not k and not complete:
+        return cols
+    sigs = _QR_SIGNATURES.get(cols.dtype)
+    try:
+        if sigs is None or k > rows or _QR_GUFUNCS is None:
+            q = np.linalg.qr(cols, "complete" if complete else "reduced")[0]
+        else:
+            factor, reduced, full = _QR_GUFUNCS
+            # the factorization overwrites its input with the reflectors
+            packed = cols.copy()
+            scalars = factor(packed, signature=sigs[0])
+            q = (full if complete and rows > k else reduced)(packed, scalars, signature=sigs[1])
+    except (RuntimeWarning, FloatingPointError, np.linalg.LinAlgError):
+        raise AssumptionError("QR factorization failed") from None
+    # a failure fills Q with NaN, and NaN or inf input leaves NaN in it unflagged
+    if not np.isfinite(q).all():
+        raise AssumptionError("QR factorization failed")
+    return q
 
 
 def _nullspace(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray:
@@ -638,7 +659,7 @@ def eigenspace(rel: LinearRelation, lam: complex, tol: Tolerances = TOL) -> tupl
     # Keep the graph copy inside rel exactly; the eigen-residual stays in
     # the output rows instead of pushing the basis off the graph.
     gens = rel.graph.basis @ coeff
-    space = Subspace._trusted(rel.dim_in, np.linalg.qr(gens[: rel.dim_in, :])[0])
+    space = Subspace._trusted(rel.dim_in, _q_factor(gens[: rel.dim_in, :]))
     return space, LinearRelation(rel.dim_in, rel.dim_in, Subspace._trusted(2 * rel.dim_in, gens))
 
 
@@ -767,7 +788,7 @@ def is_simple(rel: LinearRelation, tol: Tolerances = TOL) -> bool:
     gap = np.finfo(float).eps / tol.rank / spec.smin
     cuts = [0, *(i for i in range(1, k) if eigs[i] - eigs[i - 1] > gap), k]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        q = coords[:, lo:hi] if hi - lo == 1 else np.linalg.qr(coords[:, lo:hi])[0]
+        q = coords[:, lo:hi] if hi - lo == 1 else _q_factor(coords[:, lo:hi])
         for t in eigs[lo:hi]:
             resid = y @ q - t * (x @ q)
             sing = np.linalg.norm(resid, axis=0) if hi - lo == 1 else _svd(resid, compute_uv=False)

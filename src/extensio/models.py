@@ -19,6 +19,7 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _q_factor,
     _spectral_point,
     identity_relation,
     relation_from_generators,
@@ -177,7 +178,7 @@ def random_symmetric_restriction(
         raise ArgumentError("defect must lie between 1 and the dimension")
     h = random_hermitian(rng, n)
     g = rng.standard_normal((n, n - defect)) + 1j * rng.standard_normal((n, n - defect))
-    q = np.linalg.qr(g)[0]
+    q = _q_factor(g)
     return relation_from_generators(n, n, np.concatenate([q, h @ q]), tol)
 
 

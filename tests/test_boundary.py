@@ -536,9 +536,18 @@ def test_default_a0_does_not_depend_on_the_graph_basis_of_s():
         assert ex.rel_parts(a0).mul.dim == 0
 
 
-def test_default_pairing_of_the_zero_relation_gives_a0_zero():
-    for n in (1, 2, 4):
+def test_default_pairing_of_the_zero_relation_gives_a0_zero(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    for n in (1, 2, 4, 16):
+        calls.clear()
         pi = ex.von_neumann_triplet(ex.LinearRelation(n, n, ex.zero_subspace(2 * n)))
+        # b+ = b- = I, so U = -I is written down with no SVD, byte for byte
+        # the former -polar(b-* b+)
+        assert calls == []
+        polar = -linrel._polar_factor(np.eye(n, dtype=complex))
+        assert _triplet_cache(pi, ex.TOL).coord_u.tobytes() == polar.tobytes()
         assert pi.boundary_dim == n
         assert ex.rel_equal(ex.kernel_of_boundary_map(pi, 0), ex.zero_relation(n, n))
         assert np.array_equal(_triplet_cache(pi, ex.TOL).spectrum.eigs, np.zeros(n))

@@ -83,6 +83,22 @@ def _nullspace_tau_eval(scene, pi, lam):
     return ex.LinearRelation(m, m, linrel._span(twisted @ coeff, ex.TOL))
 
 
+def _lu_span_tau_eval(scene, pi, lam):
+    """Former LU branch of tau_of_extension: c = W(lam)^{-1} [I; 0] on all
+    h1 columns of the first space, then the span of the twisted boundary
+    values times c, whose rank the SVD decided."""
+    h1, n, m = scene.h1_dim, scene.h1_dim + scene.h2_dim, pi.boundary_dim
+    basis = scene.a_tilde.graph.basis
+    twisted = coupling._scene_boundary_values(scene, pi, ex.TOL)
+    coeff = np.linalg.solve(basis[n:] - lam * basis[:n], np.eye(n, h1))
+    return ex.LinearRelation(m, m, linrel._span(twisted @ coeff, ex.TOL))
+
+
+def _lu_branch(lam):
+    spread = abs(1 + 1j * lam) + abs(1 - 1j * lam)
+    return spread * spread <= 4 * coupling._PENCIL_COND_LIMIT * abs(lam.imag)
+
+
 def _multivalued_scene(seed=5, n1=3, n2=2):
     # P H P (+) {0} x span(v), with P = I - v v* and v meeting both spaces
     rng = np.random.default_rng(seed)
@@ -122,10 +138,12 @@ def test_tau_of_extension_matches_the_per_point_boundary_map():
     # where cond W(lam) is bounded by 1e3, tau's kernel is one LU solve of
     # the coupling's pencil; it spans what the nullspace did, to 1e-12 on
     # the parity set, and the resolvent formula still reproduces the
-    # compressed resolvent.  With mul A~ != {0} the nullspace loses digits
-    # far out on the imaginary axis, 7.5e-12 off a 50-digit value at 1e6i,
-    # so that scene and fix-b keep rel_equal only.
-    values = 0
+    # compressed resolvent.  There the value is one QR of m twisted columns,
+    # which meets the former SVD span of all h1 columns to 1e-12 as well,
+    # S1 = {0} or not.  With mul A~ != {0} the nullspace loses digits far
+    # out on the imaginary axis, 7.5e-12 off a 50-digit value at 1e6i, so
+    # that scene and fix-b keep rel_equal only.
+    values = lu_values = 0
     for (scene, pi), lams in _tau_parity_cases():
         tau = ex.tau_of_extension(scene, pi)
         for lam in lams:
@@ -134,11 +152,16 @@ def test_tau_of_extension_matches_the_per_point_boundary_map():
             new, ref = value.graph, _nullspace_tau_eval(scene, pi, lam).graph
             assert new.dim == ref.dim == pi.boundary_dim
             assert max(ex.containment_gap(new, ref), ex.containment_gap(ref, new)) <= 1e-12, (scene.h1_dim, lam)
+            if _lu_branch(lam):
+                ref = _lu_span_tau_eval(scene, pi, lam).graph
+                assert ref.dim == pi.boundary_dim
+                assert max(ex.containment_gap(new, ref), ex.containment_gap(ref, new)) <= 1e-12, (scene.h1_dim, lam)
+                lu_values += scene.s1.graph_dim > 0
             lhs = ex.generalized_resolvent(scene, lam).compressed
             rhs = ex.krein_rhs(pi, tau, lam)
             assert np.linalg.norm(rhs - lhs) <= 1e-12 * np.linalg.norm(lhs), (scene.h1_dim, lam)
             values += 1
-    assert values >= 420
+    assert values >= 420 and lu_values >= 200
     multivalued = _multivalued_scene()
     assert ex.rel_parts(multivalued.a_tilde).mul.dim == 1
     for scene, pi in ((ex.fix_b_scene(), ex.fix_b_triplet()), (multivalued, ex.scene_triplet(multivalued))):
@@ -147,17 +170,19 @@ def test_tau_of_extension_matches_the_per_point_boundary_map():
             assert ex.rel_equal(tau.eval(lam), _reference_tau_eval(scene, pi, lam)), (scene.h1_dim, scene.h2_dim, lam)
 
 
-def test_tau_takes_one_rank_decision_off_the_real_axis(monkeypatch):
+def test_tau_takes_no_rank_decision_off_the_real_axis(monkeypatch):
     # where cond W(lam) <= s^2 / (4 |Im lam|) <= 1e3 the kernel is one LU
-    # solve and the value's span the one SVD; nearer the real axis, and on
-    # it, the kernel is a nullspace.  1 + 2.1e-3i has the bound 952,
-    # 1 - 1.9e-3i 1053.
+    # solve and the value one QR, with no SVD (S1 != {0} here, so the
+    # right-hand side is a complete QR too); nearer the real axis, and on
+    # it, the kernel is a nullspace and the value's span a second SVD.
+    # 1 + 2.1e-3i has the bound 952, 1 - 1.9e-3i 1053.
     scene, pi = random_case(seed=3, n1=3, n2=2)
+    assert scene.s1.graph_dim == 1
     tau = ex.tau_of_extension(scene, pi)
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
-    points = ((1j, 1), (-2j, 1), (1 + 2.1e-3j, 1), (1 - 1.9e-3j, 2), (1 + 1e-9j, 2), (1e6j, 2), (0.5, 2), (0.0, 2))
+    points = ((1j, 0), (-2j, 0), (1 + 2.1e-3j, 0), (1 - 1.9e-3j, 2), (1 + 1e-9j, 2), (1e6j, 2), (0.5, 2), (0.0, 2))
     for lam, svds in points:
         calls.clear()
         value = tau.eval(lam)
@@ -274,11 +299,13 @@ def test_krein_rhs_singular_sum():
 
 def _reference_krein_rhs(pi, tau, lam):
     """The formula route through subspace relations: A0 as the kernel of
-    the first boundary map, gamma fields and M + tau as relations."""
+    the first boundary map and M + tau as a relation sum, with gamma and M
+    by one nullspace at each point, not from the spectral data that
+    krein_rhs, weyl_eval and gamma_field share."""
     r0 = ex.resolvent_matrix(ex.kernel_of_boundary_map(pi, 0), lam)
-    g_lam = ex.rel_matrix(ex.gamma_field(pi, lam))
-    g_bar = ex.rel_matrix(ex.gamma_field(pi, np.conj(lam)))
-    inv = ex.rel_matrix(ex.rel_inverse(ex.rel_sum(ex.weyl_eval(pi, lam), tau.eval(lam))))
+    g_lam, m_lam = boundary._nullspace_gamma_and_weyl(pi, lam, ex.TOL)
+    g_bar = boundary._nullspace_gamma_and_weyl(pi, np.conj(lam), ex.TOL)[0]
+    inv = ex.rel_matrix(ex.rel_inverse(ex.rel_sum(ex.relation_from_matrix(m_lam), tau.eval(lam))))
     return r0 - g_lam @ inv @ g_bar.conj().T
 
 

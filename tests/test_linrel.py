@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import extensio as ex
 from extensio.boundary import _a0_resolvent, _triplet_cache
 from extensio import linrel
-from extensio.linrel import _nullspace, _svd
+from extensio.linrel import _nullspace, _q_factor, _svd
 
 RESID = 1e-10
 
@@ -602,6 +602,78 @@ def test_svd_failure_raises_a_typed_error(bad, dtype, filter_action):
         # a caller's np.errstate turns the flag into FloatingPointError
         with np.errstate(invalid="raise"), pytest.raises(ex.AssumptionError, match="SVD did not converge"):
             _svd(mat, compute_uv, full_matrices)
+
+
+# _q_factor against np.linalg.qr: the library's blocks are square or tall,
+# and an empty block is its own reduced Q factor
+QR_SHAPES = [(1, 1), (2, 2), (5, 5), (16, 16), (2, 1), (4, 2), (7, 3), (16, 8), (32, 16), (3, 0), (0, 0)]
+
+
+def _qr_inputs(shape, dtype):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    full = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if dtype is complex else 0)
+    rank_one = np.outer(full[:, :1], full[:1, :]) if full.size else full
+    return full.astype(dtype), rank_one.astype(dtype)
+
+
+def _assert_q_factor_is_numpys(mat):
+    for complete in (False, True):
+        kept = mat.copy()
+        got = _q_factor(mat, complete)
+        want = np.linalg.qr(mat, "complete" if complete else "reduced")[0]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+        # the factorization works on a copy
+        assert mat.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("shape", QR_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_q_factor_is_bit_identical_to_numpy(shape, dtype):
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        # the gufunc route is the one under test, not numpy's own function
+        assert linrel._QR_GUFUNCS is not None
+    for mat in _qr_inputs(shape, dtype):
+        _assert_q_factor_is_numpys(mat)
+
+
+def test_q_factor_falls_back_to_numpys_function(monkeypatch):
+    """numpy's qr serves wide input and dtypes other than complex128 and
+    float64, and everything when the gufunc lookup failed at import."""
+    seen = []
+    numpy_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args: seen.append(1) or numpy_qr(*args))
+    rng = np.random.default_rng(5)
+    for mat in (rng.standard_normal((2, 4)), rng.standard_normal((4, 2)).astype(np.complex64)):
+        seen.clear()
+        _q_factor(mat)
+        assert seen == [1]
+    _q_factor(rng.standard_normal((4, 2)))
+    assert seen == [1]
+    monkeypatch.setattr(linrel, "_QR_GUFUNCS", None)
+    for shape in QR_SHAPES:
+        for mat in _qr_inputs(shape, complex):
+            for complete in (False, True):
+                seen.clear()
+                got = _q_factor(mat, complete)
+                # an empty reduced block needs no factorization at all
+                assert len(seen) == (1 if complete or shape[1] else 0)
+                assert got.tobytes() == numpy_qr(mat, "complete" if complete else "reduced")[0].tobytes()
+
+
+@pytest.mark.parametrize("filter_action", ["error", "default"])
+@pytest.mark.parametrize("dtype", [complex, float, np.complex64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_q_factor_failure_raises_a_typed_error(bad, dtype, filter_action):
+    # LAPACK's QR flags neither NaN nor inf; both leave NaN in Q
+    for row, col in ((0, 0), (1, 2), (3, 1)):
+        mat = np.ones((4, 3), dtype=dtype) + np.arange(12).reshape(4, 3) ** 2
+        mat[row, col] = bad
+        for complete in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter(filter_action, RuntimeWarning)
+                with pytest.raises(ex.AssumptionError, match="QR factorization failed"):
+                    _q_factor(mat, complete)
 
 
 def _svd_contract_outputs():

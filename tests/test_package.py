@@ -188,12 +188,25 @@ def _rank_rule_uses(tree):
 
 
 def _names_lapack_svd(node):
-    """A reference to ``np.linalg.svd`` or to numpy's gufunc module."""
+    """A reference to ``np.linalg.svd``, to numpy's gufunc module or to the
+    lookup of its SVD gufuncs."""
     if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.linalg.svd", "numpy.linalg.svd"):
         return True
     if isinstance(node, ast.ImportFrom):
         return any(alias.name == "_umath_linalg" for alias in node.names)
-    return isinstance(node, ast.Name) and node.id == "_umath_linalg"
+    return isinstance(node, ast.Name) and node.id in ("_umath_linalg", "_SVD_GUFUNCS")
+
+
+def _names_lapack_qr(node):
+    """A reference to one of the QR gufuncs of numpy's gufunc module or to
+    their lookup."""
+    if isinstance(node, ast.Attribute) and node.attr.startswith("qr") and ast.unparse(node.value) == "_umath_linalg":
+        return True
+    return isinstance(node, ast.Name) and node.id == "_QR_GUFUNCS"
+
+
+def _names_numpy_qr(node):
+    return isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.linalg.qr", "numpy.linalg.qr")
 
 
 def test_rank_is_decided_in_linrel_only():
@@ -201,9 +214,12 @@ def test_rank_is_decided_in_linrel_only():
     modules call its ``_rank_of`` and ``_checked_inverse``, so the rule
     and its hooks live in one module.  Within it, ``_svd`` is the one
     function that reaches LAPACK's SVD: no other function names
-    ``np.linalg.svd`` or the gufunc module, the eight SVD sites call
-    ``_svd``, and at module level the names appear only in the
-    import-time lookup of the gufuncs."""
+    ``np.linalg.svd``, the gufunc module or the SVD gufuncs, and the eight
+    SVD sites call ``_svd``.  ``_q_factor`` is the one function that names
+    the QR gufuncs, and ``np.linalg.qr`` appears only there (numpy's
+    fallback) and in ``_TripletCache.boundary_factor``, which reads R.  At
+    module level the gufuncs appear only in one import-time lookup, which
+    holds both sets."""
     found = {}
     for path in SRC.glob("*.py"):
         if path.name != "linrel.py":
@@ -215,26 +231,36 @@ def test_rank_is_decided_in_linrel_only():
     linrel_uses = {kind for _, kind in _rank_rule_uses(ast.parse((SRC / "linrel.py").read_text(encoding="utf-8")))}
     assert linrel_uses == {"_rank", "np.linalg.svd", "tol.rank"}
 
-    reaching, calling, module_level = set(), set(), []
+    reaching, reaching_qr, numpy_qr, calling = set(), set(), set(), set()
+    module_level, module_level_qr = [], []
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for func in ast.walk(tree):
             if isinstance(func, ast.FunctionDef):
-                if any(_names_lapack_svd(node) for node in ast.walk(func)):
-                    reaching.add(f"{path.stem}.{func.name}")
+                name = f"{path.stem}.{func.name}"
+                for names, seen in ((_names_lapack_svd, reaching), (_names_lapack_qr, reaching_qr), (_names_numpy_qr, numpy_qr)):
+                    if any(names(node) for node in ast.walk(func)):
+                        seen.add(name)
                 if any(isinstance(n, ast.Call) and ast.unparse(n.func) == "_svd" for n in ast.walk(func)):
-                    calling.add(f"{path.stem}.{func.name}")
+                    calling.add(name)
         for stmt in tree.body:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                assert not any(_names_numpy_qr(node) for node in ast.walk(stmt)), (path.name, stmt.lineno)
                 if any(_names_lapack_svd(node) for node in ast.walk(stmt)):
                     module_level.append((path.name, stmt))
+                if any(_names_lapack_qr(node) for node in ast.walk(stmt)):
+                    module_level_qr.append((path.name, stmt))
     assert reaching == {"linrel._svd"}
+    assert reaching_qr == {"linrel._q_factor"}
+    assert numpy_qr == {"linrel._q_factor", "boundary.boundary_factor"}
     sites = ("_rank_of", "_orthonormal_columns", "_nullspace", "containment_gap",
              "_range_and_kernel_image", "_operator_spectrum", "is_simple", "_polar_factor")
     assert calling == {f"linrel.{name}" for name in sites}
     [(name, lookup)] = module_level
+    assert module_level_qr == module_level
     assert name == "linrel.py" and isinstance(lookup, ast.Try)
-    assert {t.id for s in lookup.body if isinstance(s, ast.Assign) for t in s.targets} == {"_SVD_GUFUNCS", "_NUMPY_SVD"}
+    assigned = {t.id for s in lookup.body if isinstance(s, ast.Assign) for t in s.targets}
+    assert assigned == {"_SVD_GUFUNCS", "_QR_GUFUNCS", "_NUMPY_SVD"}
 
 
 def test_arrays_are_stacked_with_concatenate_only():

@@ -53,6 +53,41 @@ def test_spectral_route_matches_nullspace_route(case):
             assert np.linalg.norm(r_new - r_old) <= AGREE * max(np.linalg.norm(r_old), 1.0), lam
 
 
+def _graph_gap(rel, mat):
+    ref = ex.relation_from_matrix(mat).graph
+    return max(ex.containment_gap(rel.graph, ref), ex.containment_gap(ref, rel.graph))
+
+
+@pytest.mark.parametrize("case", ["fix-b", "fix-infty", "random"])
+def test_weyl_values_and_gamma_fields_match_the_nullspace_route(case):
+    # on an ordinary triplet the public values are the graphs of the
+    # spectral route's M and gamma, spanned by one QR
+    for br in _triplets(case):
+        assert isinstance(br, ex.OrdinaryTriplet)
+        for lam in POINTS:
+            g_old, m_old = _nullspace_gamma_and_weyl(br, lam, ex.TOL)
+            assert _graph_gap(ex.weyl_eval(br, lam), m_old) <= AGREE, (case, lam)
+            assert _graph_gap(ex.gamma_field(br, lam), g_old) <= AGREE, (case, lam)
+
+
+def test_warm_ordinary_triplet_values_take_no_svd(monkeypatch):
+    # once the triplet's spectral data is cached, weyl_eval, gamma_field and
+    # tau's LU branch (here with S1 != {0}) take QRs and solves only
+    scene = ex.random_scene(41, 4, 2)
+    pi = ex.scene_triplet(scene)
+    assert isinstance(pi, ex.OrdinaryTriplet) and scene.s1.graph_dim == 2
+    tau = ex.tau_of_extension(scene, pi)
+    ex.weyl_eval(pi, 1j)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    for lam in (1j, -2j, 1 + 1j, 0.5 - 3j):
+        ex.weyl_eval(pi, lam)
+        ex.gamma_field(pi, lam)
+        tau.eval(lam)
+    assert calls == []
+
+
 def test_spectral_route_off_the_spectrum_only():
     br = _triplets("random")[1]
     eigs = _triplet_cache(br, ex.TOL).spectrum.eigs
@@ -60,6 +95,10 @@ def test_spectral_route_off_the_spectrum_only():
         _a0_resolvent(br, eigs[0], ex.TOL)
     with pytest.raises(ex.RealAxis):
         _one_point(br, 0.5)
+    # the public values of an ordinary triplet read the same spectral data
+    for value in (ex.weyl_eval, ex.gamma_field):
+        with pytest.raises(ex.SingularAtLambda):
+            value(br, eigs[0] + 1e-13j)
     # a real point off the spectrum of A0 has a resolvent
     real = (eigs[0] + eigs[1]) / 2
     ref = ex.resolvent_matrix(ex.kernel_of_boundary_map(br, 0), real)
@@ -132,6 +171,9 @@ def test_spectral_route_matches_extended_precision_reference():
             g_new, m_new = _one_point(br, lam)
             assert _rel(g_new, g_ref) <= REFERENCE, (n, d, lam)
             assert _rel(m_new, m_ref) <= REFERENCE, (n, d, lam)
+            # and so do the public values, through their QR graph bases
+            assert _rel(ex.rel_matrix(ex.gamma_field(br, lam)), g_ref) <= REFERENCE, (n, d, lam)
+            assert _rel(ex.rel_matrix(ex.weyl_eval(br, lam)), m_ref) <= REFERENCE, (n, d, lam)
 
 
 def test_one_spectral_decomposition_per_triplet(monkeypatch):
