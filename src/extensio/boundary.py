@@ -35,12 +35,12 @@ from .linrel import (
     Subspace,
     Tolerances,
     _checked_inverse,
+    _matrix_graph,
     _nullspace,
     _off_spectrum,
     _operator_spectrum,
     _orthonormal_columns,
     _polar_factor,
-    _q_factor,
     _rank_of,
     _span,
     _spectral_point,
@@ -132,8 +132,6 @@ def green_residual(gamma: LinearRelation) -> float:
     Vanishing residual says the abstract Green identity holds on the
     whole graph, which is exactly isometry for the indefinite metrics.
     """
-    if gamma.dim_in % 2 or gamma.dim_out % 2:
-        raise ArgumentError("graph spaces must have even dimension")
     return float(np.linalg.norm(_pairing_form(gamma)))
 
 
@@ -419,11 +417,6 @@ def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.nda
     spec = _triplet_cache(br, tol).spectrum
     diffs = _off_spectrum(spec.eigs, np.array([lam], dtype=complex), br.state_dim, tol)[0]
     return (spec.vecs / diffs) @ spec.vecs.conj().T
-
-
-def _matrix_graph(mat: np.ndarray) -> Subspace:
-    """Graph [I; mat] of a matrix, independent columns spanned by one QR."""
-    return Subspace._trusted(sum(mat.shape), _q_factor(np.concatenate([np.eye(mat.shape[1], dtype=complex), mat])))
 
 
 def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:

@@ -490,17 +490,21 @@ def relation_from_generators(dim_in: int, dim_out: int, columns, tol: Tolerances
     return LinearRelation(dim_in, dim_out, _span(cols, tol))
 
 
-def relation_from_matrix(mat, tol: Tolerances = TOL) -> LinearRelation:
+def _matrix_graph(mat: np.ndarray) -> Subspace:
+    """Graph [I; mat] of a matrix: its columns are independent for every
+    finite mat, so one QR spans it with no rank decision."""
+    return Subspace._trusted(sum(mat.shape), _q_factor(np.concatenate([np.eye(mat.shape[1], dtype=complex), mat])))
+
+
+def relation_from_matrix(mat) -> LinearRelation:
     """Graph of a matrix as a (single-valued, everywhere defined) relation."""
     mat = as_complex_matrix(mat)
-    m, n = mat.shape
-    return LinearRelation(n, m, _span(np.concatenate([np.eye(n, dtype=complex), mat]), tol))
+    return LinearRelation(mat.shape[1], mat.shape[0], _matrix_graph(mat))
 
 
 def zero_relation(dim_in: int, dim_out: int) -> LinearRelation:
     """The zero operator: every input maps to 0."""
-    gens = np.concatenate([np.eye(dim_in, dtype=complex), np.zeros((dim_out, dim_in))])
-    return LinearRelation(dim_in, dim_out, _span(gens, TOL))
+    return LinearRelation(dim_in, dim_out, _matrix_graph(np.zeros((dim_out, dim_in), dtype=complex)))
 
 
 def identity_relation(dim: int) -> LinearRelation:

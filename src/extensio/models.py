@@ -66,14 +66,14 @@ def fix_a_relation(tol: Tolerances = TOL) -> LinearRelation:
     return relation_from_generators(2, 2, gens, tol)
 
 
-def fix_b_relation(tol: Tolerances = TOL) -> LinearRelation:
+def fix_b_relation() -> LinearRelation:
     """Graph of the flip matrix on C^2."""
-    return relation_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), tol)
+    return relation_from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def fix_b_scene(tol: Tolerances = TOL) -> CouplingScene:
     """The flip matrix split over C^1 + C^1."""
-    return coupling_scene(fix_b_relation(tol), 1, 1, tol)
+    return coupling_scene(fix_b_relation(), 1, 1, tol)
 
 
 def fix_b_triplet(tol: Tolerances = TOL) -> OrdinaryTriplet:
@@ -195,7 +195,7 @@ def random_scene(
         raise ArgumentError("both component spaces must be nontrivial")
     if a_tilde is None:
         rng = np.random.default_rng(seed)
-        a_tilde = relation_from_matrix(random_hermitian(rng, n1 + n2), tol)
+        a_tilde = relation_from_matrix(random_hermitian(rng, n1 + n2))
     return coupling_scene(a_tilde, n1, n2, tol)
 
 

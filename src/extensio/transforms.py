@@ -222,7 +222,7 @@ def shmulyan(w: LinearRelation, theta: LinearRelation, tol: Tolerances = TOL) ->
 def shmulyan_family(w, f: FamilyEval, tol: Tolerances = TOL) -> FamilyEval:
     """Pointwise transform of a relation-valued family."""
     if not isinstance(w, LinearRelation):
-        w = relation_from_matrix(w.matrix if isinstance(w, StandardJUnitary) else w, tol)
+        w = relation_from_matrix(w.matrix if isinstance(w, StandardJUnitary) else w)
     if w.dim_out % 2:
         raise DimMismatch("transform does not act between graph spaces")
     k = w.dim_out // 2

@@ -173,7 +173,7 @@ def _b2_case(seed, cos_sin=(0.0, 1.0), scale=1.0):
     gens = np.vstack([np.hstack([q, np.zeros((n + m, k))]), np.hstack([h @ q, v])])
     a_tilde = ex.relation_from_generators(n + m, n + m, gens)
     assert ex.rel_classify(a_tilde).selfadjoint
-    return ex.validate_boundary_relation(ex.inverse_main_transform(a_tilde, (n, m)).rel), rng
+    return ex.validate_boundary_relation(ex.inverse_main_transform(a_tilde, (n, m))), rng
 
 
 def test_b2_fails_when_first_boundary_values_are_rounding_noise():

@@ -18,17 +18,23 @@ def model_path(tmp_path):
     pi = ex.fix_b_triplet()
     chi = ex.induced_chi(scene, pi)
     doc = {
-        "relations": {"fixb": ex.relation_to_json(ex.fix_b_relation())},
+        "relations": {
+            "fixb": ex.relation_to_json(ex.fix_b_relation()),
+            "two": ex.relation_to_json(ex.relation_from_matrix([[2.0]])),
+        },
         "triplets": {
             "ident": ex.triplet_to_json(pi),
             "chi": ex.triplet_to_json(chi),
+            # constant Weyl family {0} x C: every value is multivalued
+            "mul-chi": ex.triplet_to_json(ex.canonical_chi(ex.mul_relation(ex.full_subspace(1)))),
         },
         "pairs": {
             "neg-recip": {
                 "kind": "scalar-rational",
                 "numerator": [[-1.0, 0.0]],
                 "denominator": [[0.0, 0.0], [1.0, 0.0]],
-            }
+            },
+            "const-two": {"kind": "constant", "relation": "two"},
         },
         "scenes": {"fixb-scene": {"h1_dim": 1, "h2_dim": 1, "a_tilde": "fixb"}},
     }
@@ -85,11 +91,26 @@ def test_check_unitary_fail(bad_triplet_path, capsys):
     assert "fail" in out
 
 
+def test_check_unitary_refuses_odd_graph_spaces(model_path, capsys):
+    # the relation "two" acts on C^1, which carries no indefinite pairing
+    assert ex.cli_run(["check-unitary", model_path, "two"]) == 2
+    assert "even dimension" in capsys.readouterr().err
+
+
 def test_weyl_eval_values(model_path, capsys):
     assert ex.cli_run(["--report", "json", "weyl-eval", model_path, "ident", "--lambda", "0+2i"]) == 0
     report = json.loads(capsys.readouterr().out)
     mat = ex.json_to_matrix(report["matrix"])
     assert abs(mat[0, 0] - 2j) < 1e-10
+
+
+def test_weyl_eval_multivalued_value(model_path, capsys):
+    assert ex.cli_run(["--report", "json", "weyl-eval", model_path, "mul-chi", "--lambda", "0+1i"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass" and "matrix" not in report
+    assert report["lines"][0] == "value is multivalued; generators follow"
+    value = ex.json_to_relation(report["relation"])
+    assert ex.rel_equal(value, ex.mul_relation(ex.full_subspace(1)))
 
 
 def test_weyl_eval_rejects_real_lambda(model_path, capsys):
@@ -139,6 +160,16 @@ def test_admissibility_report(model_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "pass"
     assert any("no finite realization" in line for line in report["lines"])
+
+
+def test_admissibility_constant_pair_has_an_exact_verdict(model_path, capsys):
+    # a constant selfadjoint pair carries a realization, so the report
+    # adds the exact multivalued dimension to the limit verdict
+    assert ex.cli_run(["--report", "json", "admissibility", model_path, "ident", "const-two"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "pass"
+    assert "exact multivalued dimension: 0" in report["lines"]
+    assert "limit verdict: admissible" in report["lines"]
 
 
 def test_admissibility_z0_guard(model_path):

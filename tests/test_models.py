@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -130,6 +131,39 @@ def test_sl_weyl_stable_branch():
     w = complex(np.sqrt(lam))
     assert abs(val[0, 0] - 1j * w) / abs(w) < 1e-10
     assert abs(val[0, 1]) / abs(w) < 1e-10
+
+
+def _mp_sl_reference(length, lam):
+    # 50-digit sin(w l)/w and cos(w l) with w the upper square root of lam
+    with mpmath.workdps(50):
+        w = mpmath.sqrt(mpmath.mpc(lam.real, lam.imag))
+        if w.imag < 0 or (w.imag == 0 and w.real < 0):
+            w = -w
+        z = w * length
+        s, c = mpmath.sin(z) / w, mpmath.cos(z)
+        phi = np.array([[complex(s), 0.0], [0.0, complex(s)]])
+        psi = np.array([[-complex(c), 1.0], [1.0, -complex(c)]])
+        weyl = np.array([[complex(-c / s), complex(1 / s)], [complex(1 / s), complex(-c / s)]])
+    return phi, psi, weyl
+
+
+def _rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+def test_sl_small_lambda_series_matches_extended_precision():
+    # |w l| straddles 1e-5, where sin(w l)/w switches to its Taylor series
+    sides = set()
+    for length in (1.0, 2.5):
+        model = ex.SLModel(length)
+        for lam in (1e-12j, 1e-11 * (1 + 1j), -3e-11 + 1e-12j):
+            sides.add(abs(np.sqrt(lam) * length) < 1e-5)
+            phi_ref, psi_ref, weyl_ref = _mp_sl_reference(length, lam)
+            phi, psi = ex.sl_pair_eval(model).eval(lam)
+            assert _rel_err(phi, phi_ref) < 1e-14
+            assert _rel_err(psi, psi_ref) < 1e-14
+            assert _rel_err(ex.sl_weyl(model, lam), weyl_ref) < 1e-14
+    assert sides == {True, False}
 
 
 def test_sl_pair_matches_weyl():

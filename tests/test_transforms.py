@@ -16,10 +16,16 @@ def triplet_fixture(seed=21, n=5, defect=3):
     return ex.von_neumann_triplet(s), rng
 
 
+def _dense_j(m):
+    # J = [[0, -iI], [iI, 0]] on C^{2m} as a dense matrix
+    eye = np.eye(m, dtype=complex)
+    return np.block([[np.zeros((m, m)), -1j * eye], [1j * eye, np.zeros((m, m))]])
+
+
 def test_standard_j_unitary_validation():
     rng = np.random.default_rng(0)
     w = ex.random_standard_j_unitary(rng, 2)
-    j = ex.FundamentalSymmetry(2).matrix
+    j = _dense_j(2)
     assert np.linalg.norm(w.matrix.conj().T @ j @ w.matrix - j) < RESID
     with pytest.raises(ex.AssumptionError):
         ex.standard_j_unitary(2.0 * np.eye(4))
@@ -62,6 +68,20 @@ def test_compose_and_recover():
         direct = ex.rel_matrix(ex.weyl_eval(moved, lam))
         via_image = ex.rel_matrix(fam.eval(lam))
         assert np.linalg.norm(direct - via_image) < RESID
+
+
+def test_compose_with_a_relation_matches_the_matrix_route():
+    # a relation W is composed with Gamma by a relation product; for the
+    # graph of a standard J-unitary matrix it is the matrix route's Gamma
+    for seed in range(20):
+        n = 2 + seed % 4
+        br, rng = triplet_fixture(seed=300 + seed, n=n, defect=1 + seed % n)
+        w = ex.random_standard_j_unitary(rng, br.boundary_dim)
+        by_relation = ex.compose_boundary(ex.relation_from_matrix(w.matrix), br)
+        by_matrix = ex.compose_boundary(w, br)
+        assert by_relation.gamma.graph_dim == by_matrix.gamma.graph_dim
+        assert ex.largest_principal_angle(by_relation.gamma.graph, by_matrix.gamma.graph) < 1e-12
+        assert ex.rel_equal(by_relation.s_rel, br.s_rel)
 
 
 def test_transpose_boundary_negative_inverse():
@@ -267,7 +287,7 @@ def _matrix_transform_cases():
             w0 = ex.random_standard_j_unitary(rng, m).matrix
             g0 = np.eye(m) + 0.3 * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
             b0 = ex.random_hermitian(rng, m) @ np.linalg.inv(g0)
-            yield br, ex.FundamentalSymmetry(m).matrix, ex.transpose_boundary(br)
+            yield br, _dense_j(m), ex.transpose_boundary(br)
             for c in (1e-3, 1e-1, 1.0, 1e1, 1e3):
                 d = np.diag(np.concatenate([np.full(m, 1 / c), np.full(m, c)]))
                 yield br, d @ w0, ex.compose_boundary(d @ w0, br)
