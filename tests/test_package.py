@@ -154,6 +154,32 @@ def test_the_real_axis_is_refused_in_one_place():
     assert raises == 1
 
 
+def _takes_parity(node):
+    """A dimension taken modulo 2, as ``d % 2``."""
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 2
+    )
+
+
+def test_even_dimension_is_checked_in_one_place():
+    """One helper, ``kreinspace._halves``, decides that a graph space has
+    even dimension; every other function that needs the half dimension
+    calls it, so an odd dimension has one test and one error."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(_takes_parity(node) for node in ast.walk(func)):
+                found.add(f"{path.stem}.{func.name}")
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                assert not any(_takes_parity(node) for node in ast.walk(stmt)), (path.name, stmt.lineno)
+    assert found == {"kreinspace._halves"}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """Every name a module imports is read somewhere in it; the package
     ``__init__`` re-exports with ``*`` and is left out."""

@@ -36,6 +36,35 @@ def test_standard_j_unitary_validation():
         ex.compose_boundary(2 * np.eye(6), pi)
     with pytest.raises(ex.DimMismatch):
         ex.compose_boundary(w, pi)
+    # a StandardJUnitary is taken as it is
+    assert ex.standard_j_unitary(w) is w
+
+
+def test_odd_graph_spaces_are_refused_by_the_kreinspace_rule():
+    # the half dimension comes from kreinspace._halves, so an odd side
+    # raises its ArgumentError wherever a transform needs one
+    rng = np.random.default_rng(3)
+    w = ex.relation_from_generators(2, 3, rng.standard_normal((5, 2)))
+    theta = ex.relation_from_matrix(np.eye(1))
+    with pytest.raises(ex.ArgumentError, match="even dimension"):
+        ex.shmulyan(w, theta)
+    with pytest.raises(ex.ArgumentError, match="even dimension"):
+        ex.shmulyan_family(w, ex.FamilyEval(1, lambda lam: theta))
+    with pytest.raises(ex.ArgumentError, match="even dimension"):
+        ex.standard_j_unitary(np.eye(3))
+
+
+def test_shmulyan_family_takes_a_matrix_through_the_j_unitary_check():
+    # diag(1, -1) is not J-unitary: compose_boundary refuses it, and so
+    # does shmulyan_family, whose image of a Weyl family would not be
+    # Nevanlinna
+    pi, _ = triplet_fixture(seed=5, n=2, defect=1)
+    fam = ex.FamilyEval(1, lambda lam: ex.weyl_eval(pi, lam))
+    w = np.diag([1.0, -1.0])
+    with pytest.raises(ex.NotUnitary):
+        ex.compose_boundary(w, pi)
+    with pytest.raises(ex.NotUnitary):
+        ex.shmulyan_family(w, fam)
 
 
 def test_shmulyan_image_oracle():
@@ -218,10 +247,28 @@ def test_transform_kernel_is_read_on_first_use(monkeypatch):
         assert ex.containment_gap(br.s_rel.graph, res.boundary.s_rel.graph) <= ex.TOL.angle
 
 
+@pytest.mark.parametrize(
+    "mat,which",
+    [
+        (np.diag([1.0, 0.0]), "transposed_boundary_conditions"),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), "second_block_transpose_conditions"),
+    ],
+)
+def test_schur_complement_checks_the_composed_relations(mat, which):
+    # Gamma itself satisfies (B1)-(B3); the transpose of Gamma, or that of
+    # its second-block compression, does not
+    chi = ex.canonical_chi(ex.relation_from_matrix(mat))
+    assert ex.check_B123(chi).all_hold
+    with pytest.raises(ex.HypothesisFailed) as info:
+        ex.schur_complement(chi, ex.SpaceSplit(1, 1))
+    assert info.value.which == which
+
+
 def test_schur_complement_svd_count(monkeypatch):
     # on the fixture (n = 5, defect 3, split (2, 1)): three check_B123 of
-    # two SVDs each, two meets of two, and at i and 2i one M(lambda) of
-    # three and the ranks of M22, M and the Schur block
+    # two SVDs each (on Gamma, its transpose and the transposed
+    # second-block compression) and the meet and span of two
+    # _block_transform calls; the transposes are QR factors
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
@@ -231,7 +278,7 @@ def test_schur_complement_svd_count(monkeypatch):
     assert len(calls) <= 2
     calls.clear()
     ex.schur_complement(pi, ex.SpaceSplit(2, 1))
-    assert len(calls) <= 22
+    assert len(calls) == 10
 
 
 def _reference_block_transform(br, e):
