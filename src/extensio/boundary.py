@@ -35,9 +35,9 @@ from .linrel import (
     Subspace,
     Tolerances,
     _checked_inverse,
-    _matrix_graph,
     _nullspace,
     _off_spectrum,
+    _operator,
     _operator_spectrum,
     _orthonormal_columns,
     _polar_factor,
@@ -425,7 +425,7 @@ def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> Line
     lam = _spectral_point(lam, "nonreal")
     m = br.boundary_dim
     if isinstance(br, OrdinaryTriplet):
-        return LinearRelation(m, m, _matrix_graph(_gamma_and_weyl_grid(br, [lam], tol)[1][0]))
+        return _operator(_gamma_and_weyl_grid(br, [lam], tol)[1][0])
     image = br.gamma.out_block @ _defect_coords(br, lam, tol)
     # Rows of the unit columns G c: anchor the rank cutoff at scale one.
     return LinearRelation(m, m, _span(image, tol, 1.0))
@@ -437,7 +437,7 @@ def gamma_field(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> Li
     n = br.state_dim
     m = br.boundary_dim
     if isinstance(br, OrdinaryTriplet):
-        return LinearRelation(m, n, _matrix_graph(_gamma_and_weyl_grid(br, [lam], tol)[0][0]))
+        return _operator(_gamma_and_weyl_grid(br, [lam], tol)[0][0])
     cols = br.gamma.graph.basis @ _defect_coords(br, lam, tol)
     return LinearRelation(m, n, _span(np.concatenate([cols[2 * n : 2 * n + m, :], cols[:n, :]]), tol))
 

@@ -18,9 +18,11 @@ closed, so closure operations are identities and are not provided.
 from __future__ import annotations
 
 import cmath
+import contextlib
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -218,11 +220,27 @@ def _rank_of(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> in
     return np.count_nonzero(singular > _cutoff(singular[..., :1], mat.shape[-2:], tol, scale), axis=-1)
 
 
+def _frobenius(mat: np.ndarray) -> float:
+    """||mat||_F as a Python float; past the float range it is inf, with no
+    overflow warning, where ``np.linalg.norm`` warns."""
+    return math.sqrt(np.vdot(mat, mat).real)
+
+
 def _checked_inverse(mat: np.ndarray, tol: Tolerances, error: type[Exception], *args) -> np.ndarray:
     """Inverse of a square matrix built from blocks of unit bases, or
     ``error(*args)`` raised when its rank falls short of its size (always,
     when it is not square): the cutoff is anchored at unit scale, so a
-    rounding-level matrix reads as singular."""
+    rounding-level matrix reads as singular.
+
+    The inverse, taken first, certifies full rank with no SVD: smax <=
+    ||mat||_F and smin >= 1 / ||inv||_F, so 2 cutoff(||mat||_F) ||inv||_F
+    < 1 proves that the rule finds full rank, the factor 2 covering the
+    rounding of inv.  Elsewhere (not square, singular, not finite, near
+    the cutoff) the rule decides."""
+    with contextlib.suppress(np.linalg.LinAlgError):
+        inv = np.linalg.inv(mat)
+        if 2 * _cutoff(_frobenius(mat), mat.shape, tol, 1.0) * _frobenius(inv) < 1:
+            return inv
     if _rank_of(mat, tol, 1.0) < max(mat.shape):
         raise error(*args)
     return np.linalg.inv(mat)
@@ -460,6 +478,8 @@ class LinearRelation:
     dim_in: int
     dim_out: int
     graph: Subspace
+    # the matrix of a graph built by ``_operator``, read-only; else None
+    _matrix: ClassVar[np.ndarray | None] = None
 
     def __post_init__(self):
         if self.graph.ambient_dim != self.dim_in + self.dim_out:
@@ -490,21 +510,27 @@ def relation_from_generators(dim_in: int, dim_out: int, columns, tol: Tolerances
     return LinearRelation(dim_in, dim_out, _span(cols, tol))
 
 
-def _matrix_graph(mat: np.ndarray) -> Subspace:
-    """Graph [I; mat] of a matrix: its columns are independent for every
-    finite mat, so one QR spans it with no rank decision."""
-    return Subspace._trusted(sum(mat.shape), _q_factor(np.concatenate([np.eye(mat.shape[1], dtype=complex), mat])))
+def _operator(mat: np.ndarray) -> LinearRelation:
+    """Graph [I; mat] of a finite complex matrix, carrying a read-only copy
+    of mat: the columns are independent, so one QR spans the graph with no
+    rank decision, and ``rel_matrix`` needs none either."""
+    rows, cols = mat.shape
+    graph = Subspace._trusted(rows + cols, _q_factor(np.concatenate([np.eye(cols, dtype=complex), mat])))
+    rel = LinearRelation(cols, rows, graph)
+    kept = mat.copy()
+    kept.flags.writeable = False
+    object.__setattr__(rel, "_matrix", kept)
+    return rel
 
 
 def relation_from_matrix(mat) -> LinearRelation:
     """Graph of a matrix as a (single-valued, everywhere defined) relation."""
-    mat = as_complex_matrix(mat)
-    return LinearRelation(mat.shape[1], mat.shape[0], _matrix_graph(mat))
+    return _operator(as_complex_matrix(mat))
 
 
 def zero_relation(dim_in: int, dim_out: int) -> LinearRelation:
     """The zero operator: every input maps to 0."""
-    return LinearRelation(dim_in, dim_out, _matrix_graph(np.zeros((dim_out, dim_in), dtype=complex)))
+    return _operator(np.zeros((dim_out, dim_in), dtype=complex))
 
 
 def identity_relation(dim: int) -> LinearRelation:
@@ -597,13 +623,21 @@ def rel_comp_sum(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) ->
 def rel_product(a: LinearRelation, b: LinearRelation, tol: Tolerances = TOL) -> LinearRelation:
     """Composition a o b = {(f,k) : exists g with (f,g) in b, (g,k) in a}.
 
-    The middle components meet in Y_b u = X_a v, and the product is
-    spanned by [X_b u; Y_a v].  Its generators have norm at most one, so
-    an element whose generator falls below the unit-anchored cutoff, such
-    as rounding left over from g in mul b and ker a, counts as zero.
+    Two operators that carry their matrices (``_operator``) compose as the
+    matrix product, with no rank decision.  Otherwise the middle components
+    meet in Y_b u = X_a v, and the product is spanned by [X_b u; Y_a v].
+    Its generators have norm at most one, so an element whose generator
+    falls below the unit-anchored cutoff, such as rounding left over from g
+    in mul b and ker a, counts as zero.
     """
     if b.dim_out != a.dim_in:
         raise ArgumentError("inner dimensions differ in rel_product")
+    if a._matrix is not None and b._matrix is not None:
+        # an overflowing product takes the graph route, on unit bases
+        with np.errstate(all="ignore"):
+            prod = a._matrix @ b._matrix
+        if np.isfinite(prod).all():
+            return _operator(prod)
     u, v = _meet(b.out_block, a.in_block, tol)
     gens = np.concatenate([b.in_block @ u, a.out_block @ v])
     return LinearRelation(b.dim_in, a.dim_out, _span(gens, tol, 1.0))
@@ -817,8 +851,11 @@ def rel_matrix(rel: LinearRelation, tol: Tolerances = TOL) -> np.ndarray:
     """Matrix of an everywhere-defined single-valued relation.
 
     The graph of such a relation has dimension dim_in with an invertible
-    input block, so the matrix is out_block @ in_block^{-1}.
+    input block, so the matrix is out_block @ in_block^{-1}; a relation
+    built as the graph of a matrix returns a copy of it.
     """
+    if rel._matrix is not None:
+        return rel._matrix.copy()
     if rel.graph_dim != rel.dim_in:
         raise AssumptionError(
             f"graph dimension {rel.graph_dim} != dim_in {rel.dim_in}; not a matrix"

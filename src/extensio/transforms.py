@@ -30,7 +30,7 @@ from .errors import (
     NotUnitary,
     SingularAtLambda,
 )
-from .kreinspace import _apply_j, _halves
+from .kreinspace import _apply_j, _halves, is_unitary
 from .linrel import (
     TOL,
     LinearRelation,
@@ -223,10 +223,13 @@ def shmulyan(w: LinearRelation, theta: LinearRelation, tol: Tolerances = TOL) ->
 
 def shmulyan_family(w, f: FamilyEval, tol: Tolerances = TOL) -> FamilyEval:
     """Pointwise transform of a relation-valued family.  A matrix W must
-    be standard J-unitary, as in ``compose_boundary``; a relation W with
-    odd dim_out raises ``ArgumentError``."""
+    be standard J-unitary, as in ``compose_boundary``, and a relation W
+    J-unitary (``NotUnitary``); a relation W with an odd side raises
+    ``ArgumentError``."""
     if not isinstance(w, LinearRelation):
         w = relation_from_matrix(standard_j_unitary(w).matrix)
+    elif not is_unitary(w, tol):
+        raise NotUnitary("transform is not a J-unitary relation")
     (k,) = _halves(w.dim_out)
     return FamilyEval(k, lambda lam: shmulyan(w, f.eval(lam), tol))
 

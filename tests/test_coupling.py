@@ -285,6 +285,24 @@ def test_tau_of_extension_matches_least_squares_route():
         assert ex.rel_equal(tau.eval(lam), ref)
 
 
+def test_resolvent_route_takes_no_svd_once_warm(monkeypatch):
+    # M(lam) carries its matrix, and the inverse of psi + M phi certifies
+    # its own rank: counted at linrel._svd, neither takes an SVD
+    scene, pi = random_case(seed=11, n1=3, n2=3)
+    tau = ex.tau_of_extension(scene, pi)
+    lams = (1j, -2j, 1 + 1j)
+    for lam in lams:
+        ex.krein_rhs(pi, tau, lam)
+    calls = []
+    entry = linrel._svd
+    monkeypatch.setattr(linrel, "_svd", lambda *args, **kwargs: calls.append(1) or entry(*args, **kwargs))
+    for lam in lams:
+        assert ex.rel_matrix(ex.weyl_eval(pi, lam)).shape == (pi.boundary_dim,) * 2
+        ex.krein_rhs(pi, tau, lam)
+        ex.krein_rhs(pi, tau, 3 * lam)
+    assert not calls
+
+
 def test_krein_rhs_singular_sum():
     pi = ex.fix_b_triplet()
     # family value -M(lam) makes the sum the zero relation

@@ -174,9 +174,11 @@ def test_invertibility_cutoff_is_unit_anchored(factor):
     n = 3
     s = factor * ex.TOL.rank * n
     singular = factor < 1
-    # the graph of t*I has the input block I / sqrt(1 + t^2)
+    # the graph of t*I has an input block with singular values
+    # 1 / sqrt(1 + t^2); built from generators it carries no matrix, so
+    # rel_matrix decides on that block
     t = np.sqrt(1.0 / s**2 - 1.0)
-    rel = ex.relation_from_matrix(t * np.eye(n))
+    rel = ex.relation_from_generators(n, n, np.concatenate([np.eye(n), t * np.eye(n)]))
     assert np.allclose(np.linalg.svd(rel.in_block, compute_uv=False), s, rtol=1e-6, atol=0)
     if singular:
         with pytest.raises(ex.AssumptionError):
@@ -713,3 +715,126 @@ def test_a_replaced_numpy_svd_sees_every_svd(monkeypatch):
     assert seen["entry"] > 0 and seen["numpy"] == seen["entry"]
     for got, want in zip(outputs, reference, strict=True):
         assert got.tobytes() == want.tobytes()
+
+
+def _count_svds(monkeypatch):
+    """Calls of linrel._svd, the one function that reaches LAPACK's SVD."""
+    calls = []
+    entry = linrel._svd
+    monkeypatch.setattr(linrel, "_svd", lambda *args, **kwargs: calls.append(1) or entry(*args, **kwargs))
+    return calls
+
+
+def _inverse_outcome(invert, mat):
+    """Bytes of the inverse, or the type of the typed error raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return invert(mat).tobytes()
+        except ex.ExtensioError as err:
+            return type(err)
+
+
+def _svd_rule_inverse(mat):
+    # the rule without the certificate: a values-only SVD, then inv
+    if linrel._rank_of(mat, ex.TOL, 1.0) < max(mat.shape):
+        raise ex.GSingular("singular")
+    return np.linalg.inv(mat)
+
+
+def _inverse_parity_cases():
+    rng = np.random.default_rng(32)
+    for n in range(1, 17):
+        cutoff = ex.TOL.rank * n
+        for k in range(-40, 41, 4):
+            yield 2.0**k * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for f in (0.5, 1.0, 2.0, 4.0, 1e3):
+            yield f * cutoff * np.eye(n, dtype=complex)
+    yield 1e-200 * np.eye(3, dtype=complex)
+    yield np.ones((3, 3), dtype=complex)
+    yield np.zeros((2, 3), dtype=complex)
+    for bad in (np.nan, np.inf):
+        mat = np.eye(3, dtype=complex)
+        mat[1, 2] = bad
+        yield mat
+
+
+def test_checked_inverse_certifies_what_the_svd_rule_decides(monkeypatch):
+    """The inverse certifies full rank when 2 x cutoff(||mat||_F) x
+    ||inv||_F < 1; elsewhere the SVD rule decides.  Either way the helper
+    raises exactly where the rule raises and otherwise returns
+    np.linalg.inv(mat) bit for bit, with no stray RuntimeWarning where a
+    norm overflows (1e-200 I)."""
+    cases = list(_inverse_parity_cases())
+    want = [_inverse_outcome(_svd_rule_inverse, mat) for mat in cases]
+    calls = _count_svds(monkeypatch)
+    helper = lambda mat: linrel._checked_inverse(mat, ex.TOL, ex.GSingular, "singular")  # noqa: E731
+    got = [_inverse_outcome(helper, mat) for mat in cases]
+    assert got == want
+    # both outcomes occur, and the NaN and inf entries keep the SVD's error
+    assert ex.GSingular in want and want[-2:] == [ex.AssumptionError] * 2
+    # each refusal takes the rule's SVD; the certificate takes most of the
+    # full-rank decisions (298 of 330 on this draw)
+    full = sum(isinstance(outcome, bytes) for outcome in want)
+    certified = full - (len(calls) - (len(cases) - full))
+    assert certified >= 0.85 * full
+
+
+def test_operator_relations_carry_their_matrix(monkeypatch):
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    calls = _count_svds(monkeypatch)
+    rel = ex.relation_from_matrix(a)
+    # rel_matrix hands back a copy of the matrix, and it is kept as a copy
+    got = ex.rel_matrix(rel)
+    assert got.tobytes() == a.tobytes()
+    got[0, 0] = a[0, 0] = 7.0
+    assert ex.rel_matrix(rel)[0, 0] != 7.0
+    assert ex.rel_matrix(ex.zero_relation(2, 3)).tobytes() == np.zeros((3, 2), dtype=complex).tobytes()
+    assert ex.rel_matrix(ex.identity_relation(2)).tobytes() == np.eye(2, dtype=complex).tobytes()
+    assert not calls
+    # a copy of the same graph carries no matrix, and gives it from its
+    # input block
+    assert np.linalg.norm(ex.rel_matrix(ex.rel_permute(rel)) - ex.rel_matrix(rel)) < RESID
+
+
+def test_operator_product_is_the_matrix_product(monkeypatch):
+    # the graph route meets 1e-10 and 1e10 in nothing: their graphs'
+    # middle blocks are unit-anchored below the cutoff
+    small, large = np.array([[1e-10]]), np.array([[1e10]])
+    generated = [ex.relation_from_generators(1, 1, np.concatenate([np.eye(1), m])) for m in (small, large)]
+    assert ex.rel_product(*generated).graph_dim == 0
+    calls = _count_svds(monkeypatch)
+    prod = ex.rel_product(ex.relation_from_matrix(small), ex.relation_from_matrix(large))
+    assert prod.graph_dim == 1 and not calls
+    assert ex.rel_matrix(prod).tobytes() == (small @ large).astype(complex).tobytes()
+
+
+def test_operator_product_matches_the_graph_route_under_power_of_two_scaling():
+    """a o b for a = 2^k A, b = 2^-k B, k in [-20, 20]: the matrix branch is
+    exact, and the graph route on generator-built graphs stays within a
+    containment gap of 1e-9 of it (1.3e-10 measured at |k| = 20)."""
+    rng = np.random.default_rng(32)
+    a = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+
+    def generated(mat):
+        return ex.relation_from_generators(mat.shape[1], mat.shape[0], np.concatenate([np.eye(mat.shape[1]), mat]))
+
+    for k in range(-20, 21):
+        left, right = 2.0**k * a, 2.0**-k * b
+        fast = ex.rel_product(ex.relation_from_matrix(left), ex.relation_from_matrix(right))
+        slow = ex.rel_product(generated(left), generated(right))
+        assert ex.rel_matrix(fast).tobytes() == (a @ b).tobytes()
+        assert slow.graph_dim == fast.graph_dim == 4
+        assert ex.largest_principal_angle(fast.graph, slow.graph) <= 1e-9, k
+
+
+def test_an_overflowing_operator_product_takes_the_graph_route():
+    rel = ex.relation_from_matrix([[1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        square = ex.rel_product(rel, rel)
+    # the square of 1e200 is a finite operator the graph route cannot
+    # resolve from an inf matrix: its graph is the output axis
+    assert square.graph_dim == 1 and abs(square.in_block[0, 0]) < 1e-300

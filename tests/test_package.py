@@ -180,6 +180,34 @@ def test_even_dimension_is_checked_in_one_place():
     assert found == {"kreinspace._halves"}
 
 
+def test_a_carried_matrix_is_set_in_one_place():
+    """``LinearRelation._matrix`` is declared once, on the class, set only
+    by ``linrel._operator``, which builds the graph of that matrix, and
+    read only by ``rel_matrix`` and ``rel_product``: no other construction
+    can hand a relation a matrix its graph does not hold."""
+    sets, reads, declared = set(), set(), []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                declared += [
+                    f"{path.stem}.{node.name}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and ast.unparse(stmt.target) == "_matrix"
+                ]
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = f"{path.stem}.{node.name}"
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Attribute) and inner.attr == "_matrix":
+                    (sets if isinstance(inner.ctx, ast.Store) else reads).add(name)
+                elif isinstance(inner, ast.Constant) and inner.value == "_matrix":
+                    sets.add(name)
+    assert declared == ["linrel.LinearRelation"]
+    assert sets == {"linrel._operator"}
+    assert reads == {"linrel.rel_matrix", "linrel.rel_product"}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """Every name a module imports is read somewhere in it; the package
     ``__init__`` re-exports with ``*`` and is left out."""

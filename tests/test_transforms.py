@@ -65,6 +65,10 @@ def test_shmulyan_family_takes_a_matrix_through_the_j_unitary_check():
         ex.compose_boundary(w, pi)
     with pytest.raises(ex.NotUnitary):
         ex.shmulyan_family(w, fam)
+    # as a relation W it fails the J-unitary test of kreinspace
+    assert not ex.is_unitary(ex.relation_from_matrix(w))
+    with pytest.raises(ex.NotUnitary):
+        ex.shmulyan_family(ex.relation_from_matrix(w), fam)
 
 
 def test_shmulyan_image_oracle():

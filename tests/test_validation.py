@@ -83,6 +83,11 @@ def _lagrangian_square():
     return ex.relation_from_generators(2, 2, [[0, 0], [1, 0], [0, 0], [0, 1]])
 
 
+def _weyl_family_n2_defect1():
+    pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(5), 2, 1))
+    return ex.FamilyEval(1, lambda lam: ex.weyl_eval(pi, lam))
+
+
 TYPED_ERRORS = {
     "NotIsometric": (ex.NotIsometric, lambda: ex.validate_boundary_relation(ex.relation_from_matrix(2 * np.eye(2)))),
     "NotIsometryU": (ex.NotIsometryU, lambda: ex.von_neumann_triplet(ex.fix_a_relation(), u=2 * np.eye(2))),
@@ -107,6 +112,12 @@ TYPED_ERRORS = {
     # solution for h = 1, and the eigenvector (1, 1) solves it for h = 0
     "NoSolution": (ex.NoSolution, lambda: ex.straus_solve(ex.fix_b_scene(), ex.fix_b_triplet(), [1.0], 1.0)),
     "NonUnique": (ex.NonUnique, lambda: ex.straus_solve(ex.fix_b_scene(), ex.fix_b_triplet(), [0.0], 1.0)),
+    # diag(1, -1) is not J-unitary: shmulyan_family refuses it as a
+    # relation W, whose image of a Weyl family would not be Nevanlinna
+    "NotUnitary": (
+        ex.NotUnitary,
+        lambda: ex.shmulyan_family(ex.relation_from_matrix(np.diag([1.0, -1.0])), _weyl_family_n2_defect1()),
+    ),
 }
 
 
