@@ -26,6 +26,7 @@ from .linrel import (
     LinearRelation,
     Subspace,
     Tolerances,
+    _certified_inverse,
     _range_and_kernel_image,
     _rank_of,
     _spectral_point,
@@ -182,13 +183,18 @@ def _vanishes(curves: np.ndarray, probe: LimitProbe) -> tuple[np.ndarray, np.nda
     A curve vanishes when its top value is at rounding level, when the
     fit decays and ends below the decay floor, or when its last grid step
     decays: a curve that stays flat over the low decades and falls off as
-    1/y only near the top can end just above the floor.
+    1/y only near the top can end just above the floor.  The verdicts of
+    the few rows are read on Python floats, with the float operations of
+    the fit's arrays.
     """
     design = _grid_design(probe.y_grid)
     slopes, tops, logs = _fit(design, curves)
-    last = (logs[:, -1] - logs[:, -2]) / design.last_step
-    fit_decays = (slopes < -probe.slope_tol) & (tops < _DECAY_FLOOR)
-    return (tops < _ROUNDING_FLOOR) | fit_decays | (last < -probe.slope_tol), slopes
+    limit = -probe.slope_tol
+    verdicts = [
+        top < _ROUNDING_FLOOR or (slope < limit and top < _DECAY_FLOOR) or (end - before) / design.last_step < limit
+        for slope, top, (before, end) in zip(slopes.tolist(), tops.tolist(), logs[:, -2:].tolist())
+    ]
+    return np.array(verdicts, dtype=bool), slopes
 
 
 def _forms(probes: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -303,13 +309,15 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
     """The y-grid, then M(iy), phi omega and psi omega with
     omega = (psi + M phi)^{-1} at its points, stacked (k, m, m) and
     read-only.  M is propagated over the whole grid in one pass from the
-    triplet's cached spectral data, and the pair is evaluated once per grid
-    point; the result is kept in the pair's slot (``_PairSlot``) for the
-    probe's grid, the only part of the probe it reads.  Raises
-    ArgumentError unless the pair's values are (phi, psi) pairs that stack
-    to m x m matrices (one shape check of the stack), and Omega0Singular at
-    the first point where psi + M phi falls short of full rank under the
-    unit-anchored cutoff (one values-only SVD of the stack), on every call."""
+    triplet's cached spectral data, and the pair at its points with one
+    ``eval_grid`` call; the result is kept in the pair's slot
+    (``_PairSlot``) for the probe's grid, the only part of the probe it
+    reads.  Raises ArgumentError unless the pair's values are (phi, psi)
+    pairs that stack to m x m matrices (one shape check of the stack), and
+    Omega0Singular at the first point where psi + M phi falls short of
+    full rank under the unit-anchored cutoff, on every call: the stacked
+    inverse certifies full rank where it can (``_certified_inverse``), and
+    one values-only SVD of the stack decides elsewhere."""
     cache = _triplet_cache(pi, tol)
     if cache.pair is None or cache.pair.tau is not tau:
         cache.pair = _PairSlot(pi, tau, tol)
@@ -319,7 +327,7 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
             raise ArgumentError("pair dimension differs from the boundary space")
         ys = _grid_design(probe.y_grid).ys
         m_mat = _gamma_and_weyl_grid(pi, 1j * ys, tol)[1]
-        values = [tau.eval(1j * y) for y in ys]
+        values = tau.eval_grid(1j * ys)
         try:
             phi, psi = (np.array(part, dtype=complex) for part in zip(*values))
             if phi.shape != m_mat.shape or psi.shape != m_mat.shape:
@@ -327,10 +335,12 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
         except (TypeError, ValueError):
             raise ArgumentError("pair values are not matrices of the boundary dimension") from None
         combo = psi + m_mat @ phi
-        short = np.flatnonzero(_rank_of(combo, tol, 1.0) < combo.shape[-1])
-        if short.size:
-            raise Omega0Singular(1j * ys[short[0]], "pair combination is not invertible")
-        omega = np.linalg.inv(combo)
+        omega = _certified_inverse(combo, tol)
+        if omega is None:
+            short = np.flatnonzero(_rank_of(combo, tol, 1.0) < combo.shape[-1])
+            if short.size:
+                raise Omega0Singular(1j * ys[short[0]], "pair combination is not invertible")
+            omega = np.linalg.inv(combo)
         upper, lower = phi @ omega, psi @ omega
         for arr in (m_mat, upper, lower):
             arr.flags.writeable = False

@@ -164,7 +164,8 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     The sum is orthogonal in the graph inner product.  With [X; Y] S's
     graph basis, Y +/- iX has orthonormal columns for symmetric S, and the
     defect spaces N_{+/-i} = ker(S* -/+ i) = ran(S +/- i)^perp have the
-    orthonormal bases b+/- = ker((Y +/- iX)*).  An element with defect parts
+    orthonormal bases b+/- = ker((Y +/- iX)*), from one SVD of the stacked
+    pair (``_nullspace`` of a stack).  An element with defect parts
     b+ c+ and b- c- has Gamma_0 = c+ + U* c- and Gamma_1 = i (c+ - U* c-),
     where U = b-* u b+ holds the isometry u of N_i onto N_{-i}, so Gamma's
     graph has the orthonormal basis [X; Y; 0; 0], [b+; i b+; I; i I] / 2
@@ -180,8 +181,7 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
         raise AssumptionError("von Neumann construction needs a symmetric relation")
     n = s.dim_in
     x, y = s.in_block, s.out_block
-    b_plus = _nullspace((y + 1j * x).conj().T, tol)
-    b_minus = _nullspace((y - 1j * x).conj().T, tol)
+    b_plus, b_minus = _nullspace(np.array([(y + 1j * x).conj().T, (y - 1j * x).conj().T]), tol)
     d = b_plus.shape[1]
     if b_minus.shape[1] != d:
         raise UnequalDefect(f"defect numbers ({d}, {b_minus.shape[1]}) differ")
@@ -207,11 +207,15 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     return trip
 
 
-def _defect_coords(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.ndarray:
+def _defect_coords(br: BoundaryRelation, lam: complex | np.ndarray, tol: Tolerances) -> np.ndarray | list[np.ndarray]:
     """Coordinates c on Gamma's graph basis G whose input part G c is a
-    defect element (f, lam f): the kernel of G_f' - lam G_f."""
+    defect element (f, lam f): the kernel of G_f' - lam G_f.  For an array
+    of points, the list of their kernels from one SVD of the stacked
+    pencils (``_nullspace`` of a stack)."""
     n = br.state_dim
     g = br.gamma.graph.basis
+    if isinstance(lam, np.ndarray):
+        lam = lam[:, None, None]
     return _nullspace(g[n : 2 * n, :] - lam * g[:n, :], tol)
 
 
@@ -419,16 +423,37 @@ def _a0_resolvent(br: BoundaryRelation, lam: complex, tol: Tolerances) -> np.nda
     return (spec.vecs / diffs) @ spec.vecs.conj().T
 
 
+def _weyl_values(br: BoundaryRelation, lams, tol: Tolerances) -> list[LinearRelation]:
+    """Family values at the points of lams, in order: for an ordinary
+    triplet the graphs of M(lam) (``_gamma_and_weyl_grid``), carrying the
+    matrix; otherwise the images of the defect elements of dom Gamma under
+    its output rows.  One point takes one SVD per step; a grid takes one
+    SVD of the stacked pencils (``_defect_coords``) and one of the stacked
+    images.  A stack gives each matrix the basis it gets alone, so each
+    value is the one its point gives alone, bit for bit."""
+    if isinstance(br, OrdinaryTriplet):
+        return [_operator(mat) for mat in _gamma_and_weyl_grid(br, lams, tol)[1]]
+    m = br.boundary_dim
+    points = [_spectral_point(lam, "nonreal") for lam in lams]
+    out = br.gamma.out_block
+    if len(points) == 1:
+        images = [out @ _defect_coords(br, points[0], tol)]
+    else:
+        images = [out @ coords for coords in _defect_coords(br, np.array(points), tol)]
+    # Rows of the unit columns G c: anchor the rank cutoff at scale one.
+    # Kernels of one dimension (all of them, for a boundary relation) stack.
+    if len(images) > 1 and len({image.shape for image in images}) == 1:
+        bases = _orthonormal_columns(np.array(images), tol, 1.0)
+    else:
+        bases = [_orthonormal_columns(image, tol, 1.0) for image in images]
+    return [LinearRelation(m, m, Subspace._trusted(2 * m, basis)) for basis in bases]
+
+
 def weyl_eval(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:
     """Family value: image of the defect elements of dom Gamma; for an
-    ordinary triplet the graph of M(lam) (``_gamma_and_weyl_grid``)."""
-    lam = _spectral_point(lam, "nonreal")
-    m = br.boundary_dim
-    if isinstance(br, OrdinaryTriplet):
-        return _operator(_gamma_and_weyl_grid(br, [lam], tol)[1][0])
-    image = br.gamma.out_block @ _defect_coords(br, lam, tol)
-    # Rows of the unit columns G c: anchor the rank cutoff at scale one.
-    return LinearRelation(m, m, _span(image, tol, 1.0))
+    ordinary triplet the graph of M(lam).  The one-point
+    ``_weyl_values``."""
+    return _weyl_values(br, [lam], tol)[0]
 
 
 def gamma_field(br: BoundaryRelation, lam: complex, tol: Tolerances = TOL) -> LinearRelation:

@@ -211,51 +211,73 @@ def _rank(singular: np.ndarray, shape: tuple[int, int], tol: Tolerances, scale: 
     return len(values)
 
 
+def _ranks(singular: np.ndarray, shape: tuple[int, int], tol: Tolerances, scale: float | None = None) -> list[int]:
+    """``_rank`` of each matrix of a stack, from its row of singular values."""
+    return [_rank(row, shape, tol, scale) for row in singular]
+
+
 def _rank_of(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> int | np.ndarray:
     """Rank of mat: its singular values under the cutoff of ``_rank``.  For
     a stack of matrices, one values-only SVD gives an array of their ranks."""
     singular = _svd(mat, compute_uv=False)
     if singular.ndim == 1:
         return _rank(singular, mat.shape, tol, scale)
-    return np.count_nonzero(singular > _cutoff(singular[..., :1], mat.shape[-2:], tol, scale), axis=-1)
+    return np.array(_ranks(singular, mat.shape[-2:], tol, scale))
 
 
 def _frobenius(mat: np.ndarray) -> float:
-    """||mat||_F as a Python float; past the float range it is inf, with no
-    overflow warning, where ``np.linalg.norm`` warns."""
+    """||mat||_F as a Python float (of a stack, the norm of all its
+    entries); past the float range it is inf, with no overflow warning,
+    where ``np.linalg.norm`` warns."""
     return math.sqrt(np.vdot(mat, mat).real)
+
+
+def _certified_inverse(mat: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    """``np.linalg.inv(mat)`` of a square matrix, or of a stack of them,
+    where it certifies with no SVD that the unit-anchored rank rule finds
+    full rank for each matrix A: smax <= ||A||_F and smin >= 1 / ||A^-1||_F,
+    so 2 cutoff(||A||_F) ||A^-1||_F < 1 proves it, the factor 2 covering
+    the rounding of the inverse.  On a stack the norms of the whole stack
+    bound those of each matrix, so one test certifies them all.  None
+    elsewhere (not square, singular, not finite, near the cutoff), where
+    the rule decides."""
+    with contextlib.suppress(np.linalg.LinAlgError):
+        inv = np.linalg.inv(mat)
+        if 2 * _cutoff(_frobenius(mat), mat.shape[-2:], tol, 1.0) * _frobenius(inv) < 1:
+            return inv
+    return None
 
 
 def _checked_inverse(mat: np.ndarray, tol: Tolerances, error: type[Exception], *args) -> np.ndarray:
     """Inverse of a square matrix built from blocks of unit bases, or
     ``error(*args)`` raised when its rank falls short of its size (always,
     when it is not square): the cutoff is anchored at unit scale, so a
-    rounding-level matrix reads as singular.
-
-    The inverse, taken first, certifies full rank with no SVD: smax <=
-    ||mat||_F and smin >= 1 / ||inv||_F, so 2 cutoff(||mat||_F) ||inv||_F
-    < 1 proves that the rule finds full rank, the factor 2 covering the
-    rounding of inv.  Elsewhere (not square, singular, not finite, near
-    the cutoff) the rule decides."""
-    with contextlib.suppress(np.linalg.LinAlgError):
-        inv = np.linalg.inv(mat)
-        if 2 * _cutoff(_frobenius(mat), mat.shape, tol, 1.0) * _frobenius(inv) < 1:
-            return inv
+    rounding-level matrix reads as singular.  The inverse, taken first,
+    certifies full rank with no SVD where it can
+    (``_certified_inverse``)."""
+    inv = _certified_inverse(mat, tol)
+    if inv is not None:
+        return inv
     if _rank_of(mat, tol, 1.0) < max(mat.shape):
         raise error(*args)
     return np.linalg.inv(mat)
 
 
-def _orthonormal_columns(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray:
+def _orthonormal_columns(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray | list[np.ndarray]:
     """Orthonormal basis of the column span, rank decided by SVD.
 
     ``scale`` anchors the cutoff for inputs sliced out of unit bases,
     where a uniformly tiny block is noise rather than a small subspace.
+    For a stack of matrices, one SVD of the stack gives the list of their
+    bases, each the basis of its matrix alone, bit for bit.
     """
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return np.zeros((mat.shape[0], 0), dtype=complex)
+    rows, cols = mat.shape[-2:]
+    if not rows or not cols:
+        return np.zeros((rows, 0), dtype=complex) if mat.ndim == 2 else [np.zeros((rows, 0), dtype=complex) for _ in mat]
     u, s, _ = _svd(mat, full_matrices=False)
-    return np.ascontiguousarray(u[:, : _rank(s, mat.shape, tol, scale)])
+    if mat.ndim == 2:
+        return np.ascontiguousarray(u[:, : _rank(s, mat.shape, tol, scale)])
+    return [np.ascontiguousarray(left[:, :rank]) for left, rank in zip(u, _ranks(s, (rows, cols), tol, scale))]
 
 
 def _polar_factor(mat: np.ndarray) -> np.ndarray:
@@ -290,12 +312,17 @@ def _q_factor(cols: np.ndarray, complete: bool = False) -> np.ndarray:
     return q
 
 
-def _nullspace(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis of ker(mat) as columns."""
-    if mat.shape[0] == 0 or mat.shape[1] == 0:
-        return np.eye(mat.shape[1], dtype=complex)
+def _nullspace(mat: np.ndarray, tol: Tolerances, scale: float | None = None) -> np.ndarray | list[np.ndarray]:
+    """Orthonormal basis of ker(mat) as columns.  For a stack of matrices,
+    one SVD of the stack gives the list of their bases, each the basis of
+    its matrix alone, bit for bit."""
+    rows, cols = mat.shape[-2:]
+    if not rows or not cols:
+        return np.eye(cols, dtype=complex) if mat.ndim == 2 else [np.eye(cols, dtype=complex) for _ in mat]
     _, s, vh = _svd(mat)
-    return np.ascontiguousarray(vh[_rank(s, mat.shape, tol, scale) :, :].conj().T)
+    if mat.ndim == 2:
+        return np.ascontiguousarray(vh[_rank(s, mat.shape, tol, scale) :, :].conj().T)
+    return [np.ascontiguousarray(right[rank:, :].conj().T) for right, rank in zip(vh, _ranks(s, (rows, cols), tol, scale))]
 
 
 def _meet(left: np.ndarray, right: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
@@ -792,13 +819,23 @@ def _off_spectrum(eigs: np.ndarray, lams: np.ndarray, n: int, tol: Tolerances) -
     """t - lam for each lam (rows) and eigenvalue t of an n x n relation A
     (columns, ``_operator_spectrum``).  The |t - lam| of a row are the
     singular values of A - lam compressed to dom A; SingularAtLambda is
-    raised where the smallest falls under the unit-anchored cutoff."""
+    raised where the smallest falls under the unit-anchored cutoff.
+
+    The eigenvalues are real, so |Im lam| <= |t - lam| <= max|t| + |lam|:
+    where the smallest |Im lam| of the grid clears twice the cutoff at
+    max|t| + max|lam| (the factor 2 covering the rounding of that bound),
+    no point can fall under it, and no row is scanned."""
     diffs = eigs - lams[:, None]
-    if eigs.size:
-        dist = np.abs(diffs)
-        singular = dist.min(axis=1) <= _cutoff(dist.max(axis=1), (n, n), tol, 1.0)
-        if singular.any():
-            raise SingularAtLambda(complex(lams[singular.argmax()]), "lambda is an eigenvalue of A0")
+    if not eigs.size:
+        return diffs
+    points = lams.tolist()
+    reach = max(map(abs, eigs.tolist())) + max(map(abs, points), default=0.0)
+    if 2 * _cutoff(reach, (n, n), tol, 1.0) < min((abs(lam.imag) for lam in points), default=math.inf):
+        return diffs
+    dist = np.abs(diffs)
+    singular = dist.min(axis=1) <= _cutoff(dist.max(axis=1), (n, n), tol, 1.0)
+    if singular.any():
+        raise SingularAtLambda(complex(lams[singular.argmax()]), "lambda is an eigenvalue of A0")
     return diffs
 
 

@@ -26,8 +26,8 @@ from .linrel import (
     relation_from_matrix,
     subspace_from_columns,
 )
-from .boundary import BoundaryRelation, OrdinaryTriplet, _boundary_map, ordinary_triplet, von_neumann_triplet, weyl_eval
-from .nevanlinna import NevanlinnaPairEval, pair_from_relation
+from .boundary import BoundaryRelation, OrdinaryTriplet, _boundary_map, _weyl_values, ordinary_triplet, von_neumann_triplet
+from .nevanlinna import NevanlinnaPairEval, _GridEval, pair_from_relation
 from .coupling import CouplingScene, canonical_chi, coupling_scene
 from .kreinspace import _apply_j
 from .transforms import StandardJUnitary, standard_j_unitary
@@ -112,14 +112,14 @@ def realized_constant_pair(v: LinearRelation, tol: Tolerances = TOL) -> Nevanlin
 
 def realized_pair(chi: BoundaryRelation, tol: Tolerances = TOL) -> NevanlinnaPairEval:
     """Pair evaluator reading off the Weyl family of a boundary relation,
-    carrying that relation as its realization."""
+    carrying that relation as its realization; a grid of points takes one
+    pass (``boundary._weyl_values``)."""
     m = chi.boundary_dim
 
-    def eval_at(lam: complex) -> tuple[np.ndarray, np.ndarray]:
-        value = weyl_eval(chi, lam, tol)
-        return value.in_block, value.out_block
+    def values(lams) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(value.in_block, value.out_block) for value in _weyl_values(chi, lams, tol)]
 
-    return NevanlinnaPairEval(m, eval_at, chi)
+    return NevanlinnaPairEval(m, _GridEval(values), chi)
 
 
 def fix_infty_steering(tol: Tolerances = TOL) -> tuple[OrdinaryTriplet, NevanlinnaPairEval]:

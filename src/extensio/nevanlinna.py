@@ -73,6 +73,18 @@ DEFAULT_SAMPLES: tuple[complex, ...] = (1j, 2j, -1j, 1 + 1j, 1 - 1j)
 
 
 @dataclass(frozen=True)
+class _GridEval:
+    """A point evaluation that takes a whole grid of points in one pass:
+    ``grid`` maps a sequence of points to their values in order, and a
+    call at one point is the one-point grid, so the two cannot disagree."""
+
+    grid: Callable[[Sequence[complex]], list[tuple[np.ndarray, np.ndarray]]]
+
+    def __call__(self, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+        return self.grid([lam])[0]
+
+
+@dataclass(frozen=True)
 class NevanlinnaPairEval:
     """Pair evaluator lam -> (phi(lam), psi(lam)), both dim x dim.
 
@@ -84,6 +96,14 @@ class NevanlinnaPairEval:
     dim: int
     eval: Callable[[complex], tuple[np.ndarray, np.ndarray]]
     realization: Any | None = field(default=None, compare=False)
+
+    def eval_grid(self, lams: Sequence[complex]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The values at the points of lams, in order: one pass when
+        ``eval`` is a ``_GridEval``, else ``eval`` at each point in turn,
+        so an error is the first failing point's."""
+        if isinstance(self.eval, _GridEval):
+            return self.eval.grid(lams)
+        return [self.eval(lam) for lam in lams]
 
 
 @dataclass(frozen=True)

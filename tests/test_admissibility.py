@@ -9,6 +9,7 @@ import extensio as ex
 from extensio import admissibility
 from extensio.admissibility import DEFAULT_GRID, _fit, _grid_design, _vanishes
 from extensio.coupling import _double_weyl_blocks
+from extensio.nevanlinna import _GridEval
 from extensio.transforms import _t_combination
 
 
@@ -652,3 +653,45 @@ def test_resolvent_conditions_are_fitted_once_per_probe(monkeypatch):
         assert rep == ex.admissible(ex.scene_triplet(scene), pair, z0=z0)
     for z0, rep in zip((1j, 2j), loose_reports):
         assert rep == ex.admissible(ex.scene_triplet(scene), pair, probe=loose, z0=z0)
+
+
+def test_a_pair_value_is_its_one_point_grid_bit_for_bit():
+    # realized pairs on induced and on ordinary boundary relations evaluate
+    # a grid in one pass, and eval(lam) is that pass at the one point lam;
+    # constant pairs loop eval, so their grid is their point values too
+    lams = [2j, 1 + 1j, -1j, 3 - 0.5j, *(1j * y for y in DEFAULT_GRID)]
+    pairs = [pair for _, pair in _catalog_cases(7)]
+    pairs.append(ex.realized_pair(ex.scene_triplet(ex.random_scene(7, 2, 2))))
+    assert sum(isinstance(pair.eval, _GridEval) for pair in pairs) == 5
+    for pair in pairs:
+        for points in (lams, 1j * np.asarray(DEFAULT_GRID)):
+            values = pair.eval_grid(points)
+            assert len(values) == len(points)
+            for lam, (phi, psi) in zip(points, values):
+                one_phi, one_psi = pair.eval(lam)
+                assert phi.tobytes() == one_phi.tobytes() and psi.tobytes() == one_psi.tobytes()
+
+
+def test_the_sweep_takes_one_grid_pass_per_pair_and_grid():
+    scene = ex.random_scene(3, 2, 2)
+    pi = ex.scene_triplet(scene)
+    pair = ex.realized_pair(ex.induced_chi(scene, pi))
+    passes = []
+    counted = dataclasses.replace(pair, eval=_GridEval(lambda lams: passes.append(list(lams)) or pair.eval.grid(lams)))
+    m = pi.boundary_dim
+    for z0 in (1j, 2j, 1 + 1j):
+        ex.admissible(pi, counted, z0=z0)
+    ex.mt_admissibility(pi, counted, np.zeros((m, m)))
+    assert passes == [[1j * y for y in DEFAULT_GRID]]
+    short = ex.LimitProbe(y_grid=DEFAULT_GRID[:-1])
+    ex.langer_textorius(pi, counted, 1j, probe=short)
+    assert passes[1:] == [[1j * y for y in short.y_grid]]
+    # a pair whose eval is replaced holds no grid of the former one: it is
+    # evaluated point by point, and its own values reach the sweep
+    points = []
+    plain = dataclasses.replace(pair, eval=lambda lam: points.append(lam) or pair.eval(lam))
+    other = ex.scene_triplet(scene)
+    assert admissibility._sweep(other, plain, ex.DEFAULT_PROBE, ex.TOL)[2].tobytes() == (
+        admissibility._sweep(pi, pair, ex.DEFAULT_PROBE, ex.TOL)[2].tobytes()
+    )
+    assert points == [1j * y for y in DEFAULT_GRID]

@@ -622,3 +622,90 @@ def test_closed_form_cache_takes_two_rank_decisions(monkeypatch):
     assert len(calls) == 2
     loose = ex.Tolerances(rank=1e-11)
     assert type(_triplet_cache(pi, loose)) is boundary._TripletCache
+
+
+def _former_weyl(br, lam):
+    # the one-point route as it stood: a nullspace of the pencil
+    # G_f' - lam G_f, then the unit-anchored span of its image
+    n, m = br.state_dim, br.boundary_dim
+    g = br.gamma.graph.basis
+    coords = linrel._nullspace(g[n : 2 * n] - lam * g[:n], ex.TOL)
+    return ex.LinearRelation(m, m, linrel._span(br.gamma.out_block @ coords, ex.TOL, 1.0))
+
+
+def _with_mul_part(trip):
+    # Gamma and {((0, 0), (0, e))}: one more boundary dimension, spanning mul Gamma
+    g = trip.gamma.graph.basis
+    n2, m, k = trip.gamma.dim_in, trip.boundary_dim, g.shape[1]
+    basis = np.zeros((n2 + 2 * m + 2, k + 1), dtype=complex)
+    basis[: n2 + m, :k] = g[: n2 + m]
+    basis[n2 + m + 1 : -1, :k] = g[n2 + m :]
+    basis[-1, k] = 1
+    return ex.validate_boundary_relation(ex.LinearRelation(n2, 2 * m + 2, ex.Subspace(len(basis), basis)))
+
+
+def _grid_relations():
+    # induced chi of the scaling study's 40 scenes at s = 1, Gammas with
+    # mul Gamma != {0}, and ordinary triplets
+    for seed in range(40):
+        scene = ex.random_scene(seed, 1 + seed % 3, 1 + (seed // 3) % 3)
+        yield ex.induced_chi(scene, ex.scene_triplet(scene))
+    for seed in range(3):
+        trip = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(seed), 4, 2))
+        with_mul = _with_mul_part(trip)
+        assert ex.rel_parts(with_mul.gamma).mul.dim == 1
+        yield with_mul
+        yield trip
+
+
+def test_a_grid_of_weyl_values_is_its_one_point_values_bit_for_bit(monkeypatch):
+    """``_weyl_values`` on a grid gives each point the value weyl_eval
+    gives it alone, and, off the ordinary triplets, the value of the former
+    one-point route, bit for bit; a grid takes two SVDs, one per stack."""
+    lams = [1j, 2j, 1 + 1j, -1j, 3 - 0.5j, 1e8j, *(1j * y for y in DEFAULT_GRID)]
+    for br in _grid_relations():
+        ordinary = isinstance(br, ex.OrdinaryTriplet)
+        ex.weyl_eval(br, 2j)  # an ordinary triplet fills its cache here
+        calls = []
+        svd = linrel._svd
+        monkeypatch.setattr(linrel, "_svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        values = boundary._weyl_values(br, lams, ex.TOL)
+        monkeypatch.setattr(linrel, "_svd", svd)
+        assert len(values) == len(lams) and len(calls) == (0 if ordinary else 2)
+        for lam, value in zip(lams, values):
+            alone = ex.weyl_eval(br, lam)
+            assert value.graph.basis.tobytes() == alone.graph.basis.tobytes()
+            if not ordinary:
+                assert alone.graph.basis.tobytes() == _former_weyl(br, lam).graph.basis.tobytes()
+    with pytest.raises(ex.RealAxis):
+        boundary._weyl_values(br, [1j, 2.0], ex.TOL)
+
+
+def test_a_grid_across_the_rank_edge_takes_each_point_alone():
+    # S has the eigenvalue t, so the pencil at t + i eps falls short of full
+    # row rank under the cutoff for small eps and its kernel widens: kernels
+    # of different widths are spanned one by one, each as at its point alone
+    t = 0.7
+    s = ex.rel_direct_sum(ex.relation_from_matrix([[t]]), ex.random_symmetric_restriction(np.random.default_rng(5), 3, 1))
+    br = ex.validate_boundary_relation(ex.von_neumann_triplet(s).gamma)
+    lams = [t + 1j * 10.0**-e for e in range(2, 15)]
+    widths = [c.shape[1] for c in _defect_coords(br, np.array(lams), ex.TOL)]
+    assert widths[0] == br.boundary_dim < widths[-1]
+    for lam, value in zip(lams, boundary._weyl_values(br, lams, ex.TOL)):
+        assert value.graph.basis.tobytes() == _former_weyl(br, lam).graph.basis.tobytes()
+
+
+def test_von_neumann_defect_bases_are_the_nullspaces_of_each_side():
+    # b+ and b- from one SVD of the stacked pair are the bases each takes
+    # alone; S = {0} keeps b+- = I with no SVD
+    for seed in range(6):
+        s = ex.random_symmetric_restriction(np.random.default_rng(seed), 3 + seed % 3, 1 + seed % 2)
+        trip = ex.von_neumann_triplet(s)
+        x, y = s.in_block, s.out_block
+        b_plus = linrel._nullspace((y + 1j * x).conj().T, ex.TOL)
+        b_minus = linrel._nullspace((y - 1j * x).conj().T, ex.TOL)
+        d = b_plus.shape[1]
+        assert _triplet_cache(trip, ex.TOL).b_plus.tobytes() == b_plus.tobytes()
+        assert trip.gamma.graph.basis[: s.dim_in, -d:].tobytes() == (b_minus / 2).tobytes()
+    zero = ex.von_neumann_triplet(ex.LinearRelation(2, 2, ex.Subspace(4, np.zeros((4, 0), dtype=complex))))
+    assert _triplet_cache(zero, ex.TOL).b_plus.tobytes() == np.eye(2, dtype=complex).tobytes()

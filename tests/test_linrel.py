@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extensio as ex
+from extensio.admissibility import DEFAULT_GRID
 from extensio.boundary import _a0_resolvent, _triplet_cache
 from extensio import linrel
 from extensio.linrel import _nullspace, _q_factor, _svd
@@ -838,3 +839,157 @@ def test_an_overflowing_operator_product_takes_the_graph_route():
     # the square of 1e200 is a finite operator the graph route cannot
     # resolve from an inf matrix: its graph is the output axis
     assert square.graph_dim == 1 and abs(square.in_block[0, 0]) < 1e-300
+
+
+def _stack_cases():
+    """Seeded stacks of seven matrices, each with the scale anchor it is
+    read under: Gaussian at 2^k scale, smallest singular value at 0.5-1e3
+    times the cutoff, exactly rank-deficient, at 1e+-200, and with no rows
+    or no columns."""
+    rng = np.random.default_rng(33)
+    for rows, cols in ((1, 2), (2, 4), (3, 3), (4, 2), (3, 5)):
+        gauss = rng.standard_normal((7, rows, cols)) + 1j * rng.standard_normal((7, rows, cols))
+        for k in (-40, -8, 0, 8, 40):
+            yield 2.0**k * gauss, None
+        r = min(rows, cols)
+        left = np.linalg.qr(rng.standard_normal((7, rows, r)) + 1j * rng.standard_normal((7, rows, r)))[0]
+        right = np.linalg.qr(rng.standard_normal((7, cols, r)) + 1j * rng.standard_normal((7, cols, r)))[0]
+        for f in (0.5, 1.0, 2.0, 4.0, 1e3):
+            # unit largest value, smallest at f times the cutoff, varying
+            # across the stack so that ranks differ within it
+            values = np.ones((7, r))
+            values[:, -1] = f * ex.TOL.rank * max(rows, cols) * np.linspace(0.5, 2.0, 7)
+            yield (left * values[:, None, :]) @ right.conj().swapaxes(1, 2), 1.0
+        short = gauss.copy()
+        short[:, :, -1] = short[:, :, 0]
+        yield short, None
+        yield 1e-200 * gauss, 1.0
+        yield 1e200 * gauss, None
+    yield np.zeros((7, 0, 3), dtype=complex), None
+    yield np.zeros((7, 3, 0), dtype=complex), None
+
+
+def test_a_stack_takes_the_basis_each_matrix_takes_alone():
+    """``_nullspace``, ``_orthonormal_columns`` and ``_rank_of`` of a stack:
+    one SVD of the stack gives each matrix the rank and the basis it gets
+    alone, bit for bit, across the cutoff and at either scale anchor."""
+    widths = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for stack, scale in _stack_cases():
+            for helper in (linrel._nullspace, linrel._orthonormal_columns):
+                got = helper(stack, ex.TOL, scale)
+                assert isinstance(got, list) and len(got) == len(stack)
+                for mat, basis in zip(stack, got):
+                    alone = helper(mat, ex.TOL, scale)
+                    assert basis.shape == alone.shape and basis.tobytes() == alone.tobytes()
+                    assert basis.flags.c_contiguous
+                widths.add(len({basis.shape for basis in got}))
+            if stack.size:
+                ranks = linrel._rank_of(stack, ex.TOL, scale)
+                assert ranks.tolist() == [linrel._rank_of(mat, ex.TOL, scale) for mat in stack]
+    # some stacks straddle the cutoff: their bases differ in width
+    assert widths == {1, 2}
+
+
+def test_a_stack_with_a_nan_or_inf_matrix_raises_as_that_matrix_does():
+    for bad in (np.nan, np.inf):
+        stack = np.array([np.eye(2, 3, dtype=complex)] * 3)
+        stack[1, 0, 2] = bad
+        for helper in (linrel._nullspace, linrel._orthonormal_columns):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ex.AssumptionError, match="SVD did not converge"):
+                    helper(stack[1], ex.TOL)
+                with pytest.raises(ex.AssumptionError, match="SVD did not converge"):
+                    helper(stack, ex.TOL)
+
+
+def _inverse_stacks():
+    """Stacks of seven from the parity cases of ``_checked_inverse``: all
+    Gaussian, or one matrix of the stack replaced by a near-cutoff,
+    singular or non-finite one."""
+    rng = np.random.default_rng(34)
+    for n in range(1, 7):
+        for k in range(-40, 41, 8):
+            yield 2.0**k * (rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n)))
+        for odd in (f * ex.TOL.rank * n * np.eye(n) for f in (0.5, 1.0, 2.0, 4.0, 1e3)):
+            stack = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+            stack[3] = odd
+            yield stack
+    for bad in (np.nan, np.inf, 0.0):
+        stack = np.array([np.eye(3, dtype=complex)] * 7)
+        stack[5, 1, 2 if bad else 1] = bad
+        yield stack
+
+
+def test_a_stacked_inverse_is_certified_for_every_matrix_or_declined(monkeypatch):
+    """``_certified_inverse`` of a stack returns np.linalg.inv of the stack,
+    bit for bit, only where the SVD rule finds every matrix of full rank,
+    and None elsewhere, with no stray RuntimeWarning; it takes no SVD."""
+    stacks = list(_inverse_stacks())
+    full = [bool((linrel._rank_of(stack, ex.TOL, 1.0) == stack.shape[-1]).all()) for stack in stacks[:-3]]
+    calls = _count_svds(monkeypatch)
+    certified = 0
+    for stack, whole in zip(stacks, full + [False] * 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            inv = linrel._certified_inverse(stack, ex.TOL)
+        if inv is not None:
+            assert whole and inv.tobytes() == np.linalg.inv(stack).tobytes()
+            certified += 1
+    assert not calls
+    # the rule refuses the stacks with a matrix at or below the unit-anchored
+    # cutoff (24 of 96); the certificate takes most of the others (60 of 72
+    # on this draw)
+    assert full.count(False) >= 12 and certified >= 0.8 * full.count(True)
+
+
+def _row_scan(eigs, lams, n):
+    # the rule without the certificate: the smallest |t - lam| of each row
+    # against the unit-anchored cutoff at the largest
+    diffs = eigs - lams[:, None]
+    if eigs.size:
+        dist = np.abs(diffs)
+        singular = dist.min(axis=1) <= linrel._cutoff(dist.max(axis=1), (n, n), ex.TOL, 1.0)
+        if singular.any():
+            raise ex.SingularAtLambda(complex(lams[singular.argmax()]), "lambda is an eigenvalue of A0")
+    return diffs
+
+
+def _spectrum_outcome(scan, eigs, lams):
+    try:
+        return scan(eigs, lams, max(eigs.size, 1)).tobytes()
+    except ex.SingularAtLambda as err:
+        return err.lam
+
+
+def test_off_spectrum_decides_what_the_row_scan_decides():
+    """A grid whose smallest |Im lam| clears twice the cutoff at max|t| +
+    max|lam| skips the scan; every grid gets the scan's differences or its
+    SingularAtLambda at the same point."""
+    rng = np.random.default_rng(35)
+    checks = skipped = 0
+    for e in (-12, -3, 0, 3, 12):
+        eigs = 10.0**e * rng.standard_normal(4)
+        near = eigs[1]
+        grids = [
+            1j * np.asarray(DEFAULT_GRID),
+            np.array([2j, 1 + 1j, -1j, 3 - 0.5j]),
+            near + 1j * np.array([1.0, 1e-6, 1e-12, 1e-15, 1e-20]),
+            np.array([1j, near, 2j]),
+            np.array([10.0 ** (e + 14) + 1e-3j]),
+            np.array([1e15j, 1e-15j]),
+        ]
+        for lams in grids:
+            want = _spectrum_outcome(_row_scan, eigs, lams)
+            got = _spectrum_outcome(lambda *args: linrel._off_spectrum(*args, ex.TOL), eigs, lams)
+            assert got == want
+            checks += 1
+            reach = np.abs(eigs).max() + np.abs(lams).max()
+            skipped += 2 * linrel._cutoff(reach, (4, 4), ex.TOL, 1.0) < np.abs(lams.imag).min()
+    # no eigenvalues: nothing to scan
+    assert linrel._off_spectrum(np.zeros(0), np.array([0.0, 1j]), 0, ex.TOL).shape == (2, 0)
+    # the limit grid and the sample points skip it up to max|t| = 1e3, the
+    # eigenvalues and the real or near-real points do not (9 of 30 here)
+    assert checks == 30 and skipped >= 8

@@ -123,3 +123,14 @@ def test_pair_from_matrix_function():
     ex.check_pair(pair)
     # its family value at 2i is the graph of 2i
     assert ex.rel_equal(ex.family_from_pair(pair, 2j), ex.relation_from_matrix([[2j]]))
+
+
+def test_a_pair_without_a_grid_is_evaluated_point_by_point():
+    model = ex.HerglotzModel(np.zeros((1, 1)), np.eye(1), ((0.5, np.eye(1)), (2.0, np.eye(1))))
+    pair = ex.pair_from_herglotz(model)
+    lams = [1j, 2 + 1j, -1j]
+    for lam, (phi, psi) in zip(lams, pair.eval_grid(lams)):
+        assert np.array_equal(phi, np.eye(1)) and np.array_equal(psi, ex.herglotz_eval(model, lam))
+    # the loop stops at the first failing point, and its error names that point
+    with pytest.raises(ex.PoleHit, match="mass point 2.0"):
+        pair.eval_grid([1j, 2.0, 0.5])
