@@ -86,11 +86,20 @@ _MU = 1j
 
 @dataclass(frozen=True)
 class BoundaryRelation:
-    """A validated unitary relation Gamma and the tolerances it was
-    validated under; its kernel S and domain T are read on first use."""
+    """A unitary relation Gamma and the tolerances it was built under: data
+    from outside by ``validate_boundary_relation``, a construction unitary
+    by proof by ``_trusted``.  Its kernel S and domain T are read on first use."""
 
     gamma: LinearRelation
     tol: Tolerances = TOL
+
+    @classmethod
+    def _trusted(cls, gamma: LinearRelation, tol: Tolerances) -> BoundaryRelation:
+        """Gamma, isometric by construction: unitary iff its graph fills half
+        the graph space, as Gamma^[*] has the complementary dimension."""
+        if 2 * gamma.graph_dim != gamma.dim_in + gamma.dim_out:
+            raise NotMaximal("isometric relation admits a proper extension")
+        return cls(gamma, tol)
 
     @property
     def state_dim(self) -> int:
@@ -136,14 +145,10 @@ def green_residual(gamma: LinearRelation) -> float:
 
 
 def validate_boundary_relation(gamma: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelation:
-    """Check the Green identity and maximality.  An isometric Gamma is
-    unitary iff its graph has half the dimension of the graph space:
-    Gamma^[*] has the complementary dimension."""
+    """Check the Green identity, then maximality (``BoundaryRelation._trusted``)."""
     if green_residual(gamma) > tol.angle * max(1, gamma.graph_dim):
         raise NotIsometric("Green identity fails on the graph")
-    if 2 * gamma.graph_dim != gamma.dim_in + gamma.dim_out:
-        raise NotMaximal("isometric relation admits a proper extension")
-    return BoundaryRelation(gamma, tol)
+    return BoundaryRelation._trusted(gamma, tol)
 
 
 def ordinary_triplet(gamma: LinearRelation | BoundaryRelation, tol: Tolerances = TOL) -> OrdinaryTriplet:
@@ -173,9 +178,9 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     default U = -polar(b-* b+) depends on no choice of bases and makes
     A0 = ker Gamma_0 an operator: for S = {0} it is -I, and A0 = 0.  The
     boundary rows [I, U*; iI, -iU*] / 2 of the defect columns have rank
-    2d, so Gamma is single-valued and surjective by construction and only
-    the Green identity and maximality are checked.  The triplet's cache
-    under tol is filled from the construction (``_VonNeumannCache``).
+    2d: Gamma is single-valued, surjective and (von Neumann) unitary by
+    construction (``_trusted``).  The triplet's cache under tol is filled
+    from the construction (``_VonNeumannCache``).
     """
     if not rel_classify(s, tol).symmetric:
         raise AssumptionError("von Neumann construction needs a symmetric relation")
@@ -201,8 +206,7 @@ def von_neumann_triplet(s: LinearRelation, u=None, tol: Tolerances = TOL) -> Ord
     plus = np.concatenate([b_plus, 1j * b_plus, eye, 1j * eye]) / 2
     minus = np.concatenate([b_minus, -1j * b_minus, v, -1j * v]) / 2
     basis = np.concatenate([np.concatenate([x, y, zeros]), plus, minus], axis=1)
-    br = validate_boundary_relation(LinearRelation(2 * n, 2 * d, Subspace._trusted(2 * n + 2 * d, basis)), tol)
-    trip = OrdinaryTriplet(br.gamma, tol)
+    trip = OrdinaryTriplet._trusted(LinearRelation(2 * n, 2 * d, Subspace._trusted(2 * n + 2 * d, basis)), tol)
     trip._derived[tol] = _VonNeumannCache(trip, tol, b_plus, coord_u)
     return trip
 

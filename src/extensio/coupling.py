@@ -52,7 +52,6 @@ from .boundary import (
     _gamma_and_weyl_grid,
     _triplet_cache,
     ordinary_triplet,
-    validate_boundary_relation,
     weyl_eval,
 )
 from .nevanlinna import FamilyEval
@@ -179,24 +178,27 @@ def _scene_boundary_values(scene: CouplingScene, pi: OrdinaryTriplet, tol: Toler
 
 def induced_chi(scene: CouplingScene, pi: OrdinaryTriplet, tol: Tolerances = TOL) -> BoundaryRelation:
     """Boundary relation for the second restriction carrying the twisted
-    boundary values of the first components of the coupling."""
+    boundary values of the first components of the coupling (unitary by
+    the coupling method: ``_trusted``)."""
     twisted = _scene_boundary_values(scene, pi, tol)
     _, f2, _, f2p = _row_ranges(scene.h1_dim, scene.h2_dim)
     basis = scene.a_tilde.graph.basis
     gens = np.concatenate([basis[f2, :], basis[f2p, :], twisted])
     chi = LinearRelation(2 * scene.h2_dim, 2 * pi.boundary_dim, _span(gens, tol))
-    return validate_boundary_relation(chi, tol)
+    return BoundaryRelation._trusted(chi, tol)
 
 
 def canonical_chi(theta: LinearRelation, tol: Tolerances = TOL) -> BoundaryRelation:
     """Boundary relation over the zero-dimensional state space whose
-    constant parameter family is the sign-twisted theta."""
+    constant parameter family is the sign-twisted theta.  Its pairing form
+    is twice the imaginary Gram form of theta that ``rel_classify`` has
+    just bounded, so the Green identity holds by that check (``_trusted``)."""
     if theta.dim_in != theta.dim_out:
         raise ArgumentError("parameter relation must be square")
     if not rel_classify(theta, tol).selfadjoint:
         raise AssumptionError("canonical couplings need a selfadjoint parameter")
     basis = np.concatenate([theta.in_block, -theta.out_block])
-    return validate_boundary_relation(LinearRelation(0, len(basis), Subspace._trusted(len(basis), basis)), tol)
+    return BoundaryRelation._trusted(LinearRelation(0, len(basis), Subspace._trusted(len(basis), basis)), tol)
 
 
 def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -> LinearRelation:
@@ -206,7 +208,10 @@ def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -
     The boundary rows of Gamma's graph basis meet the twisted boundary
     rows (h, -h') of chi's in G1 u = G2 v, and the coupling is spanned by
     the state rows of [G1 u; G2 v], reordered from (f1, f1', f2, f2') to
-    ((f1, f2), (f1', f2')).  pi's cache under tol keeps the last coupling,
+    ((f1, f2), (f1', f2')).  The Green identities of pi and chi make it
+    symmetric, so it is selfadjoint iff its graph dimension is n1 + n2:
+    that count, not a classification, is checked (``AssumptionError``).
+    pi's cache under tol keeps the last coupling,
     read-only, with its chi (matched by identity); a raising call stores none.
     """
     if pi.boundary_dim != chi.boundary_dim:
@@ -220,7 +225,7 @@ def couple(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = TOL) -
     u, v = _meet(g1[2 * n1 :, :], twisted, tol)
     gens = np.concatenate([g1[:n1, :] @ u, g2[:n2, :] @ v, g1[n1 : 2 * n1, :] @ u, g2[n2 : 2 * n2, :] @ v])
     result = LinearRelation(n1 + n2, n1 + n2, _span(gens, tol, 1.0))
-    if not rel_classify(result, tol).selfadjoint:
+    if result.graph_dim != n1 + n2:
         raise AssumptionError("coupling did not produce a selfadjoint relation")
     result.graph.basis.flags.writeable = False
     cache.coupling = (chi, result)
@@ -384,7 +389,12 @@ def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = T
     dom Gamma and the boundary rows (G0; G1) are their boundary values:
     the first summand's columns are read off that basis with no parts or
     boundary map.  A bare boundary relation must pass ``ordinary_triplet``;
-    its own cache serves the Weyl function."""
+    its own cache serves the Weyl function.  Unitary by the coupling
+    method (``_trusted``).  On coefficients (a, b) of the orthonormal bases
+    of pi and chi (boundary rows G0, G1 and H, H') the double relation's
+    boundary rows are x + y and y for (x, y) = (G1 a, H' b) and (H b, -G0 a),
+    and |x + y|^2 + |y|^2 >= (3 - sqrt 5)/2 (|x|^2 + |y|^2), so its columns
+    have sigma_min >= ((3 - sqrt 5)/2)^(1/2) ~ 0.618: one QR spans them."""
     if pi.boundary_dim != chi.boundary_dim:
         raise DimMismatch("boundary spaces of the factors differ")
     if not isinstance(pi, OrdinaryTriplet):
@@ -395,37 +405,16 @@ def double_weyl(pi: BoundaryRelation, chi: BoundaryRelation, tol: Tolerances = T
     g_basis = pi.gamma.graph.basis
     g0 = g_basis[2 * n1 : 2 * n1 + m, :]
     g1 = g_basis[2 * n1 + m :, :]
-    k1 = g_basis.shape[1]
-    cols_first = np.concatenate(
-        [
-            g_basis[:n1, :],
-            np.zeros((n2, k1)),
-            g_basis[n1 : 2 * n1, :],
-            np.zeros((n2, k1)),
-            g1,
-            -g0,
-            -g0,
-            np.zeros((m, k1)),
-        ]
-    )
     c_basis = chi.gamma.graph.basis
-    k2 = c_basis.shape[1]
     h = c_basis[2 * n2 : 2 * n2 + m, :]
     hp = c_basis[2 * n2 + m :, :]
-    cols_second = np.concatenate(
-        [
-            np.zeros((n1, k2)),
-            c_basis[:n2, :],
-            np.zeros((n1, k2)),
-            c_basis[n2 : 2 * n2, :],
-            hp,
-            h,
-            np.zeros((m, k2)),
-            hp,
-        ]
-    )
-    gamma = LinearRelation(2 * (n1 + n2), 4 * m, _span(np.concatenate([cols_first, cols_second], axis=1), tol))
-    boundary = validate_boundary_relation(gamma, tol)
+    # the summands' columns on the rows (f1, f2, f1', f2') and the 4m boundary rows
+    z1, z2 = np.zeros((n2, g_basis.shape[1])), np.zeros((n1, c_basis.shape[1]))
+    cols_first = np.concatenate([g_basis[:n1, :], z1, g_basis[n1 : 2 * n1, :], z1, g1, -g0, -g0, np.zeros_like(g0)])
+    cols_second = np.concatenate([z2, c_basis[:n2, :], z2, c_basis[n2 : 2 * n2, :], hp, h, np.zeros_like(h), hp])
+    basis = _q_factor(np.concatenate([cols_first, cols_second], axis=1))
+    gamma = LinearRelation(2 * (n1 + n2), 4 * m, Subspace._trusted(len(basis), basis))
+    boundary = BoundaryRelation._trusted(gamma, tol)
 
     def weyl_fn(lam: complex) -> np.ndarray:
         m_mat = _gamma_and_weyl_grid(pi, [lam], tol)[1][0]

@@ -27,6 +27,7 @@ from .errors import (
     GSingular,
     HypothesisFailed,
     KernelNontrivial,
+    NotIsometric,
     NotUnitary,
     SingularAtLambda,
 )
@@ -172,12 +173,13 @@ def _block_transform(br: BoundaryRelation, e: np.ndarray, tol: Tolerances) -> Bo
     H0, H1, the composite is spanned by [F u; k; E* H1 u] over the meet
     H0 u = E k; no block relation is built.  Both callers pass an E with
     smallest singular value at least one (an embedding, or [t; I]), so the
-    generators are anchored at unit scale as in ``rel_product``."""
+    generators are anchored at unit scale as in ``rel_product``.  The
+    composite of unitary relations is unitary (``BoundaryRelation._trusted``)."""
     n, m = br.state_dim, br.boundary_dim
     g = br.gamma.graph.basis
     u, k = _meet(g[2 * n : 2 * n + m, :], e, tol)
     gens = np.concatenate([g[: 2 * n, :] @ u, k, e.conj().T @ (g[2 * n + m :, :] @ u)])
-    return validate_boundary_relation(LinearRelation(2 * n, 2 * e.shape[1], _span(gens, tol, 1.0)), tol)
+    return BoundaryRelation._trusted(LinearRelation(2 * n, 2 * e.shape[1], _span(gens, tol, 1.0)), tol)
 
 
 def _with_boundary_rows(br: BoundaryRelation, rows: np.ndarray, tol: Tolerances) -> BoundaryRelation:
@@ -268,7 +270,9 @@ def recover_transform(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances 
 
 def affine_transform(br: BoundaryRelation, b, g, tol: Tolerances = TOL) -> BoundaryRelation:
     """Lower-triangular standard transform: boundary values map to
-    (G^{-1} h, B h + G^H h'); the Weyl family moves to BG + G^H M G."""
+    (G^{-1} h, B h + G^H h'); the Weyl family moves to BG + G^H M G.  W is
+    J-unitary once BG is Hermitian, so a composite that fails the Green
+    identity was lost to the conditioning of G (``GSingular``)."""
     m = br.boundary_dim
     b = as_complex_matrix(b, m, m)
     g = as_complex_matrix(g, m, m)
@@ -278,7 +282,10 @@ def affine_transform(br: BoundaryRelation, b, g, tol: Tolerances = TOL) -> Bound
         raise BGNotHermitian("product of the affine blocks must be Hermitian")
     top = np.concatenate([g_inv, np.zeros((m, m))], axis=1)
     w = np.concatenate([top, np.concatenate([b, g.conj().T], axis=1)])
-    return _with_boundary_rows(br, w @ br.gamma.out_block, tol)
+    try:
+        return _with_boundary_rows(br, w @ br.gamma.out_block, tol)
+    except NotIsometric:
+        raise GSingular("scaling block too ill-conditioned to keep the Green identity") from None
 
 
 def block_compress(br: BoundaryRelation, split: SpaceSplit, which: int, tol: Tolerances = TOL) -> TransformResult:
@@ -342,7 +349,8 @@ def t_transform(br: BoundaryRelation, split: SpaceSplit, t, tol: Tolerances = TO
 
 
 def boundary_direct_sum(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances = TOL) -> BoundaryRelation:
-    """Orthogonal sum acting between the merged graph spaces."""
+    """Orthogonal sum acting between the merged graph spaces, unitary with
+    its summands (``BoundaryRelation._trusted``)."""
     n1, n2 = a.state_dim, b.state_dim
     m1, m2 = a.boundary_dim, b.boundary_dim
     merged = rel_direct_sum(a.gamma, b.gamma)
@@ -356,7 +364,7 @@ def boundary_direct_sum(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerance
         )
 
     shuffled = rel_permute(merged, interleave(n1, n2), interleave(m1, m2))
-    return validate_boundary_relation(shuffled, tol)
+    return BoundaryRelation._trusted(shuffled, tol)
 
 
 def sum_weyl(a: BoundaryRelation, b: BoundaryRelation, tol: Tolerances = TOL) -> TransformResult:

@@ -434,8 +434,10 @@ def test_a_coupling_that_raises_is_not_stored(monkeypatch):
     with pytest.raises(ex.DimMismatch):
         ex.couple(pi, ex.canonical_chi(ex.relation_from_matrix(np.eye(2))))
     assert cache.coupling is None
-    flags = ex.rel_classify(ex.fix_a_relation())
-    monkeypatch.setattr(coupling, "rel_classify", lambda rel, tol: flags)
+    # a span that loses a column leaves a graph short of n1 + n2, which
+    # the coupling's dimension check refuses
+    span = coupling._span
+    monkeypatch.setattr(coupling, "_span", lambda *args: ex.Subspace(len(args[0]), span(*args).basis[:, 1:]))
     for _ in range(2):
         with pytest.raises(ex.AssumptionError):
             ex.couple(pi, chi)
@@ -611,6 +613,32 @@ def test_double_weyl_graph_matches_the_parts_route():
     multivalued = ex.canonical_chi(ex.mul_relation(ex.full_subspace(1)))
     with pytest.raises(ex.AssumptionError):
         ex.double_weyl(multivalued, multivalued)
+
+
+def test_double_weyl_spans_its_generators_by_one_qr(monkeypatch):
+    """The generators of the double relation are independent with
+    sigma_min >= ((3 - sqrt 5)/2)^(1/2) by their block structure, so one QR
+    spans them and the construction takes no SVD."""
+    bound = np.sqrt((3 - np.sqrt(5)) / 2)
+    cases = list(_double_weyl_scenes())
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(rng, 4, 1 + seed % 3))
+        theta = ex.relation_from_matrix(ex.random_hermitian(rng, pi.boundary_dim))
+        cases.append((pi, ex.canonical_chi(theta)))
+    generators = []
+    q_factor = coupling._q_factor
+    monkeypatch.setattr(coupling, "_q_factor", lambda cols: generators.append(cols) or q_factor(cols))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("double_weyl took an SVD")
+
+    for pi, chi in cases:
+        with monkeypatch.context() as inner:
+            inner.setattr(linrel, "_svd", refused)
+            dw = ex.double_weyl(pi, chi)
+        smallest = np.linalg.svd(generators[-1], compute_uv=False)[-1]
+        assert smallest >= bound and dw.boundary.gamma.graph_dim == generators[-1].shape[1]
 
 
 def test_double_weyl_and_t_transform_take_no_parts_or_product(monkeypatch):

@@ -208,6 +208,48 @@ def test_a_carried_matrix_is_set_in_one_place():
     assert reads == {"linrel.rel_matrix", "linrel.rel_product"}
 
 
+def test_each_boundary_relation_takes_a_chosen_route():
+    """The Green identity is checked where a relation enters from outside
+    (``validate_boundary_relation``), and a construction that is unitary by
+    proof enters through ``BoundaryRelation._trusted``, which keeps only
+    the maximality count; only ``ordinary_triplet`` (of a boundary relation)
+    and the unchecked model reader construct one directly.  A new
+    construction has to be added here, to one route, on purpose."""
+    checked, trusted, direct = set(), set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = f"{path.stem}.{node.name}"
+            for inner in ast.walk(node):
+                ref = ast.unparse(inner) if isinstance(inner, (ast.Name, ast.Attribute)) else None
+                if ref == "validate_boundary_relation":
+                    checked.add(name)
+                elif ref in ("BoundaryRelation._trusted", "OrdinaryTriplet._trusted"):
+                    trusted.add(name)
+                elif isinstance(inner, ast.Call) and ast.unparse(inner.func) in ("BoundaryRelation", "OrdinaryTriplet"):
+                    direct.add(name)
+    assert checked == {
+        "boundary.ordinary_triplet",
+        "boundary.reduce_multivalued",
+        "cli._check_unitary",
+        "cli._couple",
+        "cli._weyl_eval",
+        "transforms._with_boundary_rows",
+        "transforms.compose_boundary",
+    }
+    assert trusted == {
+        "boundary.validate_boundary_relation",
+        "boundary.von_neumann_triplet",
+        "coupling.canonical_chi",
+        "coupling.double_weyl",
+        "coupling.induced_chi",
+        "transforms._block_transform",
+        "transforms.boundary_direct_sum",
+    }
+    assert direct == {"boundary.ordinary_triplet", "serialize.json_to_triplet"}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """Every name a module imports is read somewhere in it; the package
     ``__init__`` re-exports with ``*`` and is left out."""

@@ -140,6 +140,18 @@ def test_affine_transform_formula():
         ex.affine_transform(pi, np.array([[1j]]), np.array([[1.0]]))
 
 
+def test_affine_transform_near_the_cutoff_blames_the_scaling_block():
+    # G = 2 x cutoff x I passes the invertibility test, but W = diag(G^-1, G*)
+    # has condition 1/s^2 and the QR of [F; W H] loses the state rows: the
+    # Green identity of the composite fails, and G, not Gamma, is blamed
+    for seed in range(10):
+        for n, d in ((2, 1), (3, 1), (5, 2), (5, 3)):
+            pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(np.random.default_rng(seed), n, d))
+            g = 2 * ex.TOL.rank * d * np.eye(d)
+            with pytest.raises(ex.GSingular, match="ill-conditioned"):
+                ex.affine_transform(pi, np.zeros((d, d)), g)
+
+
 def test_block_compress_two_routes():
     pi, _ = triplet_fixture()
     split = ex.SpaceSplit(1, 2)
