@@ -10,6 +10,8 @@ with a finite realization.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,31 +74,34 @@ _DECAY_FLOOR = 1e-4
 # than _SUBLINEAR_SLOPE and its top value exceeds _SUBLINEAR_TOP.
 _SUBLINEAR_SLOPE = -0.25
 _SUBLINEAR_TOP = 1e-6
+# A curve decays when its fit or its last grid step falls faster than
+# y^-_SLOPE_TOL, and diverges when its fit rises faster than y^_SLOPE_TOL.
+_SLOPE_TOL = 0.5
+# The probe directions: the standard basis and _EXTRA_PROBES random unit
+# vectors of a generator seeded with _PROBE_SEED.
+_EXTRA_PROBES = 5
+_PROBE_SEED = 1729
 
 
 @dataclass(frozen=True)
 class LimitProbe:
-    """Sampling plan for limits along the upper imaginary axis."""
+    """Sampling plan for limits along the upper imaginary axis: the heights
+    y of the points iy, at least four, finite, positive and strictly
+    increasing, kept as a tuple of Python floats, so the plan is hashable
+    and keys the caches of the limit tests."""
 
     y_grid: tuple[float, ...] = DEFAULT_GRID
-    slope_tol: float = 0.5
-    extra_probes: int = 5
-    seed: int = 1729
 
     def __post_init__(self) -> None:
-        # a tuple keeps the probe hashable, as probe_vectors' cache needs
-        object.__setattr__(self, "y_grid", tuple(self.y_grid))
-        if len(self.y_grid) < 4:
+        grid = tuple(self.y_grid)
+        if not all(isinstance(y, numbers.Real) for y in grid):
+            raise ArgumentError("limit grid heights must be real numbers")
+        grid = tuple(map(float, grid))
+        if len(grid) < 4:
             raise ArgumentError("limit grid needs at least four points")
-        heights = [_spectral_point(1j * y, "upper").imag for y in self.y_grid]
-        if np.any(np.diff(heights) <= 0):
-            raise ArgumentError("limit grid must be strictly increasing")
-        if not (np.isfinite(self.slope_tol) and self.slope_tol > 0):
-            raise ArgumentError("slope tolerance must be finite and positive")
-        if not (isinstance(self.extra_probes, (int, np.integer)) and self.extra_probes >= 0):
-            raise ArgumentError("the number of extra probes must be a nonnegative integer")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ArgumentError("the probe seed must be a nonnegative integer")
+        if not all(0 < a < b < math.inf for a, b in zip(grid, grid[1:])):
+            raise ArgumentError("limit grid must be finite, positive and strictly increasing")
+        object.__setattr__(self, "y_grid", grid)
 
 
 DEFAULT_PROBE = LimitProbe()
@@ -122,16 +127,14 @@ class AdmissibilityReport:
 
 
 @functools.lru_cache
-def probe_vectors(dim: int, probe: LimitProbe = DEFAULT_PROBE) -> np.ndarray:
-    """Standard basis columns padded with seeded random unit vectors; built
-    once per (dim, probe) and returned read-only."""
+def probe_vectors(dim: int) -> np.ndarray:
+    """Standard basis columns padded with _EXTRA_PROBES seeded random unit
+    vectors; built once per dim and returned read-only."""
     if dim == 0:
         cols = np.zeros((0, 0), dtype=complex)
     else:
-        rng = np.random.default_rng(probe.seed)
-        extra = rng.standard_normal((dim, probe.extra_probes)) + 1j * rng.standard_normal(
-            (dim, probe.extra_probes)
-        )
+        rng = np.random.default_rng(_PROBE_SEED)
+        extra = rng.standard_normal((dim, _EXTRA_PROBES)) + 1j * rng.standard_normal((dim, _EXTRA_PROBES))
         norms = np.linalg.norm(extra, axis=0)
         cols = np.concatenate([np.eye(dim, dtype=complex), extra / np.where(norms == 0, 1.0, norms)], axis=1)
     cols.flags.writeable = False
@@ -189,7 +192,7 @@ def _vanishes(curves: np.ndarray, probe: LimitProbe) -> tuple[np.ndarray, np.nda
     """
     design = _grid_design(probe.y_grid)
     slopes, tops, logs = _fit(design, curves)
-    limit = -probe.slope_tol
+    limit = -_SLOPE_TOL
     verdicts = [
         top < _ROUNDING_FLOOR or (slope < limit and top < _DECAY_FLOOR) or (end - before) / design.last_step < limit
         for slope, top, (before, end) in zip(slopes.tolist(), tops.tolist(), logs[:, -2:].tolist())
@@ -240,7 +243,7 @@ def mul_a0_limit(family: FamilyEval, probe: LimitProbe = DEFAULT_PROBE, tol: Tol
     slowly, so the gate is a flat-slope test rather than the strict
     decay gate used for the resolvent-difference conditions.
     """
-    probes = probe_vectors(family.dim, probe)
+    probes = probe_vectors(family.dim)
     if probes.size == 0:
         return True
     return _sublinear(probes, *_grid_matrices(family, probe, tol))
@@ -257,7 +260,7 @@ def mul_t_limit(
     of the boundary map has no multivalued part off h0.  Raises
     AssumptionError unless the family passes the mul_a0_limit test."""
     m = family.dim
-    probes = probe_vectors(m, probe)
+    probes = probe_vectors(m)
     if probes.size == 0:
         return True
     design, mats = _grid_matrices(family, probe, tol)
@@ -274,58 +277,40 @@ def mul_t_limit(
         if probes.size == 0:
             return True
     slopes = _fit(design, design.ys * np.abs(np.imag(_forms(probes, mats))))[0]
-    return bool(np.all(slopes > probe.slope_tol))
+    return bool(np.all(slopes > _SLOPE_TOL))
 
 
 class _PairSlot:
     """What the limit tests derive from one parameter pair tau on one
-    triplet: the sweep of the last grid (``_sweep``), the two
-    resolvent-difference conditions of the last probe
-    (``_resolvent_conditions``) and the dimension of the exact multivalued
-    part of the coupling, None when tau carries no realization.  ``_sweep``
-    keeps one per triplet (``_TripletCache.pair``) and matches tau by
-    identity, as a NevanlinnaPairEval compares without its realization; the
-    slot holds tau, so no recycled id can match.  A raise stores nothing."""
+    triplet and one y-grid, each on first use: the sweep, the two
+    resolvent-difference conditions and the dimension of the exact
+    multivalued part of the coupling, None when tau carries no
+    realization.  ``_pair_slot`` keeps the last one per triplet
+    (``_TripletCache.pair``).  A raise stores nothing."""
 
-    def __init__(self, pi: OrdinaryTriplet, tau: NevanlinnaPairEval, tol: Tolerances):
+    def __init__(self, pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol: Tolerances):
         self.pi = pi
         self.tau = tau
+        self.probe = probe
         self.tol = tol
-        self.grid: tuple[float, ...] | None = None
-        self.sweep: tuple[np.ndarray, ...] = ()
-        self.probe: LimitProbe | None = None
-        self.conditions: tuple[bool, bool, float, float] | None = None
 
     @functools.cached_property
-    def exact_dim(self) -> int | None:
-        try:
-            chi = realize_tau(self.tau)
-        except RealizationUnavailable:
-            return None
-        return exact_mul(couple(self.pi, chi, self.tol), self.tol).dim
-
-
-def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """The y-grid, then M(iy), phi omega and psi omega with
-    omega = (psi + M phi)^{-1} at its points, stacked (k, m, m) and
-    read-only.  M is propagated over the whole grid in one pass from the
-    triplet's cached spectral data, and the pair at its points with one
-    ``eval_grid`` call; the result is kept in the pair's slot
-    (``_PairSlot``) for the probe's grid, the only part of the probe it
-    reads.  Raises ArgumentError unless the pair's values are (phi, psi)
-    pairs that stack to m x m matrices (one shape check of the stack), and
-    Omega0Singular at the first point where psi + M phi falls short of
-    full rank under the unit-anchored cutoff, on every call: the stacked
-    inverse certifies full rank where it can (``_certified_inverse``), and
-    one values-only SVD of the stack decides elsewhere."""
-    cache = _triplet_cache(pi, tol)
-    if cache.pair is None or cache.pair.tau is not tau:
-        cache.pair = _PairSlot(pi, tau, tol)
-    slot = cache.pair
-    if slot.grid != probe.y_grid:
+    def sweep(self) -> tuple[np.ndarray, ...]:
+        """The y-grid, then M(iy), phi omega and psi omega with
+        omega = (psi + M phi)^{-1} at its points, stacked (k, m, m) and
+        read-only.  M is propagated over the whole grid in one pass from the
+        triplet's cached spectral data, and the pair at its points with one
+        ``eval_grid`` call.  Raises ArgumentError unless the pair's values
+        are (phi, psi) pairs that stack to m x m matrices (one shape check
+        of the stack), and Omega0Singular at the first point where
+        psi + M phi falls short of full rank under the unit-anchored cutoff:
+        the stacked inverse certifies full rank where it can
+        (``_certified_inverse``), and one values-only SVD of the stack
+        decides elsewhere."""
+        pi, tau, tol = self.pi, self.tau, self.tol
         if tau.dim != pi.boundary_dim:
             raise ArgumentError("pair dimension differs from the boundary space")
-        ys = _grid_design(probe.y_grid).ys
+        ys = _grid_design(self.probe.y_grid).ys
         m_mat = _gamma_and_weyl_grid(pi, 1j * ys, tol)[1]
         values = tau.eval_grid(1j * ys)
         try:
@@ -344,24 +329,39 @@ def _sweep(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol:
         upper, lower = phi @ omega, psi @ omega
         for arr in (m_mat, upper, lower):
             arr.flags.writeable = False
-        slot.grid, slot.sweep = probe.y_grid, (ys, m_mat, upper, lower)
-    return slot.sweep
+        return ys, m_mat, upper, lower
 
-
-def _resolvent_conditions(slot: _PairSlot, probe: LimitProbe) -> tuple[bool, bool, float, float]:
-    """Verdicts and fitted slopes of the two resolvent-difference
-    conditions, phi omega and psi omega M vanishing weakly, on the slot's
-    sweep.  They do not depend on the reference point, so the slot keeps
-    them for the last probe (the whole probe: its grid, vectors and
-    slope_tol all enter); ``_vanishes`` fits row by row, so fitting them
-    apart from the quadratic-form rows changes no bit."""
-    if slot.probe != probe:
-        ys, m_mat, upper, lower = slot.sweep
-        probes = probe_vectors(slot.pi.boundary_dim, probe)
+    @functools.cached_property
+    def conditions(self) -> tuple[bool, bool, float, float]:
+        """Verdicts and fitted slopes of the two resolvent-difference
+        conditions, phi omega and psi omega M vanishing weakly.  They do not
+        depend on the reference point; ``_vanishes`` fits row by row, so
+        fitting them apart from the quadratic-form rows changes no bit."""
+        ys, m_mat, upper, lower = self.sweep
+        probes = probe_vectors(self.pi.boundary_dim)
         pairs = probes.conj().T @ np.array([upper, lower @ m_mat], dtype=complex) @ probes
-        passes, slopes = _vanishes(np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys, probe)
-        slot.probe, slot.conditions = probe, (bool(passes[0]), bool(passes[1]), float(slopes[0]), float(slopes[1]))
-    return slot.conditions
+        passes, slopes = _vanishes(np.abs(pairs).max(axis=(2, 3), initial=0.0) / ys, self.probe)
+        return bool(passes[0]), bool(passes[1]), float(slopes[0]), float(slopes[1])
+
+    @functools.cached_property
+    def exact_dim(self) -> int | None:
+        try:
+            chi = realize_tau(self.tau)
+        except RealizationUnavailable:
+            return None
+        return exact_mul(couple(self.pi, chi, self.tol), self.tol).dim
+
+
+def _pair_slot(pi: OrdinaryTriplet, tau: NevanlinnaPairEval, probe: LimitProbe, tol: Tolerances) -> _PairSlot:
+    """The slot of (tau, the probe's grid) on pi's cache under tol: the last
+    one when it holds this very tau, matched by identity, as a
+    NevanlinnaPairEval compares without its realization (the slot holds
+    tau, so no recycled id can match), and an equal grid; else a new one."""
+    cache = _triplet_cache(pi, tol)
+    slot = cache.pair
+    if slot is None or slot.tau is not tau or slot.probe != probe:
+        slot = cache.pair = _PairSlot(pi, tau, probe, tol)
+    return slot
 
 
 def admissible(
@@ -375,9 +375,8 @@ def admissible(
     quadratic-form test (``langer_textorius``), and the exact multivalued
     part of the coupling when the pair carries a realization."""
     z0 = _spectral_point(z0, "upper")
-    _sweep(pi, tau, probe, tol)
-    slot = _triplet_cache(pi, tol).pair
-    adm1, adm2, adm1_slope, adm2_slope = _resolvent_conditions(slot, probe)
+    slot = _pair_slot(pi, tau, probe, tol)
+    adm1, adm2, adm1_slope, adm2_slope = slot.conditions
     qlt = langer_textorius(pi, tau, z0, probe, tol)
     a0_single, a1_single = _triplet_cache(pi, tol).single_valued
     if a0_single:
@@ -415,8 +414,8 @@ def mt_admissibility(
     """
     m = pi.boundary_dim
     t_mat = as_complex_matrix(t, m, m)
-    probes = probe_vectors(m, probe)
-    ys, m_mat, upper, lower = _sweep(pi, tau, probe, tol)
+    probes = probe_vectors(m)
+    ys, m_mat, upper, lower = _pair_slot(pi, tau, probe, tol).sweep
     # t* M11 t + t* M12 + M21 t + M22 of _double_weyl_blocks, collapsed to
     # t* + (psi omega - t* phi omega)(t + M)
     t_h = t_mat.conj().T
@@ -437,8 +436,8 @@ def langer_textorius(
     Q = M - (M - M(z0)*) phi omega (M - M(z0)) must vanish weakly.  The
     verdict does not depend on the reference point."""
     z0 = _spectral_point(z0, "upper")
-    ys, m_mat, upper, _ = _sweep(pi, tau, probe, tol)
+    ys, m_mat, upper, _ = _pair_slot(pi, tau, probe, tol).sweep
     m_ref = _gamma_and_weyl_grid(pi, [z0], tol)[1][0]
     q = m_mat - (m_mat - m_ref.conj().T) @ upper @ (m_mat - m_ref)
-    curves = np.abs(_forms(probe_vectors(pi.boundary_dim, probe), q)) / ys
+    curves = np.abs(_forms(probe_vectors(pi.boundary_dim), q)) / ys
     return bool(np.all(_vanishes(curves, probe)[0]))

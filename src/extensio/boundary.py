@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ArgumentError,
     AssumptionError,
-    HypothesisFailed,
     KNotExtending,
     NotB123,
     NotIsometric,
@@ -47,7 +46,6 @@ from .linrel import (
     as_complex_matrix,
     eigenspace,
     rel_classify,
-    rel_matrix,
     rel_parts,
     rel_preimage,
 )
@@ -73,10 +71,6 @@ __all__ = [
     "check_B123",
     "reduce_multivalued",
 ]
-
-# Relative residual up to which reduce_multivalued accepts the block split
-# M = K + B1 M1 B1* between two Weyl functions it computed itself.
-_WEYL_SPLIT_TOL = 1e-9
 
 # The point at which a triplet's gamma field is taken by the nullspace
 # route (a von Neumann triplet has it in closed form, gamma(i) = b+);
@@ -577,8 +571,7 @@ def reduce_multivalued(br: BoundaryRelation, k=None, tol: Tolerances = TOL) -> B
     The multivalued part is the graph of a bounded symmetric operator;
     k must be a Hermitian matrix extending it (default: extend by zero on
     the complement).  The family value of the original splits into k plus
-    the embedded family value of the reduction; this is verified at two
-    sample points.
+    the embedded family value of the reduction.
     """
     if not check_B123(br, tol).all_hold:
         raise NotB123("reduction needs the Green identity, surjectivity, and a selfadjoint kernel")
@@ -602,11 +595,4 @@ def reduce_multivalued(br: BoundaryRelation, k=None, tol: Tolerances = TOL) -> B
     h, hp = g[2 * n : 2 * n + m, :], g[2 * n + m :, :]
     new_out = np.concatenate([b1_basis.conj().T @ h, b1_basis.conj().T @ (hp - k @ h)])
     reduced = LinearRelation(2 * n, 2 * b1_basis.shape[1], _span(np.concatenate([g[: 2 * n, :], new_out]), tol))
-    result = validate_boundary_relation(reduced, tol)
-    for lam in (1j, 2j):
-        m_full = rel_matrix(weyl_eval(br, lam, tol), tol)
-        m_small = rel_matrix(weyl_eval(result, lam, tol), tol)
-        assembled = k + b1_basis @ m_small @ b1_basis.conj().T
-        if np.linalg.norm(m_full - assembled) > _WEYL_SPLIT_TOL * (1 + np.linalg.norm(m_full)):
-            raise HypothesisFailed("weyl_block_identity", f"block split fails at {lam}")
-    return result
+    return validate_boundary_relation(reduced, tol)

@@ -77,6 +77,22 @@ def _emit(report: dict[str, Any], mode: str) -> None:
     print(f"verdict: {report['verdict']}")
 
 
+def _named(table: dict[str, Any], name: str, kind: str) -> Any:
+    """The object the model file stores under name in table."""
+    if name not in table:
+        raise ArgumentError(f"no {kind} named {name!r}")
+    return table[name]
+
+
+def _stored_as(build, gamma, what: str):
+    """build(gamma) for a stored relation, whose failed assumption is an
+    input error."""
+    try:
+        return build(gamma)
+    except AssumptionError as exc:
+        raise ArgumentError(f"stored object is not {what}: {exc}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="extensio")
     parser.add_argument("--tol", type=float, default=None, help="residual threshold for verdicts")
@@ -118,12 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_unitary(args, tol_gate: float, mode: str) -> int:
     mf = parse_model_file(args.file)
-    if args.name in mf.triplets:
-        gamma = mf.triplets[args.name].gamma
-    elif args.name in mf.relations:
-        gamma = mf.relations[args.name]
-    else:
-        raise ArgumentError(f"no triplet or relation named {args.name!r}")
+    stored = {**mf.relations, **{key: trip.gamma for key, trip in mf.triplets.items()}}
+    gamma = _named(stored, args.name, "triplet or relation")
     residual = green_residual(gamma)
     try:
         validate_boundary_relation(gamma)
@@ -145,14 +157,9 @@ def _check_unitary(args, tol_gate: float, mode: str) -> int:
 
 def _weyl_eval(args, tol_gate: float, mode: str) -> int:
     mf = parse_model_file(args.file)
-    if args.name not in mf.triplets:
-        raise ArgumentError(f"no triplet named {args.name!r}")
+    gamma = _named(mf.triplets, args.name, "triplet").gamma
     lam = parse_lambda(args.lam)
-    try:
-        boundary = validate_boundary_relation(mf.triplets[args.name].gamma)
-    except AssumptionError as exc:
-        raise ArgumentError(f"stored object is not a boundary relation: {exc}")
-    value = weyl_eval(boundary, lam)
+    value = weyl_eval(_stored_as(validate_boundary_relation, gamma, "a boundary relation"), lam)
     report: dict[str, Any] = {
         "op": "weyl-eval",
         "inputs": {"file": args.file, "name": args.name, "lambda": str(lam)},
@@ -172,15 +179,8 @@ def _weyl_eval(args, tol_gate: float, mode: str) -> int:
 
 def _couple(args, tol_gate: float, mode: str) -> int:
     mf = parse_model_file(args.file)
-    for key in (args.triplet, args.chi):
-        if key not in mf.triplets:
-            raise ArgumentError(f"no triplet named {key!r}")
-    try:
-        pi = validate_boundary_relation(mf.triplets[args.triplet].gamma)
-        chi = validate_boundary_relation(mf.triplets[args.chi].gamma)
-    except AssumptionError as exc:
-        raise ArgumentError(f"stored object is not a boundary relation: {exc}")
-    result = couple(pi, chi)
+    gammas = [_named(mf.triplets, key, "triplet").gamma for key in (args.triplet, args.chi)]
+    result = couple(*(_stored_as(validate_boundary_relation, gamma, "a boundary relation") for gamma in gammas))
     if args.out:
         doc = {"relations": {"coupled": relation_to_json(result)}}
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -198,10 +198,8 @@ def _couple(args, tol_gate: float, mode: str) -> int:
 
 def _resolvent(args, tol_gate: float, mode: str) -> int:
     mf = parse_model_file(args.file)
-    if args.scene not in mf.scenes:
-        raise ArgumentError(f"no scene named {args.scene!r}")
+    scene = _named(mf.scenes, args.scene, "scene")
     lam = parse_lambda(args.lam)
-    scene = mf.scenes[args.scene]
     pi = scene_triplet(scene)
     tau = tau_of_extension(scene, pi)
     try:
@@ -228,16 +226,10 @@ def _resolvent(args, tol_gate: float, mode: str) -> int:
 
 def _admissibility(args, tol_gate: float, mode: str) -> int:
     mf = parse_model_file(args.file)
-    if args.triplet not in mf.triplets:
-        raise ArgumentError(f"no triplet named {args.triplet!r}")
-    if args.pair not in mf.pairs:
-        raise ArgumentError(f"no pair named {args.pair!r}")
+    gamma = _named(mf.triplets, args.triplet, "triplet").gamma
+    tau = _named(mf.pairs, args.pair, "pair")
     z0 = parse_lambda(args.z0)
-    try:
-        pi = ordinary_triplet(mf.triplets[args.triplet].gamma)
-    except AssumptionError as exc:
-        raise ArgumentError(f"stored object is not an ordinary triplet: {exc}")
-    rep = admissible(pi, mf.pairs[args.pair], DEFAULT_PROBE, z0=z0)
+    rep = admissible(_stored_as(ordinary_triplet, gamma, "an ordinary triplet"), tau, DEFAULT_PROBE, z0=z0)
     lines = [
         f"limit verdict: {'admissible' if rep.admissible else 'inadmissible'}",
         f"condition 1: {'pass' if rep.adm1_pass else 'fail'}"

@@ -26,7 +26,7 @@ from .linrel import (
     relation_from_matrix,
     subspace_from_columns,
 )
-from .boundary import BoundaryRelation, OrdinaryTriplet, _boundary_map, _weyl_values, ordinary_triplet, von_neumann_triplet
+from .boundary import BoundaryRelation, OrdinaryTriplet, _boundary_map, _weyl_values, von_neumann_triplet
 from .nevanlinna import NevanlinnaPairEval, _GridEval, pair_from_relation
 from .coupling import CouplingScene, canonical_chi, coupling_scene
 from .kreinspace import _apply_j
@@ -78,8 +78,9 @@ def fix_b_scene(tol: Tolerances = TOL) -> CouplingScene:
 
 def fix_b_triplet(tol: Tolerances = TOL) -> OrdinaryTriplet:
     """Triplet over the trivial restriction in C^1 whose Weyl function is
-    the identity coordinate."""
-    return ordinary_triplet(identity_relation(2), tol)
+    the identity coordinate.  Gamma is the identity of C^2: unitary and
+    surjective by inspection (``OrdinaryTriplet._trusted``)."""
+    return OrdinaryTriplet._trusted(identity_relation(2), tol)
 
 
 def fix_infty_relation(tol: Tolerances = TOL) -> LinearRelation:

@@ -142,6 +142,41 @@ def test_reduce_multivalued():
     assert ex.green_residual(reduced.gamma) < RESID
 
 
+def test_reduce_multivalued_strips_the_multivalued_part():
+    # Gamma = pi (+) the canonical chi of H has mul Gamma = the graph of -H
+    # on the second boundary block, so its Weyl value is diag(M_pi, -H).
+    # k = diag(C, -H) extends that operator (the default is C = 0), and the
+    # reduction keeps M_pi - C up to the unitary basis change V of the
+    # first block that it picks, one V for every lambda
+    lams = (1 + 1j, 3j, -2 + 0.5j, 0.3 + 5j, 4 - 1j)
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        pi = ex.von_neumann_triplet(ex.random_symmetric_restriction(rng, 4, 2))
+        h = ex.random_hermitian(rng, 2)
+        br = ex.boundary_direct_sum(pi, ex.canonical_chi(ex.relation_from_matrix(h)))
+        assert ex.rel_parts(br.gamma).mul.dim == 2
+        m_pi = [ex.rel_matrix(ex.weyl_eval(pi, lam)) for lam in lams]
+        for lam, m in zip(lams, m_pi):
+            full = ex.rel_matrix(ex.weyl_eval(br, lam))
+            assert np.abs(full - np.block([[m, zero], [zero, -h]])).max() <= 1e-13 * (1 + np.abs(full).max())
+        for c in (zero, ex.random_hermitian(rng, 2)):
+            reduced = ex.reduce_multivalued(br, k=None if c is zero else np.block([[c, zero], [zero, -h]]))
+            assert reduced.boundary_dim == 2
+            want = [m - c for m in m_pi]
+            got = [ex.rel_matrix(ex.weyl_eval(reduced, lam)) for lam in lams]
+            # V spans the null space of V -> (want V - V got) at every
+            # lambda, one line, as the values M_pi(lambda) have no common
+            # invariant subspace on this family (S in C^4 with defect 2)
+            op = np.vstack([np.kron(eye, a) - np.kron(b.T, eye) for a, b in zip(want, got)])
+            sing, vh = np.linalg.svd(op)[1:]
+            assert sing[-1] <= 1e-13 * sing[0] and sing[-2] >= 1e-3 * sing[0]
+            v = np.sqrt(2) * vh[-1].conj().reshape(2, 2, order="F")
+            assert np.abs(v.conj().T @ v - eye).max() <= 1e-12
+            for a, b in zip(want, got):
+                assert np.abs(v.conj().T @ a @ v - b).max() <= 1e-12 * (1 + np.abs(a).max())
+
+
 def _reference_b123(br, tol=ex.TOL):
     # former route: B2 from a max-anchored rank of the first rows of an
     # orthonormal basis of ran Gamma, B3 from the relation ker Gamma_0

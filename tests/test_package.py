@@ -244,6 +244,7 @@ def test_each_boundary_relation_takes_a_chosen_route():
         "coupling.canonical_chi",
         "coupling.double_weyl",
         "coupling.induced_chi",
+        "models.fix_b_triplet",
         "transforms._block_transform",
         "transforms.boundary_direct_sum",
     }

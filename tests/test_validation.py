@@ -239,13 +239,9 @@ BAD_PROBES = {
     "trailing inf": dict(y_grid=(1e2, 1e3, 1e4, np.inf)),
     "trailing nan": dict(y_grid=(1e2, 1e3, 1e4, np.nan)),
     "not increasing": dict(y_grid=(1e2, 1e4, 1e3, 1e5)),
-    "nan slope_tol": dict(slope_tol=np.nan),
-    "inf slope_tol": dict(slope_tol=np.inf),
-    "zero slope_tol": dict(slope_tol=0.0),
-    "negative extra_probes": dict(extra_probes=-1),
-    "fractional extra_probes": dict(extra_probes=2.5),
-    "negative seed": dict(seed=-1),
-    "fractional seed": dict(seed=2.5),
+    # Im(i y) = Re y would pass a height check on the point iy
+    "complex height": dict(y_grid=(1e2, 1e3, 1e4, 1e5 + 1j)),
+    "string height": dict(y_grid=("1e2", 1e3, 1e4, 1e5)),
 }
 
 
@@ -256,9 +252,12 @@ def test_limit_probe_rejects_what_it_cannot_sample(kwargs):
 
 
 def test_limit_probe_accepts_the_default_and_integer_like_counts():
+    # the grid is the probe's one field; integer and numpy heights are kept
+    # as the Python floats they equal
     assert ex.LimitProbe() == ex.DEFAULT_PROBE
-    assert ex.LimitProbe(y_grid=[1.0, 2.0, 3.0, 4.0], extra_probes=np.int64(0)).extra_probes == 0
-    assert ex.LimitProbe(seed=np.int64(0)).seed == 0
+    probe = ex.LimitProbe(y_grid=[1, 2.0, np.int64(3), np.float32(4.0)])
+    assert probe.y_grid == (1.0, 2.0, 3.0, 4.0) and {type(y) for y in probe.y_grid} == {float}
+    assert probe == ex.LimitProbe(y_grid=(1.0, 2.0, 3.0, 4.0))
 
 
 BAD_TOLERANCES = {
